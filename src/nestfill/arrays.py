@@ -2,11 +2,12 @@
 nested/sliced orthogonal arrays, difference-matrix products, and the
 column-wise Kronecker constructions with general level counts.
 
-Every constructor re-verifies its structural claims with the brute-force
-oracles in :mod:`nestfill.verify` before returning; a failed oracle raises
-:class:`VerificationFailure` rather than handing back a mislabeled object.
-The reports of the checks that ran are kept on the result for callers that
-want to surface them.
+Every constructor declares the structural claims of what it built as a
+list of :class:`~nestfill.verify.Claim` and re-verifies them with the
+brute-force oracles in :mod:`nestfill.verify` before returning; a failed
+oracle raises :class:`VerificationFailure` rather than handing back a
+mislabeled object.  The reports of the checks that ran are kept on the
+result for callers that want to surface them.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from .galois import FieldElement
 from .groups import FieldTowerChain, GroupChain, GroupElement, SubfieldTowerChain
 from .kronecker import GroupMatrix, col_kron_sum, kron_sum
 from .verify import (
+    Claim,
     VerificationReport,
+    check_claims,
     check_difference_matrix,
-    check_nested,
-    check_nested_dm,
     check_oa_strength,
-    check_sliced,
 )
 
 
@@ -80,6 +80,10 @@ class NestedArray:
     def layers(self) -> int:
         return len(self.prefix_sizes)
 
+    def claim(self, name: str = "") -> Claim:
+        kind = "nested" if self.kind == "oa" else "nested-dm"
+        return Claim(kind, name, self.prefix_sizes, self.proj_layers, self.strength)
+
 
 @dataclass
 class SlicedArray:
@@ -99,6 +103,10 @@ class SlicedArray:
             for l in range(n // self.slice_size)
         ]
 
+    def claim(self, name: str = "") -> Claim:
+        return Claim("sliced", name, layers=(self.proj_layer,), strength=self.strength,
+                     size=self.slice_size)
+
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
@@ -110,11 +118,6 @@ class GeneratorMatrix:
     @property
     def m(self) -> int:
         return len(self.columns)
-
-    def as_matrix(self) -> GroupMatrix:
-        return GroupMatrix(
-            [tuple(col[r] for col in self.columns) for r in range(self.k)]
-        )
 
     def column_codes(self) -> list[list[int]]:
         return [[e.code for e in col] for col in self.columns]
@@ -198,6 +201,34 @@ def _require(rep: VerificationReport) -> VerificationReport:
     return rep
 
 
+def _require_claims(reports: list, rows, claims, chain: GroupChain, projections,
+                    element_sets=()) -> None:
+    """Check `claims` on `rows` in order, keeping each report; the first
+    failure raises."""
+    reports.extend(
+        map(_require, check_claims(rows, claims, projections, chain.sizes, element_sets))
+    )
+
+
+def _projections(chain: GroupChain) -> list:
+    return [chain.projection_map(j) for j in range(1, chain.layers + 1)]
+
+
+def _family_claims(nested: NestedArray, sliced: Sequence[SlicedArray]) -> list[Claim]:
+    return [nested.claim()] + [
+        sl.claim(f"sliced[{sl.slice_size} rows via rho_{sl.proj_layer}]") for sl in sliced
+    ]
+
+
+def _delta_claims(i: int, size: int, n_blocks: int) -> list[Claim]:
+    """Block l of `size` rows, collapsed to each layer j <= i, is a DM."""
+    return [
+        Claim("dm", f"rho_{j}(Delta^{i}_{l})", ((l - 1) * size, l * size), (j,))
+        for l in range(1, n_blocks + 1)
+        for j in range(1, i + 1)
+    ]
+
+
 def rao_hamming_oa(
     elements: Sequence[FieldElement],
     k: int,
@@ -253,36 +284,6 @@ class NoaFamily:
     def a(self, i: int) -> GroupMatrix:
         return self.nested.layer_matrix(i)
 
-    def sliced_family(self, i: int, j: int) -> SlicedArray:
-        for fam in self.sliced:
-            if fam.slice_size == self.nested.prefix_sizes[i - 1] and fam.proj_layer == j:
-                return fam
-        raise SpecError(f"no sliced family for (i={i}, j={j})")
-
-
-def _verify_noa_family(chain: GroupChain, fam: NoaFamily) -> None:
-    reports = fam.verification
-    layers = [fam.a(i).rows for i in range(1, chain.layers + 1)]
-    projections = [chain.projection_map(j) for j in range(1, chain.layers + 1)]
-    s_levels = list(chain.sizes)
-    reports.append(
-        _require(check_nested(layers, projections, s_levels, fam.strength))
-    )
-    for sl in fam.sliced:
-        proj = chain.projection_map(sl.proj_layer)
-        reports.append(
-            _require(
-                check_sliced(
-                    sl.top.rows,
-                    sl.slice_size,
-                    proj,
-                    chain.sizes[sl.proj_layer - 1],
-                    sl.strength,
-                    name=f"sliced[{sl.slice_size} rows via rho_{sl.proj_layer}]",
-                )
-            )
-        )
-
 
 def _construct_noa(chain: GroupChain, k: int, gen: GeneratorMatrix, strength: int) -> NoaFamily:
     if k < 2:
@@ -299,7 +300,8 @@ def _construct_noa(chain: GroupChain, k: int, gen: GeneratorMatrix, strength: in
         for j in range(1, i + 1)
     ]
     fam = NoaFamily(chain, k, strength, gen, tower, top, nested, sliced)
-    _verify_noa_family(chain, fam)
+    _require_claims(fam.verification, top.rows, _family_claims(nested, sliced), chain,
+                    _projections(chain))
     return fam
 
 
@@ -389,12 +391,6 @@ class NdmProduct:
         s_i = self.chain.sizes[i - 1]
         return self.d.row_block((l - 1) * s_i, l * s_i)
 
-    def delta_stack(self, i: int, blocks: int) -> GroupMatrix:
-        return self.d.prefix(blocks * self.chain.sizes[i - 1])
-
-    def a_plus_delta(self, i: int, l: int) -> GroupMatrix:
-        return kron_sum(self.a.matrix, self.delta(i, l))
-
     def soa(self, i: int, j: int) -> SlicedArray:
         return SlicedArray(
             self.chain,
@@ -449,93 +445,39 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
         strength=2,
     )
     out = NdmProduct(tower, a, d, a_plus_d, combined, dm_nested, noa_nested, reports)
-
-    projections = [tower.projection_map(j) for j in range(1, layers + 1)]
+    projections = _projections(tower)
     el_sets = [tower.layer_elements(j) for j in range(1, layers + 1)]
 
     # D and the full-size OA
-    reports.append(_require(check_difference_matrix(d.rows, el_sets[-1], name="D")))
-    reports.append(
-        _require(
-            check_oa_strength(a_plus_d.rows, s_top, 2, name="A(+)D")
-        )
-    )
-    # row blocks of D and their collapses
+    _require_claims(reports, d.rows, [Claim("dm", "D")], tower, projections, el_sets)
+    reports.append(_require(check_oa_strength(a_plus_d.rows, s_top, 2, name="A(+)D")))
+    # row blocks of D and their collapses, then the I-layer NDM
+    # (Delta^1_1, ..., Delta^{I-1}_1, D)
+    d_claims = []
     for i in range(1, layers):
-        for l in range(1, s_top // s[i - 1] + 1):
-            delta = out.delta(i, l)
-            for j in range(1, i + 1):
-                rows = [tuple(projections[j - 1][e] for e in r) for r in delta.rows]
-                reports.append(
-                    _require(
-                        check_difference_matrix(
-                            rows, el_sets[j - 1], name=f"rho_{j}(Delta^{i}_{l})"
-                        )
-                    )
-                )
-        for blocks in range(1, s_top // s[i - 1]):
-            stack = out.delta_stack(i, blocks)
-            for j in range(1, i + 1):
-                reports.append(
-                    _require(
-                        check_nested_dm(
-                            [stack.rows, d.rows],
-                            [projections[j - 1], projections[-1]],
-                            [el_sets[j - 1], el_sets[-1]],
-                            name=f"two-layer ndm (Delta({i},{blocks}), D; rho_{j}, rho_{layers})",
-                        )
-                    )
-                )
-    # the I-layer NDM (Delta^1_1, ..., Delta^{I-1}_1, D)
-    reports.append(
-        _require(
-            check_nested_dm(
-                [dm_nested.layer_matrix(i).rows for i in range(1, layers + 1)],
-                projections,
-                el_sets,
-                name="I-layer ndm",
-            )
-        )
-    )
+        d_claims += _delta_claims(i, s[i - 1], s_top // s[i - 1])
+        d_claims += [
+            Claim("nested-dm",
+                  f"two-layer ndm (Delta({i},{blocks}), D; rho_{j}, rho_{layers})",
+                  (blocks * s[i - 1], s_top), (j, layers))
+            for blocks in range(1, s_top // s[i - 1])
+            for j in range(1, i + 1)
+        ]
+    d_claims.append(dm_nested.claim("I-layer ndm"))
+    _require_claims(reports, d.rows, d_claims, tower, projections, el_sets)
     # sliced and nested OA wrappers around the combined array
+    combined_claims = []
     for i in range(1, layers):
         for j in range(1, i + 1):
-            sl = out.soa(i, j)
-            reports.append(
-                _require(
-                    check_sliced(
-                        combined.rows,
-                        sl.slice_size,
-                        projections[j - 1],
-                        s[j - 1],
-                        2,
-                        name=f"sliced A(+)Delta^{i} via rho_{j}",
-                    )
-                )
-            )
-            for blocks in range(1, s_top // s[i - 1]):
-                reports.append(
-                    _require(
-                        check_nested(
-                            [combined.rows[: blocks * s[i - 1] * n], combined.rows],
-                            [projections[j - 1], projections[-1]],
-                            [s[j - 1], s_top],
-                            2,
-                            name=f"two-layer noa (A(+)Delta({i},{blocks}), A(+)D; rho_{j}, rho_{layers})",
-                        )
-                    )
-                )
-    reports.append(
-        _require(
-            check_nested(
-                [noa_nested.layer_matrix(i).rows for i in range(1, layers + 1)],
-                projections,
-                list(s),
-                2,
-                name="I-layer noa",
-            )
-        )
-    )
+            combined_claims.append(out.soa(i, j).claim(f"sliced A(+)Delta^{i} via rho_{j}"))
+            combined_claims += [
+                Claim("nested",
+                      f"two-layer noa (A(+)Delta({i},{blocks}), A(+)D; rho_{j}, rho_{layers})",
+                      (blocks * s[i - 1] * n, combined.n_rows), (j, layers))
+                for blocks in range(1, s_top // s[i - 1])
+            ]
+    combined_claims.append(noa_nested.claim("I-layer noa"))
+    _require_claims(reports, combined.rows, combined_claims, tower, projections)
     return out
 
 
@@ -577,16 +519,6 @@ class KronNoa:
     def top(self) -> GroupMatrix:
         return self.tops[-1]
 
-    def prefix_noa(self, l: int) -> NestedArray:
-        """(B^l, B) with l blocks of the finest input size; two layers."""
-        return NestedArray(
-            self.chain,
-            self.top,
-            (l * self.tops[0].n_rows, self.top.n_rows),
-            (1, self.chain.layers),
-            self.strength,
-        )
-
 
 def construct_noa_kron_multi(arrays: Sequence[OrthogonalArray], chain: GroupChain) -> KronNoa:
     """B_i = A_i (+c) ... (+c) A_1 for inputs over the chain's transversals.
@@ -623,30 +555,11 @@ def construct_noa_kron_multi(arrays: Sequence[OrthogonalArray], chain: GroupChai
         for j in range(1, i + 1)
     ]
     out = KronNoa(chain, strength, tops, nested, sliced, reports)
-    projections = [chain.projection_map(j) for j in range(1, chain.layers + 1)]
     for i, b in enumerate(tops, start=1):
         if b.rows != tops[-1].rows[: b.n_rows]:
             raise VerificationFailure(f"B_{i} is not a prefix of the top array")
-    reports.append(
-        _require(
-            check_nested(
-                [b.rows for b in tops], projections, list(chain.sizes), strength
-            )
-        )
-    )
-    for sl in sliced:
-        reports.append(
-            _require(
-                check_sliced(
-                    sl.top.rows,
-                    sl.slice_size,
-                    projections[sl.proj_layer - 1],
-                    chain.sizes[sl.proj_layer - 1],
-                    strength,
-                    name=f"sliced[{sl.slice_size} rows via rho_{sl.proj_layer}]",
-                )
-            )
-        )
+    _require_claims(reports, tops[-1].rows, _family_claims(nested, sliced), chain,
+                    _projections(chain))
     return out
 
 
@@ -699,28 +612,11 @@ def construct_soa_kron(
     b = OrthogonalArray(b_mat, chain.sizes[-1], strength, chain=chain, layer=2)
     soa = SlicedArray(chain, b_mat, n1, 1, strength)
     out = KronSoa(chain, strength, b, soa, reports)
-    rho1 = chain.projection_map(1)
-    rho2 = chain.projection_map(2)
-    reports.append(
-        _require(check_oa_strength(b_mat.rows, chain.sizes[-1], strength, name="B"))
-    )
-    reports.append(
-        _require(
-            check_sliced(b_mat.rows, n1, rho1, chain.sizes[0], strength, name="B slices")
-        )
-    )
-    for l in range(1, a2.matrix.n_rows):
-        reports.append(
-            _require(
-                check_nested(
-                    [b_mat.rows[: l * n1], b_mat.rows],
-                    [rho1, rho2],
-                    [chain.sizes[0], chain.sizes[1]],
-                    strength,
-                    name=f"two-layer noa (B^{l}, B)",
-                )
-            )
-        )
+    claims = [Claim("oa", "B", strength=strength), soa.claim("B slices")] + [
+        out.prefix_noa(l).claim(f"two-layer noa (B^{l}, B)")
+        for l in range(1, a2.matrix.n_rows)
+    ]
+    _require_claims(reports, b_mat.rows, claims, chain, _projections(chain))
     return out
 
 
@@ -765,31 +661,12 @@ def construct_ndm_kron(dms: Sequence[DifferenceMatrix], chain: GroupChain) -> Kr
         chain, tops[-1], tuple(cum), tuple(range(1, chain.layers + 1)), 0, kind="dm"
     )
     out = KronNdm(chain, tops, nested, reports)
-    projections = [chain.projection_map(j) for j in range(1, chain.layers + 1)]
     el_sets = [chain.layer_elements(j) for j in range(1, chain.layers + 1)]
     for i, e in enumerate(tops, start=1):
         if e.rows != tops[-1].rows[: e.n_rows]:
             raise VerificationFailure(f"E_{i} is not a prefix of the top matrix")
-    reports.append(
-        _require(
-            check_nested_dm([e.rows for e in tops], projections, el_sets)
-        )
-    )
+    claims = [nested.claim()]
     for i in range(1, chain.layers):
-        n_slices = tops[-1].n_rows // cum[i - 1]
-        for l in range(1, n_slices + 1):
-            block = out.delta(i, l)
-            for j in range(1, i + 1):
-                rows = [
-                    tuple(projections[j - 1][e] for e in r) for r in block.rows
-                ]
-                reports.append(
-                    _require(
-                        check_difference_matrix(
-                            rows,
-                            el_sets[j - 1],
-                            name=f"rho_{j}(Delta^{i}_{l})",
-                        )
-                    )
-                )
+        claims += _delta_claims(i, cum[i - 1], tops[-1].n_rows // cum[i - 1])
+    _require_claims(reports, tops[-1].rows, claims, chain, _projections(chain), el_sets)
     return out

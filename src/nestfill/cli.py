@@ -34,8 +34,9 @@ from .groups import (
     chain_field_tower,
     chain_from_descriptor,
     chain_subfield_tower,
+    is_int,
 )
-from .io import DesignFile, export_scatter, load, save_csv, save_json, symbols_for
+from .io import DesignFile, export_scatter, load, read_json, save_csv, save_json, symbols_for
 from .kronecker import GroupMatrix
 from .spacefill import (
     NestedPermutation,
@@ -46,15 +47,7 @@ from .spacefill import (
     gen_nested_permutation,
     gen_sliced_permutation,
 )
-from .verify import (
-    check_difference_matrix,
-    check_latin_hypercube,
-    check_nested,
-    check_nested_dm,
-    check_oa_strength,
-    check_sliced,
-    check_stratification,
-)
+from .verify import Claim, check_claims
 
 CONSTRUCT_METHODS = (
     "rh-noa", "subfield-noa", "bush-noa", "ndm-product",
@@ -78,8 +71,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _resolve_chain(args, method: str) -> GroupChain:
     if args.chain:
-        descriptor = json.loads(Path(args.chain).read_text())
-        return chain_from_descriptor(descriptor)
+        return chain_from_descriptor(read_json(args.chain, "chain file"))
     if args.p is None or not args.u:
         raise SpecError("give either --chain FILE or both --p and --u")
     u_chain = _parse_int_list(args.u)
@@ -126,21 +118,17 @@ def _write_report(reports, out_path: Path) -> None:
     report_path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _family_design(fam, method: str, params: dict) -> DesignFile:
-    chain = fam.chain
-    rows = fam.top.codes()
+def _design_file(kind: str, matrix: GroupMatrix, chain: GroupChain, method: str,
+                 params: dict, **annotations) -> DesignFile:
+    """A constructed matrix over `chain` with its provenance and the
+    structure annotations (`t_claimed`, `layer_prefixes`, ...) it claims."""
+    rows = matrix.codes()
     return DesignFile(
-        type="oa",
-        rows=rows,
-        s=chain.top_size,
-        t_claimed=fam.strength,
-        chain=chain.descriptor(),
-        layer=chain.layers,
-        alphabet="layer",
-        layer_prefixes=list(fam.nested.prefix_sizes),
+        type=kind, rows=rows, s=chain.top_size, chain=chain.descriptor(),
+        layer=chain.layers, alphabet="layer",
         meta={"tool": "nestfill", "version": __version__, "method": method,
               "params": params},
-        symbols=symbols_for(chain, rows),
+        symbols=symbols_for(chain, rows), **annotations,
     )
 
 
@@ -156,97 +144,54 @@ def cmd_construct(args) -> int:
         if columns is not None:
             params["columns"] = [[e.code for e in col] for col in columns]
         if method == "rh-noa":
-            fam = construct_noa_rh(chain, args.k, columns)
+            out = construct_noa_rh(chain, args.k, columns)
         elif method == "subfield-noa":
-            fam = construct_noa_subfield(chain, args.k, columns)
+            out = construct_noa_subfield(chain, args.k, columns)
         else:
             if columns is not None:
                 raise SpecError("bush-noa derives its own coefficient matrix")
-            fam = construct_noa_bush(chain, args.k)
-        design = _family_design(fam, method, params)
-        reports = fam.verification
+            out = construct_noa_bush(chain, args.k)
+        design = _design_file("oa", out.top, chain, method, params, t_claimed=out.strength,
+                              layer_prefixes=list(out.nested.prefix_sizes))
     elif method == "ndm-product":
         if len(args.input) != 1:
             raise SpecError("ndm-product takes exactly one --input array")
         a = _load_input_design(args.input[0], chain, chain.layers, "oa")
         a = OrthogonalArray(a.matrix, chain.top_size, 2, chain=chain,
                             layer=chain.layers, alphabet="layer")
-        bundle = construct_from_ndm(chain, a)
-        rows = bundle.combined.codes()
-        design = DesignFile(
-            type="oa", rows=rows, s=chain.top_size, t_claimed=2,
-            chain=chain.descriptor(), layer=chain.layers, alphabet="layer",
-            layer_prefixes=list(bundle.noa_nested.prefix_sizes),
-            meta={"tool": "nestfill", "version": __version__, "method": method,
-                  "params": params},
-            symbols=symbols_for(chain, rows),
-        )
-        d_rows = bundle.d.codes()
-        d_design = DesignFile(
-            type="dm", rows=d_rows, s=chain.top_size, chain=chain.descriptor(),
-            layer=chain.layers, alphabet="layer",
-            layer_prefixes=list(bundle.dm_nested.prefix_sizes),
-            meta={"tool": "nestfill", "version": __version__,
-                  "method": "ndm-product-dm", "params": params},
-            symbols=symbols_for(chain, d_rows),
-        )
-        out = Path(args.out)
-        _write_design(d_design, str(out.parent / (out.stem + "-dm" + out.suffix)),
+        out = construct_from_ndm(chain, a)
+        design = _design_file("oa", out.combined, chain, method, params, t_claimed=2,
+                              layer_prefixes=list(out.noa_nested.prefix_sizes))
+        d_design = _design_file("dm", out.d, chain, "ndm-product-dm", params,
+                                layer_prefixes=list(out.dm_nested.prefix_sizes))
+        base = Path(args.out)
+        _write_design(d_design, str(base.parent / (base.stem + "-dm" + base.suffix)),
                       args.format)
-        reports = bundle.verification
-    elif method in ("kron-soa", "kron-noa", "kron-ndm"):
+    else:
         if not args.input:
             raise SpecError(f"{method} needs --input files in layer order")
+        want = "dm" if method == "kron-ndm" else "oa"
+        inputs = [
+            _load_input_design(p, chain, i, want)
+            for i, p in enumerate(args.input, start=1)
+        ]
         if method == "kron-ndm":
-            dms = [
-                _load_input_design(p, chain, i, "dm")
-                for i, p in enumerate(args.input, start=1)
-            ]
-            out_obj = construct_ndm_kron(dms, chain)
-            rows = out_obj.top.codes()
-            design = DesignFile(
-                type="dm", rows=rows, s=chain.top_size, chain=chain.descriptor(),
-                layer=chain.layers, alphabet="layer",
-                layer_prefixes=list(out_obj.nested.prefix_sizes),
-                meta={"tool": "nestfill", "version": __version__,
-                      "method": method, "params": params},
-                symbols=symbols_for(chain, rows),
-            )
-            reports = out_obj.verification
+            out = construct_ndm_kron(inputs, chain)
+            design = _design_file("dm", out.top, chain, method, params,
+                                  layer_prefixes=list(out.nested.prefix_sizes))
+        elif method == "kron-soa":
+            if len(inputs) != 2:
+                raise SpecError("kron-soa takes exactly two --input arrays")
+            out = construct_soa_kron(inputs[1], inputs[0], chain)
+            design = _design_file("oa", out.b.matrix, chain, method, params,
+                                  t_claimed=out.strength,
+                                  slice_size=out.soa.slice_size, collapse_layer=1)
         else:
-            oas = [
-                _load_input_design(p, chain, i, "oa")
-                for i, p in enumerate(args.input, start=1)
-            ]
-            if method == "kron-soa":
-                if len(oas) != 2:
-                    raise SpecError("kron-soa takes exactly two --input arrays")
-                out_obj = construct_soa_kron(oas[1], oas[0], chain)
-                rows = out_obj.b.matrix.codes()
-                design = DesignFile(
-                    type="oa", rows=rows, s=chain.top_size,
-                    t_claimed=out_obj.strength, chain=chain.descriptor(),
-                    layer=chain.layers, alphabet="layer",
-                    slice_size=out_obj.soa.slice_size, collapse_layer=1,
-                    meta={"tool": "nestfill", "version": __version__,
-                          "method": method, "params": params},
-                    symbols=symbols_for(chain, rows),
-                )
-            else:
-                out_obj = construct_noa_kron_multi(oas, chain)
-                rows = out_obj.top.codes()
-                design = DesignFile(
-                    type="oa", rows=rows, s=chain.top_size,
-                    t_claimed=out_obj.strength, chain=chain.descriptor(),
-                    layer=chain.layers, alphabet="layer",
-                    layer_prefixes=list(out_obj.nested.prefix_sizes),
-                    meta={"tool": "nestfill", "version": __version__,
-                          "method": method, "params": params},
-                    symbols=symbols_for(chain, rows),
-                )
-            reports = out_obj.verification
-    else:  # pragma: no cover - argparse restricts choices
-        raise SpecError(f"unknown method {method!r}")
+            out = construct_noa_kron_multi(inputs, chain)
+            design = _design_file("oa", out.top, chain, method, params,
+                                  t_claimed=out.strength,
+                                  layer_prefixes=list(out.nested.prefix_sizes))
+    reports = out.verification
     out_path = _write_design(design, args.out, args.format)
     _write_report(reports, out_path)
     print(f"wrote {out_path} ({design.type}, {design.n}x{design.m}); "
@@ -277,11 +222,16 @@ def _load_family(design: DesignFile):
 
 
 def _load_permutations(path, kind: str, chain: GroupChain):
-    data = json.loads(Path(path).read_text())
-    if data.get("kind") != kind:
-        raise SpecError(f"permutation file kind {data.get('kind')!r} != {kind!r}")
+    data = read_json(path, "permutation file")
+    if not isinstance(data, dict) or data.get("kind") != kind:
+        raise SpecError(f"permutation file {path} is not of kind {kind!r}")
+    values = data.get("values")
+    if not isinstance(values, list) or not all(
+        isinstance(v, list) and all(map(is_int, v)) for v in values
+    ):
+        raise SpecError(f"permutation file {path} needs 'values': a list of integer lists")
     cls = NestedPermutation if kind == "nested" else SlicedPermutation
-    return [cls(tuple(v), tuple(chain.sizes)) for v in data["values"]]
+    return [cls(tuple(v), tuple(chain.sizes)) for v in values]
 
 
 def cmd_lift(args) -> int:
@@ -342,67 +292,53 @@ def cmd_lift(args) -> int:
     return 0
 
 
+def _grid_claims(design: DesignFile) -> list[Claim]:
+    claims = []
+    for grid in design.grids or []:
+        g = grid["grid"]
+        if grid.get("rows"):
+            claims.append(Claim("strat", f"stratification[first {grid['rows']} rows, g={g}]",
+                                (0, grid["rows"]), strength=g))
+        elif grid.get("slice_size"):
+            size = grid["slice_size"]
+            claims += [
+                Claim("strat", f"stratification[slice {l + 1}, g={g}]",
+                      (l * size, (l + 1) * size), strength=g)
+                for l in range(design.n // size)
+            ]
+    return claims
+
+
 def verify_design(design: DesignFile) -> list:
     """Run every oracle the file's annotations claim."""
-    reports = []
     chain = design.load_chain()
     if design.type == "lh":
-        reports.append(check_latin_hypercube(design.rows))
-        scale = design.scale or design.n
-        for claim in design.grids or []:
-            g = claim["grid"]
-            if claim.get("rows"):
-                reports.append(
-                    check_stratification(
-                        design.rows[: claim["rows"]], scale, g,
-                        name=f"stratification[first {claim['rows']} rows, g={g}]",
-                    )
-                )
-            elif claim.get("slice_size"):
-                size = claim["slice_size"]
-                for l in range(design.n // size):
-                    reports.append(
-                        check_stratification(
-                            design.rows[l * size : (l + 1) * size], scale, g,
-                            name=f"stratification[slice {l + 1}, g={g}]",
-                        )
-                    )
-        return reports
+        claims = [Claim("lh")] + _grid_claims(design)
+        return list(check_claims(design.rows, claims, levels=[design.scale or design.n]))
     if design.type == "design" or chain is None:
         if design.s and design.t_claimed:
-            reports.append(check_oa_strength(design.rows, design.s, design.t_claimed))
+            claims = [Claim("oa", strength=design.t_claimed)]
         else:
-            reports.append(check_latin_hypercube(design.rows))
-        return reports
+            claims = [Claim("lh")]
+        return list(check_claims(design.rows, claims, levels=[design.s]))
     rows = [
         [chain.element_from_code(c) for c in row] for row in design.rows
     ]
-    projections = [chain.projection_map(j) for j in range(1, chain.layers + 1)]
+    layers = tuple(range(1, chain.layers + 1))
+    projections = [chain.projection_map(j) for j in layers]
+    prefixes = tuple(design.layer_prefixes or ())
     if design.type == "oa":
         t = design.t_claimed or 2
-        if design.layer_prefixes:
-            layers = [rows[:n] for n in design.layer_prefixes]
-            reports.append(
-                check_nested(layers, projections, list(chain.sizes), t)
-            )
-        else:
-            reports.append(check_oa_strength(rows, design.s or chain.top_size, t))
+        claims = [Claim("nested", rows=prefixes, layers=layers, strength=t)
+                  if prefixes else Claim("oa", strength=t)]
         if design.slice_size and design.collapse_layer:
-            j = design.collapse_layer
-            reports.append(
-                check_sliced(rows, design.slice_size, projections[j - 1],
-                             chain.sizes[j - 1], t)
-            )
-    elif design.type == "dm":
-        el_sets = [chain.layer_elements(j) for j in range(1, chain.layers + 1)]
-        if design.layer_prefixes:
-            layers = [rows[:n] for n in design.layer_prefixes]
-            reports.append(check_nested_dm(layers, projections, el_sets))
-        else:
-            reports.append(check_difference_matrix(rows, el_sets[-1]))
-    else:
-        raise SpecError(f"unknown design type {design.type!r}")
-    return reports
+            claims.append(Claim("sliced", layers=(design.collapse_layer,), strength=t,
+                                size=design.slice_size))
+        levels = [*chain.sizes[:-1], design.s or chain.top_size]
+        return list(check_claims(rows, claims, projections, levels))
+    el_sets = [chain.layer_elements(j) for j in layers]
+    claims = [Claim("nested-dm", rows=prefixes, layers=layers) if prefixes else Claim("dm")]
+    return list(check_claims(rows, claims, projections, chain.sizes, el_sets))
 
 
 def cmd_verify(args) -> int:

@@ -183,9 +183,6 @@ class Field:
             raise SpecError(f"code {code} out of range for GF({self.size})")
         return FieldElement(self, code)
 
-    def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElement":
-        return self.element(self.encode(coeffs))
-
     @property
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)

@@ -78,12 +78,35 @@ class Zn:
 BaseGroup = Union[Zn, Field]
 
 
+def is_int(v) -> bool:
+    """True for a JSON integer (bools are not integers here)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int_list(v) -> bool:
+    return isinstance(v, list) and all(map(is_int, v))
+
+
+def _field_args(d: dict, degrees: str, check) -> tuple:
+    """(p, d[degrees], modulus) of a field or tower descriptor whose
+    `degrees` entry passes `check`."""
+    modulus = d.get("modulus")
+    if not (is_int(d.get("p")) and check(d.get(degrees))
+            and (modulus is None or _int_list(modulus))):
+        raise SpecError(
+            f"descriptor {d!r} needs an integer 'p', integer {degrees!r} and "
+            "optionally an integer list 'modulus'"
+        )
+    return d["p"], d[degrees], modulus
+
+
 def base_from_descriptor(d: dict) -> BaseGroup:
-    if "zn" in d:
+    if isinstance(d, dict) and "zn" in d:
+        if not is_int(d["zn"]):
+            raise SpecError(f"Z_n descriptor needs an integer n, got {d!r}")
         return Zn(d["zn"])
-    if "gf" in d:
-        g = d["gf"]
-        return Field(g["p"], g["u"], g.get("modulus"))
+    if isinstance(d, dict) and isinstance(d.get("gf"), dict):
+        return Field(*_field_args(d["gf"], "u", is_int))
     raise SpecError(f"unknown base group descriptor {d!r}")
 
 
@@ -225,17 +248,6 @@ class GroupChain:
         """Layer i in ascending canonical code order (zero first)."""
         self._check_layer(i)
         return [self.element_from_code(c) for c in range(self.sizes[i - 1])]
-
-    def contains(self, el: GroupElement, i: int) -> bool:
-        self._check_layer(i)
-        return el.code < self.sizes[i - 1]
-
-    def layer_of(self, el: GroupElement) -> int:
-        """Smallest layer containing el."""
-        for i in range(1, self.layers + 1):
-            if self.contains(el, i):
-                return i
-        raise SpecError("element outside the top layer")
 
     def enumerate_ordered(self, order: str) -> list[GroupElement]:
         """Kronecker-sum enumeration of the top layer.
@@ -439,11 +451,6 @@ class SubfieldTowerChain(GroupChain):
         self._check_layer(i)
         return [self.field.element(c) for c in self._layer_codes[i - 1]]
 
-    def contains(self, el: GroupElement, i: int) -> bool:
-        self._check_layer(i)
-        self._check_member(el)
-        return el.code in set(self._layer_codes[i - 1])
-
     def transversal(self, i: int) -> list[FieldElement]:
         self._check_layer(i)
         return [self.field.element(c) for c in self._transversals[i - 1]]
@@ -630,11 +637,13 @@ def chain_omega_ring(bases: Sequence[BaseGroup]) -> OmegaRingChain:
 
 
 def chain_from_descriptor(d: dict) -> GroupChain:
-    kind = d.get("kind")
+    kind = d.get("kind") if isinstance(d, dict) else None
     if kind == "field-tower":
-        return FieldTowerChain(d["p"], d["u_chain"], d.get("modulus"))
+        return FieldTowerChain(*_field_args(d, "u_chain", _int_list))
     if kind == "subfield-tower":
-        return SubfieldTowerChain(d["p"], d["u_chain"], d.get("modulus"))
+        return SubfieldTowerChain(*_field_args(d, "u_chain", _int_list))
     if kind == "omega":
+        if not isinstance(d.get("bases"), list):
+            raise SpecError(f"omega chain descriptor needs a 'bases' list, got {d!r}")
         return OmegaRingChain([base_from_descriptor(b) for b in d["bases"]])
     raise SpecError(f"unknown chain kind {kind!r}")

@@ -21,9 +21,40 @@ from typing import Optional
 
 from . import __version__
 from .errors import SpecError
-from .groups import GroupChain, chain_from_descriptor
+from .groups import GroupChain, chain_from_descriptor, is_int
 
 FORMAT_NAME = "nestfill-design"
+
+
+def _positive(v) -> bool:
+    return is_int(v) and v >= 1
+
+
+def _grid(g) -> bool:
+    return isinstance(g, dict) and _positive(g.get("grid")) and all(
+        _positive(g[k]) for k in ("rows", "slice_size") if k in g
+    )
+
+
+# every key a design file may carry -> (test of its value, what the test wants)
+_FIELDS = {
+    "type": (lambda v: v in ("oa", "dm", "design", "lh"), "one of oa, dm, design, lh"),
+    "rows": (lambda v: isinstance(v, list) and all(isinstance(r, list) for r in v),
+             "a list of rows"),
+    **{key: (_positive, "a positive integer") for key in (
+        "s", "t_claimed", "layer", "slice_size", "collapse_layer", "scale")},
+    "qual_columns": (lambda v: is_int(v) and v >= 0, "a non-negative integer"),
+    "chain": (lambda v: isinstance(v, dict), "an object"),
+    "alphabet": (lambda v: isinstance(v, str), "a string"),
+    "layer_prefixes": (lambda v: isinstance(v, list) and all(map(_positive, v)),
+                       "a list of positive integers"),
+    "grids": (lambda v: isinstance(v, list) and all(map(_grid, v)),
+              "a list of {grid, rows | slice_size} objects of positive integers"),
+    "seeds": (lambda v: isinstance(v, dict), "an object"),
+    "permutations": (lambda v: isinstance(v, list), "a list"),
+    "meta": (lambda v: isinstance(v, dict), "an object"),
+    "symbols": (lambda v: isinstance(v, dict), "an object"),
+}
 
 
 @dataclass
@@ -87,17 +118,19 @@ class DesignFile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DesignFile":
-        if data.get("format") != FORMAT_NAME:
+        if not isinstance(data, dict) or data.get("format") != FORMAT_NAME:
             raise SpecError("not a nestfill design file")
         kwargs = {}
-        for key in (
-            "type", "rows", "s", "t_claimed", "chain", "layer", "alphabet",
-            "layer_prefixes", "slice_size", "collapse_layer", "grids", "scale",
-            "qual_columns", "seeds", "permutations", "meta", "symbols",
-        ):
-            if key in data:
-                kwargs[key] = data[key]
-        kwargs.setdefault("meta", {})
+        for key, (valid, want) in _FIELDS.items():
+            value = data.get(key)
+            if value is None:
+                continue
+            if not valid(value):
+                raise SpecError(f"design field {key!r} must be {want}, got {value!r}")
+            kwargs[key] = value
+        for key in ("type", "rows"):
+            if key not in kwargs:
+                raise SpecError(f"design file has no {key!r}")
         return cls(**kwargs)
 
 
@@ -112,19 +145,32 @@ def save_json(design: DesignFile, path) -> Path:
     return path
 
 
+def _read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"cannot parse {what}: {exc}") from None
+
+
+def read_json(path, what: str):
+    """The parsed JSON file at `path`; an unreadable or malformed file is a
+    SpecError naming `what` it should have been."""
+    return _parse_json(_read_text(path, what), f"{what} {path}")
+
+
 def load(path) -> DesignFile:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise SpecError(f"cannot read {path}: {exc}") from None
+    text = _read_text(path, "design file")
     if path.suffix.lower() == ".csv" or text.lstrip().startswith("#"):
         return _load_csv(text)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"cannot parse {path}: {exc}") from None
-    return DesignFile.from_dict(data)
+    return DesignFile.from_dict(_parse_json(text, f"design file {path}"))
 
 
 def save_csv(design: DesignFile, path) -> Path:
@@ -149,13 +195,16 @@ def _load_csv(text: str) -> DesignFile:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("meta="):
-                meta = json.loads(body[len("meta=") :])
+                meta = _parse_json(body[len("meta=") :], "CSV '# meta=' line")
             continue
         if line.startswith("x1"):
             continue
-        rows.append([int(v) for v in line.split(",")])
-    if meta is None:
-        raise SpecError("CSV design is missing its '# meta=' line")
+        try:
+            rows.append([int(v) for v in line.split(",")])
+        except ValueError:
+            raise SpecError(f"malformed CSV row {line!r}") from None
+    if not isinstance(meta, dict):
+        raise SpecError("CSV design is missing its '# meta={...}' line")
     meta["rows"] = rows
     return DesignFile.from_dict(meta)
 

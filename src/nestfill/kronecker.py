@@ -67,9 +67,6 @@ class GroupMatrix:
     def row_block(self, start: int, stop: int) -> "GroupMatrix":
         return GroupMatrix(self.rows[start:stop])
 
-    def map_entries(self, fn) -> "GroupMatrix":
-        return GroupMatrix(tuple(tuple(fn(e) for e in r) for r in self.rows))
-
     def codes(self) -> list[list[int]]:
         return [[e.code for e in r] for r in self.rows]
 

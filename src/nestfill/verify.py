@@ -5,6 +5,10 @@ and count exhaustively with exact integer histograms.  They never call
 construction code; collapsing projections are handed in as plain mappings.
 Column subsets are scanned in lexicographic order and the first failure is
 reported with a concrete counterexample.
+
+A :class:`Claim` names one oracle run on a matrix; :func:`check_claims` runs a
+list of them, so the constructors' self-checks and ``nestfill verify`` share
+one description of what a design claims.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import SpecError
 
@@ -311,3 +315,76 @@ def check_sliced(
     return VerificationReport(
         name, True, f"{n // slice_size} slices of {slice_size} rows"
     )
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One structural claim about a matrix, checked by one oracle.
+
+    `kind` picks the oracle: "oa", "dm", "nested", "nested-dm", "sliced",
+    "lh" or "strat".  `name` is the report name; empty keeps the oracle's
+    default.  `rows` holds the prefix stops of the nested kinds, one per
+    nested layer, and the (start, stop) row range of the other kinds, where
+    empty means every row.  `layers` holds the collapse layers (1-based): one
+    per nested layer, or at most one for the other kinds, where none means
+    the rows are checked as they are at the top level count.  `strength` is
+    t, or the grid size g of a "strat" claim; `size` is the slice size of a
+    "sliced" claim.
+    """
+
+    kind: str
+    name: str = ""
+    rows: tuple[int, ...] = ()
+    layers: tuple[int, ...] = ()
+    strength: int = 2
+    size: int = 0
+
+
+def check_claims(
+    rows: Sequence[Sequence],
+    claims: Sequence[Claim],
+    projections: Sequence[Mapping] = (),
+    levels: Sequence[int] = (),
+    element_sets: Sequence[Sequence] = (),
+) -> Iterator[VerificationReport]:
+    """Yield one report per claim on `rows`, in list order.
+
+    projections[j-1], levels[j-1] and element_sets[j-1] are layer j's
+    collapse map, level count and elements; the last entry of `levels` (and
+    of `element_sets`) is the top layer's, and a "strat" claim reads it as
+    the scale of the values.  The reports are yielded lazily, so a caller
+    may stop at the first failure.
+    """
+    for c in claims:
+        if any(not 1 <= j <= len(levels) for j in c.layers):
+            raise SpecError(f"claim {c.name or c.kind!r} names a layer outside 1..{len(levels)}")
+        named = {"name": c.name} if c.name else {}
+        if c.kind == "nested":
+            yield check_nested(
+                [rows[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
+                [levels[j - 1] for j in c.layers], c.strength, **named,
+            )
+            continue
+        if c.kind == "nested-dm":
+            yield check_nested_dm(
+                [rows[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
+                [element_sets[j - 1] for j in c.layers], **named,
+            )
+            continue
+        block = rows[c.rows[0] : c.rows[1]] if c.rows else rows
+        j = c.layers[0] if c.layers else len(levels)
+        if c.kind == "sliced":
+            yield check_sliced(block, c.size, projections[j - 1], levels[j - 1], c.strength, **named)
+            continue
+        if c.layers:
+            block = _project_rows(block, projections[j - 1])
+        if c.kind == "oa":
+            yield check_oa_strength(block, levels[j - 1], c.strength, **named)
+        elif c.kind == "dm":
+            yield check_difference_matrix(block, element_sets[j - 1], **named)
+        elif c.kind == "lh":
+            yield check_latin_hypercube(block, **named)
+        elif c.kind == "strat":
+            yield check_stratification(block, levels[-1], c.strength, **named)
+        else:
+            raise SpecError(f"unknown claim kind {c.kind!r}")

@@ -297,3 +297,159 @@ class TestVerifyAndExport:
 
     def test_missing_file_is_spec_error(self, tmp_path):
         assert run("verify", "--design", str(tmp_path / "nope.json")) == 2
+
+
+_DESIGN = '"format": "nestfill-design", "version": "0.1.0"'
+CONSTRUCT_RH = ["construct", "--method", "rh-noa", "--k", "2", "--out", "x.json"]
+LIFT_NESTED = ["lift", "--design", "{rh}", "--mode", "nested", "--out", "x.json"]
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"c.json": '{"kind": "field-tower", "p": 2}'}, CONSTRUCT_RH + ["--chain", "c.json"]),
+    ({"d.json": '{%s, "type": "oa", "rows": [[0]], "chain": {"kind": "omega"}}' % _DESIGN},
+     ["verify", "--design", "d.json"]),
+    ({"c.json": "not json"}, CONSTRUCT_RH + ["--chain", "c.json"]),
+    ({"d.csv": "# meta={bad\nx1\n0\n"}, ["verify", "--design", "d.csv"]),
+    ({}, CONSTRUCT_RH + ["--chain", "nope.json"]),
+    ({}, LIFT_NESTED + ["--perms", "nope.json"]),
+    ({"p.json": '{"kind": "nested"}'}, LIFT_NESTED + ["--perms", "p.json"]),
+    ({"d.json": "{%s}" % _DESIGN}, ["verify", "--design", "d.json"]),
+    ({"d.csv": '# meta={%s, "type": "design"}\nx1,x2\n0,a\n' % _DESIGN},
+     ["verify", "--design", "d.csv"]),
+    ({"d.json": '{%s, "type": "lh", "rows": [[0], [1]], "grids": [{"grid": 0, "rows": 2}]}'
+      % _DESIGN}, ["verify", "--design", "d.json"]),
+    ({"d.json": '{%s, "type": "oa", "rows": [[0, 1], [1, 0]], "slice_size": 1, '
+      '"collapse_layer": 3, "chain": {"kind": "field-tower", "p": 2, "u_chain": [1]}}'
+      % _DESIGN}, ["verify", "--design", "d.json"]),
+], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
+        "missing-chain-file", "missing-perms-file", "perms-without-values",
+        "design-without-type-rows", "csv-cell-not-int", "grid-zero",
+        "collapse-layer-out-of-range"])
+def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    capsys.readouterr()
+    assert run(*(a.format(rh=rh_design) for a in argv)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def _check_names(path):
+    return [c["check"] for c in json.loads(path.read_text())["checks"]]
+
+
+def _construct_golden(method, tmp_path, example3_inputs):
+    """Build `method` on its small golden input; return the output paths."""
+    from golden import KRON_SOA_INPUT_A1, KRON_SOA_INPUT_A2
+    from nestfill.arrays import rao_hamming_oa
+    from nestfill.groups import chain_field_tower
+
+    out = tmp_path / f"{method}.json"
+    argv = ["construct", "--method", method, "--out", str(out)]
+    towers = {"rh-noa": "1,2,3", "subfield-noa": "1,2", "bush-noa": "1,2"}
+    if method in towers:
+        k = "3" if method == "bush-noa" else "2"
+        argv += ["--p", "2", "--u", towers[method], "--k", k]
+    elif method == "ndm-product":
+        a = rao_hamming_oa(chain_field_tower(2, [1, 2]).layer_elements(2), 2)
+        argv += ["--p", "2", "--u", "1,2",
+                 "--input", str(_write_input(tmp_path / "a.json", a.matrix.codes(), 4))]
+    elif method == "kron-ndm":
+        _, chain_file, paths = example3_inputs
+        argv += ["--chain", str(chain_file)]
+        for p in paths:
+            argv += ["--input", str(p)]
+    else:
+        if method == "kron-soa":
+            chain = chain_omega_ring([Zn(6), Zn(2)])
+            inputs = [
+                _write_input(tmp_path / "i1.json", [list(r) for r in KRON_SOA_INPUT_A1], 6),
+                _write_input(tmp_path / "i2.json",
+                             [[chain.parse(t).code for t in r] for r in KRON_SOA_INPUT_A2], 2),
+            ]
+        else:
+            chain = chain_omega_ring([Zn(2), Zn(2)])
+            inputs = []
+            for i in (1, 2):
+                tr = [e.code for e in chain.transversal(i)]
+                rows = [[tr[a], tr[b], tr[(a + b) % 2]] for a in range(2) for b in range(2)]
+                inputs.append(_write_input(tmp_path / f"i{i}.json", rows, 2))
+        chain_file = tmp_path / "chain-kron.json"
+        chain_file.write_text(json.dumps(chain.descriptor()))
+        argv += ["--chain", str(chain_file)]
+        for p in inputs:
+            argv += ["--input", str(p)]
+    assert run(*argv) == 0
+    if method == "ndm-product":
+        return [out, tmp_path / "ndm-product-dm.json"]
+    return [out]
+
+
+_DELTA_E3 = [f"rho_1(Delta^1_{l})" for l in range(1, 13)] + [
+    f"rho_{j}(Delta^2_{l})" for l in range(1, 5) for j in (1, 2)
+]
+
+CHECK_LISTS = {
+    "rh-noa": (
+        ["nested-oa", "sliced[4 rows via rho_1]", "sliced[16 rows via rho_1]",
+         "sliced[16 rows via rho_2]"],
+        [["nested-oa"]],
+    ),
+    "subfield-noa": (["nested-oa", "sliced[4 rows via rho_1]"], [["nested-oa"]]),
+    "bush-noa": (["nested-oa", "sliced[8 rows via rho_1]"], [["nested-oa"]]),
+    "ndm-product": (
+        ["ndm-product input", "D", "A(+)D", "rho_1(Delta^1_1)", "rho_1(Delta^1_2)",
+         "two-layer ndm (Delta(1,1), D; rho_1, rho_2)", "I-layer ndm",
+         "sliced A(+)Delta^1 via rho_1",
+         "two-layer noa (A(+)Delta(1,1), A(+)D; rho_1, rho_2)", "I-layer noa"],
+        [["nested-oa"], ["nested-dm"]],
+    ),
+    "kron-soa": (
+        ["input A_1", "input A_2", "B", "B slices", "two-layer noa (B^1, B)",
+         "two-layer noa (B^2, B)", "two-layer noa (B^3, B)"],
+        [["oa-strength", "sliced-oa"]],
+    ),
+    "kron-noa": (
+        ["input A_1", "input A_2", "nested-oa", "sliced[4 rows via rho_1]"],
+        [["nested-oa"]],
+    ),
+    "kron-ndm": (
+        ["input D_1", "input D_2", "input D_3", "nested-dm"] + _DELTA_E3,
+        [["nested-dm"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(CHECK_LISTS))
+def test_check_lists_pinned(method, tmp_path, example3_inputs):
+    """construct's self-checks and verify's re-checks run in a fixed order."""
+    want_construct, want_verify = CHECK_LISTS[method]
+    outs = _construct_golden(method, tmp_path, example3_inputs)
+    assert _check_names(outs[0].with_name(outs[0].name + ".verify.json")) == want_construct
+    for out, want in zip(outs, want_verify, strict=True):
+        report = tmp_path / "report.json"
+        assert run("verify", "--design", str(out), "--out", str(report)) == 0
+        assert _check_names(report) == want
+
+
+@pytest.mark.parametrize("lift_args, want", [
+    (["--mode", "nested"],
+     ["latin-hypercube"] + [f"stratification[first {n} rows, g={g}]"
+                            for n, g in ((4, 2), (16, 4), (64, 8))]),
+    (["--mode", "sliced"],
+     ["latin-hypercube"]
+     + [f"stratification[slice {l}, g=2]" for l in range(1, 17)]
+     + [f"stratification[slice {l}, g=4]" for l in range(1, 5)]
+     + ["stratification[first 64 rows, g=8]"]),
+    (["--mode", "grouped", "--i", "2", "--j", "1"],
+     ["latin-hypercube"] + [f"stratification[slice {l}, g=2]" for l in range(1, 5)]
+     + ["stratification[first 64 rows, g=8]"]),
+    (["--mode", "nested", "--stage", "relabel-only"], ["oa-strength"]),
+])
+def test_lift_check_lists_pinned(lift_args, want, tmp_path, rh_design):
+    out, report = tmp_path / "lift.json", tmp_path / "report.json"
+    assert run("lift", "--design", str(rh_design), *lift_args, "--seed", "1",
+               "--out", str(out)) == 0
+    assert run("verify", "--design", str(out), "--out", str(report)) == 0
+    assert _check_names(report) == want

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import nestfill.verify
 from golden import KRON_NDM_GF4_Z3_Z2, RH_NOA_P2_U123_K2
 from nestfill.errors import SpecError
 from nestfill.galois import Field, poly_residue
@@ -170,3 +174,18 @@ class TestProjectionCompatibility:
         x2, xp1 = f.parse_code("x^2"), f.parse_code("x+1")
         assert maps[1][x2] == maps[1][xp1] == f.parse_code("x+1")
         assert maps[0][x2] == 1 and maps[0][xp1] == 0
+
+
+def test_verify_imports_no_construction_code():
+    """The oracles must not trust construction code: verify.py may import
+    nothing from the package but its errors."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(nestfill.verify.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            imported.update(f"nestfill.{n}" for n in names)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "nestfill":
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "nestfill")
+    assert imported <= {"nestfill.errors"}
