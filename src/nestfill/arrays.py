@@ -17,7 +17,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .errors import SpecError, VerificationFailure
-from .galois import FieldElement
+from .galois import Field, FieldElement
 from .groups import FieldTowerChain, GroupChain, GroupElement, SubfieldTowerChain
 from .kronecker import GroupMatrix, col_kron_sum, kron_sum
 from .verify import (
@@ -110,24 +110,27 @@ class SlicedArray:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """k x m coefficient matrix; every column starts (after zeros) with 1."""
+    """k x m coefficient matrix over `field`, held as code columns; every
+    column starts (after zeros) with 1."""
 
     k: int
-    columns: tuple[tuple[FieldElement, ...], ...]
+    field: Field
+    codes: tuple[tuple[int, ...], ...]
 
     @property
     def m(self) -> int:
-        return len(self.columns)
+        return len(self.codes)
+
+    @property
+    def columns(self) -> tuple[tuple[FieldElement, ...], ...]:
+        return tuple(tuple(map(self.field.element, col)) for col in self.codes)
 
     def column_codes(self) -> list[list[int]]:
-        return [[e.code for e in col] for col in self.columns]
+        return [list(col) for col in self.codes]
 
 
-def _first_nonzero(vec: Sequence[FieldElement]) -> Optional[FieldElement]:
-    for x in vec:
-        if x.code != 0:
-            return x
-    return None
+def _leads_with_one(col: Sequence[int]) -> bool:
+    return next((c for c in col if c), None) == 1
 
 
 def generator_matrix(
@@ -141,77 +144,73 @@ def generator_matrix(
     """
     if k < 1:
         raise SpecError(f"k must be >= 1, got {k}")
-    base = list(base)
-    codes = [e.code for e in base]
+    base = GroupMatrix([base])
+    fld, codes = base.owner, base.code_rows[0]
     if 0 not in codes or 1 not in codes:
         raise SpecError("base must contain 0 and 1")
-    fld = base[0].field
-    zero, one = fld.zero, fld.one
     if columns is None:
-        identity = [
-            tuple(one if r == j else zero for r in range(k)) for j in range(k)
-        ]
-        ident_set = set(identity)
+        identity = [tuple(int(r == j) for r in range(k)) for j in range(k)]
         cols = identity + [
-            vec
-            for vec in product(base, repeat=k)
-            if (fn := _first_nonzero(vec)) is not None
-            and fn.code == 1
-            and vec not in ident_set
+            vec for vec in product(codes, repeat=k)
+            if _leads_with_one(vec) and vec not in identity
         ]
-        return GeneratorMatrix(k, tuple(cols))
-    cols = [tuple(col) for col in columns]
-    seen = set()
-    for col in cols:
+        return GeneratorMatrix(k, fld, tuple(cols))
+    cols = []
+    for col in columns:
         if len(col) != k:
             raise SpecError(f"column {col!r} does not have length {k}")
-        fn = _first_nonzero(col)
-        if fn is None or fn.code != 1:
+        if GroupMatrix([col]).owner != fld:
+            raise SpecError("generator column is not over the base's field")
+        col = tuple(e.code for e in col)
+        if not _leads_with_one(col):
             raise SpecError("column's first nonzero entry must be one")
-        if col in seen:
+        if col in cols:
             raise SpecError("duplicate generator column")
-        seen.add(col)
-    return GeneratorMatrix(k, tuple(cols))
+        cols.append(col)
+    return GeneratorMatrix(k, fld, tuple(cols))
 
 
 def full_factorial(elements: Sequence[GroupElement], k: int) -> GroupMatrix:
     """All k-tuples over `elements` in lexicographic order, zero row first."""
     if k < 1:
         raise SpecError(f"k must be >= 1, got {k}")
-    return GroupMatrix(list(product(elements, repeat=k)))
-
-
-def _dot(row: Sequence[FieldElement], col: Sequence[FieldElement]) -> FieldElement:
-    acc = None
-    for x, c in zip(row, col):
-        term = x * c
-        acc = term if acc is None else acc + term
-    return acc
+    levels = GroupMatrix([elements])
+    return GroupMatrix(list(product(levels.code_rows[0], repeat=k)), levels.owner)
 
 
 def _matmul(h: GroupMatrix, gen: GeneratorMatrix) -> GroupMatrix:
-    return GroupMatrix(
-        [tuple(_dot(row, col) for col in gen.columns) for row in h.rows]
-    )
+    """h times the generator: entry (r, j) is the dot product of row r of h
+    with column j."""
+    if h.owner != gen.field:
+        raise SpecError("matrix and generator live in different fields")
+    add, mul = gen.field.add, gen.field.mul
+    scaled = [[mul[c] for c in col] for col in gen.codes]  # multiply-by-c rows
+    rows = []
+    for row in h.code_rows:
+        out = []
+        for col in scaled:
+            acc = 0
+            for times_c, x in zip(col, row):
+                acc = add[acc][times_c[x]]
+            out.append(acc)
+        rows.append(tuple(out))
+    return GroupMatrix(rows, gen.field)
 
 
-def _require(rep: VerificationReport) -> VerificationReport:
+def _require(rep: VerificationReport, matrix: GroupMatrix) -> VerificationReport:
+    """rep, or a VerificationFailure naming its counterexample in elements
+    of `matrix`'s group."""
     if not rep.passed:
+        rep = rep.with_levels(matrix.owner.element_from_code)
         raise VerificationFailure(rep.message(), rep)
     return rep
 
 
-def _require_claims(reports: list, rows, claims, chain: GroupChain, projections,
-                    element_sets=()) -> None:
-    """Check `claims` on `rows` in order, keeping each report; the first
+def _require_claims(reports: list, matrix: GroupMatrix, claims, chain: GroupChain) -> None:
+    """Check `claims` on `matrix` in order, keeping each report; the first
     failure raises."""
-    reports.extend(
-        map(_require, check_claims(rows, claims, projections, chain.sizes, element_sets))
-    )
-
-
-def _projections(chain: GroupChain) -> list:
-    return [chain.projection_map(j) for j in range(1, chain.layers + 1)]
+    for rep in check_claims(matrix.code_rows, claims, **chain.oracle_inputs()):
+        reports.append(_require(rep, matrix))
 
 
 def _family_claims(nested: NestedArray, sliced: Sequence[SlicedArray]) -> list[Claim]:
@@ -240,7 +239,7 @@ def rao_hamming_oa(
     gen = generator_matrix(elements, k, columns)
     mat = _matmul(full_factorial(elements, k), gen)
     s = len(elements)
-    _require(check_oa_strength(mat.rows, s, 2, name="rao-hamming"))
+    _require(check_oa_strength(mat.code_rows, s, 2, name="rao-hamming"), mat)
     return OrthogonalArray(mat, s, 2, chain=chain, layer=layer)
 
 
@@ -258,10 +257,10 @@ def build_h_tower(chain: GroupChain, k: int) -> list[GroupMatrix]:
     tower = [h]
     for i in range(2, chain.layers + 1):
         blocks = [h]
-        for beta in product(chain.transversal(i), repeat=k):
+        for beta in product(chain.transversal_codes(i), repeat=k):
             if not any(beta):
                 continue
-            blocks.append(col_kron_sum(GroupMatrix([beta]), h))
+            blocks.append(col_kron_sum(GroupMatrix([beta], h.owner), h))
         h = GroupMatrix.vstack(blocks)
         tower.append(h)
     return tower
@@ -300,8 +299,7 @@ def _construct_noa(chain: GroupChain, k: int, gen: GeneratorMatrix, strength: in
         for j in range(1, i + 1)
     ]
     fam = NoaFamily(chain, k, strength, gen, tower, top, nested, sliced)
-    _require_claims(fam.verification, top.rows, _family_claims(nested, sliced), chain,
-                    _projections(chain))
+    _require_claims(fam.verification, top, _family_claims(nested, sliced), chain)
     return fam
 
 
@@ -346,20 +344,13 @@ def bush_matrix(chain: GroupChain, k: int) -> GeneratorMatrix:
     tower = _require_tower(chain)
     if k < 2:
         raise SpecError(f"k must be >= 2, got {k}")
-    base = tower.layer_elements(1)
+    base = tower.layer_codes(1)
     s1 = len(base)
     if s1 < k - 1:
         raise SpecError(f"needs s_1 >= k-1 (s_1={s1}, k={k})")
-    one, zero = tower.field.one, tower.field.zero
-    cols = []
-    for v in base:
-        col, power = [], one
-        for _ in range(k):
-            col.append(power)
-            power = power * v
-        cols.append(tuple(col))
-    cols.append(tuple([zero] * (k - 1) + [one]))
-    return GeneratorMatrix(k, tuple(cols))
+    cols = [tuple(tower.field.pow_code(v, e) for e in range(k)) for v in base]
+    cols.append((0,) * (k - 1) + (1,))
+    return GeneratorMatrix(k, tower.field, tuple(cols))
 
 
 def construct_noa_bush(chain: GroupChain, k: int) -> NoaFamily:
@@ -407,26 +398,27 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
     the Kronecker sum of A with D."""
     tower = _require_tower(chain)
     s = tower.sizes
-    s_top, s_1 = s[-1], s[0]
+    s_top = s[-1]
     if a.levels != s_top:
         raise SpecError(f"input array must use {s_top} levels, has {a.levels}")
     if a.matrix.owner != tower.field:
         raise SpecError("input array is not over this chain's field")
     reports: list[VerificationReport] = []
     reports.append(
-        _require(check_oa_strength(a.matrix.rows, s_top, 2, name="ndm-product input"))
+        _require(check_oa_strength(a.matrix.code_rows, s_top, 2, name="ndm-product input"),
+                 a.matrix)
     )
-    v = tower.enumerate_ordered("outer-first")
-    t1 = tower.transversal(1)
-    d = GroupMatrix([tuple(ve * te for te in t1) for ve in v])
+    fld = tower.field
+    t1 = tower.transversal_codes(1)
+    d = GroupMatrix(
+        [tuple(fld.mul[v][t] for t in t1) for v in tower.ordered_codes("outer-first")], fld
+    )
     a_plus_d = kron_sum(a.matrix, d)
-    n, m = a.n, a.m
-    combined = GroupMatrix(
-        [
-            tuple(a.matrix.rows[r][j] + d.rows[w][c] for j in range(m) for c in range(s_1))
-            for w in range(s_top)
-            for r in range(n)
-        ]
+    n = a.n
+    add = fld.add
+    combined = GroupMatrix(  # D-row-major: A (+) d_w for each row d_w of D in turn
+        [tuple(add[x][y] for x in arow for y in drow)
+         for drow in d.code_rows for arow in a.matrix.code_rows], fld
     )
     layers = tower.layers
     dm_nested = NestedArray(
@@ -445,12 +437,12 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
         strength=2,
     )
     out = NdmProduct(tower, a, d, a_plus_d, combined, dm_nested, noa_nested, reports)
-    projections = _projections(tower)
-    el_sets = [tower.layer_elements(j) for j in range(1, layers + 1)]
 
     # D and the full-size OA
-    _require_claims(reports, d.rows, [Claim("dm", "D")], tower, projections, el_sets)
-    reports.append(_require(check_oa_strength(a_plus_d.rows, s_top, 2, name="A(+)D")))
+    _require_claims(reports, d, [Claim("dm", "D")], tower)
+    reports.append(
+        _require(check_oa_strength(a_plus_d.code_rows, s_top, 2, name="A(+)D"), a_plus_d)
+    )
     # row blocks of D and their collapses, then the I-layer NDM
     # (Delta^1_1, ..., Delta^{I-1}_1, D)
     d_claims = []
@@ -464,7 +456,7 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
             for j in range(1, i + 1)
         ]
     d_claims.append(dm_nested.claim("I-layer ndm"))
-    _require_claims(reports, d.rows, d_claims, tower, projections, el_sets)
+    _require_claims(reports, d, d_claims, tower)
     # sliced and nested OA wrappers around the combined array
     combined_claims = []
     for i in range(1, layers):
@@ -477,33 +469,54 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
                 for blocks in range(1, s_top // s[i - 1])
             ]
     combined_claims.append(noa_nested.claim("I-layer noa"))
-    _require_claims(reports, combined.rows, combined_claims, tower, projections)
+    _require_claims(reports, combined, combined_claims, tower)
     return out
 
 
-def _validate_kron_inputs(
-    chain: GroupChain, items: Sequence, what: str, require_zero_rows: bool
-) -> int:
+def _check_kron_inputs(
+    chain: GroupChain, items: Sequence, require_zero_rows: bool
+) -> list[VerificationReport]:
+    """Check that input i is over transversal i (starting with a zero row
+    where prefix nesting needs one), then run each input's own oracle."""
+    what = "difference matrix" if isinstance(items[0], DifferenceMatrix) else "array"
     if len(items) != chain.layers:
         raise SpecError(
             f"need one {what} per chain layer ({chain.layers}), got {len(items)}"
         )
-    m = items[0].matrix.n_cols
     for i, item in enumerate(items, start=1):
-        if item.matrix.n_cols != m:
+        if item.matrix.n_cols != items[0].matrix.n_cols:
             raise SpecError("column counts differ across inputs")
-        allowed = set(chain.transversal(i))
-        for row in item.matrix.rows:
-            for e in row:
-                if e not in allowed:
-                    raise SpecError(
-                        f"{what} {i} uses entries outside transversal {i}"
-                    )
-        if require_zero_rows and i >= 2 and any(item.matrix.rows[0]):
+        if item.matrix.owner != chain.group or not {
+            c for row in item.matrix.code_rows for c in row
+        } <= set(chain.transversal_codes(i)):
+            raise SpecError(f"{what} {i} uses entries outside transversal {i}")
+        if require_zero_rows and i >= 2 and any(item.matrix.code_rows[0]):
             raise SpecError(
                 f"{what} {i} must start with an all-zero row for prefix nesting"
             )
-    return m
+    reports = []
+    for i, item in enumerate(items, start=1):
+        codes = chain.transversal_codes(i)
+        if isinstance(item, DifferenceMatrix):
+            rep = check_difference_matrix(item.matrix.code_rows, codes, chain.group.sub_codes,
+                                          name=f"input D_{i}")
+        else:
+            rep = check_oa_strength(item.matrix.code_rows, len(codes), item.strength,
+                                    name=f"input A_{i}")
+        reports.append(_require(rep, item.matrix))
+    return reports
+
+
+def _kron_tower(mats: Sequence[GroupMatrix], name: str) -> list[GroupMatrix]:
+    """T_1 = M_1 and T_i = M_i (+c) T_{i-1}; each T_i must be a row prefix of
+    the top T_I, so the T_i's run sizes are the nested layer stops."""
+    tops = [mats[0]]
+    for m in mats[1:]:
+        tops.append(col_kron_sum(m, tops[-1]))
+    for i, t in enumerate(tops, start=1):
+        if t.code_rows != tops[-1].code_rows[: t.n_rows]:
+            raise VerificationFailure(f"{name}_{i} is not a prefix of the top matrix")
+    return tops
 
 
 @dataclass
@@ -526,40 +539,18 @@ def construct_noa_kron_multi(arrays: Sequence[OrthogonalArray], chain: GroupChai
     Every input beyond the first must start with an all-zero row so that
     each B_i is literally a row prefix of B_{i+1}.
     """
-    _validate_kron_inputs(chain, arrays, "array", require_zero_rows=True)
+    reports = _check_kron_inputs(chain, arrays, require_zero_rows=True)
     strength = min(a.strength for a in arrays)
-    reports: list[VerificationReport] = []
-    for i, a in enumerate(arrays, start=1):
-        reports.append(
-            _require(
-                check_oa_strength(
-                    a.matrix.rows, len(chain.transversal(i)), a.strength,
-                    name=f"input A_{i}",
-                )
-            )
-        )
-    tops = [arrays[0].matrix]
-    for a in arrays[1:]:
-        tops.append(col_kron_sum(a.matrix, tops[-1]))
-    cum = []
-    total = 1
-    for a in arrays:
-        total *= a.matrix.n_rows
-        cum.append(total)
-    nested = NestedArray(
-        chain, tops[-1], tuple(cum), tuple(range(1, chain.layers + 1)), strength
-    )
+    tops = _kron_tower([a.matrix for a in arrays], "B")
+    cum = tuple(b.n_rows for b in tops)
+    nested = NestedArray(chain, tops[-1], cum, tuple(range(1, chain.layers + 1)), strength)
     sliced = [
         SlicedArray(chain, tops[-1], cum[i - 1], j, strength)
         for i in range(1, chain.layers)
         for j in range(1, i + 1)
     ]
     out = KronNoa(chain, strength, tops, nested, sliced, reports)
-    for i, b in enumerate(tops, start=1):
-        if b.rows != tops[-1].rows[: b.n_rows]:
-            raise VerificationFailure(f"B_{i} is not a prefix of the top array")
-    _require_claims(reports, tops[-1].rows, _family_claims(nested, sliced), chain,
-                    _projections(chain))
+    _require_claims(reports, tops[-1], _family_claims(nested, sliced), chain)
     return out
 
 
@@ -595,18 +586,8 @@ def construct_soa_kron(
     """
     if chain.layers != 2:
         raise SpecError("construct_soa_kron needs a two-layer chain")
-    _validate_kron_inputs(chain, [a1, a2], "array", require_zero_rows=False)
+    reports = _check_kron_inputs(chain, [a1, a2], require_zero_rows=False)
     strength = min(a1.strength, a2.strength)
-    reports: list[VerificationReport] = []
-    for i, a in ((1, a1), (2, a2)):
-        reports.append(
-            _require(
-                check_oa_strength(
-                    a.matrix.rows, len(chain.transversal(i)), a.strength,
-                    name=f"input A_{i}",
-                )
-            )
-        )
     b_mat = col_kron_sum(a2.matrix, a1.matrix)
     n1 = a1.matrix.n_rows
     b = OrthogonalArray(b_mat, chain.sizes[-1], strength, chain=chain, layer=2)
@@ -616,7 +597,7 @@ def construct_soa_kron(
         out.prefix_noa(l).claim(f"two-layer noa (B^{l}, B)")
         for l in range(1, a2.matrix.n_rows)
     ]
-    _require_claims(reports, b_mat.rows, claims, chain, _projections(chain))
+    _require_claims(reports, b_mat, claims, chain)
     return out
 
 
@@ -639,34 +620,13 @@ class KronNdm:
 def construct_ndm_kron(dms: Sequence[DifferenceMatrix], chain: GroupChain) -> KronNdm:
     """E_i = D_i (+c) ... (+c) D_1 for difference matrices over the chain's
     transversals; verified as a nested difference-matrix tower with slices."""
-    _validate_kron_inputs(chain, dms, "difference matrix", require_zero_rows=True)
-    reports: list[VerificationReport] = []
-    for i, dm in enumerate(dms, start=1):
-        reports.append(
-            _require(
-                check_difference_matrix(
-                    dm.matrix.rows, chain.transversal(i), name=f"input D_{i}"
-                )
-            )
-        )
-    tops = [dms[0].matrix]
-    for dm in dms[1:]:
-        tops.append(col_kron_sum(dm.matrix, tops[-1]))
-    cum = []
-    total = 1
-    for dm in dms:
-        total *= dm.matrix.n_rows
-        cum.append(total)
-    nested = NestedArray(
-        chain, tops[-1], tuple(cum), tuple(range(1, chain.layers + 1)), 0, kind="dm"
-    )
+    reports = _check_kron_inputs(chain, dms, require_zero_rows=True)
+    tops = _kron_tower([dm.matrix for dm in dms], "E")
+    cum = tuple(e.n_rows for e in tops)
+    nested = NestedArray(chain, tops[-1], cum, tuple(range(1, chain.layers + 1)), 0, kind="dm")
     out = KronNdm(chain, tops, nested, reports)
-    el_sets = [chain.layer_elements(j) for j in range(1, chain.layers + 1)]
-    for i, e in enumerate(tops, start=1):
-        if e.rows != tops[-1].rows[: e.n_rows]:
-            raise VerificationFailure(f"E_{i} is not a prefix of the top matrix")
     claims = [nested.claim()]
     for i in range(1, chain.layers):
         claims += _delta_claims(i, cum[i - 1], tops[-1].n_rows // cum[i - 1])
-    _require_claims(reports, tops[-1].rows, claims, chain, _projections(chain), el_sets)
+    _require_claims(reports, tops[-1], claims, chain)
     return out

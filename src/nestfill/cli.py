@@ -93,10 +93,8 @@ def _parse_columns(text: str, chain: GroupChain):
 
 def _load_input_design(path, chain: GroupChain, layer: int, want: str):
     design = load(path)
-    rows = GroupMatrix(
-        [[chain.element_from_code(c) for c in row] for row in design.rows]
-    )
-    levels = design.s if design.s else len(chain.transversal(layer))
+    rows = GroupMatrix(design.rows, chain.group)
+    levels = design.s if design.s else len(chain.transversal_codes(layer))
     t = design.t_claimed if design.t_claimed else 2
     if want == "oa":
         return OrthogonalArray(rows, levels, t, chain=chain, layer=layer,
@@ -210,9 +208,7 @@ def _load_family(design: DesignFile):
             f"{len(design.layer_prefixes)} layer prefixes for a "
             f"{chain.layers}-layer chain"
         )
-    top = GroupMatrix(
-        [[chain.element_from_code(c) for c in row] for row in design.rows]
-    )
+    top = GroupMatrix(design.rows, chain.group)
     nested = NestedArray(
         chain, top, tuple(design.layer_prefixes),
         tuple(range(1, chain.layers + 1)),
@@ -321,11 +317,9 @@ def verify_design(design: DesignFile) -> list:
         else:
             claims = [Claim("lh")]
         return list(check_claims(design.rows, claims, levels=[design.s]))
-    rows = [
-        [chain.element_from_code(c) for c in row] for row in design.rows
-    ]
+    rows = GroupMatrix(design.rows, chain.group).code_rows
+    inputs = chain.oracle_inputs()
     layers = tuple(range(1, chain.layers + 1))
-    projections = [chain.projection_map(j) for j in layers]
     prefixes = tuple(design.layer_prefixes or ())
     if design.type == "oa":
         t = design.t_claimed or 2
@@ -334,11 +328,10 @@ def verify_design(design: DesignFile) -> list:
         if design.slice_size and design.collapse_layer:
             claims.append(Claim("sliced", layers=(design.collapse_layer,), strength=t,
                                 size=design.slice_size))
-        levels = [*chain.sizes[:-1], design.s or chain.top_size]
-        return list(check_claims(rows, claims, projections, levels))
-    el_sets = [chain.layer_elements(j) for j in layers]
-    claims = [Claim("nested-dm", rows=prefixes, layers=layers) if prefixes else Claim("dm")]
-    return list(check_claims(rows, claims, projections, chain.sizes, el_sets))
+        inputs["levels"] = [*chain.sizes[:-1], design.s or chain.top_size]
+    else:
+        claims = [Claim("nested-dm", rows=prefixes, layers=layers) if prefixes else Claim("dm")]
+    return [r.with_levels(chain.element_from_code) for r in check_claims(rows, claims, **inputs)]
 
 
 def cmd_verify(args) -> int:

@@ -8,13 +8,17 @@ everywhere in this package (enumeration, relabeling, file formats).
 
 Polynomials are handled as coefficient tuples, lowest degree first.  Fields
 here are tiny (a few dozen elements at most in practice), so irreducibility
-is checked by exhaustive trial division and inverses by exhaustive search.
+is checked by exhaustive trial division.  Arithmetic on codes reads q x q
+addition and multiplication tables, built on first use: addition digit by
+digit, multiplication from the powers of a primitive element.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import SpecError
@@ -104,6 +108,32 @@ def _default_modulus(p: int, u: int) -> tuple[int, ...]:
     raise SpecError(f"no irreducible polynomial of degree {u} over Z_{p}")
 
 
+MAX_TABLE_ORDER = 1024  # a q x q table of Python ints takes about 40*q^2 bytes
+
+
+def check_table_order(q: int) -> None:
+    """Refuse table arithmetic for a group whose tables would not fit."""
+    if q > MAX_TABLE_ORDER:
+        raise SpecError(
+            f"group of order {q} is too large: arithmetic tables are limited to "
+            f"order {MAX_TABLE_ORDER}"
+        )
+
+
+def direct_sum_table(tables: Sequence[Sequence[Sequence[int]]]) -> list[list[int]]:
+    """Addition table of a direct product of groups, given the factors'
+    addition tables, lowest mixed-radix digit first (code = sum of the
+    factor codes times the product of the earlier factor sizes)."""
+    out, weight = [[0]], 1
+    for table in tables:
+        # shifted[lo][s]: row lo of the table so far, plus s times `weight`
+        shifted = [[[x + weight * s for x in prev] for s in range(len(table))] for prev in out]
+        out = [list(itertools.chain.from_iterable(map(by_digit.__getitem__, row)))
+               for row in table for by_digit in shifted]
+        weight *= len(table)
+    return out
+
+
 _TERM_RE = re.compile(r"^(\d*)(x(?:\^(\d+))?)?$")
 
 
@@ -145,34 +175,67 @@ class Field:
             raise SpecError("coefficient vector exceeds field degree")
         return sum((c % self.p) * self.p**j for j, c in enumerate(coeffs[: self.u]))
 
-    def add_codes(self, a: int, b: int) -> int:
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        return self.encode([(x + y) % self.p for x, y in zip(ca, cb)])
+    @cached_property
+    def add(self) -> list[list[int]]:
+        """add[a][b] is the code of a + b: digit-wise addition mod p."""
+        check_table_order(self.size)
+        zp = [[(a + b) % self.p for b in range(self.p)] for a in range(self.p)]
+        return direct_sum_table([zp] * self.u)
 
-    def neg_code(self, a: int) -> int:
-        return self.encode([(-c) % self.p for c in self.coeffs(a)])
+    @cached_property
+    def neg(self) -> list[int]:
+        return [row.index(0) for row in self.add]
+
+    @cached_property
+    def mul(self) -> list[list[int]]:
+        """mul[a][b] is the code of a * b, read off the powers of the
+        smallest-code primitive element."""
+        q = self.size
+        check_table_order(q)
+        for g in range(1, q):
+            exp = [1]
+            while len(exp) < q - 1:
+                prod = poly_mul(self.coeffs(exp[-1]), self.coeffs(g), self.p)
+                c = self.encode(poly_residue(prod, self.modulus, self.p))
+                if c == 1:
+                    break
+                exp.append(c)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for i, c in enumerate(exp):
+            log[c] = i
+        table = [[0] * q]
+        for a in range(1, q):
+            shifted = exp[log[a] :] + exp[: log[a]]
+            table.append([0] + [shifted[log[b]] for b in range(1, q)])
+        return table
+
+    @cached_property
+    def inv(self) -> list[Optional[int]]:
+        """inv[a] is the code of 1/a; zero has none."""
+        return [None] + [row.index(1) for row in self.mul[1:]]
+
+    def add_codes(self, a: int, b: int) -> int:
+        return self.add[a][b]
 
     def sub_codes(self, a: int, b: int) -> int:
-        return self.add_codes(a, self.neg_code(b))
+        return self.add[a][self.neg[b]]
 
     def mul_codes(self, a: int, b: int) -> int:
-        prod = poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        return self.encode(poly_residue(prod, self.modulus, self.p))
+        return self.mul[a][b]
 
     def inv_code(self, a: int) -> int:
         if a == 0:
             raise SpecError("zero has no multiplicative inverse")
-        for b in range(1, self.size):
-            if self.mul_codes(a, b) == 1:
-                return b
-        raise AssertionError("unreachable: field element without inverse")
+        return self.inv[a]
 
     def pow_code(self, a: int, e: int) -> int:
         result, base = 1, a
         while e:
             if e & 1:
-                result = self.mul_codes(result, base)
-            base = self.mul_codes(base, base)
+                result = self.mul[result][base]
+            base = self.mul[base][base]
             e >>= 1
         return result
 
@@ -182,6 +245,8 @@ class Field:
         if not 0 <= code < self.size:
             raise SpecError(f"code {code} out of range for GF({self.size})")
         return FieldElement(self, code)
+
+    element_from_code = element
 
     @property
     def zero(self) -> "FieldElement":
@@ -262,6 +327,10 @@ class FieldElement:
     field: Field
     code: int
 
+    @property
+    def group(self) -> Field:
+        return self.field
+
     def _check(self, other: "FieldElement") -> None:
         if not isinstance(other, FieldElement) or other.field != self.field:
             raise SpecError("operands belong to different fields")
@@ -275,7 +344,7 @@ class FieldElement:
         return FieldElement(self.field, self.field.sub_codes(self.code, other.code))
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg_code(self.code))
+        return FieldElement(self.field, self.field.neg[self.code])
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)

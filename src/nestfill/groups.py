@@ -19,17 +19,23 @@ transversal, and projecting onto layer i keeps the first i parts.  For field
 towers and omega rings the canonical integer code (base-p digits, resp. mixed
 radix over the base-group sizes) makes layer i exactly the codes below its
 size; subfield layers are scattered code sets, still listed ascending.
+
+Inside the package everything is an integer code: each chain's `group` (the
+Galois field of a tower, or the omega ring itself) carries `add`/`neg`
+tables, and each chain carries `proj` tables built once from the direct sum
+of its transversals.  Element objects are built only at the API edge.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Optional, Sequence, Union
 
 from .errors import SpecError
-from .galois import Field, FieldElement
+from .galois import Field, FieldElement, check_table_order, direct_sum_table
 
 
 class Zn:
@@ -41,11 +47,9 @@ class Zn:
         self.n = n
         self.size = n
 
-    def add_codes(self, a: int, b: int) -> int:
-        return (a + b) % self.n
-
-    def neg_code(self, a: int) -> int:
-        return (-a) % self.n
+    @cached_property
+    def add(self) -> list[list[int]]:
+        return [[(a + b) % self.n for b in range(self.n)] for a in range(self.n)]
 
     def sub_codes(self, a: int, b: int) -> int:
         return (a - b) % self.n
@@ -117,23 +121,20 @@ class OmegaElement:
     ring: "OmegaRingChain"
     parts: tuple[int, ...]
 
+    @property
+    def group(self) -> "OmegaRingChain":
+        return self.ring
+
     def _check(self, other: "OmegaElement") -> None:
         if not isinstance(other, OmegaElement) or other.ring != self.ring:
             raise SpecError("operands belong to different omega rings")
 
     def __add__(self, other: "OmegaElement") -> "OmegaElement":
         self._check(other)
-        parts = tuple(
-            base.add_codes(a, b)
-            for base, a, b in zip(self.ring.bases, self.parts, other.parts)
-        )
-        return OmegaElement(self.ring, parts)
+        return self.ring.element_from_code(self.ring.add[self.code][other.code])
 
     def __neg__(self) -> "OmegaElement":
-        return OmegaElement(
-            self.ring,
-            tuple(base.neg_code(a) for base, a in zip(self.ring.bases, self.parts)),
-        )
+        return self.ring.element_from_code(self.ring.neg[self.code])
 
     def __sub__(self, other: "OmegaElement") -> "OmegaElement":
         self._check(other)
@@ -163,10 +164,12 @@ GroupElement = Union[FieldElement, OmegaElement]
 class GroupChain:
     """Shared behavior of the chain kinds.
 
-    Subclasses provide element construction and transversals; sizes[i-1] is
-    |F_i| and the top layer has index I = layers.  Decomposition and
-    projection have a generic table-driven implementation here that the
-    digit-structured kinds override with direct formulas.
+    sizes[i-1] is |F_i| and the top layer has index I = layers.  `group` is
+    the additive group every layer lives in (a Field, or the omega ring
+    itself): codes 0 .. top_size-1 with `add`/`neg` tables.  Subclasses
+    provide `group`, element construction and text; transversals default to
+    the digit-structured layout where T_i holds the multiples of |F_{i-1}|
+    below |F_i|.
     """
 
     kind: str
@@ -186,9 +189,6 @@ class GroupChain:
     def element_from_code(self, code: int) -> GroupElement:
         raise NotImplementedError
 
-    def transversal(self, i: int) -> list[GroupElement]:
-        raise NotImplementedError
-
     def text(self, el: GroupElement) -> str:
         raise NotImplementedError
 
@@ -202,88 +202,106 @@ class GroupChain:
         if not 1 <= i <= self.layers:
             raise SpecError(f"layer {i} out of range 1..{self.layers}")
 
-    def _parts_table(self) -> dict[int, tuple[int, ...]]:
-        """Code of every top element -> codes of its transversal parts.
+    def _code(self, el: GroupElement) -> int:
+        if getattr(el, "group", None) != self.group:
+            raise SpecError(f"{el!r} is not an element of {self!r}")
+        return el.code
+
+    def transversal_codes(self, i: int) -> list[int]:
+        self._check_layer(i)
+        return list(range(0, self.sizes[i - 1], self.sizes[i - 2] if i > 1 else 1))
+
+    def transversal(self, i: int) -> list[GroupElement]:
+        return [self.element_from_code(c) for c in self.transversal_codes(i)]
+
+    def layer_codes(self, i: int) -> list[int]:
+        """Layer i in ascending code order (zero first)."""
+        self._check_layer(i)
+        return list(range(self.sizes[i - 1]))
+
+    def layer_elements(self, i: int) -> list[GroupElement]:
+        return [self.element_from_code(c) for c in self.layer_codes(i)]
+
+    @cached_property
+    def proj(self) -> list[list[int]]:
+        """proj[i-1][c] is the code of the layer-i projection of code c.
 
         Built once from the direct-sum structure: summing one element per
-        transversal reaches every top element exactly once.
+        transversal must reach every top element exactly once, and the
+        running sum after i transversals is the layer-i projection.
         """
-        cached = getattr(self, "_parts_cache", None)
-        if cached is not None:
-            return cached
-        table: dict[int, tuple[int, ...]] = {}
-        combos = [((), self.zero())]
+        add = self.group.add
+        sums = [(0,)]
         for i in range(1, self.layers + 1):
-            combos = [
-                (parts + (t.code,), acc + t)
-                for parts, acc in combos
-                for t in self.transversal(i)
-            ]
-        for parts, total in combos:
-            if total.code in table:
+            sums = [s + (add[s[-1]][t],) for s in sums for t in self.transversal_codes(i)]
+        table = [[-1] * self.top_size for _ in self.sizes]
+        for s in sums:
+            if table[-1][s[-1]] != -1:
                 raise SpecError("transversals do not form a direct sum")
-            table[total.code] = parts
-        if len(table) != self.top_size:
+            for row, v in zip(table, s[1:]):
+                row[s[-1]] = v
+        if len(sums) != self.top_size:
             raise SpecError("transversal sums do not cover the top layer")
-        self._parts_cache = table
         return table
 
     def decompose(self, el: GroupElement) -> tuple[GroupElement, ...]:
         """Split el into its unique per-transversal parts (they sum to el)."""
-        parts = self._parts_table().get(el.code)
-        if parts is None:
-            raise SpecError("element outside the top layer")
-        return tuple(self.element_from_code(c) for c in parts)
+        code = self._code(el)
+        sums = [0] + [row[code] for row in self.proj]
+        return tuple(
+            self.element_from_code(self.group.sub_codes(b, a)) for a, b in zip(sums, sums[1:])
+        )
 
     def project(self, i: int, el: GroupElement) -> GroupElement:
         """Sum of the first i parts of el; the identity on layer i."""
         self._check_layer(i)
-        parts = self.decompose(el)
-        acc = parts[0]
-        for p in parts[1:i]:
-            acc = acc + p
-        return acc
+        return self.element_from_code(self.proj[i - 1][self._code(el)])
 
-    def layer_elements(self, i: int) -> list[GroupElement]:
-        """Layer i in ascending canonical code order (zero first)."""
-        self._check_layer(i)
-        return [self.element_from_code(c) for c in range(self.sizes[i - 1])]
-
-    def enumerate_ordered(self, order: str) -> list[GroupElement]:
+    def ordered_codes(self, order: str) -> list[int]:
         """Kronecker-sum enumeration of the top layer.
 
         "inner-first" nests T_1 ... T_I with the last transversal varying
         fastest; "outer-first" reverses the nesting so T_1 varies fastest
         (for field towers and omega rings that is ascending code order).
         """
-        blocks = [self.transversal(i) for i in range(1, self.layers + 1)]
+        blocks = [self.transversal_codes(i) for i in range(1, self.layers + 1)]
         if order == "outer-first":
             blocks.reverse()
         elif order != "inner-first":
             raise SpecError(f"unknown enumeration order {order!r}")
-        out = [self.zero()]
+        add = self.group.add
+        out = [0]
         for block in blocks:
-            out = [a + b for a in out for b in block]
+            out = [add[a][b] for a in out for b in block]
         return out
+
+    def enumerate_ordered(self, order: str) -> list[GroupElement]:
+        return [self.element_from_code(c) for c in self.ordered_codes(order)]
 
     def projection_table(self, i: int) -> list[int]:
         """Code-level table: entry c is the code of the layer-i projection."""
-        return [
-            self.project(i, self.element_from_code(c)).code
-            for c in range(self.top_size)
-        ]
+        self._check_layer(i)
+        return list(self.proj[i - 1])
 
     def projection_map(self, i: int) -> dict[GroupElement, GroupElement]:
+        el = self.element_from_code
+        return {el(c): el(v) for c, v in enumerate(self.projection_table(i))}
+
+    def oracle_inputs(self) -> dict:
+        """Keyword arguments of `verify.check_claims` for code matrices over
+        this chain: code-keyed projection maps, level counts, layer code
+        lists and code subtraction."""
+        layers = range(1, self.layers + 1)
         return {
-            el: self.project(i, el)
-            for el in (self.element_from_code(c) for c in range(self.top_size))
+            "projections": [dict(enumerate(self.projection_table(j))) for j in layers],
+            "levels": self.sizes,
+            "element_sets": [self.layer_codes(j) for j in layers],
+            "subtract": self.group.sub_codes,
         }
 
 
-class FieldTowerChain(GroupChain):
-    """Additive tower of degree-filtered subgroups inside one Galois field."""
-
-    kind = "field-tower"
+class _FieldChain(GroupChain):
+    """A tower of additive subgroups of one Galois field GF(p^{u_I})."""
 
     def __init__(self, p: int, u_chain: Sequence[int], modulus: Optional[Sequence[int]] = None):
         u_chain = tuple(int(u) for u in u_chain)
@@ -299,44 +317,15 @@ class FieldTowerChain(GroupChain):
     def p(self) -> int:
         return self.field.p
 
+    @property
+    def group(self) -> Field:
+        return self.field
+
     def element_from_code(self, code: int) -> FieldElement:
         return self.field.element(code)
 
-    def _check_member(self, el: GroupElement) -> None:
-        if not isinstance(el, FieldElement) or el.field != self.field:
-            raise SpecError("element does not belong to this chain's field")
-
-    def transversal(self, i: int) -> list[FieldElement]:
-        self._check_layer(i)
-        lo = self.u_chain[i - 2] if i > 1 else 0
-        hi = self.u_chain[i - 1]
-        base = self.p**lo
-        out = []
-        for t in range(self.p ** (hi - lo)):
-            code, scale, tt = 0, base, t
-            while tt:
-                code += (tt % self.p) * scale
-                scale *= self.p
-                tt //= self.p
-            out.append(self.field.element(code))
-        return out
-
-    def decompose(self, el: FieldElement) -> tuple[FieldElement, ...]:
-        self._check_member(el)
-        parts = []
-        for i in range(1, self.layers + 1):
-            lo = self.sizes[i - 2] if i > 1 else 1
-            hi = self.sizes[i - 1]
-            parts.append(self.field.element(el.code % hi - el.code % lo))
-        return tuple(parts)
-
-    def project(self, i: int, el: FieldElement) -> FieldElement:
-        self._check_layer(i)
-        self._check_member(el)
-        return self.field.element(el.code % self.sizes[i - 1])
-
     def text(self, el: FieldElement) -> str:
-        self._check_member(el)
+        self._code(el)
         return el.text()
 
     def parse(self, text: str) -> FieldElement:
@@ -352,7 +341,7 @@ class FieldTowerChain(GroupChain):
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, FieldTowerChain)
+            type(other) is type(self)
             and other.field == self.field
             and other.u_chain == self.u_chain
         )
@@ -361,10 +350,18 @@ class FieldTowerChain(GroupChain):
         return hash((self.kind, self.field, self.u_chain))
 
     def __repr__(self) -> str:
-        return f"FieldTowerChain(p={self.p}, u_chain={list(self.u_chain)})"
+        return f"{type(self).__name__}(p={self.p}, u_chain={list(self.u_chain)})"
 
 
-class SubfieldTowerChain(GroupChain):
+class FieldTowerChain(_FieldChain):
+    """Additive tower of degree-filtered subgroups inside one Galois field:
+    layer i holds the codes below p^{u_i}, T_i the monomial span of
+    x^{u_{i-1}}, ..., x^{u_i - 1}."""
+
+    kind = "field-tower"
+
+
+class SubfieldTowerChain(_FieldChain):
     """Tower of genuine subfields GF(p^{u_1}) ⊂ ... ⊂ GF(p^{u_I}).
 
     Needs u_i | u_{i+1} so every layer exists as a subfield (the fixed points
@@ -378,25 +375,14 @@ class SubfieldTowerChain(GroupChain):
     kind = "subfield-tower"
 
     def __init__(self, p: int, u_chain: Sequence[int], modulus: Optional[Sequence[int]] = None):
-        u_chain = tuple(int(u) for u in u_chain)
-        if not u_chain or any(b <= a for a, b in zip(u_chain, u_chain[1:])):
-            raise SpecError(f"u_chain must be strictly increasing, got {list(u_chain)}")
-        if u_chain[0] < 1:
-            raise SpecError("u_chain entries must be positive")
-        for a, b in zip(u_chain, u_chain[1:]):
+        super().__init__(p, u_chain, modulus)
+        for a, b in zip(self.u_chain, self.u_chain[1:]):
             if b % a:
                 raise SpecError(
-                    f"subfield tower needs each degree to divide the next, got {list(u_chain)}"
+                    f"subfield tower needs each degree to divide the next, got {list(self.u_chain)}"
                 )
-        self.field = Field(p, u_chain[-1], modulus)
-        self.u_chain = u_chain
-        self.sizes = tuple(p**u for u in u_chain)
-        self._layer_codes = [self._subfield_codes(u) for u in u_chain]
+        self._layer_codes = [self._subfield_codes(u) for u in self.u_chain]
         self._transversals = self._complement_transversals()
-
-    @property
-    def p(self) -> int:
-        return self.field.p
 
     def _subfield_codes(self, u: int) -> list[int]:
         q = self.p**u
@@ -406,82 +392,37 @@ class SubfieldTowerChain(GroupChain):
         return codes
 
     def _complement_transversals(self) -> list[list[int]]:
-        p = self.p
+        add = self.field.add
+
+        def extend(span: set, v: int) -> set:
+            multiples = [0]
+            for _ in range(self.p - 1):
+                multiples.append(add[multiples[-1]][v])
+            return {add[a][m] for a in span for m in multiples}
+
         out = []
-        prev_span = {0}
-        for i, layer in enumerate(self._layer_codes):
-            layer_set = set(layer)
-            basis: list[int] = []
-            span = set(prev_span)
+        prev = {0}
+        for layer in self._layer_codes:
+            span, t_span = prev, {0}
             for cand in layer:
-                if cand in span:
-                    continue
-                basis.append(cand)
-                span = {
-                    self.field.add_codes(a, m)
-                    for a in span
-                    for m in self._multiples(cand)
-                }
-                if len(span) == len(layer_set):
+                if len(span) == len(layer):
                     break
-            t_span = {0}
-            for b in basis:
-                t_span = {
-                    self.field.add_codes(a, m) for a in t_span for m in self._multiples(b)
-                }
+                if cand not in span:
+                    span, t_span = extend(span, cand), extend(t_span, cand)
             out.append(sorted(t_span))
-            prev_span = layer_set
+            prev = set(layer)
         return out
 
-    def _multiples(self, code: int) -> list[int]:
-        vals, acc = [0], 0
-        for _ in range(self.p - 1):
-            acc = self.field.add_codes(acc, code)
-            vals.append(acc)
-        return vals
-
-    def element_from_code(self, code: int) -> FieldElement:
-        return self.field.element(code)
-
-    def _check_member(self, el: GroupElement) -> None:
-        if not isinstance(el, FieldElement) or el.field != self.field:
-            raise SpecError("element does not belong to this chain's field")
+    def layer_codes(self, i: int) -> list[int]:
+        self._check_layer(i)
+        return list(self._layer_codes[i - 1])
 
     def layer_elements(self, i: int) -> list[FieldElement]:
+        return [self.field.element(c) for c in self.layer_codes(i)]
+
+    def transversal_codes(self, i: int) -> list[int]:
         self._check_layer(i)
-        return [self.field.element(c) for c in self._layer_codes[i - 1]]
-
-    def transversal(self, i: int) -> list[FieldElement]:
-        self._check_layer(i)
-        return [self.field.element(c) for c in self._transversals[i - 1]]
-
-    def text(self, el: FieldElement) -> str:
-        self._check_member(el)
-        return el.text()
-
-    def parse(self, text: str) -> FieldElement:
-        return self.field.parse(text)
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "u_chain": list(self.u_chain),
-            "modulus": list(self.field.modulus),
-        }
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SubfieldTowerChain)
-            and other.field == self.field
-            and other.u_chain == self.u_chain
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.field, self.u_chain))
-
-    def __repr__(self) -> str:
-        return f"SubfieldTowerChain(p={self.p}, u_chain={list(self.u_chain)})"
+        return list(self._transversals[i - 1])
 
 
 _OMEGA_TERM_RE = re.compile(r"^(?:\(([^()]*)\)|([^()w]*))w(\d*)$")
@@ -504,6 +445,29 @@ class OmegaRingChain(GroupChain):
             prod(b.size for b in bases[:i]) for i in range(1, len(bases) + 1)
         )
 
+    # -- the ring as the additive group of its codes -----------------------
+
+    @property
+    def group(self) -> "OmegaRingChain":
+        return self
+
+    @property
+    def size(self) -> int:
+        return self.top_size
+
+    @cached_property
+    def add(self) -> list[list[int]]:
+        """add[a][b] is the code of a + b: component-wise in the bases."""
+        check_table_order(self.top_size)
+        return direct_sum_table([b.add for b in self.bases])
+
+    @cached_property
+    def neg(self) -> list[int]:
+        return [row.index(0) for row in self.add]
+
+    def sub_codes(self, a: int, b: int) -> int:
+        return self.add[a][self.neg[b]]
+
     def element(self, parts: Sequence[int]) -> OmegaElement:
         parts = tuple(parts)
         if len(parts) != len(self.bases):
@@ -522,37 +486,10 @@ class OmegaRingChain(GroupChain):
             code //= base.size
         return OmegaElement(self, tuple(parts))
 
-    def _check_member(self, el: GroupElement) -> None:
-        if not isinstance(el, OmegaElement) or el.ring != self:
-            raise SpecError("element does not belong to this omega ring")
-
-    def transversal(self, i: int) -> list[OmegaElement]:
-        self._check_layer(i)
-        out = []
-        for c in range(self.bases[i - 1].size):
-            parts = [0] * len(self.bases)
-            parts[i - 1] = c
-            out.append(OmegaElement(self, tuple(parts)))
-        return out
-
-    def decompose(self, el: OmegaElement) -> tuple[OmegaElement, ...]:
-        self._check_member(el)
-        out = []
-        for b in range(len(self.bases)):
-            parts = [0] * len(self.bases)
-            parts[b] = el.parts[b]
-            out.append(OmegaElement(self, tuple(parts)))
-        return tuple(out)
-
-    def project(self, i: int, el: OmegaElement) -> OmegaElement:
-        self._check_layer(i)
-        self._check_member(el)
-        return OmegaElement(self, el.parts[:i] + (0,) * (len(self.bases) - i))
-
     # -- text form: psi_0 first, then psi_b * w^b with ascending b ---------
 
     def text(self, el: OmegaElement) -> str:
-        self._check_member(el)
+        self._code(el)
         terms = []
         if el.parts[0]:
             terms.append(self.bases[0].text_code(el.parts[0]))

@@ -84,7 +84,7 @@ class DesignFile:
         for r in self.rows:
             if len(r) != width:
                 raise SpecError("ragged design rows")
-            if not all(isinstance(v, int) for v in r):
+            if not all(map(is_int, r)):
                 raise SpecError("design rows must hold integer level codes")
 
     @property

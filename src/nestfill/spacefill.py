@@ -171,12 +171,13 @@ def oa_based_lh(rows: Sequence[Sequence[int]], s: int, seed, tag="lh") -> list[l
     return out
 
 
-def _relabel(matrix, ordering: Sequence[GroupElement], relabels: Sequence[Sequence[int]]):
-    position = {el: r for r, el in enumerate(ordering)}
-    return [
-        [relabels[col][position[e]] for col, e in enumerate(row)]
-        for row in matrix.rows
-    ]
+def _relabel(matrix, ordering: Sequence[int], relabels: Sequence[Sequence[int]]):
+    """Column j sends the code at position r of `ordering` to relabels[j][r]."""
+    position = [0] * len(ordering)
+    for r, code in enumerate(ordering):
+        position[code] = r
+    labels = [[relabel[r] for r in position] for relabel in relabels]
+    return [list(map(list.__getitem__, labels, row)) for row in matrix.code_rows]
 
 
 @dataclass
@@ -226,7 +227,7 @@ def build_nsfd(
     chain = family.chain
     nested = family.nested
     _check_perms(permutations, nested.top.n_cols, chain.sizes, NestedPermutation)
-    ordering = chain.enumerate_ordered("outer-first")
+    ordering = chain.ordered_codes("outer-first")
     design = _relabel(nested.top, ordering, [p.values for p in permutations])
     grids = [
         {"rows": nested.prefix_sizes[i - 1], "grid": chain.sizes[i - 1]}
@@ -254,7 +255,7 @@ def build_ssfd_multi(
     chain = family.chain
     nested = family.nested
     _check_perms(permutations, nested.top.n_cols, chain.sizes, SlicedPermutation)
-    ordering = chain.enumerate_ordered("inner-first")
+    ordering = chain.ordered_codes("inner-first")
     design = _relabel(nested.top, ordering, [p.values for p in permutations])
     grids = [
         {"slice_size": nested.prefix_sizes[i - 1], "grid": chain.sizes[i - 1]}
@@ -287,23 +288,20 @@ def build_ssfd_grouped(
     chain = family.chain
     if not 1 <= j <= i <= chain.layers:
         raise SpecError(f"need 1 <= j <= i <= {chain.layers}, got i={i}, j={j}")
-    reps = chain.layer_elements(j)
+    reps = chain.layer_codes(j)
     if group_order is not None:
-        group_order = list(group_order)
-        if sorted(e.code for e in group_order) != sorted(e.code for e in reps):
+        order = [e.code for e in group_order]
+        if sorted(order) != reps:
             raise SpecError("group order must list each layer-j element once")
-        reps = group_order
+        reps = order
     q = chain.top_size // chain.sizes[j - 1]
-    label: dict[GroupElement, int] = {}
+    proj = chain.projection_table(j)
+    label = [0] * chain.top_size
     for g, alpha in enumerate(reps):
-        members = [
-            el
-            for el in (chain.element_from_code(c) for c in range(chain.top_size))
-            if chain.project(j, el) == alpha
-        ]
-        for offset, el in enumerate(members):
-            label[el] = g * q + offset
-    design = [[label[e] for e in row] for row in family.nested.top.rows]
+        members = [c for c, v in enumerate(proj) if v == alpha]
+        for offset, c in enumerate(members):
+            label[c] = g * q + offset
+    design = [[label[c] for c in row] for row in family.nested.top.code_rows]
     slice_size = family.nested.prefix_sizes[i - 1]
     grids = [
         {"slice_size": slice_size, "grid": chain.sizes[j - 1]},

@@ -1,8 +1,9 @@
 """Brute-force oracles for every structural claim.
 
-Checkers operate on raw matrices — either integer levels or group elements —
-and count exhaustively with exact integer histograms.  They never call
-construction code; collapsing projections are handed in as plain mappings.
+Checkers operate on raw matrices — integer levels, integer codes of group
+elements, or group elements — and count exhaustively with exact integer
+histograms.  They never call construction code; collapsing projections and
+group subtraction are handed in as plain mappings and callables.
 Column subsets are scanned in lexicographic order and the first failure is
 reported with a concrete counterexample.
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, permutations, product
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
@@ -40,6 +41,20 @@ class VerificationReport:
         if self.counterexample:
             out += f" counterexample={self.counterexample}"
         return out
+
+    def with_levels(self, to_level: Callable) -> "VerificationReport":
+        """This report with the level-valued counterexample entries
+        (`levels`, `element`, `pair`) passed through `to_level`, e.g. to turn
+        codes back into group elements for display."""
+        if not self.counterexample:
+            return self
+        ce = dict(self.counterexample)
+        if "element" in ce:
+            ce["element"] = to_level(ce["element"])
+        for key in ("levels", "pair"):
+            if key in ce:
+                ce[key] = [to_level(v) for v in ce[key]]
+        return replace(self, counterexample=ce)
 
     def to_dict(self) -> dict:
         out = {"check": self.check, "passed": self.passed}
@@ -346,13 +361,15 @@ def check_claims(
     projections: Sequence[Mapping] = (),
     levels: Sequence[int] = (),
     element_sets: Sequence[Sequence] = (),
+    subtract: Callable = operator.sub,
 ) -> Iterator[VerificationReport]:
     """Yield one report per claim on `rows`, in list order.
 
     projections[j-1], levels[j-1] and element_sets[j-1] are layer j's
     collapse map, level count and elements; the last entry of `levels` (and
     of `element_sets`) is the top layer's, and a "strat" claim reads it as
-    the scale of the values.  The reports are yielded lazily, so a caller
+    the scale of the values.  `subtract` is the group difference the
+    difference-matrix claims count.  The reports are yielded lazily, so a caller
     may stop at the first failure.
     """
     for c in claims:
@@ -368,7 +385,7 @@ def check_claims(
         if c.kind == "nested-dm":
             yield check_nested_dm(
                 [rows[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
-                [element_sets[j - 1] for j in c.layers], **named,
+                [element_sets[j - 1] for j in c.layers], subtract, **named,
             )
             continue
         block = rows[c.rows[0] : c.rows[1]] if c.rows else rows
@@ -381,7 +398,7 @@ def check_claims(
         if c.kind == "oa":
             yield check_oa_strength(block, levels[j - 1], c.strength, **named)
         elif c.kind == "dm":
-            yield check_difference_matrix(block, element_sets[j - 1], **named)
+            yield check_difference_matrix(block, element_sets[j - 1], subtract, **named)
         elif c.kind == "lh":
             yield check_latin_hypercube(block, **named)
         elif c.kind == "strat":

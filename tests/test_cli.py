@@ -302,6 +302,23 @@ class TestVerifyAndExport:
 _DESIGN = '"format": "nestfill-design", "version": "0.1.0"'
 CONSTRUCT_RH = ["construct", "--method", "rh-noa", "--k", "2", "--out", "x.json"]
 LIFT_NESTED = ["lift", "--design", "{rh}", "--mode", "nested", "--out", "x.json"]
+CONSTRUCT_NDM = ["construct", "--method", "ndm-product", "--p", "2", "--u", "1,2",
+                 "--out", "x.json"]
+
+
+def _gf4_oa(code):
+    """A GF(4) field-tower `oa` file with `code` in one cell."""
+    return ('{%s, "type": "oa", "rows": [[0, %d], [1, 0]], "layer_prefixes": [1, 2], '
+            '"chain": {"kind": "field-tower", "p": 2, "u_chain": [1, 2]}}' % (_DESIGN, code))
+
+
+_OUT_OF_RANGE = [
+    ({"d.json": _gf4_oa(code)}, argv)
+    for code in (99, -1)
+    for argv in (["verify", "--design", "d.json"],
+                 ["lift", "--design", "d.json", "--mode", "nested", "--out", "x.json"],
+                 CONSTRUCT_NDM + ["--input", "d.json"])
+]
 
 
 @pytest.mark.parametrize("files, argv", [
@@ -321,10 +338,18 @@ LIFT_NESTED = ["lift", "--design", "{rh}", "--mode", "nested", "--out", "x.json"
     ({"d.json": '{%s, "type": "oa", "rows": [[0, 1], [1, 0]], "slice_size": 1, '
       '"collapse_layer": 3, "chain": {"kind": "field-tower", "p": 2, "u_chain": [1]}}'
       % _DESIGN}, ["verify", "--design", "d.json"]),
+    ({"d.json": '{%s, "type": "lh", "rows": [[true], [0]]}' % _DESIGN},
+     ["verify", "--design", "d.json"]),
+    ({"d.json": '{%s, "type": "oa", "rows": [[0, 1], [1, 0]], '
+      '"chain": {"kind": "omega", "bases": [{"zn": 5000}]}}' % _DESIGN},
+     ["verify", "--design", "d.json"]),
+    *_OUT_OF_RANGE,
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
-        "collapse-layer-out-of-range"])
+        "collapse-layer-out-of-range", "bool-cell", "group-too-large-for-tables"]
+    + [f"code-out-of-range-{cmd}-{code}" for code in (99, -1)
+       for cmd in ("verify", "lift", "construct")])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -453,3 +478,25 @@ def test_lift_check_lists_pinned(lift_args, want, tmp_path, rh_design):
                "--out", str(out)) == 0
     assert run("verify", "--design", str(out), "--out", str(report)) == 0
     assert _check_names(report) == want
+
+
+def test_verify_counterexample_levels_as_element_text(tmp_path, rh_design, example3_inputs):
+    """A failing check names its levels, or its uncovered difference, by
+    element text: here for a tampered field-tower `oa` file and a tampered
+    omega-ring `dm` file."""
+    cases = [
+        # row 24 is (x, x^2, x^2+x): x -> x^2+x keeps rho_1 and rho_2, breaks rho_3
+        (rh_design, (24, 0), 6, "nested-oa[layer 3 via rho_3]", "levels", ["x", "x^2"]),
+        # row 4 is (0, w, 2w): w -> 2w keeps rho_1, breaks layer 2 via rho_2
+        (_construct_golden("kron-ndm", tmp_path, example3_inputs)[0], (4, 1), 8,
+         "nested-dm[layer 2 via rho_2]", "element", "w"),
+    ]
+    for path, (r, c), code, check, key, want in cases:
+        data = json.loads(path.read_text())
+        data["rows"][r][c] = code
+        bad, report = tmp_path / "bad.json", tmp_path / "report.json"
+        bad.write_text(json.dumps(data))
+        assert run("verify", "--design", str(bad), "--out", str(report)) == 3
+        first = json.loads(report.read_text())["checks"][0]
+        assert first["check"] == check
+        assert first["counterexample"][key] == want
