@@ -6,8 +6,9 @@ Every constructor declares the structural claims of what it built as a
 list of :class:`~nestfill.verify.Claim` and re-verifies them with the
 brute-force oracles in :mod:`nestfill.verify` before returning; a failed
 oracle raises :class:`VerificationFailure` rather than handing back a
-mislabeled object.  The reports of the checks that ran are kept on the
-result for callers that want to surface them.
+mislabeled object.  A result names its nested and sliced structure by
+these claims (a nested claim's `rows` are the prefix stops, a sliced claim's
+`size` the block size) and keeps the reports of the checks that ran.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ class OrthogonalArray:
     matrix: GroupMatrix
     levels: int
     strength: int
-    chain: Optional[GroupChain] = None
-    layer: Optional[int] = None
-    alphabet: str = "layer"  # "layer" (F_i) or "transversal" (T_i)
 
     @property
     def n(self) -> int:
@@ -51,61 +49,9 @@ class OrthogonalArray:
 
 @dataclass
 class DifferenceMatrix:
+    """An input difference matrix of a column-wise Kronecker tower."""
+
     matrix: GroupMatrix
-    group_order: int
-    chain: Optional[GroupChain] = None
-    layer: Optional[int] = None
-    alphabet: str = "layer"
-
-
-@dataclass
-class NestedArray:
-    """Row-prefix nested layers of one top matrix, collapsed by chain layers.
-
-    prefix_sizes[i] rows of `top` form layer i+1; proj_layers[i] names the
-    chain projection whose collapse turns that layer into an OA/DM.
-    """
-
-    chain: GroupChain
-    top: GroupMatrix
-    prefix_sizes: tuple[int, ...]
-    proj_layers: tuple[int, ...]
-    strength: int
-    kind: str = "oa"
-
-    def layer_matrix(self, i: int) -> GroupMatrix:
-        return self.top.prefix(self.prefix_sizes[i - 1])
-
-    @property
-    def layers(self) -> int:
-        return len(self.prefix_sizes)
-
-    def claim(self, name: str = "") -> Claim:
-        kind = "nested" if self.kind == "oa" else "nested-dm"
-        return Claim(kind, name, self.prefix_sizes, self.proj_layers, self.strength)
-
-
-@dataclass
-class SlicedArray:
-    """A top matrix partitioned into consecutive row blocks, each of which
-    collapses to a lower-layer array under the named projection."""
-
-    chain: GroupChain
-    top: GroupMatrix
-    slice_size: int
-    proj_layer: int
-    strength: int
-
-    def slices(self) -> list[GroupMatrix]:
-        n = self.top.n_rows
-        return [
-            self.top.row_block(l * self.slice_size, (l + 1) * self.slice_size)
-            for l in range(n // self.slice_size)
-        ]
-
-    def claim(self, name: str = "") -> Claim:
-        return Claim("sliced", name, layers=(self.proj_layer,), strength=self.strength,
-                     size=self.slice_size)
 
 
 @dataclass(frozen=True)
@@ -213,12 +159,6 @@ def _require_claims(reports: list, matrix: GroupMatrix, claims, chain: GroupChai
         reports.append(_require(rep, matrix))
 
 
-def _family_claims(nested: NestedArray, sliced: Sequence[SlicedArray]) -> list[Claim]:
-    return [nested.claim()] + [
-        sl.claim(f"sliced[{sl.slice_size} rows via rho_{sl.proj_layer}]") for sl in sliced
-    ]
-
-
 def _delta_claims(i: int, size: int, n_blocks: int) -> list[Claim]:
     """Block l of `size` rows, collapsed to each layer j <= i, is a DM."""
     return [
@@ -232,15 +172,13 @@ def rao_hamming_oa(
     elements: Sequence[FieldElement],
     k: int,
     columns: Optional[Sequence[Sequence[FieldElement]]] = None,
-    chain: Optional[GroupChain] = None,
-    layer: Optional[int] = None,
 ) -> OrthogonalArray:
     """Full factorial rows times a generator matrix; verified at strength 2."""
     gen = generator_matrix(elements, k, columns)
     mat = _matmul(full_factorial(elements, k), gen)
     s = len(elements)
     _require(check_oa_strength(mat.code_rows, s, 2, name="rao-hamming"), mat)
-    return OrthogonalArray(mat, s, 2, chain=chain, layer=layer)
+    return OrthogonalArray(mat, s, 2)
 
 
 def build_h_tower(chain: GroupChain, k: int) -> list[GroupMatrix]:
@@ -267,40 +205,52 @@ def build_h_tower(chain: GroupChain, k: int) -> list[GroupMatrix]:
 
 
 @dataclass
-class NoaFamily:
-    """A_I with its nested layers and every sliced family it carries."""
+class NestedFamily:
+    """A top matrix with the claims it was verified against: its row
+    prefixes are the nested layers (`nested`, kind "nested" or "nested-dm",
+    whose `rows` are the prefix stops) and its row blocks the `sliced`
+    families.  `generator` is set by the generator-matrix constructions."""
 
     chain: GroupChain
-    k: int
-    strength: int
-    generator: GeneratorMatrix
-    h_tower: list[GroupMatrix]
     top: GroupMatrix
-    nested: NestedArray
-    sliced: list[SlicedArray]
+    nested: Claim
+    sliced: list[Claim] = field(default_factory=list)
     verification: list[VerificationReport] = field(default_factory=list)
+    generator: Optional[GeneratorMatrix] = None
 
     def a(self, i: int) -> GroupMatrix:
-        return self.nested.layer_matrix(i)
+        """Nested layer i: the first `nested.rows[i-1]` rows of the top."""
+        return self.top.prefix(self.nested.rows[i - 1])
+
+    def delta(self, i: int, l: int) -> GroupMatrix:
+        """Row block l (1-based) of the top, in blocks of layer i's size."""
+        size = self.nested.rows[i - 1]
+        return self.top.row_block((l - 1) * size, l * size)
 
 
-def _construct_noa(chain: GroupChain, k: int, gen: GeneratorMatrix, strength: int) -> NoaFamily:
-    if k < 2:
-        raise SpecError("k must be >= 2 so strength-2 claims are checkable")
-    tower = build_h_tower(chain, k)
-    top = _matmul(tower[-1], gen)
-    prefix_sizes = tuple(s**k for s in chain.sizes)
-    nested = NestedArray(
-        chain, top, prefix_sizes, tuple(range(1, chain.layers + 1)), strength
-    )
+def _noa_family(chain: GroupChain, top: GroupMatrix, stops: tuple[int, ...], strength: int,
+                reports: list, generator: Optional[GeneratorMatrix] = None) -> NestedFamily:
+    """Verify `top` as a nested family with prefix stops `stops` and, for
+    every layer i below the top and j <= i, sliced in blocks of stop i
+    collapsed by rho_j."""
     sliced = [
-        SlicedArray(chain, top, prefix_sizes[i - 1], j, strength)
+        Claim("sliced", f"sliced[{stops[i - 1]} rows via rho_{j}]", layers=(j,),
+              strength=strength, size=stops[i - 1])
         for i in range(1, chain.layers)
         for j in range(1, i + 1)
     ]
-    fam = NoaFamily(chain, k, strength, gen, tower, top, nested, sliced)
-    _require_claims(fam.verification, top, _family_claims(nested, sliced), chain)
+    nested = Claim("nested", rows=stops, layers=tuple(range(1, chain.layers + 1)),
+                   strength=strength)
+    fam = NestedFamily(chain, top, nested, sliced, reports, generator)
+    _require_claims(reports, top, [nested, *sliced], chain)
     return fam
+
+
+def _construct_noa(chain: GroupChain, gen: GeneratorMatrix, strength: int) -> NestedFamily:
+    if gen.k < 2:
+        raise SpecError("k must be >= 2 so strength-2 claims are checkable")
+    top = _matmul(build_h_tower(chain, gen.k)[-1], gen)
+    return _noa_family(chain, top, tuple(s**gen.k for s in chain.sizes), strength, [], gen)
 
 
 def _require_tower(chain: GroupChain):
@@ -311,17 +261,17 @@ def _require_tower(chain: GroupChain):
 
 def construct_noa_rh(
     chain: GroupChain, k: int, columns: Optional[Sequence[Sequence[FieldElement]]] = None
-) -> NoaFamily:
+) -> NestedFamily:
     """Strength-2 nested family from the prime-field generator matrix."""
     tower = _require_tower(chain)
     base = [tower.field.element(c) for c in range(tower.p)]
     gen = generator_matrix(base, k, columns)
-    return _construct_noa(tower, k, gen, 2)
+    return _construct_noa(tower, gen, 2)
 
 
 def construct_noa_subfield(
     chain: GroupChain, k: int, columns: Optional[Sequence[Sequence[FieldElement]]] = None
-) -> NoaFamily:
+) -> NestedFamily:
     """As construct_noa_rh but with generator coefficients from layer 1,
     giving (s_1^k - 1)/(s_1 - 1) columns.
 
@@ -335,7 +285,7 @@ def construct_noa_subfield(
             "(kind 'subfield-tower', degrees dividing upward)"
         )
     gen = generator_matrix(chain.layer_elements(1), k, columns)
-    return _construct_noa(chain, k, gen, 2)
+    return _construct_noa(chain, gen, 2)
 
 
 def bush_matrix(chain: GroupChain, k: int) -> GeneratorMatrix:
@@ -353,7 +303,7 @@ def bush_matrix(chain: GroupChain, k: int) -> GeneratorMatrix:
     return GeneratorMatrix(k, tower.field, tuple(cols))
 
 
-def construct_noa_bush(chain: GroupChain, k: int) -> NoaFamily:
+def construct_noa_bush(chain: GroupChain, k: int) -> NestedFamily:
     """Strength-k nested family from the power-matrix columns; needs
     s_1 >= k-1 and u_i | u_{i+1}."""
     tower = _require_tower(chain)
@@ -361,7 +311,7 @@ def construct_noa_bush(chain: GroupChain, k: int) -> NoaFamily:
         if b % a:
             raise SpecError(f"layer degrees must divide upward, got {list(tower.u_chain)}")
     gen = bush_matrix(tower, k)
-    return _construct_noa(tower, k, gen, k)
+    return _construct_noa(tower, gen, k)
 
 
 @dataclass
@@ -374,22 +324,18 @@ class NdmProduct:
     d: GroupMatrix
     a_plus_d: GroupMatrix
     combined: GroupMatrix  # row reordering of a_plus_d: D-row-major
-    dm_nested: NestedArray
-    noa_nested: NestedArray
+    dm_nested: Claim  # D's prefixes of s_1, ..., s_I rows
+    noa_nested: Claim  # the combined array's prefixes of n*s_1, ..., n*s_I rows
     verification: list[VerificationReport] = field(default_factory=list)
 
     def delta(self, i: int, l: int) -> GroupMatrix:
         s_i = self.chain.sizes[i - 1]
         return self.d.row_block((l - 1) * s_i, l * s_i)
 
-    def soa(self, i: int, j: int) -> SlicedArray:
-        return SlicedArray(
-            self.chain,
-            self.combined,
-            self.a.n * self.chain.sizes[i - 1],
-            j,
-            self.a.strength,
-        )
+    def soa(self, i: int, j: int) -> Claim:
+        """The combined array in blocks A (+) Delta^i_l, collapsed by rho_j."""
+        return Claim("sliced", f"sliced A(+)Delta^{i} via rho_{j}", layers=(j,),
+                     strength=self.a.strength, size=self.a.n * self.chain.sizes[i - 1])
 
 
 def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
@@ -421,21 +367,9 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
          for drow in d.code_rows for arow in a.matrix.code_rows], fld
     )
     layers = tower.layers
-    dm_nested = NestedArray(
-        tower,
-        d,
-        tuple(s),
-        tuple(range(1, layers + 1)),
-        strength=0,
-        kind="dm",
-    )
-    noa_nested = NestedArray(
-        tower,
-        combined,
-        tuple(n * si for si in s),
-        tuple(range(1, layers + 1)),
-        strength=2,
-    )
+    all_layers = tuple(range(1, layers + 1))
+    dm_nested = Claim("nested-dm", "I-layer ndm", tuple(s), all_layers)
+    noa_nested = Claim("nested", "I-layer noa", tuple(n * si for si in s), all_layers)
     out = NdmProduct(tower, a, d, a_plus_d, combined, dm_nested, noa_nested, reports)
 
     # D and the full-size OA
@@ -455,20 +389,20 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
             for blocks in range(1, s_top // s[i - 1])
             for j in range(1, i + 1)
         ]
-    d_claims.append(dm_nested.claim("I-layer ndm"))
+    d_claims.append(dm_nested)
     _require_claims(reports, d, d_claims, tower)
     # sliced and nested OA wrappers around the combined array
     combined_claims = []
     for i in range(1, layers):
         for j in range(1, i + 1):
-            combined_claims.append(out.soa(i, j).claim(f"sliced A(+)Delta^{i} via rho_{j}"))
+            combined_claims.append(out.soa(i, j))
             combined_claims += [
                 Claim("nested",
                       f"two-layer noa (A(+)Delta({i},{blocks}), A(+)D; rho_{j}, rho_{layers})",
                       (blocks * s[i - 1] * n, combined.n_rows), (j, layers))
                 for blocks in range(1, s_top // s[i - 1])
             ]
-    combined_claims.append(noa_nested.claim("I-layer noa"))
+    combined_claims.append(noa_nested)
     _require_claims(reports, combined, combined_claims, tower)
     return out
 
@@ -507,51 +441,30 @@ def _check_kron_inputs(
     return reports
 
 
-def _kron_tower(mats: Sequence[GroupMatrix], name: str) -> list[GroupMatrix]:
+def _kron_tower(mats: Sequence[GroupMatrix], name: str) -> tuple[GroupMatrix, tuple[int, ...]]:
     """T_1 = M_1 and T_i = M_i (+c) T_{i-1}; each T_i must be a row prefix of
-    the top T_I, so the T_i's run sizes are the nested layer stops."""
+    the top T_I.  Returns T_I and the T_i's run sizes, the nested layer
+    stops."""
     tops = [mats[0]]
     for m in mats[1:]:
         tops.append(col_kron_sum(m, tops[-1]))
     for i, t in enumerate(tops, start=1):
         if t.code_rows != tops[-1].code_rows[: t.n_rows]:
             raise VerificationFailure(f"{name}_{i} is not a prefix of the top matrix")
-    return tops
+    return tops[-1], tuple(t.n_rows for t in tops)
 
 
-@dataclass
-class KronNoa:
-    chain: GroupChain
-    strength: int
-    tops: list[GroupMatrix]  # B_1, ..., B_I
-    nested: NestedArray
-    sliced: list[SlicedArray]
-    verification: list[VerificationReport] = field(default_factory=list)
-
-    @property
-    def top(self) -> GroupMatrix:
-        return self.tops[-1]
-
-
-def construct_noa_kron_multi(arrays: Sequence[OrthogonalArray], chain: GroupChain) -> KronNoa:
+def construct_noa_kron_multi(
+    arrays: Sequence[OrthogonalArray], chain: GroupChain
+) -> NestedFamily:
     """B_i = A_i (+c) ... (+c) A_1 for inputs over the chain's transversals.
 
     Every input beyond the first must start with an all-zero row so that
     each B_i is literally a row prefix of B_{i+1}.
     """
     reports = _check_kron_inputs(chain, arrays, require_zero_rows=True)
-    strength = min(a.strength for a in arrays)
-    tops = _kron_tower([a.matrix for a in arrays], "B")
-    cum = tuple(b.n_rows for b in tops)
-    nested = NestedArray(chain, tops[-1], cum, tuple(range(1, chain.layers + 1)), strength)
-    sliced = [
-        SlicedArray(chain, tops[-1], cum[i - 1], j, strength)
-        for i in range(1, chain.layers)
-        for j in range(1, i + 1)
-    ]
-    out = KronNoa(chain, strength, tops, nested, sliced, reports)
-    _require_claims(reports, tops[-1], _family_claims(nested, sliced), chain)
-    return out
+    top, stops = _kron_tower([a.matrix for a in arrays], "B")
+    return _noa_family(chain, top, stops, min(a.strength for a in arrays), reports)
 
 
 @dataclass
@@ -559,20 +472,16 @@ class KronSoa:
     chain: GroupChain
     strength: int
     b: OrthogonalArray
-    soa: SlicedArray
+    soa: Claim  # B in blocks of A_1's run size, collapsed by rho_1
     verification: list[VerificationReport] = field(default_factory=list)
 
     def prefix(self, l: int) -> GroupMatrix:
-        return self.b.matrix.prefix(l * self.soa.slice_size)
+        return self.b.matrix.prefix(l * self.soa.size)
 
-    def prefix_noa(self, l: int) -> NestedArray:
-        return NestedArray(
-            self.chain,
-            self.b.matrix,
-            (l * self.soa.slice_size, self.b.n),
-            (1, self.chain.layers),
-            self.strength,
-        )
+    def prefix_noa(self, l: int) -> Claim:
+        """The first l slices nested in B, collapsed by rho_1 and rho_2."""
+        return Claim("nested", f"two-layer noa (B^{l}, B)", (l * self.soa.size, self.b.n),
+                     (1, self.chain.layers), self.strength)
 
 
 def construct_soa_kron(
@@ -589,44 +498,26 @@ def construct_soa_kron(
     reports = _check_kron_inputs(chain, [a1, a2], require_zero_rows=False)
     strength = min(a1.strength, a2.strength)
     b_mat = col_kron_sum(a2.matrix, a1.matrix)
-    n1 = a1.matrix.n_rows
-    b = OrthogonalArray(b_mat, chain.sizes[-1], strength, chain=chain, layer=2)
-    soa = SlicedArray(chain, b_mat, n1, 1, strength)
-    out = KronSoa(chain, strength, b, soa, reports)
-    claims = [Claim("oa", "B", strength=strength), soa.claim("B slices")] + [
-        out.prefix_noa(l).claim(f"two-layer noa (B^{l}, B)")
-        for l in range(1, a2.matrix.n_rows)
+    soa = Claim("sliced", "B slices", layers=(1,), strength=strength, size=a1.matrix.n_rows)
+    out = KronSoa(chain, strength, OrthogonalArray(b_mat, chain.sizes[-1], strength), soa,
+                  reports)
+    claims = [Claim("oa", "B", strength=strength), soa] + [
+        out.prefix_noa(l) for l in range(1, a2.matrix.n_rows)
     ]
     _require_claims(reports, b_mat, claims, chain)
     return out
 
 
-@dataclass
-class KronNdm:
-    chain: GroupChain
-    tops: list[GroupMatrix]  # E_1, ..., E_I
-    nested: NestedArray
-    verification: list[VerificationReport] = field(default_factory=list)
-
-    @property
-    def top(self) -> GroupMatrix:
-        return self.tops[-1]
-
-    def delta(self, i: int, l: int) -> GroupMatrix:
-        size = self.nested.prefix_sizes[i - 1]
-        return self.top.row_block((l - 1) * size, l * size)
-
-
-def construct_ndm_kron(dms: Sequence[DifferenceMatrix], chain: GroupChain) -> KronNdm:
+def construct_ndm_kron(dms: Sequence[DifferenceMatrix], chain: GroupChain) -> NestedFamily:
     """E_i = D_i (+c) ... (+c) D_1 for difference matrices over the chain's
     transversals; verified as a nested difference-matrix tower with slices."""
     reports = _check_kron_inputs(chain, dms, require_zero_rows=True)
-    tops = _kron_tower([dm.matrix for dm in dms], "E")
-    cum = tuple(e.n_rows for e in tops)
-    nested = NestedArray(chain, tops[-1], cum, tuple(range(1, chain.layers + 1)), 0, kind="dm")
-    out = KronNdm(chain, tops, nested, reports)
-    claims = [nested.claim()]
+    top, stops = _kron_tower([dm.matrix for dm in dms], "E")
+    out = NestedFamily(chain, top, Claim("nested-dm", rows=stops,
+                                         layers=tuple(range(1, chain.layers + 1))),
+                       verification=reports)
+    claims = [out.nested]
     for i in range(1, chain.layers):
-        claims += _delta_claims(i, cum[i - 1], tops[-1].n_rows // cum[i - 1])
-    _require_claims(reports, tops[-1], claims, chain)
+        claims += _delta_claims(i, stops[i - 1], top.n_rows // stops[i - 1])
+    _require_claims(reports, top, claims, chain)
     return out

@@ -13,12 +13,11 @@ import json
 import os
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import __version__
 from .arrays import (
     DifferenceMatrix,
-    NestedArray,
+    NestedFamily,
     OrthogonalArray,
     construct_from_ndm,
     construct_ndm_kron,
@@ -94,13 +93,10 @@ def _parse_columns(text: str, chain: GroupChain):
 def _load_input_design(path, chain: GroupChain, layer: int, want: str):
     design = load(path)
     rows = GroupMatrix(design.rows, chain.group)
+    if want == "dm":
+        return DifferenceMatrix(rows)
     levels = design.s if design.s else len(chain.transversal_codes(layer))
-    t = design.t_claimed if design.t_claimed else 2
-    if want == "oa":
-        return OrthogonalArray(rows, levels, t, chain=chain, layer=layer,
-                               alphabet="transversal")
-    return DifferenceMatrix(rows, levels, chain=chain, layer=layer,
-                            alphabet="transversal")
+    return OrthogonalArray(rows, levels, design.t_claimed or 2)
 
 
 def _write_design(design: DesignFile, out: str, fmt: str) -> Path:
@@ -149,19 +145,17 @@ def cmd_construct(args) -> int:
             if columns is not None:
                 raise SpecError("bush-noa derives its own coefficient matrix")
             out = construct_noa_bush(chain, args.k)
-        design = _design_file("oa", out.top, chain, method, params, t_claimed=out.strength,
-                              layer_prefixes=list(out.nested.prefix_sizes))
+        design = _design_file("oa", out.top, chain, method, params,
+                              t_claimed=out.nested.strength, layer_prefixes=list(out.nested.rows))
     elif method == "ndm-product":
         if len(args.input) != 1:
             raise SpecError("ndm-product takes exactly one --input array")
         a = _load_input_design(args.input[0], chain, chain.layers, "oa")
-        a = OrthogonalArray(a.matrix, chain.top_size, 2, chain=chain,
-                            layer=chain.layers, alphabet="layer")
-        out = construct_from_ndm(chain, a)
+        out = construct_from_ndm(chain, OrthogonalArray(a.matrix, chain.top_size, 2))
         design = _design_file("oa", out.combined, chain, method, params, t_claimed=2,
-                              layer_prefixes=list(out.noa_nested.prefix_sizes))
+                              layer_prefixes=list(out.noa_nested.rows))
         d_design = _design_file("dm", out.d, chain, "ndm-product-dm", params,
-                                layer_prefixes=list(out.dm_nested.prefix_sizes))
+                                layer_prefixes=list(out.dm_nested.rows))
         base = Path(args.out)
         _write_design(d_design, str(base.parent / (base.stem + "-dm" + base.suffix)),
                       args.format)
@@ -176,19 +170,19 @@ def cmd_construct(args) -> int:
         if method == "kron-ndm":
             out = construct_ndm_kron(inputs, chain)
             design = _design_file("dm", out.top, chain, method, params,
-                                  layer_prefixes=list(out.nested.prefix_sizes))
+                                  layer_prefixes=list(out.nested.rows))
         elif method == "kron-soa":
             if len(inputs) != 2:
                 raise SpecError("kron-soa takes exactly two --input arrays")
             out = construct_soa_kron(inputs[1], inputs[0], chain)
             design = _design_file("oa", out.b.matrix, chain, method, params,
                                   t_claimed=out.strength,
-                                  slice_size=out.soa.slice_size, collapse_layer=1)
+                                  slice_size=out.soa.size, collapse_layer=1)
         else:
             out = construct_noa_kron_multi(inputs, chain)
             design = _design_file("oa", out.top, chain, method, params,
-                                  t_claimed=out.strength,
-                                  layer_prefixes=list(out.nested.prefix_sizes))
+                                  t_claimed=out.nested.strength,
+                                  layer_prefixes=list(out.nested.rows))
     reports = out.verification
     out_path = _write_design(design, args.out, args.format)
     _write_report(reports, out_path)
@@ -197,24 +191,28 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _load_family(design: DesignFile):
+def _layer_stops(design: DesignFile, chain: GroupChain) -> tuple[int, ...]:
+    """The file's `layer_prefixes`: one per chain layer, strictly increasing,
+    the last one the file's row count."""
+    stops = tuple(design.layer_prefixes)
+    if len(stops) != chain.layers:
+        raise SpecError(f"{len(stops)} layer prefixes for a {chain.layers}-layer chain")
+    if any(b <= a for a, b in zip(stops, stops[1:])):
+        raise SpecError(f"layer prefixes {list(stops)} are not strictly increasing")
+    if stops[-1] != design.n:
+        raise SpecError(f"last layer prefix {stops[-1]} is not the row count {design.n}")
+    return stops
+
+
+def _load_family(design: DesignFile) -> NestedFamily:
     chain = design.load_chain()
     if chain is None:
         raise SpecError("design file carries no chain; cannot lift")
     if not design.layer_prefixes:
         raise SpecError("design file carries no layer prefixes; cannot lift")
-    if len(design.layer_prefixes) != chain.layers:
-        raise SpecError(
-            f"{len(design.layer_prefixes)} layer prefixes for a "
-            f"{chain.layers}-layer chain"
-        )
-    top = GroupMatrix(design.rows, chain.group)
-    nested = NestedArray(
-        chain, top, tuple(design.layer_prefixes),
-        tuple(range(1, chain.layers + 1)),
-        design.t_claimed or 2,
-    )
-    return SimpleNamespace(chain=chain, nested=nested, top=top)
+    nested = Claim("nested", rows=_layer_stops(design, chain),
+                   layers=tuple(range(1, chain.layers + 1)), strength=design.t_claimed or 2)
+    return NestedFamily(chain, GroupMatrix(design.rows, chain.group), nested)
 
 
 def _load_permutations(path, kind: str, chain: GroupChain):
@@ -320,7 +318,7 @@ def verify_design(design: DesignFile) -> list:
     rows = GroupMatrix(design.rows, chain.group).code_rows
     inputs = chain.oracle_inputs()
     layers = tuple(range(1, chain.layers + 1))
-    prefixes = tuple(design.layer_prefixes or ())
+    prefixes = _layer_stops(design, chain) if design.layer_prefixes else ()
     if design.type == "oa":
         t = design.t_claimed or 2
         claims = [Claim("nested", rows=prefixes, layers=layers, strength=t)

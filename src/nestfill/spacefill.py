@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .arrays import NoaFamily
+from .arrays import NestedFamily
 from .errors import SpecError
 from .groups import GroupElement
 
@@ -171,13 +171,13 @@ def oa_based_lh(rows: Sequence[Sequence[int]], s: int, seed, tag="lh") -> list[l
     return out
 
 
-def _relabel(matrix, ordering: Sequence[int], relabels: Sequence[Sequence[int]]):
-    """Column j sends the code at position r of `ordering` to relabels[j][r]."""
+def _position_labels(ordering: Sequence[int], relabels: Sequence[Sequence[int]]):
+    """Per-column label tables: column j sends the code at position r of
+    `ordering` to relabels[j][r]."""
     position = [0] * len(ordering)
     for r, code in enumerate(ordering):
         position[code] = r
-    labels = [[relabel[r] for r in position] for relabel in relabels]
-    return [list(map(list.__getitem__, labels, row)) for row in matrix.code_rows]
+    return [[relabel[r] for r in position] for relabel in relabels]
 
 
 @dataclass
@@ -215,8 +215,21 @@ def _check_perms(perms, m, sizes, cls):
             )
 
 
+def _lift(family: NestedFamily, labels: Sequence[Sequence[int]], kind: str,
+          grids: list[dict], seed, stage: str, permutations=()) -> LiftedDesign:
+    """Relabel the family's top array code by code through the per-column
+    `labels` tables, then (unless `stage` is "relabel-only") lift it."""
+    if stage not in ("full", "relabel-only"):
+        raise SpecError(f"unknown stage {stage!r}")
+    design = [list(map(list.__getitem__, labels, row)) for row in family.top.code_rows]
+    top_size = family.chain.top_size
+    lifted = oa_based_lh(design, top_size, seed) if stage == "full" else None
+    return LiftedDesign(design, top_size, lifted, kind, grids, seed,
+                        [list(p.values) for p in permutations])
+
+
 def build_nsfd(
-    family: NoaFamily,
+    family: NestedFamily,
     permutations: Sequence[NestedPermutation],
     seed=0,
     stage: str = "full",
@@ -225,27 +238,15 @@ def build_nsfd(
     outer-first enumeration, then lift to a Latin hypercube whose row
     prefixes stratify progressively finer grids."""
     chain = family.chain
-    nested = family.nested
-    _check_perms(permutations, nested.top.n_cols, chain.sizes, NestedPermutation)
-    ordering = chain.ordered_codes("outer-first")
-    design = _relabel(nested.top, ordering, [p.values for p in permutations])
-    grids = [
-        {"rows": nested.prefix_sizes[i - 1], "grid": chain.sizes[i - 1]}
-        for i in range(1, chain.layers + 1)
-    ]
-    lifted = None
-    if stage == "full":
-        lifted = oa_based_lh(design, chain.top_size, seed)
-    elif stage != "relabel-only":
-        raise SpecError(f"unknown stage {stage!r}")
-    return LiftedDesign(
-        design, chain.top_size, lifted, "nested", grids, seed,
-        [list(p.values) for p in permutations],
-    )
+    _check_perms(permutations, family.top.n_cols, chain.sizes, NestedPermutation)
+    labels = _position_labels(chain.ordered_codes("outer-first"),
+                              [p.values for p in permutations])
+    grids = [{"rows": stop, "grid": s} for stop, s in zip(family.nested.rows, chain.sizes)]
+    return _lift(family, labels, "nested", grids, seed, stage, permutations)
 
 
 def build_ssfd_multi(
-    family: NoaFamily,
+    family: NestedFamily,
     permutations: Sequence[SlicedPermutation],
     seed=0,
     stage: str = "full",
@@ -253,28 +254,19 @@ def build_ssfd_multi(
     """Relabel through sliced permutations keyed by the inner-first
     enumeration; the result slices evenly at every layer below the top."""
     chain = family.chain
-    nested = family.nested
-    _check_perms(permutations, nested.top.n_cols, chain.sizes, SlicedPermutation)
-    ordering = chain.ordered_codes("inner-first")
-    design = _relabel(nested.top, ordering, [p.values for p in permutations])
+    _check_perms(permutations, family.top.n_cols, chain.sizes, SlicedPermutation)
+    labels = _position_labels(chain.ordered_codes("inner-first"),
+                              [p.values for p in permutations])
     grids = [
-        {"slice_size": nested.prefix_sizes[i - 1], "grid": chain.sizes[i - 1]}
-        for i in range(1, chain.layers)
+        {"slice_size": stop, "grid": s}
+        for stop, s in zip(family.nested.rows[:-1], chain.sizes)
     ]
-    grids.append({"rows": nested.top.n_rows, "grid": chain.top_size})
-    lifted = None
-    if stage == "full":
-        lifted = oa_based_lh(design, chain.top_size, seed)
-    elif stage != "relabel-only":
-        raise SpecError(f"unknown stage {stage!r}")
-    return LiftedDesign(
-        design, chain.top_size, lifted, "sliced", grids, seed,
-        [list(p.values) for p in permutations],
-    )
+    grids.append({"rows": family.top.n_rows, "grid": chain.top_size})
+    return _lift(family, labels, "sliced", grids, seed, stage, permutations)
 
 
 def build_ssfd_grouped(
-    family: NoaFamily,
+    family: NestedFamily,
     i: int,
     j: int,
     group_order: Optional[Sequence[GroupElement]] = None,
@@ -301,18 +293,11 @@ def build_ssfd_grouped(
         members = [c for c, v in enumerate(proj) if v == alpha]
         for offset, c in enumerate(members):
             label[c] = g * q + offset
-    design = [[label[c] for c in row] for row in family.nested.top.code_rows]
-    slice_size = family.nested.prefix_sizes[i - 1]
     grids = [
-        {"slice_size": slice_size, "grid": chain.sizes[j - 1]},
-        {"rows": family.nested.top.n_rows, "grid": chain.top_size},
+        {"slice_size": family.nested.rows[i - 1], "grid": chain.sizes[j - 1]},
+        {"rows": family.top.n_rows, "grid": chain.top_size},
     ]
-    lifted = None
-    if stage == "full":
-        lifted = oa_based_lh(design, chain.top_size, seed)
-    elif stage != "relabel-only":
-        raise SpecError(f"unknown stage {stage!r}")
-    return LiftedDesign(design, chain.top_size, lifted, "grouped", grids, seed, [])
+    return _lift(family, [label] * family.top.n_cols, "grouped", grids, seed, stage)
 
 
 def compose_qual_quant(

@@ -222,32 +222,43 @@ def check_projection_compatibility(
     projections: Sequence[Mapping], name: str = "projection-compatibility"
 ) -> VerificationReport:
     """Coarser projections must refine finer ones: if two values collapse
-    together at layer i they must also collapse together at every j <= i."""
-    for i in range(len(projections)):
-        domain = list(projections[i])
+    together at layer i they must also collapse together at every j <= i.
+
+    A failure names the first violating (j, i) layer pair and its
+    lexicographically first pair (a, b) in the domain order of layer i: a is
+    the first member of the first layer-i class (in order of first members)
+    that layer j splits, and b the first member of that class split from a.
+    """
+    for i, proj_i in enumerate(projections):
+        classes: dict = {}  # layer-i image -> its members in domain order
+        for a in proj_i:
+            classes.setdefault(proj_i[a], []).append(a)
         for j in range(i):
-            for a in domain:
-                for b in domain:
-                    if projections[i][a] == projections[i][b] and projections[j][a] != projections[j][b]:
-                        return VerificationReport(
-                            name, False, "refinement violated",
-                            {"layers": [j + 1, i + 1], "pair": [a, b]},
-                        )
+            proj_j = projections[j]
+            for a, *rest in classes.values():
+                b = next((b for b in rest if proj_j[b] != proj_j[a]), None)
+                if b is not None:
+                    return VerificationReport(
+                        name, False, "refinement violated",
+                        {"layers": [j + 1, i + 1], "pair": [a, b]},
+                    )
     return VerificationReport(name, True)
 
 
-def check_nested(
+def _check_layers(
     layers: Sequence[Sequence[Sequence]],
     projections: Sequence[Mapping],
-    s_levels: Sequence[int],
-    t: int,
-    name: str = "nested-oa",
+    per_layer: Sequence,
+    oracle: Callable,
+    name: str,
+    detail: str,
 ) -> VerificationReport:
-    """Row-prefix containment plus the strength condition on every collapse
-    of every layer, plus compatibility of the projection family."""
+    """Row-prefix containment, compatibility of the projection family, and
+    `oracle(rows, per_layer[j], name)` on every collapse rho_j (j <= i) of
+    every layer i."""
     mats = [[tuple(r) for r in layer] for layer in layers]
-    if len(mats) != len(projections) or len(mats) != len(s_levels):
-        raise SpecError("layers, projections and level counts must align")
+    if len(mats) != len(projections) or len(mats) != len(per_layer):
+        raise SpecError("layers, projections and per-layer levels must align")
     for i in range(len(mats) - 1):
         n_i = len(mats[i])
         if len(mats[i + 1]) <= n_i:
@@ -267,13 +278,27 @@ def check_nested(
         return VerificationReport(name, False, compat.detail, compat.counterexample)
     for i, mat in enumerate(mats):
         for j in range(i + 1):
-            rep = check_oa_strength(
-                _project_rows(mat, projections[j]), s_levels[j], t,
-                name=f"{name}[layer {i + 1} via rho_{j + 1}]",
-            )
+            rep = oracle(_project_rows(mat, projections[j]), per_layer[j],
+                         f"{name}[layer {i + 1} via rho_{j + 1}]")
             if not rep:
                 return rep
-    return VerificationReport(name, True, f"{len(mats)} layers, strength {t}")
+    return VerificationReport(name, True, detail)
+
+
+def check_nested(
+    layers: Sequence[Sequence[Sequence]],
+    projections: Sequence[Mapping],
+    s_levels: Sequence[int],
+    t: int,
+    name: str = "nested-oa",
+) -> VerificationReport:
+    """Row-prefix containment plus the strength condition on every collapse
+    of every layer, plus compatibility of the projection family."""
+    return _check_layers(
+        layers, projections, s_levels,
+        lambda rows, s, layer_name: check_oa_strength(rows, s, t, name=layer_name),
+        name, f"{len(layers)} layers, strength {t}",
+    )
 
 
 def check_nested_dm(
@@ -283,26 +308,14 @@ def check_nested_dm(
     subtract: Callable = operator.sub,
     name: str = "nested-dm",
 ) -> VerificationReport:
-    """Difference-matrix analogue of check_nested."""
-    mats = [[tuple(r) for r in layer] for layer in layers]
-    for i in range(len(mats) - 1):
-        n_i = len(mats[i])
-        if mats[i + 1][:n_i] != mats[i]:
-            return VerificationReport(
-                name, False, f"layer {i + 1} is not a row prefix of layer {i + 2}"
-            )
-    compat = check_projection_compatibility(projections)
-    if not compat:
-        return VerificationReport(name, False, compat.detail, compat.counterexample)
-    for i, mat in enumerate(mats):
-        for j in range(i + 1):
-            rep = check_difference_matrix(
-                _project_rows(mat, projections[j]), element_sets[j], subtract,
-                name=f"{name}[layer {i + 1} via rho_{j + 1}]",
-            )
-            if not rep:
-                return rep
-    return VerificationReport(name, True, f"{len(mats)} layers")
+    """Difference-matrix analogue of check_nested: every collapse rho_j of
+    every layer must be a difference matrix over element_sets[j]."""
+    return _check_layers(
+        layers, projections, element_sets,
+        lambda rows, els, layer_name: check_difference_matrix(rows, els, subtract,
+                                                              name=layer_name),
+        name, f"{len(layers)} layers",
+    )
 
 
 def check_sliced(

@@ -106,11 +106,10 @@ def test_criterion_03_column_kron_soa():
         chain = chain_omega_ring([Zn(6), Zn(2)])
         a1 = OrthogonalArray(
             GroupMatrix([[chain.element_from_code(v) for v in r] for r in KRON_SOA_INPUT_A1]),
-            6, 2, chain=chain, layer=1, alphabet="transversal",
+            6, 2,
         )
         a2 = OrthogonalArray(
-            GroupMatrix([[chain.parse(t) for t in r] for r in KRON_SOA_INPUT_A2]),
-            2, 2, chain=chain, layer=2, alphabet="transversal",
+            GroupMatrix([[chain.parse(t) for t in r] for r in KRON_SOA_INPUT_A2]), 2, 2
         )
         out = construct_soa_kron(a2, a1, chain)
         b = out.b.matrix.rows
@@ -128,17 +127,14 @@ def test_criterion_03_column_kron_soa():
 def test_criterion_04_kron_ndm_table_and_oracles():
     with criterion(4, "kron-ndm reproduces the 48-row reference matrix; all listed collapses are difference matrices"):
         chain = chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
-        mk = lambda rows, s, layer: DifferenceMatrix(
-            GroupMatrix([[chain.parse(t) for t in r] for r in rows]),
-            s, chain=chain, layer=layer, alphabet="transversal",
-        )
-        d1 = mk([("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")], 4, 1)
-        d2 = mk([("0", "0", "0"), ("0", "w", "2w"), ("0", "2w", "w")], 3, 2)
-        d3 = mk([("0", "0", "0"), ("0", "0", "w2"), ("0", "w2", "0"), ("0", "w2", "w2")], 2, 3)
+        mk = lambda rows: DifferenceMatrix(GroupMatrix([[chain.parse(t) for t in r] for r in rows]))
+        d1 = mk([("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")])
+        d2 = mk([("0", "0", "0"), ("0", "w", "2w"), ("0", "2w", "w")])
+        d3 = mk([("0", "0", "0"), ("0", "0", "w2"), ("0", "w2", "0"), ("0", "w2", "w2")])
         out = construct_ndm_kron([d1, d2, d3], chain)
         texts = [tuple(e.text() for e in r) for r in out.top.rows]
         assert texts == KRON_NDM_GF4_Z3_Z2
-        e1, e2, e3 = (out.tops[i].rows for i in range(3))
+        e1, e2, e3 = (out.a(i).rows for i in (1, 2, 3))
         rho = {j: chain.projection_map(j) for j in (1, 2, 3)}
         proj = lambda rows, j: [tuple(rho[j][e] for e in r) for r in rows]
         els = {j: chain.layer_elements(j) for j in (1, 2, 3)}
@@ -223,7 +219,7 @@ def test_criterion_08_bush_strength_three():
 def test_criterion_09_ndm_product_bundle():
     with criterion(9, "difference-matrix product: D(4,2,4), A(+)D = OA(64,10,4,2), nested/sliced wrappers pass"):
         chain = chain_field_tower(2, [1, 2])
-        a = rao_hamming_oa(chain.layer_elements(2), 2, chain=chain, layer=2)
+        a = rao_hamming_oa(chain.layer_elements(2), 2)
         assert (a.n, a.m, a.levels) == (16, 5, 4)
         out = construct_from_ndm(chain, a)
         assert check_difference_matrix(out.d.rows, chain.layer_elements(2)).passed

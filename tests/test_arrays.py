@@ -132,13 +132,15 @@ class TestRaoHammingNoa:
                 assert rep.passed, (i, j, rep.message())
 
     def test_sliced_families_present(self, rh_family):
-        sizes = {(f.slice_size, f.proj_layer) for f in rh_family.sliced}
+        sizes = {(f.size, f.layers[0]) for f in rh_family.sliced}
         assert sizes == {(4, 1), (16, 1), (16, 2)}
 
     def test_slices_partition_top(self, rh_family):
+        top = rh_family.top
         for fam in rh_family.sliced:
-            rows = [r for sl in fam.slices() for r in sl.rows]
-            assert rows == list(fam.top.rows)
+            slices = [top.row_block(l, l + fam.size) for l in range(0, top.n_rows, fam.size)]
+            rows = [r for sl in slices for r in sl.rows]
+            assert rows == list(top.rows)
 
     def test_block_identity_from_delta_vectors(self, rh_family, tower_238):
         # layer i rebuilds as (A_{i-1}; delta (+c) A_{i-1}) over the nonzero
@@ -239,7 +241,7 @@ def test_rao_hamming_small_fields(p, u, k):
 @pytest.fixture(scope="module")
 def bundle():
     chain = chain_field_tower(2, [1, 2])
-    a = rao_hamming_oa(chain.layer_elements(2), 2, chain=chain, layer=2)
+    a = rao_hamming_oa(chain.layer_elements(2), 2)
     return chain, construct_from_ndm(chain, a)
 
 
@@ -271,8 +273,8 @@ class TestNdmProduct:
 
     def test_nested_layers_are_prefixes(self, bundle):
         _, out = bundle
-        assert out.noa_nested.prefix_sizes == (32, 64)
-        assert out.noa_nested.layer_matrix(1).rows == out.combined.rows[:32]
+        assert out.noa_nested.rows == (32, 64)
+        assert out.combined.prefix(out.noa_nested.rows[0]).rows == out.combined.rows[:32]
 
     def test_rejects_wrong_level_input(self, bundle):
         chain, _ = bundle
@@ -284,7 +286,7 @@ class TestNdmProduct:
         chain = chain_field_tower(2, [1, 2])
         f = chain.field
         rows = [[f.element(0)] * 3 for _ in range(16)]
-        fake = OrthogonalArray(GroupMatrix(rows), 4, 2, chain=chain, layer=2)
+        fake = OrthogonalArray(GroupMatrix(rows), 4, 2)
         with pytest.raises(VerificationFailure):
             construct_from_ndm(chain, fake)
 
@@ -295,11 +297,10 @@ def _ex2_inputs():
         GroupMatrix(
             [[chain.element_from_code(v) for v in row] for row in KRON_SOA_INPUT_A1]
         ),
-        6, 2, chain=chain, layer=1, alphabet="transversal",
+        6, 2,
     )
     a2 = OrthogonalArray(
-        GroupMatrix([[chain.parse(t) for t in row] for row in KRON_SOA_INPUT_A2]),
-        2, 2, chain=chain, layer=2, alphabet="transversal",
+        GroupMatrix([[chain.parse(t) for t in row] for row in KRON_SOA_INPUT_A2]), 2, 2
     )
     return chain, a1, a2
 
@@ -317,10 +318,10 @@ class TestKronSoa:
         out = construct_soa_kron(a2, a1, chain)
         assert out.prefix(2).n_rows == 72
         noa = out.prefix_noa(3)
-        assert noa.prefix_sizes == (108, 144)
-        assert noa.layer_matrix(1).rows == out.b.matrix.rows[:108]
-        assert out.soa.slice_size == 36
-        assert len(out.soa.slices()) == 4
+        assert noa.rows == (108, 144)
+        assert out.b.matrix.prefix(noa.rows[0]).rows == out.b.matrix.rows[:108]
+        assert out.soa.size == 36
+        assert out.b.n // out.soa.size == 4
 
     def test_degenerate_single_row_shift(self):
         chain = chain_omega_ring([Zn(6), Zn(1)])
@@ -328,21 +329,15 @@ class TestKronSoa:
             GroupMatrix(
                 [[chain.element_from_code(v) for v in row] for row in KRON_SOA_INPUT_A1]
             ),
-            6, 2, chain=chain, layer=1, alphabet="transversal",
+            6, 2,
         )
-        a2 = OrthogonalArray(
-            GroupMatrix([[chain.zero()] * 3]), 1, 2, chain=chain, layer=2,
-            alphabet="transversal",
-        )
+        a2 = OrthogonalArray(GroupMatrix([[chain.zero()] * 3]), 1, 2)
         out = construct_soa_kron(a2, a1, chain)
         assert out.b.matrix == a1.matrix
 
     def test_column_mismatch(self):
         chain, a1, a2 = _ex2_inputs()
-        clipped = OrthogonalArray(
-            GroupMatrix([r[:2] for r in a2.matrix.rows]), 2, 2, chain=chain,
-            layer=2, alphabet="transversal",
-        )
+        clipped = OrthogonalArray(GroupMatrix([r[:2] for r in a2.matrix.rows]), 2, 2)
         with pytest.raises(SpecError):
             construct_soa_kron(clipped, a1, chain)
 
@@ -356,9 +351,7 @@ def _trivial_oa(chain, layer):
     tr = chain.transversal(layer)
     s = len(tr)
     rows = [(tr[a], tr[b], tr[(a + b) % s]) for a in range(s) for b in range(s)]
-    return OrthogonalArray(
-        GroupMatrix(rows), s, 2, chain=chain, layer=layer, alphabet="transversal"
-    )
+    return OrthogonalArray(GroupMatrix(rows), s, 2)
 
 
 class TestKronMulti:
@@ -376,19 +369,16 @@ class TestKronMulti:
             [_trivial_oa(chain, 1), _trivial_oa(chain, 2)], chain
         )
         fam = out.sliced[0]
-        assert fam.slice_size == 4
+        assert fam.size == 4
         rho1 = chain.projection_map(1)
-        for sl in fam.slices():
-            rows = [[rho1[e] for e in r] for r in sl.rows]
+        for l in range(1, out.top.n_rows // fam.size + 1):
+            rows = [[rho1[e] for e in r] for r in out.delta(1, l).rows]
             assert check_oa_strength(rows, 2, 2).passed
 
     def test_zero_row_requirement(self):
         chain = chain_omega_ring([Zn(2), Zn(2)])
         a1, a2 = _trivial_oa(chain, 1), _trivial_oa(chain, 2)
-        shuffled = OrthogonalArray(
-            GroupMatrix(a2.matrix.rows[::-1]), 2, 2, chain=chain, layer=2,
-            alphabet="transversal",
-        )
+        shuffled = OrthogonalArray(GroupMatrix(a2.matrix.rows[::-1]), 2, 2)
         with pytest.raises(SpecError):
             construct_noa_kron_multi([a1, shuffled], chain)
 
@@ -400,16 +390,11 @@ def example3():
         [[chain.parse(t) for t in row] for row in rows]
     )
     d1 = DifferenceMatrix(
-        parse_rows([("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")]),
-        4, chain=chain, layer=1, alphabet="transversal",
+        parse_rows([("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")])
     )
-    d2 = DifferenceMatrix(
-        parse_rows([("0", "0", "0"), ("0", "w", "2w"), ("0", "2w", "w")]),
-        3, chain=chain, layer=2, alphabet="transversal",
-    )
+    d2 = DifferenceMatrix(parse_rows([("0", "0", "0"), ("0", "w", "2w"), ("0", "2w", "w")]))
     d3 = DifferenceMatrix(
-        parse_rows([("0", "0", "0"), ("0", "0", "w2"), ("0", "w2", "0"), ("0", "w2", "w2")]),
-        2, chain=chain, layer=3, alphabet="transversal",
+        parse_rows([("0", "0", "0"), ("0", "0", "w2"), ("0", "w2", "0"), ("0", "w2", "w2")])
     )
     return chain, construct_ndm_kron([d1, d2, d3], chain)
 
@@ -427,7 +412,7 @@ class TestKronNdm:
         chain, out = example3
         rho2 = chain.projection_map(2)
         projected = [tuple(rho2[e] for e in r) for r in out.top.rows]
-        e2 = out.tops[1].rows
+        e2 = out.a(2).rows
         assert projected == list(e2) * 4
 
     def test_single_layer_is_identity(self):
@@ -436,18 +421,15 @@ class TestKronNdm:
             [[chain.parse(t) for t in row] for row in
              [("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")]]
         )
-        d1 = DifferenceMatrix(rows, 4, chain=chain, layer=1, alphabet="transversal")
+        d1 = DifferenceMatrix(rows)
         out = construct_ndm_kron([d1], chain)
         assert out.top == rows
 
     def test_input_oracle_failure(self):
         chain = chain_omega_ring([Field(2, 2), Zn(3)])
         const = GroupMatrix([[chain.zero()] * 3 for _ in range(4)])
-        d1 = DifferenceMatrix(const, 4, chain=chain, layer=1, alphabet="transversal")
-        d2 = DifferenceMatrix(
-            GroupMatrix([[chain.zero()] * 3]), 3, chain=chain, layer=2,
-            alphabet="transversal",
-        )
+        d1 = DifferenceMatrix(const)
+        d2 = DifferenceMatrix(GroupMatrix([[chain.zero()] * 3]))
         with pytest.raises(VerificationFailure):
             construct_ndm_kron([d1, d2], chain)
 

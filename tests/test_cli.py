@@ -312,6 +312,23 @@ def _gf4_oa(code):
             '"chain": {"kind": "field-tower", "p": 2, "u_chain": [1, 2]}}' % (_DESIGN, code))
 
 
+def _rh_u12(prefixes):
+    """The rh-noa p2 u1,2 k2 `oa` file (the reference table's first 16 rows)
+    with `prefixes` as its layer prefixes."""
+    f = Field(2, 2)
+    rows = [[f.parse_code(t) for t in row] for row in RH_NOA_P2_U123_K2[:16]]
+    return ('{%s, "type": "oa", "s": 4, "t_claimed": 2, "rows": %s, "layer_prefixes": %s, '
+            '"chain": {"kind": "field-tower", "p": 2, "u_chain": [1, 2]}}'
+            % (_DESIGN, json.dumps(rows), json.dumps(prefixes)))
+
+
+def _gf4_dm(prefixes):
+    """The D(4, 2, 4) `dm` file of ndm-product p2 u1,2 with `prefixes`."""
+    return ('{%s, "type": "dm", "rows": [[0, 0], [0, 1], [0, 2], [0, 3]], '
+            '"layer_prefixes": %s, "chain": {"kind": "field-tower", "p": 2, "u_chain": [1, 2]}}'
+            % (_DESIGN, json.dumps(prefixes)))
+
+
 _OUT_OF_RANGE = [
     ({"d.json": _gf4_oa(code)}, argv)
     for code in (99, -1)
@@ -344,12 +361,16 @@ _OUT_OF_RANGE = [
       '"chain": {"kind": "omega", "bases": [{"zn": 5000}]}}' % _DESIGN},
      ["verify", "--design", "d.json"]),
     *_OUT_OF_RANGE,
+    ({"d.json": _rh_u12([4, 1000])}, ["verify", "--design", "d.json"]),
+    ({"d.json": _gf4_dm([2, 4, 4])}, ["verify", "--design", "d.json"]),
+    ({"d.json": _gf4_dm([4, 4])}, ["verify", "--design", "d.json"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
         "collapse-layer-out-of-range", "bool-cell", "group-too-large-for-tables"]
     + [f"code-out-of-range-{cmd}-{code}" for code in (99, -1)
-       for cmd in ("verify", "lift", "construct")])
+       for cmd in ("verify", "lift", "construct")]
+    + ["prefix-past-rows", "dm-prefixes-per-layer", "dm-prefixes-equal"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

@@ -33,6 +33,18 @@ def rh_family():
     return construct_noa_rh(chain_field_tower(2, [1, 2, 3]), 2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda fam: build_nsfd(fam, [NestedPermutation(v, LAYERS) for v in NESTED_PERMS],
+                           stage="lift"),
+    lambda fam: build_ssfd_multi(fam, [SlicedPermutation(v, LAYERS) for v in SLICED_PERMS],
+                                 stage="lift"),
+    lambda fam: build_ssfd_grouped(fam, i=2, j=1, stage="lift"),
+], ids=["nested", "sliced", "grouped"])
+def test_unknown_stage_rejected(rh_family, build):
+    with pytest.raises(SpecError, match="unknown stage 'lift'"):
+        build(rh_family)
+
+
 class TestPermutationValidators:
     def test_reference_nested_perms_valid(self):
         for p in NESTED_PERMS:

@@ -1,7 +1,10 @@
 import ast
+import operator
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nestfill.verify
 from golden import KRON_NDM_GF4_Z3_Z2, RH_NOA_P2_U123_K2
@@ -12,6 +15,7 @@ from nestfill.verify import (
     check_difference_matrix,
     check_latin_hypercube,
     check_nested,
+    check_nested_dm,
     check_oa_strength,
     check_projection_compatibility,
     check_sliced,
@@ -133,6 +137,20 @@ class TestNestedAndSliced:
         rep = check_nested([table1_codes], [{c: c for c in range(8)}], [8], 2)
         assert rep.passed
 
+    def test_equal_dm_layers_fail(self):
+        # GF(4) codes under XOR: both collapses of D are difference matrices
+        rows = [[0, a] for a in range(4)]
+        projections = [{c: c & 1 for c in range(4)}, {c: c for c in range(4)}]
+        rep = check_nested_dm([rows, rows], projections, [[0, 1], range(4)], operator.xor)
+        assert not rep.passed
+        assert rep.detail == "layer 2 not larger than layer 1"
+
+    def test_misaligned_dm_inputs_raise(self):
+        rows = [[0, a] for a in range(4)]
+        projections = [{c: c & 1 for c in range(4)}, {c: c for c in range(4)}]
+        with pytest.raises(SpecError):
+            check_nested_dm([rows], projections, [range(4)], operator.xor)
+
     def test_sliced_reference(self, table1_codes):
         rho2 = {c: c % 4 for c in range(8)}
         rep = check_sliced(table1_codes, 16, rho2, 4, 2)
@@ -174,6 +192,47 @@ class TestProjectionCompatibility:
         x2, xp1 = f.parse_code("x^2"), f.parse_code("x+1")
         assert maps[1][x2] == maps[1][xp1] == f.parse_code("x+1")
         assert maps[0][x2] == 1 and maps[0][xp1] == 0
+
+
+def _pairwise_compatibility(projections):
+    """Reference: scan every (a, b) pair of every layer pair (j, i) in order
+    and return the first violation as (layers, pair), or None."""
+    for i in range(len(projections)):
+        domain = list(projections[i])
+        for j in range(i):
+            for a in domain:
+                for b in domain:
+                    if (projections[i][a] == projections[i][b]
+                            and projections[j][a] != projections[j][b]):
+                        return [j + 1, i + 1], [a, b]
+    return None
+
+
+@st.composite
+def projection_families(draw):
+    """Up to four maps on a shuffled domain; each map below the top is either
+    random or a coarsening of the map above it, so both outcomes occur."""
+    q = draw(st.integers(1, 10))
+    domain = draw(st.permutations(range(q)))
+    images = [draw(st.lists(st.integers(0, 3), min_size=q, max_size=q))]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            coarsen = draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
+            images.insert(0, [coarsen[v] for v in images[0]])
+        else:
+            images.insert(0, draw(st.lists(st.integers(0, 3), min_size=q, max_size=q)))
+    return [{a: img[a] for a in domain} for img in images]
+
+
+@settings(max_examples=300, deadline=None)
+@given(projection_families())
+def test_compatibility_matches_pairwise_scan(projections):
+    rep = check_projection_compatibility(projections)
+    want = _pairwise_compatibility(projections)
+    assert rep.passed == (want is None)
+    if want is not None:
+        layers, pair = want
+        assert rep.counterexample == {"layers": layers, "pair": pair}
 
 
 def test_verify_imports_no_construction_code():
