@@ -138,7 +138,8 @@ class TestRaoHammingNoa:
     def test_slices_partition_top(self, rh_family):
         top = rh_family.top
         for fam in rh_family.sliced:
-            slices = [top.row_block(l, l + fam.size) for l in range(0, top.n_rows, fam.size)]
+            slices = [top.row_block(l * fam.size, (l + 1) * fam.size)
+                      for l in range(top.n_rows // fam.size)]
             rows = [r for sl in slices for r in sl.rows]
             assert rows == list(top.rows)
 
