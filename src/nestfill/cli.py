@@ -103,13 +103,12 @@ def _write_design(design: DesignFile, out: str, fmt: str) -> Path:
     return save_csv(design, out) if fmt == "csv" else save_json(design, out)
 
 
-def _write_report(reports, out_path: Path) -> None:
-    payload = {
-        "passed": all(r.passed for r in reports),
-        "checks": [r.to_dict() for r in reports],
-    }
-    report_path = out_path.with_suffix(out_path.suffix + ".verify.json")
-    report_path.write_text(json.dumps(payload, indent=2) + "\n")
+def _report_text(reports, **head) -> str:
+    """The JSON report of `reports` (the `head` keys, `passed`, `checks`) as
+    written by `construct` and `verify`."""
+    payload = {**head, "passed": all(r.passed for r in reports),
+               "checks": [r.to_dict() for r in reports]}
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _design_file(kind: str, matrix: GroupMatrix, chain: GroupChain, method: str,
@@ -185,7 +184,7 @@ def cmd_construct(args) -> int:
                                   layer_prefixes=list(out.nested.rows))
     reports = out.verification
     out_path = _write_design(design, args.out, args.format)
-    _write_report(reports, out_path)
+    out_path.with_suffix(out_path.suffix + ".verify.json").write_text(_report_text(reports))
     print(f"wrote {out_path} ({design.type}, {design.n}x{design.m}); "
           f"{len(reports)} checks passed")
     return 0
@@ -205,6 +204,8 @@ def _layer_stops(design: DesignFile, chain: GroupChain) -> tuple[int, ...]:
 
 
 def _load_family(design: DesignFile) -> NestedFamily:
+    if design.type != "oa":
+        raise SpecError(f"cannot lift a {design.type!r} design file; lift needs an 'oa' file")
     chain = design.load_chain()
     if chain is None:
         raise SpecError("design file carries no chain; cannot lift")
@@ -335,19 +336,14 @@ def verify_design(design: DesignFile) -> list:
 def cmd_verify(args) -> int:
     design = load(args.design)
     reports = verify_design(design)
-    payload = {
-        "design": str(args.design),
-        "passed": all(r.passed for r in reports),
-        "checks": [r.to_dict() for r in reports],
-    }
-    text = json.dumps(payload, indent=2)
+    text = _report_text(reports, design=str(args.design))
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        Path(args.out).write_text(text)
     else:
-        print(text)
+        sys.stdout.write(text)
     for r in reports:
         print(r.message(), file=sys.stderr)
-    return 0 if payload["passed"] else 3
+    return 0 if all(r.passed for r in reports) else 3
 
 
 def cmd_export(args) -> int:

@@ -3,10 +3,12 @@
 JSON is the primary format: one object holding the integer-code rows, the
 chain descriptor, structure annotations (layer prefixes, slice size, grid
 claims), the seeds and permutations behind any randomized stage, and a
-symbol table mapping codes to element text forms.  CSV carries the same
-metadata in a single ``# meta=...`` comment line followed by an ``x1..xm``
-header and the code rows.  Scatter export writes one two-column CSV per
-dimension pair.
+symbol table mapping codes to element text forms.  The header keys are
+written with a two-space indent and ``rows`` comes last, one compact row
+per line.  Reading takes any JSON layout of the same object, so older files
+written one integer per line load unchanged.  CSV carries the same metadata
+in a single ``# meta=...`` comment line followed by an ``x1..xm`` header and
+the code rows.  Scatter export writes one two-column CSV per dimension pair.
 
 Serialization is deterministic: fixed key order, no timestamps, so repeated
 runs of the same job produce byte-identical files.
@@ -14,6 +16,7 @@ runs of the same job produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +42,7 @@ def _grid(g) -> bool:
 # every key a design file may carry -> (test of its value, what the test wants)
 _FIELDS = {
     "type": (lambda v: v in ("oa", "dm", "design", "lh"), "one of oa, dm, design, lh"),
-    "rows": (lambda v: isinstance(v, list) and all(isinstance(r, list) for r in v),
+    "rows": (lambda v: isinstance(v, list) and all(map(isinstance, v, itertools.repeat(list))),
              "a list of rows"),
     **{key: (_positive, "a positive integer") for key in (
         "s", "t_claimed", "layer", "slice_size", "collapse_layer", "scale")},
@@ -81,6 +84,12 @@ class DesignFile:
         if not self.rows or not self.rows[0]:
             raise SpecError("design has no rows")
         width = len(self.rows[0])
+        # one pass in C over the widths and the cell types; only a design that
+        # fails it is rescanned row by row to name its first bad row
+        if set(map(len, self.rows)) == {width} and set(
+            map(type, itertools.chain.from_iterable(self.rows))
+        ) <= {int}:
+            return
         for r in self.rows:
             if len(r) != width:
                 raise SpecError("ragged design rows")
@@ -135,13 +144,18 @@ class DesignFile:
 
 
 def symbols_for(chain: GroupChain, rows) -> dict:
-    codes = sorted({v for r in rows for v in r})
+    codes = sorted(set(itertools.chain.from_iterable(rows)))
     return {str(c): chain.text(chain.element_from_code(c)) for c in codes}
 
 
 def save_json(design: DesignFile, path) -> Path:
+    """Write `design` as indented JSON with one compact row per line."""
     path = Path(path)
-    path.write_text(json.dumps(design.to_dict(), indent=2) + "\n")
+    payload = design.to_dict()
+    rows = payload.pop("rows")
+    head = json.dumps(payload, indent=2)[: -len("\n}")]
+    body = "],\n    [".join([",".join(map(str, r)) for r in rows])
+    path.write_text(f'{head},\n  "rows": [\n    [{body}]\n  ]\n}}\n')
     return path
 
 
@@ -180,7 +194,7 @@ def save_csv(design: DesignFile, path) -> Path:
     lines = [f"# {FORMAT_NAME} v{__version__}"]
     lines.append("# meta=" + json.dumps(payload))
     lines.append(",".join(f"x{j + 1}" for j in range(design.m)))
-    lines.extend(",".join(str(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, r)) for r in rows)
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -215,12 +229,13 @@ def export_scatter(design: DesignFile, out_prefix) -> list[Path]:
     m = design.m
     if m < 2:
         raise SpecError("scatter export needs at least two dimensions")
+    columns = [list(map(str, col)) for col in zip(*design.rows)]
     paths = []
     for i in range(m):
         for j in range(i + 1, m):
             path = prefix.parent / f"{prefix.name}_x{i + 1}_x{j + 1}.csv"
             lines = [f"x{i + 1},x{j + 1}"]
-            lines.extend(f"{row[i]},{row[j]}" for row in design.rows)
+            lines.extend(map(",".join, zip(columns[i], columns[j])))
             path.write_text("\n".join(lines) + "\n")
             paths.append(path)
     return paths

@@ -364,13 +364,18 @@ _OUT_OF_RANGE = [
     ({"d.json": _rh_u12([4, 1000])}, ["verify", "--design", "d.json"]),
     ({"d.json": _gf4_dm([2, 4, 4])}, ["verify", "--design", "d.json"]),
     ({"d.json": _gf4_dm([4, 4])}, ["verify", "--design", "d.json"]),
+    ({"d.json": _gf4_dm([1, 4])}, ["lift", "--design", "d.json", "--mode", "grouped", "--i", "1",
+                                   "--j", "1", "--stage", "relabel-only", "--out", "x.json"]),
+    ({"d.json": _gf4_dm([1, 4])}, ["lift", "--design", "d.json", "--mode", "nested",
+                                   "--out", "x.json"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
         "collapse-layer-out-of-range", "bool-cell", "group-too-large-for-tables"]
     + [f"code-out-of-range-{cmd}-{code}" for code in (99, -1)
        for cmd in ("verify", "lift", "construct")]
-    + ["prefix-past-rows", "dm-prefixes-per-layer", "dm-prefixes-equal"])
+    + ["prefix-past-rows", "dm-prefixes-per-layer", "dm-prefixes-equal",
+       "lift-dm-file-grouped", "lift-dm-file-nested"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

@@ -33,6 +33,39 @@ def test_non_integer_cells_rejected():
         DesignFile(type="design", rows=[[0, "x"]])
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 1], [1, 0], [0, True]], "design rows must hold integer level codes"),
+    ([[0, 1], [1, 0], [0, 1.0]], "design rows must hold integer level codes"),
+    ([[0, 1], [1, 0], [0, "x"]], "design rows must hold integer level codes"),
+    ([[0, 1], [1, 0], [0]], "ragged design rows"),
+    ([[0, 1], [0, "x"], [0]], "design rows must hold integer level codes"),
+    ([[0, 1], [0], [0, "x"]], "ragged design rows"),
+], ids=["bool", "float", "text", "short", "text-before-short", "short-before-text"])
+def test_first_bad_row_named(rows, message):
+    """A bad cell or short row anywhere, the last row included, is refused
+    with the message of the first bad row."""
+    with pytest.raises(SpecError, match=f"^{message}$"):
+        DesignFile(type="design", rows=rows)
+
+
+def test_json_one_row_per_line(tmp_path):
+    d = DesignFile(type="lh", rows=[[0, 12, 3], [12, 3, 0], [3, 0, 12]], scale=13,
+                   grids=[{"grid": 1, "rows": 3}], meta={"method": "fixture"})
+    text = save_json(d, tmp_path / "d.json").read_text()
+    assert json.loads(text) == d.to_dict()
+    header = json.dumps({k: v for k, v in d.to_dict().items() if k != "rows"}, indent=2)
+    assert text == (header[:-len("\n}")] + ',\n  "rows": [\n'
+                    "    [0,12,3],\n    [12,3,0],\n    [3,0,12]\n  ]\n}\n")
+
+
+def test_indented_json_loads(tmp_path):
+    """Files written one integer per line still load."""
+    d = small_design()
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(d.to_dict(), indent=2) + "\n")
+    assert load(path) == d
+
+
 def test_json_round_trip(tmp_path):
     d = small_design()
     path = save_json(d, tmp_path / "d.json")

@@ -1,9 +1,11 @@
 import ast
 import operator
+from collections import Counter
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nestfill.verify
@@ -20,6 +22,7 @@ from nestfill.verify import (
     check_projection_compatibility,
     check_sliced,
     check_stratification,
+    VerificationReport,
 )
 
 
@@ -233,6 +236,169 @@ def test_compatibility_matches_pairwise_scan(projections):
     if want is not None:
         layers, pair = want
         assert rep.counterexample == {"layers": layers, "pair": pair}
+
+
+# Reference oracles: the ordered cell-by-cell scans, with no shortcut for a
+# perfect histogram.  The oracles in verify.py must give the same report.
+
+def _ref_oa_strength(rows, s, t, name="oa-strength"):
+    rows = [tuple(r) for r in rows]
+    n, m = len(rows), len(rows[0])
+    if n % s**t:
+        return VerificationReport(name, False, f"run size {n} not divisible by {s}^{t}",
+                                  {"n": n, "s": s, "t": t})
+    levels = sorted({v for r in rows for v in r})
+    if len(levels) != s:
+        return VerificationReport(name, False, f"found {len(levels)} distinct levels, "
+                                  f"expected {s}", {"levels": levels})
+    expected = n // s**t
+    for cols in combinations(range(m), t):
+        counts = Counter(tuple(r[c] for c in cols) for r in rows)
+        for combo in product(levels, repeat=t):
+            if counts[combo] != expected:
+                return VerificationReport(name, False, "unbalanced level tuple", {
+                    "columns": list(cols), "levels": list(combo),
+                    "observed": counts[combo], "expected": expected})
+    return VerificationReport(name, True, f"OA({n}, {m}, {s}, {t})")
+
+
+def _ref_difference_matrix(rows, elements, subtract, name="difference-matrix"):
+    r, c, s = len(rows), len(rows[0]), len(elements)
+    if r % s:
+        return VerificationReport(name, False, f"row count {r} not divisible by group "
+                                  f"order {s}", {"rows": r, "group order": s})
+    expected = r // s
+    for c1, c2 in permutations(range(c), 2):
+        counts = Counter(subtract(row[c1], row[c2]) for row in rows)
+        for el in sorted(elements):
+            if counts[el] != expected:
+                return VerificationReport(name, False, "uneven difference coverage", {
+                    "columns": [c1, c2], "element": el,
+                    "observed": counts[el], "expected": expected})
+    return VerificationReport(name, True, f"D({r}, {c}, {s})")
+
+
+def _ref_latin_hypercube(rows, name="latin-hypercube"):
+    n, m = len(rows), len(rows[0])
+    for j in range(m):
+        col = sorted(r[j] for r in rows)
+        if col != list(range(n)):
+            missing = sorted(set(range(n)) - set(col))
+            return VerificationReport(name, False, f"column {j} is not a permutation of "
+                                      f"0..{n - 1}", {"column": j, "missing": missing[:5]})
+    return VerificationReport(name, True, f"{n}x{m} Latin hypercube")
+
+
+def _ref_stratification(rows, scale, g, dims=None, name="stratification"):
+    n, m = len(rows), len(rows[0])
+    if n % (g * g):
+        return VerificationReport(name, False, f"run size {n} not divisible by {g}^2",
+                                  {"n": n, "g": g})
+    expected = n // (g * g)
+    for d1, d2 in [tuple(dims)] if dims is not None else combinations(range(m), 2):
+        counts = Counter((r[d1] * g // scale, r[d2] * g // scale) for r in rows)
+        for cell in product(range(g), repeat=2):
+            if counts[cell] != expected:
+                return VerificationReport(name, False, "uneven grid cell", {
+                    "dims": [d1, d2], "cell": list(cell),
+                    "observed": counts[cell], "expected": expected})
+    return VerificationReport(name, True, f"{g}x{g} grid, {expected}/cell")
+
+
+@st.composite
+def near_balanced(draw, s, m, top):
+    """Rows with m columns and values in 0..top: random ones, or each of the
+    s**m tuples over 0..s-1 (balanced in every sense the oracles test) once
+    or twice in shuffled order, with up to three edits: a cell set to any
+    value, or two cells of a column swapped (the column stays balanced)."""
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([1, s, s * s, 2 * s * s]))
+        return draw(st.lists(st.lists(st.integers(0, top), min_size=m, max_size=m),
+                             min_size=n, max_size=n))
+    copies = draw(st.integers(1, 2))
+    rows = draw(st.permutations([list(r) for r in product(range(s), repeat=m)
+                                 for _ in range(copies)]))
+    for _ in range(draw(st.integers(0, 3))):
+        i, k = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        j = draw(st.integers(0, m - 1))
+        if draw(st.booleans()):
+            rows[i][j] = draw(st.integers(0, top))
+        else:
+            rows[i][j], rows[k][j] = rows[k][j], rows[i][j]
+    return rows
+
+
+@st.composite
+def oa_cases(draw):
+    s, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # a value s gives the extra-level case, claiming s + 1 levels the
+    # missing-level one
+    rows = draw(near_balanced(s, m, draw(st.sampled_from([s - 1, s]))))
+    return rows, s + draw(st.sampled_from([0, 0, 1])), draw(st.integers(1, m))
+
+
+@st.composite
+def dm_cases(draw):
+    s, c = draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    rows = draw(near_balanced(s, c, s - 1))
+    # mod s keeps every difference in the group; plain and mod s+1
+    # differences can fall outside it
+    modulus = draw(st.sampled_from([s, s + 1, None]))
+    subtract = operator.sub if modulus is None else (lambda a, b: (a - b) % modulus)
+    return rows, list(range(s)), subtract
+
+
+@st.composite
+def strat_cases(draw):
+    g, width, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    scale = g * width
+    # cell g lies past the grid: its values are scale..scale+width-1
+    cells = draw(near_balanced(g, m, draw(st.sampled_from([g - 1, g]))))
+    rows = [[c * width + draw(st.integers(0, width - 1)) for c in r] for r in cells]
+    dims = draw(st.none() | st.sampled_from(list(permutations(range(m), 2))))
+    return rows, scale, g, dims
+
+
+@st.composite
+def lh_cases(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    cols = [draw(st.permutations(range(n))) for _ in range(m)]
+    rows = [list(r) for r in zip(*cols)]
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = draw(st.integers(0, n))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(oa_cases())
+@example(([[0], [0], [0], [1]], 2, 1))  # every level seen, but unevenly
+def test_oa_strength_matches_ordered_scan(case):
+    rows, s, t = case
+    assert check_oa_strength(rows, s, t) == _ref_oa_strength(rows, s, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dm_cases())
+@example(([[0, 0], [1, 0]], [0, 1], operator.sub))  # difference -1 outside {0, 1}
+def test_difference_matrix_matches_ordered_scan(case):
+    rows, elements, subtract = case
+    assert (check_difference_matrix(rows, elements, subtract)
+            == _ref_difference_matrix(rows, elements, subtract))
+
+
+@settings(max_examples=300, deadline=None)
+@given(strat_cases())
+@example(([[0, 0], [0, 2], [2, 0], [4, 2]], 4, 2, None))  # cell (2, 1) past the grid
+def test_stratification_matches_ordered_scan(case):
+    rows, scale, g, dims = case
+    assert (check_stratification(rows, scale, g, dims)
+            == _ref_stratification(rows, scale, g, dims))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lh_cases())
+def test_latin_hypercube_matches_ordered_scan(rows):
+    assert check_latin_hypercube(rows) == _ref_latin_hypercube(rows)
 
 
 def test_verify_imports_no_construction_code():
