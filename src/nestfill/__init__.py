@@ -5,7 +5,7 @@ structural claim."""
 __version__ = "0.1.0"
 
 from .errors import NestfillError, SpecError, VerificationFailure
-from .galois import Field, FieldElement
+from .galois import Element, Field
 from .groups import (
     FieldTowerChain,
     OmegaRingChain,
@@ -24,7 +24,7 @@ __all__ = [
     "SpecError",
     "VerificationFailure",
     "Field",
-    "FieldElement",
+    "Element",
     "Zn",
     "FieldTowerChain",
     "SubfieldTowerChain",

@@ -18,8 +18,8 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .errors import SpecError, VerificationFailure
-from .galois import Field, FieldElement
-from .groups import FieldTowerChain, GroupChain, GroupElement, SubfieldTowerChain
+from .galois import Element, Field
+from .groups import FieldTowerChain, GroupChain, SubfieldTowerChain
 from .kronecker import GroupMatrix, col_kron_sum, kron_sum
 from .verify import (
     Claim,
@@ -68,7 +68,7 @@ class GeneratorMatrix:
         return len(self.codes)
 
     @property
-    def columns(self) -> tuple[tuple[FieldElement, ...], ...]:
+    def columns(self) -> tuple[tuple[Element, ...], ...]:
         return tuple(tuple(map(self.field.element, col)) for col in self.codes)
 
     def column_codes(self) -> list[list[int]]:
@@ -80,7 +80,7 @@ def _leads_with_one(col: Sequence[int]) -> bool:
 
 
 def generator_matrix(
-    base: Sequence[FieldElement], k: int, columns: Optional[Sequence[Sequence[FieldElement]]] = None
+    base: Sequence[Element], k: int, columns: Optional[Sequence[Sequence[Element]]] = None
 ) -> GeneratorMatrix:
     """Coefficient columns over `base` whose first nonzero entry is one.
 
@@ -116,7 +116,7 @@ def generator_matrix(
     return GeneratorMatrix(k, fld, tuple(cols))
 
 
-def full_factorial(elements: Sequence[GroupElement], k: int) -> GroupMatrix:
+def full_factorial(elements: Sequence[Element], k: int) -> GroupMatrix:
     """All k-tuples over `elements` in lexicographic order, zero row first."""
     if k < 1:
         raise SpecError(f"k must be >= 1, got {k}")
@@ -169,9 +169,9 @@ def _delta_claims(i: int, size: int, n_blocks: int) -> list[Claim]:
 
 
 def rao_hamming_oa(
-    elements: Sequence[FieldElement],
+    elements: Sequence[Element],
     k: int,
-    columns: Optional[Sequence[Sequence[FieldElement]]] = None,
+    columns: Optional[Sequence[Sequence[Element]]] = None,
 ) -> OrthogonalArray:
     """Full factorial rows times a generator matrix; verified at strength 2."""
     gen = generator_matrix(elements, k, columns)
@@ -182,26 +182,16 @@ def rao_hamming_oa(
 
 
 def build_h_tower(chain: GroupChain, k: int) -> list[GroupMatrix]:
-    """Stacked tuple arrays H_1, ..., H_I; H_i enumerates layer i's k-tuples
-    and is a row prefix of H_{i+1}.
+    """Tuple arrays H_1, ..., H_I; H_i enumerates layer i's k-tuples and is
+    a row prefix of H_{i+1}.
 
-    H_1 lists layer-1 tuples lexicographically (zero row first); each later
-    H_i stacks H_{i-1} under beta (+c) H_{i-1} for the nonzero transversal
-    tuples beta in lexicographic order.
+    H_i is the column-wise Kronecker tower of the full factorials of
+    T_1, ..., T_i: each lists its transversal's k-tuples lexicographically,
+    zero tuple first, so H_i stacks beta (+c) H_{i-1} over the tuples beta of
+    T_i with H_{i-1} itself as the first block.
     """
-    if k < 1:
-        raise SpecError(f"k must be >= 1, got {k}")
-    h = full_factorial(chain.layer_elements(1), k)
-    tower = [h]
-    for i in range(2, chain.layers + 1):
-        blocks = [h]
-        for beta in product(chain.transversal_codes(i), repeat=k):
-            if not any(beta):
-                continue
-            blocks.append(col_kron_sum(GroupMatrix([beta], h.owner), h))
-        h = GroupMatrix.vstack(blocks)
-        tower.append(h)
-    return tower
+    return _kron_tower([full_factorial(chain.transversal(i), k)
+                        for i in range(1, chain.layers + 1)], "H")
 
 
 @dataclass
@@ -260,7 +250,7 @@ def _require_tower(chain: GroupChain):
 
 
 def construct_noa_rh(
-    chain: GroupChain, k: int, columns: Optional[Sequence[Sequence[FieldElement]]] = None
+    chain: GroupChain, k: int, columns: Optional[Sequence[Sequence[Element]]] = None
 ) -> NestedFamily:
     """Strength-2 nested family from the prime-field generator matrix."""
     tower = _require_tower(chain)
@@ -270,7 +260,7 @@ def construct_noa_rh(
 
 
 def construct_noa_subfield(
-    chain: GroupChain, k: int, columns: Optional[Sequence[Sequence[FieldElement]]] = None
+    chain: GroupChain, k: int, columns: Optional[Sequence[Sequence[Element]]] = None
 ) -> NestedFamily:
     """As construct_noa_rh but with generator coefficients from layer 1,
     giving (s_1^k - 1)/(s_1 - 1) columns.
@@ -441,17 +431,16 @@ def _check_kron_inputs(
     return reports
 
 
-def _kron_tower(mats: Sequence[GroupMatrix], name: str) -> tuple[GroupMatrix, tuple[int, ...]]:
+def _kron_tower(mats: Sequence[GroupMatrix], name: str) -> list[GroupMatrix]:
     """T_1 = M_1 and T_i = M_i (+c) T_{i-1}; each T_i must be a row prefix of
-    the top T_I.  Returns T_I and the T_i's run sizes, the nested layer
-    stops."""
+    the top T_I.  Returns T_1, ..., T_I."""
     tops = [mats[0]]
     for m in mats[1:]:
         tops.append(col_kron_sum(m, tops[-1]))
     for i, t in enumerate(tops, start=1):
         if t.code_rows != tops[-1].code_rows[: t.n_rows]:
             raise VerificationFailure(f"{name}_{i} is not a prefix of the top matrix")
-    return tops[-1], tuple(t.n_rows for t in tops)
+    return tops
 
 
 def construct_noa_kron_multi(
@@ -463,8 +452,9 @@ def construct_noa_kron_multi(
     each B_i is literally a row prefix of B_{i+1}.
     """
     reports = _check_kron_inputs(chain, arrays, require_zero_rows=True)
-    top, stops = _kron_tower([a.matrix for a in arrays], "B")
-    return _noa_family(chain, top, stops, min(a.strength for a in arrays), reports)
+    tops = _kron_tower([a.matrix for a in arrays], "B")
+    return _noa_family(chain, tops[-1], tuple(t.n_rows for t in tops),
+                       min(a.strength for a in arrays), reports)
 
 
 @dataclass
@@ -512,7 +502,8 @@ def construct_ndm_kron(dms: Sequence[DifferenceMatrix], chain: GroupChain) -> Ne
     """E_i = D_i (+c) ... (+c) D_1 for difference matrices over the chain's
     transversals; verified as a nested difference-matrix tower with slices."""
     reports = _check_kron_inputs(chain, dms, require_zero_rows=True)
-    top, stops = _kron_tower([dm.matrix for dm in dms], "E")
+    tops = _kron_tower([dm.matrix for dm in dms], "E")
+    top, stops = tops[-1], tuple(t.n_rows for t in tops)
     out = NestedFamily(chain, top, Claim("nested-dm", rows=stops,
                                          layers=tuple(range(1, chain.layers + 1))),
                        verification=reports)

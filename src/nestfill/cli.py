@@ -58,7 +58,10 @@ def _default_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("NESTFILL_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise SpecError(f"NESTFILL_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -287,15 +290,24 @@ def cmd_lift(args) -> int:
     return 0
 
 
+def _slice_size(size: int, n: int) -> int:
+    if n % size:
+        raise SpecError(f"slice size {size} does not divide the {n} rows of the design")
+    return size
+
+
 def _grid_claims(design: DesignFile) -> list[Claim]:
     claims = []
     for grid in design.grids or []:
         g = grid["grid"]
-        if grid.get("rows"):
+        if "rows" in grid:
+            if grid["rows"] > design.n:
+                raise SpecError(f"grid claim on the first {grid['rows']} rows of a "
+                                f"{design.n}-row design")
             claims.append(Claim("strat", f"stratification[first {grid['rows']} rows, g={g}]",
                                 (0, grid["rows"]), strength=g))
-        elif grid.get("slice_size"):
-            size = grid["slice_size"]
+        else:
+            size = _slice_size(grid["slice_size"], design.n)
             claims += [
                 Claim("strat", f"stratification[slice {l + 1}, g={g}]",
                       (l * size, (l + 1) * size), strength=g)
@@ -324,9 +336,11 @@ def verify_design(design: DesignFile) -> list:
         t = design.t_claimed or 2
         claims = [Claim("nested", rows=prefixes, layers=layers, strength=t)
                   if prefixes else Claim("oa", strength=t)]
-        if design.slice_size and design.collapse_layer:
+        if design.slice_size or design.collapse_layer:
+            if not (design.slice_size and design.collapse_layer):
+                raise SpecError("a sliced claim needs both 'slice_size' and 'collapse_layer'")
             claims.append(Claim("sliced", layers=(design.collapse_layer,), strength=t,
-                                size=design.slice_size))
+                                size=_slice_size(design.slice_size, design.n)))
         inputs["levels"] = [*chain.sizes[:-1], design.s or chain.top_size]
     else:
         claims = [Claim("nested-dm", rows=prefixes, layers=layers) if prefixes else Claim("dm")]

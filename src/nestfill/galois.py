@@ -10,7 +10,12 @@ Polynomials are handled as coefficient tuples, lowest degree first.  Fields
 here are tiny (a few dozen elements at most in practice), so irreducibility
 is checked by exhaustive trial division.  Arithmetic on codes reads q x q
 addition and multiplication tables, built on first use: addition digit by
-digit, multiplication from the powers of a primitive element.
+digit, multiplication from the powers of a primitive element.  Text forms
+are per code too (`Field.text_code`/`parse_code`).
+
+`Element` is the one element view of the package: a code of a group (a
+Field, or an omega ring from :mod:`nestfill.groups`) whose arithmetic and
+text read that group's tables and `text_code`.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .errors import SpecError
 
@@ -241,24 +246,24 @@ class Field:
 
     # -- element API ------------------------------------------------------
 
-    def element(self, code: int) -> "FieldElement":
+    def element(self, code: int) -> Element:
         if not 0 <= code < self.size:
             raise SpecError(f"code {code} out of range for GF({self.size})")
-        return FieldElement(self, code)
+        return Element(self, code)
 
     element_from_code = element
 
     @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
+    def zero(self) -> Element:
+        return Element(self, 0)
 
     @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
+    def one(self) -> Element:
+        return Element(self, 1)
 
-    def elements(self) -> list["FieldElement"]:
+    def elements(self) -> list[Element]:
         """All elements in ascending canonical code order (zero first)."""
-        return [FieldElement(self, c) for c in range(self.size)]
+        return [Element(self, c) for c in range(self.size)]
 
     # -- text form ---------------------------------------------------------
 
@@ -299,7 +304,7 @@ class Field:
             coeffs[j] = c
         return self.encode(coeffs)
 
-    def parse(self, text: str) -> "FieldElement":
+    def parse(self, text: str) -> Element:
         return self.element(self.parse_code(text))
 
     # -- identity ----------------------------------------------------------
@@ -321,47 +326,41 @@ class Field:
 
 
 @dataclass(frozen=True)
-class FieldElement:
-    """An element of a Field, immutable and hashable."""
+class Element:
+    """One element of a group (a Field, or an omega ring): its code, with
+    arithmetic read from the group's tables; immutable and hashable.  `*`
+    and `inverse()` need a Field."""
 
-    field: Field
+    group: Any
     code: int
 
-    @property
-    def group(self) -> Field:
-        return self.field
+    def _other(self, other: "Element") -> int:
+        if not isinstance(other, Element) or other.group != self.group:
+            raise SpecError("operands belong to different groups")
+        return other.code
 
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise SpecError("operands belong to different fields")
+    def __add__(self, other: "Element") -> "Element":
+        return Element(self.group, self.group.add[self.code][self._other(other)])
 
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.add_codes(self.code, other.code))
+    def __sub__(self, other: "Element") -> "Element":
+        return Element(self.group, self.group.sub_codes(self.code, self._other(other)))
 
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.sub_codes(self.code, other.code))
+    def __neg__(self) -> "Element":
+        return Element(self.group, self.group.neg[self.code])
 
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg[self.code])
+    def __mul__(self, other: "Element") -> "Element":
+        if not isinstance(self.group, Field):
+            return NotImplemented  # only a Field multiplies: Python raises TypeError
+        return Element(self.group, self.group.mul_codes(self.code, self._other(other)))
 
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul_codes(self.code, other.code))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_code(self.code))
+    def inverse(self) -> "Element":
+        return Element(self.group, self.group.inv_code(self.code))
 
     def __bool__(self) -> bool:
         return self.code != 0
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.code)
-
     def text(self) -> str:
-        return self.field.text_code(self.code)
+        return self.group.text_code(self.code)
 
     def __repr__(self) -> str:
-        return f"<{self.text()} in GF({self.field.size})>"
+        return f"<{self.text()} in {self.group!r}>"

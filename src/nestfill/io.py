@@ -34,9 +34,9 @@ def _positive(v) -> bool:
 
 
 def _grid(g) -> bool:
-    return isinstance(g, dict) and _positive(g.get("grid")) and all(
-        _positive(g[k]) for k in ("rows", "slice_size") if k in g
-    )
+    """A grid claim: `grid` and exactly one of `rows` and `slice_size`."""
+    extent = [g[k] for k in ("rows", "slice_size") if k in g] if isinstance(g, dict) else []
+    return len(extent) == 1 and _positive(extent[0]) and _positive(g.get("grid"))
 
 
 # every key a design file may carry -> (test of its value, what the test wants)
@@ -145,7 +145,7 @@ class DesignFile:
 
 def symbols_for(chain: GroupChain, rows) -> dict:
     codes = sorted(set(itertools.chain.from_iterable(rows)))
-    return {str(c): chain.text(chain.element_from_code(c)) for c in codes}
+    return {str(c): chain.group.text_code(c) for c in codes}
 
 
 def save_json(design: DesignFile, path) -> Path:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import SpecError
-from .groups import GroupElement
+from .galois import Element
 
 
 class GroupMatrix:
@@ -49,7 +49,7 @@ class GroupMatrix:
         self.owner = owner
 
     @property
-    def rows(self) -> tuple[tuple[GroupElement, ...], ...]:
+    def rows(self) -> tuple[tuple[Element, ...], ...]:
         el = self.owner.element_from_code
         return tuple(tuple(map(el, r)) for r in self.code_rows)
 
@@ -65,10 +65,7 @@ class GroupMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 
-    def row(self, i: int) -> tuple[GroupElement, ...]:
-        return tuple(map(self.owner.element_from_code, self.code_rows[i]))
-
-    def column(self, j: int) -> tuple[GroupElement, ...]:
+    def column(self, j: int) -> tuple[Element, ...]:
         return tuple(self.owner.element_from_code(r[j]) for r in self.code_rows)
 
     def prefix(self, n: int) -> "GroupMatrix":

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .arrays import NestedFamily
 from .errors import SpecError
-from .groups import GroupElement
+from .galois import Element
 
 
 def _validate_layer_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -188,18 +188,12 @@ class LiftedDesign:
     design: list[list[int]]            # relabeled levels, 0..scale-1
     scale: int                         # level count of `design`
     lifted: Optional[list[list[int]]]  # Latin hypercube on 0..n-1, or None
-    kind: str                          # "nested" | "sliced" | "grouped"
     grids: list[dict] = field(default_factory=list)
-    seed: object = None
     permutations: list[list[int]] = field(default_factory=list)
 
     @property
     def n(self) -> int:
         return len(self.design)
-
-    @property
-    def m(self) -> int:
-        return len(self.design[0])
 
 
 def _check_perms(perms, m, sizes, cls):
@@ -215,8 +209,8 @@ def _check_perms(perms, m, sizes, cls):
             )
 
 
-def _lift(family: NestedFamily, labels: Sequence[Sequence[int]], kind: str,
-          grids: list[dict], seed, stage: str, permutations=()) -> LiftedDesign:
+def _lift(family: NestedFamily, labels: Sequence[Sequence[int]], grids: list[dict], seed,
+          stage: str, permutations=()) -> LiftedDesign:
     """Relabel the family's top array code by code through the per-column
     `labels` tables, then (unless `stage` is "relabel-only") lift it."""
     if stage not in ("full", "relabel-only"):
@@ -224,8 +218,7 @@ def _lift(family: NestedFamily, labels: Sequence[Sequence[int]], kind: str,
     design = [list(map(list.__getitem__, labels, row)) for row in family.top.code_rows]
     top_size = family.chain.top_size
     lifted = oa_based_lh(design, top_size, seed) if stage == "full" else None
-    return LiftedDesign(design, top_size, lifted, kind, grids, seed,
-                        [list(p.values) for p in permutations])
+    return LiftedDesign(design, top_size, lifted, grids, [list(p.values) for p in permutations])
 
 
 def build_nsfd(
@@ -242,7 +235,7 @@ def build_nsfd(
     labels = _position_labels(chain.ordered_codes("outer-first"),
                               [p.values for p in permutations])
     grids = [{"rows": stop, "grid": s} for stop, s in zip(family.nested.rows, chain.sizes)]
-    return _lift(family, labels, "nested", grids, seed, stage, permutations)
+    return _lift(family, labels, grids, seed, stage, permutations)
 
 
 def build_ssfd_multi(
@@ -262,14 +255,14 @@ def build_ssfd_multi(
         for stop, s in zip(family.nested.rows[:-1], chain.sizes)
     ]
     grids.append({"rows": family.top.n_rows, "grid": chain.top_size})
-    return _lift(family, labels, "sliced", grids, seed, stage, permutations)
+    return _lift(family, labels, grids, seed, stage, permutations)
 
 
 def build_ssfd_grouped(
     family: NestedFamily,
     i: int,
     j: int,
-    group_order: Optional[Sequence[GroupElement]] = None,
+    group_order: Optional[Sequence[Element]] = None,
     seed=0,
     stage: str = "full",
 ) -> LiftedDesign:
@@ -297,7 +290,7 @@ def build_ssfd_grouped(
         {"slice_size": family.nested.rows[i - 1], "grid": chain.sizes[j - 1]},
         {"rows": family.top.n_rows, "grid": chain.top_size},
     ]
-    return _lift(family, [label] * family.top.n_cols, "grouped", grids, seed, stage)
+    return _lift(family, [label] * family.top.n_cols, grids, seed, stage)
 
 
 def compose_qual_quant(

@@ -329,6 +329,19 @@ def _gf4_dm(prefixes):
             % (_DESIGN, json.dumps(prefixes)))
 
 
+def _lh16(grids):
+    """A 16-row Latin hypercube `lh` file (one point per cell of the 4 x 4
+    grid) claiming `grids`."""
+    rows = [[4 * a + b, 4 * b + a] for a in range(4) for b in range(4)]
+    return ('{%s, "type": "lh", "scale": 16, "rows": %s, "grids": %s}'
+            % (_DESIGN, json.dumps(rows), json.dumps(grids)))
+
+
+def _rh_u12_sliced(**keys):
+    """The 16-row `_rh_u12` file with prefixes [4, 16] plus sliced annotations."""
+    return json.dumps({**json.loads(_rh_u12([4, 16])), **keys})
+
+
 _OUT_OF_RANGE = [
     ({"d.json": _gf4_oa(code)}, argv)
     for code in (99, -1)
@@ -368,6 +381,17 @@ _OUT_OF_RANGE = [
                                    "--j", "1", "--stage", "relabel-only", "--out", "x.json"]),
     ({"d.json": _gf4_dm([1, 4])}, ["lift", "--design", "d.json", "--mode", "nested",
                                    "--out", "x.json"]),
+    ({"d.json": _lh16([{"rows": 100000, "grid": 2}])}, ["verify", "--design", "d.json"]),
+    ({"d.json": _lh16([{"slice_size": 1000, "grid": 1}])}, ["verify", "--design", "d.json"]),
+    ({"d.json": _lh16([{"slice_size": 5, "grid": 1}])}, ["verify", "--design", "d.json"]),
+    ({"d.json": _lh16([{"grid": 2}])}, ["verify", "--design", "d.json"]),
+    ({"d.json": _lh16([{"rows": 16, "slice_size": 4, "grid": 2}])},
+     ["verify", "--design", "d.json"]),
+    ({"d.json": _rh_u12_sliced(slice_size=4)}, ["verify", "--design", "d.json"]),
+    ({"d.json": _rh_u12_sliced(collapse_layer=1)}, ["verify", "--design", "d.json"]),
+    ({"d.json": _rh_u12_sliced(slice_size=5)}, ["verify", "--design", "d.json"]),
+    ({"d.json": _rh_u12_sliced(slice_size=5, collapse_layer=1)},
+     ["verify", "--design", "d.json"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -375,7 +399,10 @@ _OUT_OF_RANGE = [
     + [f"code-out-of-range-{cmd}-{code}" for code in (99, -1)
        for cmd in ("verify", "lift", "construct")]
     + ["prefix-past-rows", "dm-prefixes-per-layer", "dm-prefixes-equal",
-       "lift-dm-file-grouped", "lift-dm-file-nested"])
+       "lift-dm-file-grouped", "lift-dm-file-nested",
+       "grid-rows-past-design", "grid-slice-past-design", "grid-slice-not-dividing",
+       "grid-without-extent", "grid-rows-and-slice", "oa-slice-size-alone",
+       "oa-collapse-layer-alone", "oa-slice-size-5-alone", "oa-slice-size-not-dividing"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -526,3 +553,28 @@ def test_verify_counterexample_levels_as_element_text(tmp_path, rh_design, examp
         first = json.loads(report.read_text())["checks"][0]
         assert first["check"] == check
         assert first["counterexample"][key] == want
+
+
+def test_bad_seed_variable_exits_2(tmp_path, rh_design, monkeypatch, capsys):
+    monkeypatch.setenv("NESTFILL_SEED", "abc")
+    capsys.readouterr()
+    assert run("lift", "--design", str(rh_design), "--mode", "nested",
+               "--out", str(tmp_path / "x.json")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: NESTFILL_SEED must be an integer, got 'abc'"]
+
+
+def test_failing_input_oracle_exits_3(tmp_path, capsys):
+    """kron-noa over [Z2]^2 whose first input is not an OA: exit 3, one
+    `verification failed` line naming the input, no output written."""
+    chain_file = tmp_path / "chain.json"
+    chain_file.write_text(json.dumps(chain_omega_ring([Zn(2), Zn(2)]).descriptor()))
+    a1 = _write_input(tmp_path / "a1.json", [[0, 0], [0, 1], [1, 0], [1, 0]], 2)
+    a2 = _write_input(tmp_path / "a2.json", [[0, 0], [0, 2], [2, 0], [2, 2]], 2)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run("construct", "--method", "kron-noa", "--chain", str(chain_file),
+               "--input", str(a1), "--input", str(a2), "--out", str(out)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("verification failed: input A_1: FAIL")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a1.json", "a2.json", "chain.json"]

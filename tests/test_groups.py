@@ -330,3 +330,11 @@ def test_omega_projection_additivity(c1, c2, i):
     chain = chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
     a, b = chain.element_from_code(c1), chain.element_from_code(c2)
     assert chain.project(i, a + b) == chain.project(i, a) + chain.project(i, b)
+
+
+def test_omega_elements_add_but_do_not_multiply():
+    chain = chain_omega_ring([Zn(3), Zn(2)])
+    a, b = chain.parse("2+w"), chain.parse("1+w")
+    assert (a + b, a - b, -a) == (chain.parse("0"), chain.parse("1"), chain.parse("1+w"))
+    with pytest.raises(TypeError):
+        a * b

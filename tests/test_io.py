@@ -3,7 +3,9 @@ import json
 import pytest
 
 from nestfill.errors import SpecError
-from nestfill.io import DesignFile, export_scatter, load, save_csv, save_json
+from nestfill.galois import Field
+from nestfill.groups import chain_field_tower, chain_omega_ring, chain_subfield_tower
+from nestfill.io import DesignFile, export_scatter, load, save_csv, save_json, symbols_for
 
 
 def small_design():
@@ -115,3 +117,16 @@ def test_scatter_pair_files(tmp_path):
     paths = export_scatter(d, tmp_path / "s")
     assert [p.name for p in paths] == ["s_x1_x2.csv", "s_x1_x3.csv", "s_x2_x3.csv"]
     assert paths[0].read_text() == "x1,x2\n0,1\n2,0\n"
+
+
+@pytest.mark.parametrize("chain", [
+    chain_field_tower(2, [1, 2, 3]),
+    chain_subfield_tower(2, [1, 2]),
+    chain_omega_ring([Field(2, 2), Field(2, 2)]),
+], ids=["field-tower", "subfield-tower", "omega-gf4"])
+def test_symbols_are_element_text(chain):
+    codes = list(range(chain.top_size))
+    rows = [codes[::-1], codes]
+    symbols = symbols_for(chain, rows)
+    assert symbols == {str(c): chain.text(chain.element_from_code(c)) for c in codes}
+    assert list(symbols) == [str(c) for c in codes]

@@ -414,3 +414,23 @@ def test_verify_imports_no_construction_code():
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names if a.name.split(".")[0] == "nestfill")
     assert imported <= {"nestfill.errors"}
+
+
+def test_sliced_run_size_not_divisible(table1_codes):
+    rho1 = {c: c % 2 for c in range(8)}
+    rep = check_sliced(table1_codes, 24, rho1, 2, 2)
+    assert (rep.passed, rep.detail, rep.counterexample) == (
+        False, "run size 64 not divisible by slice size 24", None)
+
+
+def test_nested_reports_incompatible_projections(table1_codes):
+    """A prefix family whose coarse projection (the x^2 bit) splits a class
+    of the finer one (c mod 4) fails on compatibility, before any layer
+    oracle runs."""
+    layers = [table1_codes[:4], table1_codes[:16], table1_codes]
+    identity = {c: c for c in range(8)}
+    rho2 = {c: c % 4 for c in range(8)}
+    assert check_nested(layers, [{c: c % 2 for c in range(8)}, rho2, identity], [2, 4, 8], 2)
+    rep = check_nested(layers, [{c: c >> 2 for c in range(8)}, rho2, identity], [2, 4, 8], 2)
+    assert (rep.check, rep.passed, rep.detail, rep.counterexample) == (
+        "nested-oa", False, "refinement violated", {"layers": [1, 2], "pair": [0, 4]})
