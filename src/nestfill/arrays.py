@@ -144,10 +144,10 @@ def _matmul(h: GroupMatrix, gen: GeneratorMatrix) -> GroupMatrix:
 
 
 def _require(rep: VerificationReport, matrix: GroupMatrix) -> VerificationReport:
-    """rep, or a VerificationFailure naming its counterexample in elements
+    """rep, or a VerificationFailure naming its counterexample in the text
     of `matrix`'s group."""
     if not rep.passed:
-        rep = rep.with_levels(matrix.owner.element_from_code)
+        rep = rep.with_levels(matrix.owner.text_code)
         raise VerificationFailure(rep.message(), rep)
     return rep
 
@@ -350,12 +350,10 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
         [tuple(fld.mul[v][t] for t in t1) for v in tower.ordered_codes("outer-first")], fld
     )
     a_plus_d = kron_sum(a.matrix, d)
-    n = a.n
-    add = fld.add
-    combined = GroupMatrix(  # D-row-major: A (+) d_w for each row d_w of D in turn
-        [tuple(add[x][y] for x in arow for y in drow)
-         for drow in d.code_rows for arow in a.matrix.code_rows], fld
-    )
+    n, nd = a.n, d.n_rows
+    # D-row-major: A (+) d_w for each row d_w of D in turn, i.e. row a*nd + w
+    # of a_plus_d becomes row w*n + a
+    combined = GroupMatrix([r for w in range(nd) for r in a_plus_d.code_rows[w::nd]], fld)
     layers = tower.layers
     all_layers = tuple(range(1, layers + 1))
     dm_nested = Claim("nested-dm", "I-layer ndm", tuple(s), all_layers)

@@ -238,24 +238,14 @@ def cmd_lift(args) -> int:
     chain = family.chain
     seed = _default_seed(args)
     m = family.top.n_cols
-    if args.mode == "nested":
+    if args.mode in ("nested", "sliced"):
+        gen, tag, build = {"nested": (gen_nested_permutation, "np", build_nsfd),
+                           "sliced": (gen_sliced_permutation, "sp", build_ssfd_multi)}[args.mode]
         if args.perms:
-            perms = _load_permutations(args.perms, "nested", chain)
+            perms = _load_permutations(args.perms, args.mode, chain)
         else:
-            perms = [
-                gen_nested_permutation(chain.sizes, seed, tag=f"np:{c}")
-                for c in range(m)
-            ]
-        lifted = build_nsfd(family, perms, seed=seed, stage=args.stage)
-    elif args.mode == "sliced":
-        if args.perms:
-            perms = _load_permutations(args.perms, "sliced", chain)
-        else:
-            perms = [
-                gen_sliced_permutation(chain.sizes, seed, tag=f"sp:{c}")
-                for c in range(m)
-            ]
-        lifted = build_ssfd_multi(family, perms, seed=seed, stage=args.stage)
+            perms = [gen(chain.sizes, seed, tag=f"{tag}:{c}") for c in range(m)]
+        lifted = build(family, perms, seed=seed, stage=args.stage)
     elif args.mode == "grouped":
         if args.i is None or args.j is None:
             raise SpecError("grouped mode needs --i and --j")
@@ -322,6 +312,10 @@ def verify_design(design: DesignFile) -> list:
     if design.type == "lh":
         claims = [Claim("lh")] + _grid_claims(design)
         return list(check_claims(design.rows, claims, levels=[design.scale or design.n]))
+    if chain is None and design.type != "design" and (
+            design.type == "dm" or design.layer_prefixes or design.slice_size
+            or design.collapse_layer):
+        raise SpecError(f"the claims of this {design.type!r} file need a 'chain' to be checked")
     if design.type == "design" or chain is None:
         if design.s and design.t_claimed:
             claims = [Claim("oa", strength=design.t_claimed)]
@@ -344,7 +338,7 @@ def verify_design(design: DesignFile) -> list:
         inputs["levels"] = [*chain.sizes[:-1], design.s or chain.top_size]
     else:
         claims = [Claim("nested-dm", rows=prefixes, layers=layers) if prefixes else Claim("dm")]
-    return [r.with_levels(chain.element_from_code) for r in check_claims(rows, claims, **inputs)]
+    return [r.with_levels(chain.group.text_code) for r in check_claims(rows, claims, **inputs)]
 
 
 def cmd_verify(args) -> int:

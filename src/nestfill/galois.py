@@ -11,7 +11,8 @@ here are tiny (a few dozen elements at most in practice), so irreducibility
 is checked by exhaustive trial division.  Arithmetic on codes reads q x q
 addition and multiplication tables, built on first use: addition digit by
 digit, multiplication from the powers of a primitive element.  Text forms
-are per code too (`Field.text_code`/`parse_code`).
+are per code too: `Field.text_code` prints, and the `TextCodec` parser it
+shares with the omega ring reads back exactly what a printer writes.
 
 `Element` is the one element view of the package: a code of a group (a
 Field, or an omega ring from :mod:`nestfill.groups`) whose arithmetic and
@@ -139,10 +140,32 @@ def direct_sum_table(tables: Sequence[Sequence[Sequence[int]]]) -> list[list[int
     return out
 
 
-_TERM_RE = re.compile(r"^(\d*)(x(?:\^(\d+))?)?$")
+def _terms(text: str) -> list[str]:
+    """The terms of `text` with spaces dropped: split on each '+' outside
+    parentheses (one not followed by a ')' before the next '('), so
+    `(x+1)w` is one term."""
+    return re.split(r"\+(?![^(]*\))", text.replace(" ", ""))
 
 
-class Field:
+class TextCodec:
+    """Reading text back as the printer writes it: `parse_code` inverts the
+    group's `text_code`, accepting exactly a printed text with its terms in
+    any order."""
+
+    @cached_property
+    def _code_of_terms(self) -> dict[frozenset, int]:
+        check_table_order(self.size)
+        return {frozenset(_terms(self.text_code(c))): c for c in range(self.size)}
+
+    def parse_code(self, text: str) -> int:
+        terms = _terms(text)
+        code = self._code_of_terms.get(frozenset(terms))
+        if code is None or len(set(terms)) != len(terms):
+            raise SpecError(f"{text!r} is not the text of an element of {self!r}")
+        return code
+
+
+class Field(TextCodec):
     """GF(p**u) with elements encoded as integers 0 .. p**u - 1.
 
     The modulus may be supplied as u+1 coefficients (lowest degree first,
@@ -280,29 +303,6 @@ class Field:
                 var = "x" if j == 1 else f"x^{j}"
                 terms.append(var if c == 1 else f"{c}{var}")
         return "+".join(terms) if terms else "0"
-
-    def parse_code(self, text: str) -> int:
-        s = text.replace(" ", "")
-        if s == "0":
-            return 0
-        coeffs = [0] * self.u
-        seen = set()
-        for term in s.split("+"):
-            m = _TERM_RE.match(term)
-            if not m or (not m.group(1) and not m.group(2)):
-                raise SpecError(f"malformed element text {text!r}")
-            if m.group(2) is None:
-                j, c = 0, int(m.group(1))
-            else:
-                j = int(m.group(3)) if m.group(3) else 1
-                c = int(m.group(1)) if m.group(1) else 1
-            if j >= self.u or not 1 <= c < self.p:
-                raise SpecError(f"term {term!r} not reduced for GF({self.size})")
-            if j in seen:
-                raise SpecError(f"repeated power x^{j} in {text!r}")
-            seen.add(j)
-            coeffs[j] = c
-        return self.encode(coeffs)
 
     def parse(self, text: str) -> Element:
         return self.element(self.parse_code(text))

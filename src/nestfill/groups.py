@@ -22,22 +22,22 @@ size; subfield layers are scattered code sets, still listed ascending.
 
 Inside the package everything is an integer code: each chain's `group` (the
 Galois field of a tower, or the omega ring itself) carries `add`/`neg`
-tables and the text form of a code (`text_code`/`parse_code`), and each
-chain carries `proj` tables built once from the direct sum of its
-transversals.  At the API edge `GroupChain.element_from_code`, `text` and
-`parse` wrap codes of the chain's group in `galois.Element`, one view for
-every chain kind.
+tables and prints a code (`text_code`), and each chain carries `proj`
+tables built once from the direct sum of its transversals.  Field and
+omega ring read text back through `parse_code` from `galois.TextCodec`,
+the inverse of `text_code`; `Zn` only prints.  At the API edge
+`GroupChain.element_from_code`, `text` and `parse` wrap codes of the
+chain's group in `galois.Element`, one view for every chain kind.
 """
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from math import prod
 from typing import Optional, Sequence, Union
 
 from .errors import SpecError
-from .galois import Element, Field, check_table_order, direct_sum_table
+from .galois import Element, Field, TextCodec, check_table_order, direct_sum_table
 
 
 class Zn:
@@ -58,15 +58,6 @@ class Zn:
 
     def text_code(self, a: int) -> str:
         return str(a)
-
-    def parse_code(self, text: str) -> int:
-        try:
-            v = int(text)
-        except ValueError:
-            raise SpecError(f"malformed Z_{self.n} element {text!r}") from None
-        if not 0 <= v < self.n:
-            raise SpecError(f"{v} out of range for Z_{self.n}")
-        return v
 
     def descriptor(self) -> dict:
         return {"zn": self.n}
@@ -125,8 +116,8 @@ class GroupChain:
 
     sizes[i-1] is |F_i| and the top layer has index I = layers.  `group` is
     the additive group every layer lives in (a Field, or the omega ring
-    itself): codes 0 .. top_size-1 with `add`/`neg` tables and
-    `text_code`/`parse_code`.  Subclasses provide `group` and `descriptor`;
+    itself): codes 0 .. top_size-1 with `add`/`neg` tables, `text_code`
+    and `parse_code`.  Subclasses provide `group` and `descriptor`;
     transversals default to the digit-structured layout where T_i holds the
     multiples of |F_{i-1}| below |F_i|.
     """
@@ -376,10 +367,7 @@ class SubfieldTowerChain(_FieldChain):
         return list(self._transversals[i - 1])
 
 
-_OMEGA_TERM_RE = re.compile(r"^(?:\(([^()]*)\)|([^()w]*))w(\d*)$")
-
-
-class OmegaRingChain(GroupChain):
+class OmegaRingChain(TextCodec, GroupChain):
     """Tower of truncated formal sums over base groups in the symbol w."""
 
     kind = "omega"
@@ -455,43 +443,6 @@ class OmegaRingChain(GroupChain):
             else:
                 terms.append(f"{coeff}{unit}")
         return "+".join(terms) if terms else "0"
-
-    def parse_code(self, text: str) -> int:
-        s = text.replace(" ", "")
-        if s == "0":
-            return 0
-        parts = [0] * len(self.bases)
-        # split on '+' outside parentheses
-        tokens, depth, cur = [], 0, ""
-        for ch in s:
-            if ch == "+" and depth == 0:
-                tokens.append(cur)
-                cur = ""
-            else:
-                depth += ch == "("
-                depth -= ch == ")"
-                cur += ch
-        tokens.append(cur)
-        psi0_tokens = []
-        seen = set()
-        for tok in tokens:
-            if "w" not in tok:
-                psi0_tokens.append(tok)
-                continue
-            m = _OMEGA_TERM_RE.match(tok)
-            if not m:
-                raise SpecError(f"malformed omega term {tok!r}")
-            coeff = m.group(1) if m.group(1) is not None else m.group(2)
-            b = int(m.group(3)) if m.group(3) else 1
-            if not 1 <= b < len(self.bases):
-                raise SpecError(f"w power {b} out of range in {text!r}")
-            if b in seen:
-                raise SpecError(f"repeated w power in {text!r}")
-            seen.add(b)
-            parts[b] = self.bases[b].parse_code(coeff if coeff else "1")
-        if psi0_tokens:
-            parts[0] = self.bases[0].parse_code("+".join(psi0_tokens))
-        return self.encode(parts)
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "bases": [b.descriptor() for b in self.bases]}

@@ -22,7 +22,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, permutations, product
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import SpecError
 
@@ -65,37 +65,39 @@ class VerificationReport:
         if self.detail:
             out["detail"] = self.detail
         if self.counterexample is not None:
-            out["counterexample"] = _plain(self.counterexample)
+            out["counterexample"] = self.counterexample
         return out
-
-
-def _plain(obj):
-    # make counterexamples JSON-friendly (group elements -> their text form)
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if hasattr(obj, "text"):
-        return obj.text()
-    return obj
 
 
 def _level_key(v):
     return v.code if hasattr(v, "code") else v
 
 
-def _flat(counts: Counter, expected: int) -> bool:
-    """Every count of the non-empty histogram `counts` is `expected`."""
-    return min(counts.values()) == expected == max(counts.values())
+def _columns(rows: Sequence[Sequence]) -> tuple[int, list[tuple]]:
+    """The row count and the columns of a non-empty matrix."""
+    if not rows:
+        raise SpecError("empty matrix")
+    return len(rows), list(zip(*rows))
+
+
+def _uneven(counts: Counter, cells: Iterable, expected: int, complete: bool) -> Optional[tuple]:
+    """The first of `cells` whose count in `counts` is not `expected`, with
+    that count; None when every cell has it.  `complete` says the keys of
+    `counts` are exactly `cells`: then a flat histogram is accepted by C-level
+    `min`/`max` without scanning the cells."""
+    if complete and min(counts.values()) == expected == max(counts.values()):
+        return None
+    for cell in cells:
+        got = counts.get(cell, 0)
+        if got != expected:
+            return cell, got
+    return None
 
 
 def check_oa_strength(rows: Sequence[Sequence], s: int, t: int, name: str = "oa-strength") -> VerificationReport:
     """Every t columns must carry each of the s**t level tuples n/s**t times."""
-    rows = [tuple(r) for r in rows]
-    n = len(rows)
-    if n == 0:
-        raise SpecError("empty matrix")
-    m = len(rows[0])
+    n, columns = _columns(rows)
+    m = len(columns)
     if t > m:
         raise SpecError(f"strength {t} exceeds column count {m}")
     if n % s**t:
@@ -103,31 +105,23 @@ def check_oa_strength(rows: Sequence[Sequence], s: int, t: int, name: str = "oa-
             name, False, f"run size {n} not divisible by {s}^{t}",
             {"n": n, "s": s, "t": t},
         )
-    levels = sorted(set(chain.from_iterable(rows)), key=_level_key)
+    levels = sorted(set(chain.from_iterable(columns)), key=_level_key)
     if len(levels) != s:
         return VerificationReport(
             name, False, f"found {len(levels)} distinct levels, expected {s}",
             {"levels": levels},
         )
     expected = n // s**t
-    columns = list(zip(*rows))
     for cols in combinations(range(m), t):
         counts = Counter(zip(*(columns[c] for c in cols)))
         # every key is a t-tuple of the s levels, so s**t keys are all of them
-        if len(counts) == s**t and _flat(counts, expected):
-            continue
-        for combo in product(levels, repeat=t):
-            got = counts.get(combo, 0)
-            if got != expected:
-                return VerificationReport(
-                    name, False, "unbalanced level tuple",
-                    {
-                        "columns": list(cols),
-                        "levels": list(combo),
-                        "observed": got,
-                        "expected": expected,
-                    },
-                )
+        bad = _uneven(counts, product(levels, repeat=t), expected, len(counts) == s**t)
+        if bad:
+            return VerificationReport(
+                name, False, "unbalanced level tuple",
+                {"columns": list(cols), "levels": list(bad[0]), "observed": bad[1],
+                 "expected": expected},
+            )
     return VerificationReport(name, True, f"OA({n}, {m}, {s}, {t})")
 
 
@@ -139,11 +133,8 @@ def check_difference_matrix(
 ) -> VerificationReport:
     """Entry-wise differences of every ordered column pair must cover the
     group evenly (r/s occurrences of each element)."""
-    rows = [tuple(r) for r in rows]
-    r = len(rows)
-    if r == 0:
-        raise SpecError("empty matrix")
-    c = len(rows[0])
+    r, columns = _columns(rows)
+    c = len(columns)
     s = len(elements)
     if r % s:
         return VerificationReport(
@@ -153,34 +144,22 @@ def check_difference_matrix(
     expected = r // s
     ordered = sorted(elements, key=_level_key)
     element_set = set(elements)
-    columns = list(zip(*rows))
     for c1, c2 in permutations(range(c), 2):
         counts = Counter(map(subtract, columns[c1], columns[c2]))
-        if counts.keys() == element_set and _flat(counts, expected):
-            continue
-        for el in ordered:
-            got = counts.get(el, 0)
-            if got != expected:
-                return VerificationReport(
-                    name, False, "uneven difference coverage",
-                    {
-                        "columns": [c1, c2],
-                        "element": el,
-                        "observed": got,
-                        "expected": expected,
-                    },
-                )
+        bad = _uneven(counts, ordered, expected, counts.keys() == element_set)
+        if bad:
+            return VerificationReport(
+                name, False, "uneven difference coverage",
+                {"columns": [c1, c2], "element": bad[0], "observed": bad[1],
+                 "expected": expected},
+            )
     return VerificationReport(name, True, f"D({r}, {c}, {s})")
 
 
 def check_latin_hypercube(rows: Sequence[Sequence[int]], name: str = "latin-hypercube") -> VerificationReport:
-    rows = [tuple(r) for r in rows]
-    n = len(rows)
-    if n == 0:
-        raise SpecError("empty matrix")
-    m = len(rows[0])
+    n, columns = _columns(rows)
     want = set(range(n))
-    for j, col in enumerate(zip(*rows)):
+    for j, col in enumerate(columns):
         # n cells are a permutation of 0..n-1 exactly when they hold all n values
         present = set(col)
         if present != want:
@@ -188,7 +167,7 @@ def check_latin_hypercube(rows: Sequence[Sequence[int]], name: str = "latin-hype
                 name, False, f"column {j} is not a permutation of 0..{n - 1}",
                 {"column": j, "missing": sorted(want - present)[:5]},
             )
-    return VerificationReport(name, True, f"{n}x{m} Latin hypercube")
+    return VerificationReport(name, True, f"{n}x{len(columns)} Latin hypercube")
 
 
 def check_stratification(
@@ -200,36 +179,26 @@ def check_stratification(
 ) -> VerificationReport:
     """Each cell of the g x g grid (cell index floor(value*g/scale)) must hold
     the same number of points, for the given dimension pair or all pairs."""
-    rows = [tuple(r) for r in rows]
-    n = len(rows)
-    if n == 0:
-        raise SpecError("empty matrix")
-    m = len(rows[0])
+    n, columns = _columns(rows)
     if n % (g * g):
         return VerificationReport(
             name, False, f"run size {n} not divisible by {g}^2", {"n": n, "g": g}
         )
     expected = n // (g * g)
-    pairs = [tuple(dims)] if dims is not None else list(combinations(range(m), 2))
-    columns = [[v * g // scale for v in col] for col in zip(*rows)]
+    pairs = [tuple(dims)] if dims is not None else list(combinations(range(len(columns)), 2))
+    columns = [[v * g // scale for v in col] for col in columns]
     in_range = [0 <= min(col) and max(col) < g for col in columns]
     for d1, d2 in pairs:
         counts = Counter(zip(columns[d1], columns[d2]))
         # with both columns' cells in 0..g-1, g*g keys are all the cells
-        if in_range[d1] and in_range[d2] and len(counts) == g * g and _flat(counts, expected):
-            continue
-        for cell in product(range(g), repeat=2):
-            got = counts.get(cell, 0)
-            if got != expected:
-                return VerificationReport(
-                    name, False, "uneven grid cell",
-                    {
-                        "dims": [d1, d2],
-                        "cell": list(cell),
-                        "observed": got,
-                        "expected": expected,
-                    },
-                )
+        bad = _uneven(counts, product(range(g), repeat=2), expected,
+                      in_range[d1] and in_range[d2] and len(counts) == g * g)
+        if bad:
+            return VerificationReport(
+                name, False, "uneven grid cell",
+                {"dims": [d1, d2], "cell": list(bad[0]), "observed": bad[1],
+                 "expected": expected},
+            )
     return VerificationReport(name, True, f"{g}x{g} grid, {expected}/cell")
 
 

@@ -342,6 +342,12 @@ def _rh_u12_sliced(**keys):
     return json.dumps({**json.loads(_rh_u12([4, 16])), **keys})
 
 
+def _chainless(kind, rows, **keys):
+    """A `kind` design file with `rows` and `keys` but no chain."""
+    return json.dumps({"format": "nestfill-design", "version": "0.1.0", "type": kind,
+                       "rows": rows, **keys})
+
+
 _OUT_OF_RANGE = [
     ({"d.json": _gf4_oa(code)}, argv)
     for code in (99, -1)
@@ -392,6 +398,12 @@ _OUT_OF_RANGE = [
     ({"d.json": _rh_u12_sliced(slice_size=5)}, ["verify", "--design", "d.json"]),
     ({"d.json": _rh_u12_sliced(slice_size=5, collapse_layer=1)},
      ["verify", "--design", "d.json"]),
+    *(({"d.json": _chainless("oa", [[0, 0], [0, 1], [1, 0], [1, 1]], s=2, t_claimed=2, **keys)},
+       ["verify", "--design", "d.json"])
+      for keys in ({"slice_size": 3, "collapse_layer": 1},
+                   {"slice_size": 2, "collapse_layer": 1},
+                   {"layer_prefixes": [2, 4]})),
+    ({"d.json": _chainless("dm", [[0, 1], [1, 0]])}, ["verify", "--design", "d.json"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -402,7 +414,9 @@ _OUT_OF_RANGE = [
        "lift-dm-file-grouped", "lift-dm-file-nested",
        "grid-rows-past-design", "grid-slice-past-design", "grid-slice-not-dividing",
        "grid-without-extent", "grid-rows-and-slice", "oa-slice-size-alone",
-       "oa-collapse-layer-alone", "oa-slice-size-5-alone", "oa-slice-size-not-dividing"])
+       "oa-collapse-layer-alone", "oa-slice-size-5-alone", "oa-slice-size-not-dividing",
+       "chainless-oa-sliced-3", "chainless-oa-sliced-2", "chainless-oa-prefixes",
+       "chainless-dm"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -578,3 +592,17 @@ def test_failing_input_oracle_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("verification failed: input A_1: FAIL")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a1.json", "a2.json", "chain.json"]
+
+
+def test_verify_fail_line_names_levels_as_text(tmp_path, rh_design, capsys):
+    """The stderr FAIL line of a tampered field-tower `oa` file prints the
+    counterexample levels as element text, as the report file does."""
+    data = json.loads(rh_design.read_text())
+    data["rows"][24][0] = 6  # x -> x^2+x keeps rho_1 and rho_2, breaks rho_3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("verify", "--design", str(bad), "--out", str(tmp_path / "report.json")) == 3
+    fail = [line for line in capsys.readouterr().err.splitlines() if ": FAIL" in line]
+    assert len(fail) == 1 and fail[0].startswith("nested-oa[layer 3 via rho_3]: FAIL")
+    assert "'levels': ['x', 'x^2']" in fail[0]

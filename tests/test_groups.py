@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -338,3 +339,37 @@ def test_omega_elements_add_but_do_not_multiply():
     assert (a + b, a - b, -a) == (chain.parse("0"), chain.parse("1"), chain.parse("1+w"))
     with pytest.raises(TypeError):
         a * b
+
+
+def _top_terms(text):
+    """`text` split on each '+' outside parentheses."""
+    terms, depth = [""], 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        if ch == "+" and depth == 0:
+            terms.append("")
+        else:
+            terms[-1] += ch
+    return terms
+
+
+@pytest.mark.parametrize("group", [
+    Field(2, 3), Field(3, 2),
+    chain_omega_ring([Field(2, 2), Zn(3), Zn(2)]), chain_omega_ring([Zn(2), Field(2, 2)]),
+], ids=["GF8", "GF9", "GF4xZ3xZ2", "Z2xGF4"])
+def test_text_parses_back_under_any_term_order(group):
+    """parse_code inverts text_code, whatever the order of the top-level
+    terms (a parenthesized coefficient such as (x+1)w is one term)."""
+    for code in range(group.size):
+        for order in permutations(_top_terms(group.text_code(code))):
+            assert group.parse_code("+".join(order)) == code
+
+
+@pytest.mark.parametrize("text", ["x^1", "1x", "01", "1w", "0w", "w1", "0+w", "(1+x)w"])
+def test_parse_rejects_unprinted_spellings(text):
+    """Only the printer's spelling parses (in GF(8), or over Z2 x GF(4) when
+    w appears): no explicit x^1, w1 or unit coefficient, no leading zero or
+    zero term, no reordered coefficient."""
+    group = chain_omega_ring([Zn(2), Field(2, 2)]) if "w" in text else Field(2, 3)
+    with pytest.raises(SpecError):
+        group.parse_code(text)
