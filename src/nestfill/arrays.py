@@ -102,9 +102,10 @@ def generator_matrix(
         ]
         return GeneratorMatrix(k, fld, tuple(cols))
     cols = []
-    for col in columns:
+    for pos, col in enumerate(columns, start=1):
         if len(col) != k:
-            raise SpecError(f"column {col!r} does not have length {k}")
+            codes = ",".join(str(getattr(e, "code", e)) for e in col)
+            raise SpecError(f"generator column {pos} (codes {codes}) does not have length {k}")
         if GroupMatrix([col]).owner != fld:
             raise SpecError("generator column is not over the base's field")
         col = tuple(e.code for e in col)
@@ -126,21 +127,22 @@ def full_factorial(elements: Sequence[Element], k: int) -> GroupMatrix:
 
 def _matmul(h: GroupMatrix, gen: GeneratorMatrix) -> GroupMatrix:
     """h times the generator: entry (r, j) is the dot product of row r of h
-    with column j."""
+    with column j.  Output column j is built column-wise: for each nonzero
+    coefficient c of generator column j, c times h's column is added to it
+    by table lookups."""
     if h.owner != gen.field:
         raise SpecError("matrix and generator live in different fields")
     add, mul = gen.field.add, gen.field.mul
-    scaled = [[mul[c] for c in col] for col in gen.codes]  # multiply-by-c rows
-    rows = []
-    for row in h.code_rows:
-        out = []
-        for col in scaled:
-            acc = 0
-            for times_c, x in zip(col, row):
-                acc = add[acc][times_c[x]]
-            out.append(acc)
-        rows.append(tuple(out))
-    return GroupMatrix(rows, gen.field)
+    h_cols = list(zip(*h.code_rows))
+    out = []
+    for col in gen.codes:
+        acc = [0] * h.n_rows
+        for c, x in zip(col, h_cols):
+            if c:
+                acc = list(map(list.__getitem__, map(add.__getitem__, acc),
+                               map(mul[c].__getitem__, x)))
+        out.append(acc)
+    return GroupMatrix(zip(*out), gen.field)
 
 
 def _require(rep: VerificationReport, matrix: GroupMatrix) -> VerificationReport:

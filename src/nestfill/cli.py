@@ -1,9 +1,10 @@
 """Command-line front end: construct, lift, verify, export.
 
-Exit codes: 0 on success, 2 on bad parameters or malformed inputs, 3 when a
-brute-force oracle rejects a claim.  Every randomized stage records its seed
-and permutations in the output file, and repeated runs of the same job
-produce byte-identical files.  NESTFILL_SEED supplies the default seed.
+Exit codes: 0 on success, 2 on bad parameters, malformed inputs or an
+unwritable output path, 3 when a brute-force oracle rejects a claim.  Every
+randomized stage records its seed and permutations in the output file, and
+repeated runs of the same job produce byte-identical files.  NESTFILL_SEED
+supplies the default seed.
 """
 
 from __future__ import annotations
@@ -35,7 +36,16 @@ from .groups import (
     chain_subfield_tower,
     is_int,
 )
-from .io import DesignFile, export_scatter, load, read_json, save_csv, save_json, symbols_for
+from .io import (
+    DesignFile,
+    _write_text,
+    export_scatter,
+    load,
+    read_json,
+    save_csv,
+    save_json,
+    symbols_for,
+)
 from .kronecker import GroupMatrix
 from .spacefill import (
     NestedPermutation,
@@ -187,7 +197,8 @@ def cmd_construct(args) -> int:
                                   layer_prefixes=list(out.nested.rows))
     reports = out.verification
     out_path = _write_design(design, args.out, args.format)
-    out_path.with_suffix(out_path.suffix + ".verify.json").write_text(_report_text(reports))
+    _write_text(out_path.with_suffix(out_path.suffix + ".verify.json"), _report_text(reports),
+                "verification report")
     print(f"wrote {out_path} ({design.type}, {design.n}x{design.m}); "
           f"{len(reports)} checks passed")
     return 0
@@ -346,7 +357,7 @@ def cmd_verify(args) -> int:
     reports = verify_design(design)
     text = _report_text(reports, design=str(args.design))
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text, "verification report")
     else:
         sys.stdout.write(text)
     for r in reports:

@@ -150,13 +150,11 @@ def symbols_for(chain: GroupChain, rows) -> dict:
 
 def save_json(design: DesignFile, path) -> Path:
     """Write `design` as indented JSON with one compact row per line."""
-    path = Path(path)
     payload = design.to_dict()
     rows = payload.pop("rows")
     head = json.dumps(payload, indent=2)[: -len("\n}")]
     body = "],\n    [".join([",".join(map(str, r)) for r in rows])
-    path.write_text(f'{head},\n  "rows": [\n    [{body}]\n  ]\n}}\n')
-    return path
+    return _write_text(path, f'{head},\n  "rows": [\n    [{body}]\n  ]\n}}\n', "design file")
 
 
 def _read_text(path, what: str) -> str:
@@ -164,6 +162,17 @@ def _read_text(path, what: str) -> str:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _write_text(path, text: str, what: str) -> Path:
+    """Write `text` to `path`; an unwritable path is a SpecError naming
+    `what` was to be written there."""
+    path = Path(path)
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise SpecError(f"cannot write {what} {path}: {exc.strerror or exc}") from None
+    return path
 
 
 def _parse_json(text: str, what: str):
@@ -188,15 +197,13 @@ def load(path) -> DesignFile:
 
 
 def save_csv(design: DesignFile, path) -> Path:
-    path = Path(path)
     payload = design.to_dict()
     rows = payload.pop("rows")
     lines = [f"# {FORMAT_NAME} v{__version__}"]
     lines.append("# meta=" + json.dumps(payload))
     lines.append(",".join(f"x{j + 1}" for j in range(design.m)))
     lines.extend(",".join(map(str, r)) for r in rows)
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_text(path, "\n".join(lines) + "\n", "design file")
 
 
 def _load_csv(text: str) -> DesignFile:
@@ -236,6 +243,5 @@ def export_scatter(design: DesignFile, out_prefix) -> list[Path]:
             path = prefix.parent / f"{prefix.name}_x{i + 1}_x{j + 1}.csv"
             lines = [f"x{i + 1},x{j + 1}"]
             lines.extend(map(",".join, zip(columns[i], columns[j])))
-            path.write_text("\n".join(lines) + "\n")
-            paths.append(path)
+            paths.append(_write_text(path, "\n".join(lines) + "\n", "scatter file"))
     return paths

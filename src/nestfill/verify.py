@@ -11,6 +11,16 @@ counted equally often, is accepted by C-level tests (`len`, `min`, `max`),
 and only a histogram that fails them is scanned cell by cell in order to
 find the first counterexample.
 
+The kernel works column by column.  A matrix becomes a column view once
+(:func:`check_claims` builds one for all its claims); a row block is a
+slice of every column, and a collapse is one table lookup per column
+(``map(table.__getitem__, col)``), made once per projection and shared by
+every layer prefix or slice.  The strength oracle counts each t-subset of
+columns as packed integer keys: each level is replaced by its rank among
+the sorted levels, scaled by a power of s, and the t scaled columns are
+added, so a level tuple is its base-s number and the ordered scan of a
+failing histogram is ``range(s**t)``.
+
 A :class:`Claim` names one oracle run on a matrix; :func:`check_claims` runs a
 list of them, so the constructors' self-checks and ``nestfill verify`` share
 one description of what a design claims.
@@ -73,19 +83,52 @@ def _level_key(v):
     return v.code if hasattr(v, "code") else v
 
 
-def _columns(rows: Sequence[Sequence]) -> tuple[int, list[tuple]]:
+class _ColumnView:
+    """A column-major view of a matrix: `len()` is its row count, `[i]` its
+    row i as a tuple, `[a:b]` the view of a row block, and `cols` the columns
+    as lists."""
+
+    __slots__ = ("cols", "n")
+
+    def __init__(self, cols: list[list], n: int):
+        self.cols = cols
+        self.n = n
+
+    @classmethod
+    def of(cls, rows) -> "_ColumnView":
+        """`rows` (a view, or a sequence of rows) as a view."""
+        if isinstance(rows, _ColumnView):
+            return rows
+        return cls(list(map(list, zip(*rows))), len(rows))
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _ColumnView([col[i] for col in self.cols], len(range(self.n)[i]))
+        return tuple(col[i] for col in self.cols)
+
+    def project(self, table: Mapping) -> "_ColumnView":
+        """The view with every cell v replaced by table[v]."""
+        return _ColumnView([list(map(table.__getitem__, col)) for col in self.cols], self.n)
+
+
+def _columns(rows) -> tuple[int, list[list]]:
     """The row count and the columns of a non-empty matrix."""
-    if not rows:
+    view = _ColumnView.of(rows)
+    if not view.n:
         raise SpecError("empty matrix")
-    return len(rows), list(zip(*rows))
+    return view.n, view.cols
 
 
 def _uneven(counts: Counter, cells: Iterable, expected: int, complete: bool) -> Optional[tuple]:
     """The first of `cells` whose count in `counts` is not `expected`, with
     that count; None when every cell has it.  `complete` says the keys of
-    `counts` are exactly `cells`: then a flat histogram is accepted by C-level
-    `min`/`max` without scanning the cells."""
-    if complete and min(counts.values()) == expected == max(counts.values()):
+    `counts` are exactly `cells`.  Every caller counts expected * len(cells)
+    items, so a complete histogram whose least count is `expected` is flat,
+    and it is accepted by one C-level `min` without scanning the cells."""
+    if complete and min(counts.values()) == expected:
         return None
     for cell in cells:
         got = counts.get(cell, 0)
@@ -112,14 +155,31 @@ def check_oa_strength(rows: Sequence[Sequence], s: int, t: int, name: str = "oa-
             {"levels": levels},
         )
     expected = n // s**t
+    # scaled[e][c] is column c with each level replaced by its rank times
+    # s**e: the key of a t-subset is the sum of its scaled columns, most
+    # significant first, so its keys are range(s**t) in the lexicographic
+    # order of level tuples
+    scaled = []
+    for e in range(t):
+        if e == 0 and levels == list(range(s)):  # the levels are their own ranks
+            scaled.append(columns)
+            continue
+        table = {v: r * s**e for r, v in enumerate(levels)}
+        scaled.append([list(map(table.__getitem__, col)) for col in columns])
     for cols in combinations(range(m), t):
-        counts = Counter(zip(*(columns[c] for c in cols)))
-        # every key is a t-tuple of the s levels, so s**t keys are all of them
-        bad = _uneven(counts, product(levels, repeat=t), expected, len(counts) == s**t)
+        keys = scaled[t - 1][cols[0]]
+        for e, c in zip(range(t - 2, -1, -1), cols[1:]):
+            keys = map(operator.add, keys, scaled[e][c])
+        counts = Counter(keys)
+        bad = _uneven(counts, range(s**t), expected, len(counts) == s**t)
         if bad:
+            key, digits = bad[0], []
+            for _ in range(t):
+                key, d = divmod(key, s)
+                digits.append(levels[d])
             return VerificationReport(
                 name, False, "unbalanced level tuple",
-                {"columns": list(cols), "levels": list(bad[0]), "observed": bad[1],
+                {"columns": list(cols), "levels": digits[::-1], "observed": bad[1],
                  "expected": expected},
             )
     return VerificationReport(name, True, f"OA({n}, {m}, {s}, {t})")
@@ -202,10 +262,6 @@ def check_stratification(
     return VerificationReport(name, True, f"{g}x{g} grid, {expected}/cell")
 
 
-def _project_rows(rows, mapping: Mapping):
-    return [tuple(mapping[v] for v in r) for r in rows]
-
-
 def check_projection_compatibility(
     projections: Sequence[Mapping], name: str = "projection-compatibility"
 ) -> VerificationReport:
@@ -243,20 +299,20 @@ def _check_layers(
 ) -> VerificationReport:
     """Row-prefix containment, compatibility of the projection family, and
     `oracle(rows, per_layer[j], name)` on every collapse rho_j (j <= i) of
-    every layer i."""
-    mats = [[tuple(r) for r in layer] for layer in layers]
+    every layer i.  Once containment holds, every layer is a row prefix of
+    the top, so the top is projected once per rho_j and each layer is
+    handed its prefix of that projection."""
+    mats = [_ColumnView.of(layer) for layer in layers]
     if len(mats) != len(projections) or len(mats) != len(per_layer):
         raise SpecError("layers, projections and per-layer levels must align")
     for i in range(len(mats) - 1):
-        n_i = len(mats[i])
-        if len(mats[i + 1]) <= n_i:
+        small, big = mats[i], mats[i + 1]
+        if len(big) <= len(small):
             return VerificationReport(
                 name, False, f"layer {i + 2} not larger than layer {i + 1}"
             )
-        if mats[i + 1][:n_i] != mats[i]:
-            first_bad = next(
-                k for k in range(n_i) if mats[i + 1][k] != mats[i][k]
-            )
+        if big[: len(small)].cols != small.cols:
+            first_bad = next(k for k in range(len(small)) if big[k] != small[k])
             return VerificationReport(
                 name, False, f"layer {i + 1} is not a row prefix of layer {i + 2}",
                 {"row": first_bad},
@@ -264,9 +320,10 @@ def _check_layers(
     compat = check_projection_compatibility(projections)
     if not compat:
         return VerificationReport(name, False, compat.detail, compat.counterexample)
+    collapsed = [mats[-1].project(p) for p in projections]
     for i, mat in enumerate(mats):
         for j in range(i + 1):
-            rep = oracle(_project_rows(mat, projections[j]), per_layer[j],
+            rep = oracle(collapsed[j][: len(mat)], per_layer[j],
                          f"{name}[layer {i + 1} via rho_{j + 1}]")
             if not rep:
                 return rep
@@ -315,17 +372,16 @@ def check_sliced(
     name: str = "sliced-oa",
 ) -> VerificationReport:
     """Each consecutive row block must collapse into a strength-t array."""
-    rows = [tuple(r) for r in rows]
-    n = len(rows)
+    view = _ColumnView.of(rows)
+    n = len(view)
     if n % slice_size:
         return VerificationReport(
             name, False, f"run size {n} not divisible by slice size {slice_size}"
         )
+    collapsed = view.project(projection)
     for l in range(n // slice_size):
-        block = rows[l * slice_size : (l + 1) * slice_size]
-        rep = check_oa_strength(
-            _project_rows(block, projection), s_low, t, name=f"{name}[slice {l + 1}]"
-        )
+        rep = check_oa_strength(collapsed[l * slice_size : (l + 1) * slice_size], s_low, t,
+                                name=f"{name}[slice {l + 1}]")
         if not rep:
             return rep
     return VerificationReport(
@@ -371,31 +427,40 @@ def check_claims(
     of `element_sets`) is the top layer's, and a "strat" claim reads it as
     the scale of the values.  `subtract` is the group difference the
     difference-matrix claims count.  The reports are yielded lazily, so a caller
-    may stop at the first failure.
+    may stop at the first failure.  `rows` becomes one column view for all
+    the claims, and each layer's collapse of it is made once, when a claim
+    first needs it.
     """
+    view = _ColumnView.of(rows)
+    collapsed: dict[int, _ColumnView] = {}
     for c in claims:
         if any(not 1 <= j <= len(levels) for j in c.layers):
             raise SpecError(f"claim {c.name or c.kind!r} names a layer outside 1..{len(levels)}")
         named = {"name": c.name} if c.name else {}
         if c.kind == "nested":
             yield check_nested(
-                [rows[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
+                [view[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
                 [levels[j - 1] for j in c.layers], c.strength, **named,
             )
             continue
         if c.kind == "nested-dm":
             yield check_nested_dm(
-                [rows[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
+                [view[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
                 [element_sets[j - 1] for j in c.layers], subtract, **named,
             )
             continue
-        block = rows[c.rows[0] : c.rows[1]] if c.rows else rows
         j = c.layers[0] if c.layers else len(levels)
         if c.kind == "sliced":
+            block = view[c.rows[0] : c.rows[1]] if c.rows else view
             yield check_sliced(block, c.size, projections[j - 1], levels[j - 1], c.strength, **named)
             continue
+        block = view
         if c.layers:
-            block = _project_rows(block, projections[j - 1])
+            if j not in collapsed:
+                collapsed[j] = view.project(projections[j - 1])
+            block = collapsed[j]
+        if c.rows:
+            block = block[c.rows[0] : c.rows[1]]
         if c.kind == "oa":
             yield check_oa_strength(block, levels[j - 1], c.strength, **named)
         elif c.kind == "dm":

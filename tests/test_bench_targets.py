@@ -21,3 +21,27 @@ def test_every_benchmarked_name_exists(monkeypatch):
         assert rec.missing == []
     finally:
         rec.uninstall()
+
+
+def test_traced_oracle_work_counts(monkeypatch, tmp_path, capsys):
+    """The benchmark's exhaustiveness counters, recorded in-process through
+    the wrappers of `bench/layers.py` for one construct and its verify: every
+    strength histogram is still one `check_oa_strength` call whose first
+    argument has the row and column counts `_oa_work` reads."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.chdir(tmp_path)
+    import layers
+    from spans import Recorder
+
+    from nestfill.cli import main
+
+    rec = Recorder()
+    layers.install(rec)
+    try:
+        assert main(["construct", "--method", "rh-noa", "--p", "2", "--u", "1,2,3",
+                     "--k", "2", "--out", "a.json"]) == 0
+        assert main(["verify", "--design", "a.json", "--out", "a.check.json"]) == 0
+    finally:
+        rec.uninstall()
+    capsys.readouterr()
+    assert (rec.counts["verify.oa_calls"], rec.counts["verify.rows_counted"]) == (36, 1944)

@@ -427,6 +427,41 @@ def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, 
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+_WRITES = {
+    "construct": CONSTRUCT_RH[:-2] + ["--p", "2", "--u", "1,2", "--out"],
+    "lift": LIFT_NESTED[:-1],
+    "verify": ["verify", "--design", "{rh}", "--out"],
+    "export-csv": ["export", "--design", "{rh}", "--format", "csv", "--out"],
+    "export-scatter": ["export", "--design", "{rh}", "--format", "scatter", "--out"],
+}
+
+
+@pytest.mark.parametrize("command, out", [
+    *((command, "no-such-dir/x.json") for command in _WRITES),
+    # a scatter prefix names files next to it, so only the others can hit a directory
+    *((command, "taken") for command in _WRITES if command != "export-scatter"),
+    ("construct", "r.json"),  # its report path r.json.verify.json is a directory
+], ids=[*(f"{c}-missing-dir" for c in _WRITES),
+        *(f"{c}-directory" for c in _WRITES if c != "export-scatter"), "construct-report"])
+def test_unwritable_output_exits_2(command, out, tmp_path, rh_design, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "r.json.verify.json").mkdir()
+    capsys.readouterr()
+    assert run(*(a.format(rh=rh_design) for a in _WRITES[command]), out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write ")
+    assert out in err[0]
+
+
+def test_columns_of_wrong_length_name_codes_and_position(tmp_path, capsys):
+    argv = CONSTRUCT_RH[:-2] + ["--p", "2", "--u", "1,2", "--columns", "1,0;0,1;1,1;2",
+                                "--out", str(tmp_path / "x.json")]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: generator column 4 (codes 2) does not have length 2"]
+
+
 def _check_names(path):
     return [c["check"] for c in json.loads(path.read_text())["checks"]]
 

@@ -14,6 +14,8 @@ from nestfill.errors import SpecError
 from nestfill.galois import Field, poly_residue
 from nestfill.groups import Zn, chain_field_tower, chain_omega_ring
 from nestfill.verify import (
+    Claim,
+    check_claims,
     check_difference_matrix,
     check_latin_hypercube,
     check_nested,
@@ -399,6 +401,219 @@ def test_stratification_matches_ordered_scan(case):
 @given(lh_cases())
 def test_latin_hypercube_matches_ordered_scan(rows):
     assert check_latin_hypercube(rows) == _ref_latin_hypercube(rows)
+
+
+# Row-wise references of the composite oracles: containment row by row, and
+# every collapse made one row at a time before the reference flat oracle
+# counts it.  The column-wise oracles in verify.py must give the same report.
+
+def _project(rows, table):
+    return [tuple(table[v] for v in r) for r in rows]
+
+
+def _ref_nested(layers, projections, s_levels, t, name="nested-oa"):
+    mats = [[tuple(r) for r in layer] for layer in layers]
+    for i in range(len(mats) - 1):
+        if len(mats[i + 1]) <= len(mats[i]):
+            return VerificationReport(name, False, f"layer {i + 2} not larger than layer {i + 1}")
+        bad = next((k for k, r in enumerate(mats[i]) if mats[i + 1][k] != r), None)
+        if bad is not None:
+            return VerificationReport(
+                name, False, f"layer {i + 1} is not a row prefix of layer {i + 2}", {"row": bad})
+    violation = _pairwise_compatibility(projections)
+    if violation is not None:
+        layers_, pair = violation
+        return VerificationReport(name, False, "refinement violated",
+                                  {"layers": layers_, "pair": pair})
+    for i, mat in enumerate(mats):
+        for j in range(i + 1):
+            rep = _ref_oa_strength(_project(mat, projections[j]), s_levels[j], t,
+                                   f"{name}[layer {i + 1} via rho_{j + 1}]")
+            if not rep:
+                return rep
+    return VerificationReport(name, True, f"{len(layers)} layers, strength {t}")
+
+
+def _ref_sliced(rows, slice_size, projection, s_low, t, name="sliced-oa"):
+    n = len(rows)
+    if n % slice_size:
+        return VerificationReport(name, False,
+                                  f"run size {n} not divisible by slice size {slice_size}")
+    for l in range(n // slice_size):
+        block = _project(rows[l * slice_size : (l + 1) * slice_size], projection)
+        rep = _ref_oa_strength(block, s_low, t, f"{name}[slice {l + 1}]")
+        if not rep:
+            return rep
+    return VerificationReport(name, True, f"{n // slice_size} slices of {slice_size} rows")
+
+
+def _ref_claim(rows, c, projections, levels, element_sets, subtract):
+    if c.kind == "nested":
+        return _ref_nested([rows[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
+                           [levels[j - 1] for j in c.layers], c.strength)
+    j = c.layers[0] if c.layers else len(levels)
+    block = rows[c.rows[0] : c.rows[1]] if c.rows else rows
+    if c.kind == "sliced":
+        return _ref_sliced(block, c.size, projections[j - 1], levels[j - 1], c.strength)
+    if c.layers:
+        block = _project(block, projections[j - 1])
+    if c.kind == "oa":
+        return _ref_oa_strength(block, levels[j - 1], c.strength)
+    return _ref_difference_matrix(block, element_sets[j - 1], subtract)
+
+
+_GOLDEN = [[Field(2, 3).parse_code(v) for v in row] for row in RH_NOA_P2_U123_K2]
+
+
+@st.composite
+def chain_matrices(draw):
+    """A top matrix with one projection per layer, all on relabeled codes.
+
+    The top is the 64-row three-layer nested OA over GF(8) (collapsed by
+    codes mod 2 and mod 4) or a near-balanced matrix over 0..s-1 collapsed
+    mod the smaller level counts.  Every layer's levels are relabeled by an
+    injection into 0..15, so level codes are sparse and their sorted order
+    is not that of the originals; now and then one projection is made
+    incompatible.  Up to two cells of the top are set to other codes.
+    Returns (top rows, projections, level counts)."""
+    if draw(st.booleans()):
+        sizes, top = [2, 4, 8], [list(r) for r in _GOLDEN]
+    else:
+        sizes = draw(st.sampled_from([[2], [4], [2, 4], [3], [3, 9]]))
+        top = draw(near_balanced(sizes[-1], draw(st.integers(1, 3)), sizes[-1] - 1))
+    q = sizes[-1]
+    labels = [draw(st.lists(st.integers(0, 15), min_size=s, max_size=s, unique=True))
+              for s in sizes]
+    folds = [(lambda c, s=s: c % s) for s in sizes]
+    if len(sizes) > 1 and draw(st.integers(0, 4)) == 0:
+        j = draw(st.integers(0, len(sizes) - 2))
+        folds[j] = lambda c, k=q // sizes[j]: c // k
+    projections = [{labels[-1][c]: labels[j][fold(c)] for c in range(q)}
+                   for j, fold in enumerate(folds)]
+    top = [[labels[-1][c] for c in r] for r in top]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(top))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(labels[-1]))
+    return top, projections, sizes
+
+
+@st.composite
+def nested_cases(draw):
+    """Layers cut from a chain matrix at increasing stops (or at random
+    ones, so a layer may not be larger), now and then with one cell of a
+    lower layer changed so that it is no prefix."""
+    top, projections, sizes = draw(chain_matrices())
+    n = len(top)
+    natural = [n * s // sizes[-1] for s in sizes]
+    if draw(st.booleans()) and all(natural):
+        stops = natural
+    else:
+        stops = sorted(draw(st.lists(st.integers(1, n), min_size=len(sizes) - 1,
+                                     max_size=len(sizes) - 1))) + [n]
+    layers = [[list(r) for r in top[:k]] for k in stops]
+    if len(layers) > 1 and draw(st.integers(0, 3)) == 0:
+        layer = draw(st.sampled_from(layers[:-1]))
+        row = draw(st.sampled_from(layer))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(list(projections[-1])))
+    return layers, projections, sizes, draw(st.integers(1, min(3, len(top[0]))))
+
+
+def _sparse_layers():
+    """Two layers over the codes {0, 1, 6, 7}: the four binary pairs, then
+    all sixteen pairs with the 6 and the 0 of rows (6, 6) and (7, 0)
+    exchanged, which the collapse mod 2 cannot see."""
+    swap = {(6, 6): (6, 0), (7, 0): (7, 6)}
+    top = [(0, 0), (0, 1), (1, 0), (1, 1)] + [
+        swap.get(r, r) for r in product([0, 1, 6, 7], repeat=2) if not set(r) <= {0, 1}]
+    return [top[:4], top], [{c: c % 2 for c in (0, 1, 6, 7)}, {c: c for c in (0, 1, 6, 7)}]
+
+
+# the 2^3 factorial on the codes {1, 6} with row (1, 6, 6) replaced by a second (1, 1, 6)
+_T3_ROWS = [tuple(6 if b else 1 for b in r) for r in product([1, 0], repeat=3)
+            if r != (0, 1, 1)] + [(1, 1, 6)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_cases())
+@example((*_sparse_layers(), [2, 4], 2))  # layer 2 via rho_2 fails at sparse codes (6, 0)
+@example(([[(0, 0)], [(1, 0), (0, 0)]], [{0: 0, 1: 1}] * 2, [2, 2], 1))  # no row prefix
+@example(([[(0,)], [(0, 1), (1, 0)]], [{0: 0, 1: 1}] * 2, [2, 2], 1))  # widths differ
+@example(([_T3_ROWS], [{1: 1, 6: 6}], [2], 3))  # strength 3 fails at levels (1, 1, 6)
+def test_nested_matches_rowwise_reference(case):
+    layers, projections, s_levels, t = case
+    assert (check_nested(layers, projections, s_levels, t)
+            == _ref_nested(layers, projections, s_levels, t))
+
+
+def test_nested_counterexample_at_sparse_codes():
+    layers, projections = _sparse_layers()
+    rep = check_nested(layers, projections, [2, 4], 2)
+    assert (rep.check, rep.counterexample) == (
+        "nested-oa[layer 2 via rho_2]",
+        {"columns": [0, 1], "levels": [6, 0], "observed": 2, "expected": 1})
+
+
+@st.composite
+def sliced_cases(draw):
+    top, projections, sizes = draw(chain_matrices())
+    j = draw(st.integers(0, len(sizes) - 1))
+    size = draw(st.integers(1, len(top)))
+    t = draw(st.integers(1, min(3, len(top[0]))))
+    return top, size, projections[j], sizes[j], t
+
+
+@settings(max_examples=300, deadline=None)
+@given(sliced_cases())
+@example((_GOLDEN, 16, {c: c % 4 for c in range(8)}, 4, 2))  # every slice passes
+@example((_sparse_layers()[0][1], 8, {c: c for c in (0, 1, 6, 7)}, 4, 1))  # slice 1: four 0s
+@example((_T3_ROWS * 2, 8, {1: 1, 6: 6}, 2, 3))  # slice 1 fails at levels (1, 1, 6)
+def test_sliced_matches_rowwise_reference(case):
+    rows, size, projection, s_low, t = case
+    assert (check_sliced(rows, size, projection, s_low, t)
+            == _ref_sliced(rows, size, projection, s_low, t))
+
+
+@st.composite
+def claim_cases(draw):
+    """A chain matrix with a list of claims of every kind the column view
+    serves: nested prefixes, sliced blocks, and collapsed OA and DM claims
+    on row ranges, at strengths 1..3."""
+    top, projections, sizes = draw(chain_matrices())
+    n, m = len(top), len(top[0])
+    layers = tuple(range(1, len(sizes) + 1))
+    claims = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["nested", "sliced", "oa", "dm"]))
+        t = draw(st.integers(1, min(3, m)))
+        start = draw(st.integers(0, n - 1))
+        block = (start, draw(st.integers(start + 1, n)))
+        j = (draw(st.sampled_from(layers)),)
+        if kind == "nested":
+            stops = sorted(draw(st.lists(st.integers(1, n), min_size=len(sizes) - 1,
+                                         max_size=len(sizes) - 1))) + [n]
+            claims.append(Claim("nested", rows=tuple(stops), layers=layers, strength=t))
+        elif kind == "sliced":
+            claims.append(Claim("sliced", rows=block, layers=j, strength=t,
+                                size=draw(st.integers(1, block[1] - block[0]))))
+        elif kind == "oa":
+            claims.append(Claim("oa", rows=draw(st.sampled_from([(), block])),
+                                layers=draw(st.sampled_from([(), j])), strength=t))
+        else:
+            claims.append(Claim("dm", rows=block, layers=j))
+    element_sets = [sorted(set(p.values())) for p in projections]
+    return top, claims, projections, sizes, element_sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(claim_cases())
+@example((_sparse_layers()[0][1], [Claim("oa", rows=(4, 16), layers=(1,)),
+                                   Claim("oa", layers=(2,))],
+          *_sparse_layers()[1:], [2, 4], [[0, 1], [0, 1, 6, 7]]))  # the second fails at (6, 0)
+def test_claims_match_rowwise_reference(case):
+    rows, claims, projections, levels, element_sets = case
+    subtract = lambda a, b: (a - b) % 16  # noqa: E731
+    assert list(check_claims(rows, claims, projections, levels, element_sets, subtract)) == [
+        _ref_claim(rows, c, projections, levels, element_sets, subtract) for c in claims]
 
 
 def test_verify_imports_no_construction_code():
