@@ -21,13 +21,7 @@ from .errors import SpecError, VerificationFailure
 from .galois import Element, Field
 from .groups import FieldTowerChain, GroupChain, SubfieldTowerChain
 from .kronecker import GroupMatrix, col_kron_sum, kron_sum
-from .verify import (
-    Claim,
-    VerificationReport,
-    check_claims,
-    check_difference_matrix,
-    check_oa_strength,
-)
+from .verify import Claim, VerificationReport, check_claims
 
 
 @dataclass
@@ -145,20 +139,17 @@ def _matmul(h: GroupMatrix, gen: GeneratorMatrix) -> GroupMatrix:
     return GroupMatrix(zip(*out), gen.field)
 
 
-def _require(rep: VerificationReport, matrix: GroupMatrix) -> VerificationReport:
-    """rep, or a VerificationFailure naming its counterexample in the text
-    of `matrix`'s group."""
-    if not rep.passed:
-        rep = rep.with_levels(matrix.owner.text_code)
-        raise VerificationFailure(rep.message(), rep)
-    return rep
-
-
-def _require_claims(reports: list, matrix: GroupMatrix, claims, chain: GroupChain) -> None:
-    """Check `claims` on `matrix` in order, keeping each report; the first
-    failure raises."""
-    for rep in check_claims(matrix.code_rows, claims, **chain.oracle_inputs()):
-        reports.append(_require(rep, matrix))
+def _require(matrix: GroupMatrix, claims: Sequence[Claim], **inputs) -> list[VerificationReport]:
+    """The reports of `check_claims` on `matrix`, in order; the first failure
+    raises VerificationFailure naming its counterexample in the text of
+    `matrix`'s group."""
+    reports = []
+    for rep in check_claims(matrix.code_rows, claims, **inputs):
+        if not rep.passed:
+            rep = rep.with_levels(matrix.owner.text_code)
+            raise VerificationFailure(rep.message(), rep)
+        reports.append(rep)
+    return reports
 
 
 def _delta_claims(i: int, size: int, n_blocks: int) -> list[Claim]:
@@ -179,7 +170,7 @@ def rao_hamming_oa(
     gen = generator_matrix(elements, k, columns)
     mat = _matmul(full_factorial(elements, k), gen)
     s = len(elements)
-    _require(check_oa_strength(mat.code_rows, s, 2, name="rao-hamming"), mat)
+    _require(mat, [Claim("oa", "rao-hamming")], levels=[s])
     return OrthogonalArray(mat, s, 2)
 
 
@@ -233,9 +224,8 @@ def _noa_family(chain: GroupChain, top: GroupMatrix, stops: tuple[int, ...], str
     ]
     nested = Claim("nested", rows=stops, layers=tuple(range(1, chain.layers + 1)),
                    strength=strength)
-    fam = NestedFamily(chain, top, nested, sliced, reports, generator)
-    _require_claims(reports, top, [nested, *sliced], chain)
-    return fam
+    reports += _require(top, [nested, *sliced], **chain.oracle_inputs())
+    return NestedFamily(chain, top, nested, sliced, reports, generator)
 
 
 def _construct_noa(chain: GroupChain, gen: GeneratorMatrix, strength: int) -> NestedFamily:
@@ -341,11 +331,8 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
         raise SpecError(f"input array must use {s_top} levels, has {a.levels}")
     if a.matrix.owner != tower.field:
         raise SpecError("input array is not over this chain's field")
-    reports: list[VerificationReport] = []
-    reports.append(
-        _require(check_oa_strength(a.matrix.code_rows, s_top, 2, name="ndm-product input"),
-                 a.matrix)
-    )
+    inputs = tower.oracle_inputs()
+    reports = _require(a.matrix, [Claim("oa", "ndm-product input")], **inputs)
     fld = tower.field
     t1 = tower.transversal_codes(1)
     d = GroupMatrix(
@@ -363,10 +350,8 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
     out = NdmProduct(tower, a, d, a_plus_d, combined, dm_nested, noa_nested, reports)
 
     # D and the full-size OA
-    _require_claims(reports, d, [Claim("dm", "D")], tower)
-    reports.append(
-        _require(check_oa_strength(a_plus_d.code_rows, s_top, 2, name="A(+)D"), a_plus_d)
-    )
+    reports += _require(d, [Claim("dm", "D")], **inputs)
+    reports += _require(a_plus_d, [Claim("oa", "A(+)D")], **inputs)
     # row blocks of D and their collapses, then the I-layer NDM
     # (Delta^1_1, ..., Delta^{I-1}_1, D)
     d_claims = []
@@ -380,7 +365,7 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
             for j in range(1, i + 1)
         ]
     d_claims.append(dm_nested)
-    _require_claims(reports, d, d_claims, tower)
+    reports += _require(d, d_claims, **inputs)
     # sliced and nested OA wrappers around the combined array
     combined_claims = []
     for i in range(1, layers):
@@ -393,7 +378,7 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
                 for blocks in range(1, s_top // s[i - 1])
             ]
     combined_claims.append(noa_nested)
-    _require_claims(reports, combined, combined_claims, tower)
+    reports += _require(combined, combined_claims, **inputs)
     return out
 
 
@@ -421,13 +406,10 @@ def _check_kron_inputs(
     reports = []
     for i, item in enumerate(items, start=1):
         codes = chain.transversal_codes(i)
-        if isinstance(item, DifferenceMatrix):
-            rep = check_difference_matrix(item.matrix.code_rows, codes, chain.group.sub_codes,
-                                          name=f"input D_{i}")
-        else:
-            rep = check_oa_strength(item.matrix.code_rows, len(codes), item.strength,
-                                    name=f"input A_{i}")
-        reports.append(_require(rep, item.matrix))
+        claim = (Claim("dm", f"input D_{i}") if isinstance(item, DifferenceMatrix)
+                 else Claim("oa", f"input A_{i}", strength=item.strength))
+        reports += _require(item.matrix, [claim], levels=[len(codes)], element_sets=[codes],
+                            subtract=chain.group.sub_codes)
     return reports
 
 
@@ -494,7 +476,7 @@ def construct_soa_kron(
     claims = [Claim("oa", "B", strength=strength), soa] + [
         out.prefix_noa(l) for l in range(1, a2.matrix.n_rows)
     ]
-    _require_claims(reports, b_mat, claims, chain)
+    reports += _require(b_mat, claims, **chain.oracle_inputs())
     return out
 
 
@@ -510,5 +492,5 @@ def construct_ndm_kron(dms: Sequence[DifferenceMatrix], chain: GroupChain) -> Ne
     claims = [out.nested]
     for i in range(1, chain.layers):
         claims += _delta_claims(i, stops[i - 1], top.n_rows // stops[i - 1])
-    _require_claims(reports, top, claims, chain)
+    reports += _require(top, claims, **chain.oracle_inputs())
     return out

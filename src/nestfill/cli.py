@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .arrays import (
@@ -103,12 +104,14 @@ def _parse_columns(text: str, chain: GroupChain):
     return cols
 
 
-def _load_input_design(path, chain: GroupChain, layer: int, want: str):
+def _load_input_design(path, chain: GroupChain, levels: int, want: str):
     design = load(path)
+    if design.s and design.s != levels:
+        raise SpecError(f"input {path} declares s={design.s}, but {levels} levels "
+                        f"are expected there")
     rows = GroupMatrix(design.rows, chain.group)
     if want == "dm":
         return DifferenceMatrix(rows)
-    levels = design.s if design.s else len(chain.transversal_codes(layer))
     return OrthogonalArray(rows, levels, design.t_claimed or 2)
 
 
@@ -124,10 +127,16 @@ def _report_text(reports, **head) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _design_file(kind: str, matrix: GroupMatrix, chain: GroupChain, method: str,
-                 params: dict, **annotations) -> DesignFile:
+def _design_file(matrix: GroupMatrix, chain: GroupChain, method: str, params: dict,
+                 claim: Claim) -> DesignFile:
     """A constructed matrix over `chain` with its provenance and the
-    structure annotations (`t_claimed`, `layer_prefixes`, ...) it claims."""
+    annotations of the one claim it records, which `_file_claims` reads back."""
+    kind = "dm" if claim.kind == "nested-dm" else "oa"
+    annotations = {} if kind == "dm" else {"t_claimed": claim.strength}
+    if claim.kind == "sliced":
+        annotations.update(slice_size=claim.size, collapse_layer=claim.layers[0])
+    else:
+        annotations["layer_prefixes"] = list(claim.rows)
     rows = matrix.codes()
     return DesignFile(
         type=kind, rows=rows, s=chain.top_size, chain=chain.descriptor(),
@@ -136,6 +145,68 @@ def _design_file(kind: str, matrix: GroupMatrix, chain: GroupChain, method: str,
               "params": params},
         symbols=symbols_for(chain, rows), **annotations,
     )
+
+
+def _file_claims(design: DesignFile, chain: Optional[GroupChain]) -> list[Claim]:
+    """The claims `design`, over its `chain`, records (README "Claims"); an
+    annotation that cannot be checked in full is a SpecError."""
+    if design.type == "lh":
+        claims = [Claim("lh")]
+        for grid in design.grids or []:
+            g = grid["grid"]
+            if "rows" in grid:
+                if grid["rows"] > design.n:
+                    raise SpecError(f"grid claim on the first {grid['rows']} rows of a "
+                                    f"{design.n}-row design")
+                claims.append(Claim("strat", f"stratification[first {grid['rows']} rows, g={g}]",
+                                    (0, grid["rows"]), strength=g))
+            else:
+                size = _slice_size(grid["slice_size"], design.n)
+                claims += [
+                    Claim("strat", f"stratification[slice {l + 1}, g={g}]",
+                          (l * size, (l + 1) * size), strength=g)
+                    for l in range(design.n // size)
+                ]
+        return claims
+    if chain is None and design.type != "design" and (
+            design.type == "dm" or design.layer_prefixes or design.slice_size
+            or design.collapse_layer):
+        raise SpecError(f"the claims of this {design.type!r} file need a 'chain' to be checked")
+    if design.type == "design" or chain is None:
+        return [Claim("oa", strength=design.t_claimed) if design.s and design.t_claimed
+                else Claim("lh")]
+    layers = tuple(range(1, chain.layers + 1))
+    prefixes = _layer_stops(design, chain) if design.layer_prefixes else ()
+    if design.type == "dm":
+        return [Claim("nested-dm", rows=prefixes, layers=layers) if prefixes else Claim("dm")]
+    t = design.t_claimed or 2
+    claims = [Claim("nested", rows=prefixes, layers=layers, strength=t)
+              if prefixes else Claim("oa", strength=t)]
+    if design.slice_size or design.collapse_layer:
+        if not (design.slice_size and design.collapse_layer):
+            raise SpecError("a sliced claim needs both 'slice_size' and 'collapse_layer'")
+        claims.append(Claim("sliced", layers=(design.collapse_layer,), strength=t,
+                            size=_slice_size(design.slice_size, design.n)))
+    return claims
+
+
+def _layer_stops(design: DesignFile, chain: GroupChain) -> tuple[int, ...]:
+    """The file's `layer_prefixes`: one per chain layer, strictly increasing,
+    the last one the file's row count."""
+    stops = tuple(design.layer_prefixes)
+    if len(stops) != chain.layers:
+        raise SpecError(f"{len(stops)} layer prefixes for a {chain.layers}-layer chain")
+    if any(b <= a for a, b in zip(stops, stops[1:])):
+        raise SpecError(f"layer prefixes {list(stops)} are not strictly increasing")
+    if stops[-1] != design.n:
+        raise SpecError(f"last layer prefix {stops[-1]} is not the row count {design.n}")
+    return stops
+
+
+def _slice_size(size: int, n: int) -> int:
+    if n % size:
+        raise SpecError(f"slice size {size} does not divide the {n} rows of the design")
+    return size
 
 
 def cmd_construct(args) -> int:
@@ -157,64 +228,51 @@ def cmd_construct(args) -> int:
             if columns is not None:
                 raise SpecError("bush-noa derives its own coefficient matrix")
             out = construct_noa_bush(chain, args.k)
-        design = _design_file("oa", out.top, chain, method, params,
-                              t_claimed=out.nested.strength, layer_prefixes=list(out.nested.rows))
+        outputs = [(args.out, method, out.top, out.nested)]
     elif method == "ndm-product":
         if len(args.input) != 1:
             raise SpecError("ndm-product takes exactly one --input array")
-        a = _load_input_design(args.input[0], chain, chain.layers, "oa")
+        a = _load_input_design(args.input[0], chain, chain.top_size, "oa")
         out = construct_from_ndm(chain, OrthogonalArray(a.matrix, chain.top_size, 2))
-        design = _design_file("oa", out.combined, chain, method, params, t_claimed=2,
-                              layer_prefixes=list(out.noa_nested.rows))
-        d_design = _design_file("dm", out.d, chain, "ndm-product-dm", params,
-                                layer_prefixes=list(out.dm_nested.rows))
         base = Path(args.out)
-        _write_design(d_design, str(base.parent / (base.stem + "-dm" + base.suffix)),
-                      args.format)
+        outputs = [(str(base.parent / (base.stem + "-dm" + base.suffix)), "ndm-product-dm",
+                    out.d, out.dm_nested),
+                   (args.out, method, out.combined, out.noa_nested)]
     else:
         if not args.input:
             raise SpecError(f"{method} needs --input files in layer order")
         want = "dm" if method == "kron-ndm" else "oa"
         inputs = [
-            _load_input_design(p, chain, i, want)
+            _load_input_design(p, chain, len(chain.transversal_codes(i)), want)
             for i, p in enumerate(args.input, start=1)
         ]
         if method == "kron-ndm":
             out = construct_ndm_kron(inputs, chain)
-            design = _design_file("dm", out.top, chain, method, params,
-                                  layer_prefixes=list(out.nested.rows))
+            outputs = [(args.out, method, out.top, out.nested)]
         elif method == "kron-soa":
             if len(inputs) != 2:
                 raise SpecError("kron-soa takes exactly two --input arrays")
             out = construct_soa_kron(inputs[1], inputs[0], chain)
-            design = _design_file("oa", out.b.matrix, chain, method, params,
-                                  t_claimed=out.strength,
-                                  slice_size=out.soa.size, collapse_layer=1)
+            outputs = [(args.out, method, out.b.matrix, out.soa)]
         else:
             out = construct_noa_kron_multi(inputs, chain)
-            design = _design_file("oa", out.top, chain, method, params,
-                                  t_claimed=out.nested.strength,
-                                  layer_prefixes=list(out.nested.rows))
+            outputs = [(args.out, method, out.top, out.nested)]
     reports = out.verification
-    out_path = _write_design(design, args.out, args.format)
-    _write_text(out_path.with_suffix(out_path.suffix + ".verify.json"), _report_text(reports),
-                "verification report")
+    written = []  # removed again if a later write fails
+    try:
+        for path, tag, matrix, claim in outputs:
+            design = _design_file(matrix, chain, tag, params, claim)
+            written.append(_write_design(design, path, args.format))
+        out_path = written[-1]
+        written.append(_write_text(out_path.with_suffix(out_path.suffix + ".verify.json"),
+                                   _report_text(reports), "verification report"))
+    except SpecError:
+        for path in written:
+            path.unlink()
+        raise
     print(f"wrote {out_path} ({design.type}, {design.n}x{design.m}); "
           f"{len(reports)} checks passed")
     return 0
-
-
-def _layer_stops(design: DesignFile, chain: GroupChain) -> tuple[int, ...]:
-    """The file's `layer_prefixes`: one per chain layer, strictly increasing,
-    the last one the file's row count."""
-    stops = tuple(design.layer_prefixes)
-    if len(stops) != chain.layers:
-        raise SpecError(f"{len(stops)} layer prefixes for a {chain.layers}-layer chain")
-    if any(b <= a for a, b in zip(stops, stops[1:])):
-        raise SpecError(f"layer prefixes {list(stops)} are not strictly increasing")
-    if stops[-1] != design.n:
-        raise SpecError(f"last layer prefix {stops[-1]} is not the row count {design.n}")
-    return stops
 
 
 def _load_family(design: DesignFile) -> NestedFamily:
@@ -225,8 +283,7 @@ def _load_family(design: DesignFile) -> NestedFamily:
         raise SpecError("design file carries no chain; cannot lift")
     if not design.layer_prefixes:
         raise SpecError("design file carries no layer prefixes; cannot lift")
-    nested = Claim("nested", rows=_layer_stops(design, chain),
-                   layers=tuple(range(1, chain.layers + 1)), strength=design.t_claimed or 2)
+    nested = _file_claims(design, chain)[0]
     return NestedFamily(chain, GroupMatrix(design.rows, chain.group), nested)
 
 
@@ -291,64 +348,18 @@ def cmd_lift(args) -> int:
     return 0
 
 
-def _slice_size(size: int, n: int) -> int:
-    if n % size:
-        raise SpecError(f"slice size {size} does not divide the {n} rows of the design")
-    return size
-
-
-def _grid_claims(design: DesignFile) -> list[Claim]:
-    claims = []
-    for grid in design.grids or []:
-        g = grid["grid"]
-        if "rows" in grid:
-            if grid["rows"] > design.n:
-                raise SpecError(f"grid claim on the first {grid['rows']} rows of a "
-                                f"{design.n}-row design")
-            claims.append(Claim("strat", f"stratification[first {grid['rows']} rows, g={g}]",
-                                (0, grid["rows"]), strength=g))
-        else:
-            size = _slice_size(grid["slice_size"], design.n)
-            claims += [
-                Claim("strat", f"stratification[slice {l + 1}, g={g}]",
-                      (l * size, (l + 1) * size), strength=g)
-                for l in range(design.n // size)
-            ]
-    return claims
-
-
 def verify_design(design: DesignFile) -> list:
     """Run every oracle the file's annotations claim."""
     chain = design.load_chain()
+    claims = _file_claims(design, chain)
     if design.type == "lh":
-        claims = [Claim("lh")] + _grid_claims(design)
         return list(check_claims(design.rows, claims, levels=[design.scale or design.n]))
-    if chain is None and design.type != "design" and (
-            design.type == "dm" or design.layer_prefixes or design.slice_size
-            or design.collapse_layer):
-        raise SpecError(f"the claims of this {design.type!r} file need a 'chain' to be checked")
     if design.type == "design" or chain is None:
-        if design.s and design.t_claimed:
-            claims = [Claim("oa", strength=design.t_claimed)]
-        else:
-            claims = [Claim("lh")]
         return list(check_claims(design.rows, claims, levels=[design.s]))
     rows = GroupMatrix(design.rows, chain.group).code_rows
     inputs = chain.oracle_inputs()
-    layers = tuple(range(1, chain.layers + 1))
-    prefixes = _layer_stops(design, chain) if design.layer_prefixes else ()
     if design.type == "oa":
-        t = design.t_claimed or 2
-        claims = [Claim("nested", rows=prefixes, layers=layers, strength=t)
-                  if prefixes else Claim("oa", strength=t)]
-        if design.slice_size or design.collapse_layer:
-            if not (design.slice_size and design.collapse_layer):
-                raise SpecError("a sliced claim needs both 'slice_size' and 'collapse_layer'")
-            claims.append(Claim("sliced", layers=(design.collapse_layer,), strength=t,
-                                size=_slice_size(design.slice_size, design.n)))
         inputs["levels"] = [*chain.sizes[:-1], design.s or chain.top_size]
-    else:
-        claims = [Claim("nested-dm", rows=prefixes, layers=layers) if prefixes else Claim("dm")]
     return [r.with_levels(chain.group.text_code) for r in check_claims(rows, claims, **inputs)]
 
 

@@ -237,11 +237,16 @@ def export_scatter(design: DesignFile, out_prefix) -> list[Path]:
     if m < 2:
         raise SpecError("scatter export needs at least two dimensions")
     columns = [list(map(str, col)) for col in zip(*design.rows)]
-    paths = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            path = prefix.parent / f"{prefix.name}_x{i + 1}_x{j + 1}.csv"
-            lines = [f"x{i + 1},x{j + 1}"]
-            lines.extend(map(",".join, zip(columns[i], columns[j])))
-            paths.append(_write_text(path, "\n".join(lines) + "\n", "scatter file"))
+    paths = []  # removed again if a later write fails
+    try:
+        for i in range(m):
+            for j in range(i + 1, m):
+                path = prefix.parent / f"{prefix.name}_x{i + 1}_x{j + 1}.csv"
+                lines = [f"x{i + 1},x{j + 1}"]
+                lines.extend(map(",".join, zip(columns[i], columns[j])))
+                paths.append(_write_text(path, "\n".join(lines) + "\n", "scatter file"))
+    except SpecError:
+        for path in paths:
+            path.unlink()
+        raise
     return paths

@@ -7,7 +7,7 @@ group subtraction are handed in as plain mappings and callables.
 Column subsets are scanned in lexicographic order and the first failure is
 reported with a concrete counterexample.  Every row is counted for every
 column subset; a histogram whose keys are exactly the expected cells, each
-counted equally often, is accepted by C-level tests (`len`, `min`, `max`),
+counted equally often, is accepted by C-level tests (`len`, `min`),
 and only a histogram that fails them is scanned cell by cell in order to
 find the first counterexample.
 

@@ -348,6 +348,33 @@ def _chainless(kind, rows, **keys):
                        "rows": rows, **keys})
 
 
+def _gf8_oa(s):
+    """The rao-hamming OA(64, 9, 8, 2) over the top layer of the p2 u1,2,3
+    field tower, as an input file declaring `s` levels."""
+    from nestfill.arrays import rao_hamming_oa
+    from nestfill.groups import chain_field_tower
+
+    oa = rao_hamming_oa(chain_field_tower(2, [1, 2, 3]).layer_elements(3), 2)
+    return _chainless("oa", oa.matrix.codes(), s=s, t_claimed=2)
+
+
+def _zn5_kron_noa(s2):
+    """A kron-noa job over omega(Z5, Z5): the chain file and two OA(25, 3, 5, 2)
+    inputs over transversals 1 and 2, the second declaring `s2` levels."""
+    chain = chain_omega_ring([Zn(5), Zn(5)])
+    files = {"c.json": json.dumps(chain.descriptor())}
+    for i, s in ((1, 5), (2, s2)):
+        tr = [e.code for e in chain.transversal(i)]
+        rows = [[tr[a], tr[b], tr[(a + b) % 5]] for a in range(5) for b in range(5)]
+        files[f"a{i}.json"] = _chainless("oa", rows, s=s, t_claimed=2)
+    argv = ["construct", "--method", "kron-noa", "--chain", "c.json", "--input", "a1.json",
+            "--input", "a2.json", "--out", "x.json"]
+    return files, argv
+
+
+CONSTRUCT_NDM_GF8 = ["construct", "--method", "ndm-product", "--p", "2", "--u", "1,2,3",
+                     "--input", "a.json"]
+
 _OUT_OF_RANGE = [
     ({"d.json": _gf4_oa(code)}, argv)
     for code in (99, -1)
@@ -404,6 +431,12 @@ _OUT_OF_RANGE = [
                    {"slice_size": 2, "collapse_layer": 1},
                    {"layer_prefixes": [2, 4]})),
     ({"d.json": _chainless("dm", [[0, 1], [1, 0]])}, ["verify", "--design", "d.json"]),
+    ({"a.json": _gf8_oa(4)}, CONSTRUCT_NDM_GF8 + ["--out", "x.json"]),
+    _zn5_kron_noa(3),
+    ({"d.json": _rh_u12_sliced(slice_size=4)},
+     ["lift", "--design", "d.json", "--mode", "nested", "--out", "x.json"]),
+    ({"d.json": _rh_u12_sliced(slice_size=5, collapse_layer=1)},
+     ["lift", "--design", "d.json", "--mode", "nested", "--out", "x.json"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -416,7 +449,8 @@ _OUT_OF_RANGE = [
        "grid-without-extent", "grid-rows-and-slice", "oa-slice-size-alone",
        "oa-collapse-layer-alone", "oa-slice-size-5-alone", "oa-slice-size-not-dividing",
        "chainless-oa-sliced-3", "chainless-oa-sliced-2", "chainless-oa-prefixes",
-       "chainless-dm"])
+       "chainless-dm", "ndm-input-declares-s-4", "kron-input-2-declares-s-3",
+       "lift-oa-slice-size-alone", "lift-oa-slice-size-not-dividing"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -452,6 +486,55 @@ def test_unwritable_output_exits_2(command, out, tmp_path, rh_design, monkeypatc
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot write ")
     assert out in err[0]
+
+
+@pytest.mark.parametrize("blocker, files, argv", [
+    ("r.json.verify.json", {}, _WRITES["construct"] + ["r.json"]),
+    ("n.json.verify.json", {"a.json": _gf8_oa(8)}, CONSTRUCT_NDM_GF8 + ["--out", "n.json"]),
+    ("pts_x1_x3.csv", {}, _WRITES["export-scatter"] + ["pts"]),
+], ids=["construct-report", "ndm-product-report", "export-scatter-second-pair"])
+def test_failed_write_leaves_no_output(blocker, files, argv, tmp_path, rh_design, monkeypatch,
+                                       capsys):
+    """A write that fails after earlier outputs were written exits 2 and
+    removes those outputs: the directory holds only what was there before."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    (work / blocker).mkdir()
+    for name, text in files.items():
+        (work / name).write_text(text)
+    capsys.readouterr()
+    assert run(*(a.format(rh=rh_design) for a in argv)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write ")
+    assert sorted(p.name for p in work.iterdir()) == sorted([blocker, *files])
+
+
+@pytest.mark.parametrize("case", ["nested-2-layers", "nested-3-layers", "nested-dm", "sliced"])
+def test_design_file_claims_round_trip(case, tmp_path):
+    """`_file_claims` reads back the one claim `_design_file` records; a
+    sliced claim comes back after the top `oa` claim."""
+    from dataclasses import replace
+
+    from nestfill.arrays import construct_from_ndm, construct_noa_rh, rao_hamming_oa
+    from nestfill.cli import _design_file, _file_claims
+    from nestfill.groups import chain_field_tower
+    from nestfill.io import save_json
+    from nestfill.verify import Claim
+
+    if case == "nested-dm":
+        chain = chain_field_tower(2, [1, 2])
+        out = construct_from_ndm(chain, rao_hamming_oa(chain.layer_elements(2), 2))
+        matrix, claim = out.d, out.dm_nested
+    else:
+        chain = chain_field_tower(2, [1, 2] if case == "nested-2-layers" else [1, 2, 3])
+        family = construct_noa_rh(chain, 2)
+        matrix, claim = family.top, family.sliced[-1] if case == "sliced" else family.nested
+    design = load(save_json(_design_file(matrix, chain, case, {}, claim), tmp_path / "d.json"))
+    want = [replace(claim, name="")]
+    if case == "sliced":
+        want.insert(0, Claim("oa", strength=claim.strength))
+    assert _file_claims(design, design.load_chain()) == want
 
 
 def test_columns_of_wrong_length_name_codes_and_position(tmp_path, capsys):

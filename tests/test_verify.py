@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nestfill.arrays
 import nestfill.verify
 from golden import KRON_NDM_GF4_Z3_Z2, RH_NOA_P2_U123_K2
 from nestfill.errors import SpecError
@@ -629,6 +630,20 @@ def test_verify_imports_no_construction_code():
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names if a.name.split(".")[0] == "nestfill")
     assert imported <= {"nestfill.errors"}
+
+
+def test_arrays_checks_only_through_claims():
+    """Every constructor self-check is a Claim: arrays.py imports nothing from
+    verify but the claim model, so no oracle is called beside check_claims."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(nestfill.arrays.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module in ("verify", "nestfill.verify"):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "nestfill"):
+            imported.update("module verify" for a in node.names if a.name == "verify")
+        elif isinstance(node, ast.Import):
+            imported.update("module verify" for a in node.names if a.name == "nestfill.verify")
+    assert imported <= {"Claim", "VerificationReport", "check_claims"}
 
 
 def test_sliced_run_size_not_divisible(table1_codes):
