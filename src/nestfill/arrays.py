@@ -6,9 +6,11 @@ Every constructor declares the structural claims of what it built as a
 list of :class:`~nestfill.verify.Claim` and re-verifies them with the
 brute-force oracles in :mod:`nestfill.verify` before returning; a failed
 oracle raises :class:`VerificationFailure` rather than handing back a
-mislabeled object.  A result names its nested and sliced structure by
-these claims (a nested claim's `rows` are the prefix stops, a sliced claim's
-`size` the block size) and keeps the reports of the checks that ran.
+mislabeled object.  Every construction returns a :class:`NestedFamily`
+(`construct_from_ndm` two of them): a top matrix whose nested and sliced
+structure is named by these claims (a nested claim's `rows` are the prefix
+stops, a sliced claim's `size` the block size), with the reports of the
+checks that ran.
 """
 
 from __future__ import annotations
@@ -189,10 +191,12 @@ def build_h_tower(chain: GroupChain, k: int) -> list[GroupMatrix]:
 
 @dataclass
 class NestedFamily:
-    """A top matrix with the claims it was verified against: its row
-    prefixes are the nested layers (`nested`, kind "nested" or "nested-dm",
-    whose `rows` are the prefix stops) and its row blocks the `sliced`
-    families.  `generator` is set by the generator-matrix constructions."""
+    """The result of every construction: a top matrix with the claims it was
+    verified against.  Its row prefixes are the nested layers (`nested`, kind
+    "nested" or "nested-dm", whose `rows` are the prefix stops) and its row
+    blocks the `sliced` families; `nested` and every `sliced` claim are among
+    the checks whose reports `verification` holds.  `generator` is set by the
+    generator-matrix constructions."""
 
     chain: GroupChain
     top: GroupMatrix
@@ -296,34 +300,11 @@ def construct_noa_bush(chain: GroupChain, k: int) -> NestedFamily:
     return _construct_noa(tower, gen, k)
 
 
-@dataclass
-class NdmProduct:
-    """The difference matrix D built from the chain, its row blocks, and the
-    OA/DM families obtained by Kronecker-summing an input array with them."""
-
-    chain: GroupChain
-    a: OrthogonalArray
-    d: GroupMatrix
-    a_plus_d: GroupMatrix
-    combined: GroupMatrix  # row reordering of a_plus_d: D-row-major
-    dm_nested: Claim  # D's prefixes of s_1, ..., s_I rows
-    noa_nested: Claim  # the combined array's prefixes of n*s_1, ..., n*s_I rows
-    verification: list[VerificationReport] = field(default_factory=list)
-
-    def delta(self, i: int, l: int) -> GroupMatrix:
-        s_i = self.chain.sizes[i - 1]
-        return self.d.row_block((l - 1) * s_i, l * s_i)
-
-    def soa(self, i: int, j: int) -> Claim:
-        """The combined array in blocks A (+) Delta^i_l, collapsed by rho_j."""
-        return Claim("sliced", f"sliced A(+)Delta^{i} via rho_{j}", layers=(j,),
-                     strength=self.a.strength, size=self.a.n * self.chain.sizes[i - 1])
-
-
-def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
-    """Difference-matrix product bundle: D from the outer-first enumeration
-    times the layer-1 transversal, plus every nested/sliced wrapper around
-    the Kronecker sum of A with D."""
+def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> tuple[NestedFamily, NestedFamily]:
+    """The nested difference-matrix family of D (the outer-first enumeration
+    times the layer-1 transversal, its row blocks the Delta blocks) and the
+    nested/sliced family of A (+) D in D-row-major order; both records share
+    one list of reports."""
     tower = _require_tower(chain)
     s = tower.sizes
     s_top = s[-1]
@@ -345,9 +326,10 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
     combined = GroupMatrix([r for w in range(nd) for r in a_plus_d.code_rows[w::nd]], fld)
     layers = tower.layers
     all_layers = tuple(range(1, layers + 1))
-    dm_nested = Claim("nested-dm", "I-layer ndm", tuple(s), all_layers)
-    noa_nested = Claim("nested", "I-layer noa", tuple(n * si for si in s), all_layers)
-    out = NdmProduct(tower, a, d, a_plus_d, combined, dm_nested, noa_nested, reports)
+    dm = NestedFamily(tower, d, Claim("nested-dm", "I-layer ndm", tuple(s), all_layers),
+                      verification=reports)
+    noa = NestedFamily(tower, combined, Claim("nested", "I-layer noa", tuple(n * si for si in s),
+                                              all_layers), verification=reports)
 
     # D and the full-size OA
     reports += _require(d, [Claim("dm", "D")], **inputs)
@@ -364,34 +346,40 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> NdmProduct:
             for blocks in range(1, s_top // s[i - 1])
             for j in range(1, i + 1)
         ]
-    d_claims.append(dm_nested)
+    d_claims.append(dm.nested)
     reports += _require(d, d_claims, **inputs)
-    # sliced and nested OA wrappers around the combined array
+    # the combined array in blocks A (+) Delta^i_l collapsed by rho_j, and
+    # its two-layer and I-layer nests
     combined_claims = []
     for i in range(1, layers):
         for j in range(1, i + 1):
-            combined_claims.append(out.soa(i, j))
+            noa.sliced.append(Claim("sliced", f"sliced A(+)Delta^{i} via rho_{j}", layers=(j,),
+                                    strength=a.strength, size=n * s[i - 1]))
+            combined_claims.append(noa.sliced[-1])
             combined_claims += [
                 Claim("nested",
                       f"two-layer noa (A(+)Delta({i},{blocks}), A(+)D; rho_{j}, rho_{layers})",
                       (blocks * s[i - 1] * n, combined.n_rows), (j, layers))
                 for blocks in range(1, s_top // s[i - 1])
             ]
-    combined_claims.append(noa_nested)
+    combined_claims.append(noa.nested)
     reports += _require(combined, combined_claims, **inputs)
-    return out
+    return dm, noa
 
 
 def _check_kron_inputs(
     chain: GroupChain, items: Sequence, require_zero_rows: bool
 ) -> list[VerificationReport]:
-    """Check that input i is over transversal i (starting with a zero row
-    where prefix nesting needs one), then run each input's own oracle."""
+    """Check that the chain's layers strictly grow and that input i is over
+    transversal i (starting with a zero row where prefix nesting needs one),
+    then run each input's own oracle."""
     what = "difference matrix" if isinstance(items[0], DifferenceMatrix) else "array"
     if len(items) != chain.layers:
         raise SpecError(
             f"need one {what} per chain layer ({chain.layers}), got {len(items)}"
         )
+    if any(b <= a for a, b in zip(chain.sizes, chain.sizes[1:])):
+        raise SpecError(f"chain layer sizes {list(chain.sizes)} do not strictly increase")
     for i, item in enumerate(items, start=1):
         if item.matrix.n_cols != items[0].matrix.n_cols:
             raise SpecError("column counts differ across inputs")
@@ -439,28 +427,12 @@ def construct_noa_kron_multi(
                        min(a.strength for a in arrays), reports)
 
 
-@dataclass
-class KronSoa:
-    chain: GroupChain
-    strength: int
-    b: OrthogonalArray
-    soa: Claim  # B in blocks of A_1's run size, collapsed by rho_1
-    verification: list[VerificationReport] = field(default_factory=list)
-
-    def prefix(self, l: int) -> GroupMatrix:
-        return self.b.matrix.prefix(l * self.soa.size)
-
-    def prefix_noa(self, l: int) -> Claim:
-        """The first l slices nested in B, collapsed by rho_1 and rho_2."""
-        return Claim("nested", f"two-layer noa (B^{l}, B)", (l * self.soa.size, self.b.n),
-                     (1, self.chain.layers), self.strength)
-
-
 def construct_soa_kron(
     a2: OrthogonalArray, a1: OrthogonalArray, chain: GroupChain
-) -> KronSoa:
-    """B = A_2 (+c) A_1: a sliced array in blocks of A_1's run size whose
-    prefixes form two-layer nested families.
+) -> NestedFamily:
+    """B = A_2 (+c) A_1: a sliced array in blocks of A_1's run size (collapsed
+    by rho_1) whose first l blocks, l = 1, ..., |A_2| - 1, nest in B.  The
+    record's `nested` claim is the first of these, B^1 in B.
 
     Unlike the multi-layer variant, A_2 need not start with a zero row: the
     nesting claims here are about prefixes of B itself.
@@ -469,15 +441,14 @@ def construct_soa_kron(
         raise SpecError("construct_soa_kron needs a two-layer chain")
     reports = _check_kron_inputs(chain, [a1, a2], require_zero_rows=False)
     strength = min(a1.strength, a2.strength)
-    b_mat = col_kron_sum(a2.matrix, a1.matrix)
-    soa = Claim("sliced", "B slices", layers=(1,), strength=strength, size=a1.matrix.n_rows)
-    out = KronSoa(chain, strength, OrthogonalArray(b_mat, chain.sizes[-1], strength), soa,
-                  reports)
-    claims = [Claim("oa", "B", strength=strength), soa] + [
-        out.prefix_noa(l) for l in range(1, a2.matrix.n_rows)
-    ]
-    reports += _require(b_mat, claims, **chain.oracle_inputs())
-    return out
+    top = col_kron_sum(a2.matrix, a1.matrix)
+    size = a1.matrix.n_rows
+    soa = Claim("sliced", "B slices", layers=(1,), strength=strength, size=size)
+    nests = [Claim("nested", f"two-layer noa (B^{l}, B)", (l * size, top.n_rows), (1, 2), strength)
+             for l in range(1, a2.matrix.n_rows)]
+    reports += _require(top, [Claim("oa", "B", strength=strength), soa, *nests],
+                        **chain.oracle_inputs())
+    return NestedFamily(chain, top, nests[0], [soa], reports)
 
 
 def construct_ndm_kron(dms: Sequence[DifferenceMatrix], chain: GroupChain) -> NestedFamily:

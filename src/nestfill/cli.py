@@ -82,8 +82,16 @@ def _parse_int_list(text: str) -> list[int]:
         raise SpecError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _refuse_unread(args, names, where: str) -> None:
+    """Refuse any option of `names` that was given, since it is not read `where`."""
+    for name in names:
+        if getattr(args, name) not in (None, []):
+            raise SpecError(f"--{name.replace('_', '-')} is not read {where}")
+
+
 def _resolve_chain(args, method: str) -> GroupChain:
     if args.chain:
+        _refuse_unread(args, ("p", "u", "modulus"), "beside --chain")
         return chain_from_descriptor(read_json(args.chain, "chain file"))
     if args.p is None or not args.u:
         raise SpecError("give either --chain FILE or both --p and --u")
@@ -106,6 +114,8 @@ def _parse_columns(text: str, chain: GroupChain):
 
 def _load_input_design(path, chain: GroupChain, levels: int, want: str):
     design = load(path)
+    if design.type != want:
+        raise SpecError(f"input {path} has type {design.type!r}; {want!r} is expected there")
     if design.s and design.s != levels:
         raise SpecError(f"input {path} declares s={design.s}, but {levels} levels "
                         f"are expected there")
@@ -211,10 +221,13 @@ def _slice_size(size: int, n: int) -> int:
 
 def cmd_construct(args) -> int:
     method = args.method
+    generator = method in ("rh-noa", "subfield-noa", "bush-noa")
+    _refuse_unread(args, ("input",) if generator else ("k", "columns"), f"by {method}")
     chain = _resolve_chain(args, method)
     params = {"p": getattr(chain, "p", None), "u": getattr(chain, "u_chain", None)
               and list(chain.u_chain), "k": args.k, "chain": chain.descriptor()}
-    if method in ("rh-noa", "subfield-noa", "bush-noa"):
+    outputs = []
+    if generator:
         if args.k is None:
             raise SpecError(f"--k is required for {method}")
         columns = _parse_columns(args.columns, chain) if args.columns else None
@@ -228,16 +241,14 @@ def cmd_construct(args) -> int:
             if columns is not None:
                 raise SpecError("bush-noa derives its own coefficient matrix")
             out = construct_noa_bush(chain, args.k)
-        outputs = [(args.out, method, out.top, out.nested)]
     elif method == "ndm-product":
         if len(args.input) != 1:
             raise SpecError("ndm-product takes exactly one --input array")
         a = _load_input_design(args.input[0], chain, chain.top_size, "oa")
-        out = construct_from_ndm(chain, OrthogonalArray(a.matrix, chain.top_size, 2))
+        dm, out = construct_from_ndm(chain, OrthogonalArray(a.matrix, chain.top_size, 2))
         base = Path(args.out)
-        outputs = [(str(base.parent / (base.stem + "-dm" + base.suffix)), "ndm-product-dm",
-                    out.d, out.dm_nested),
-                   (args.out, method, out.combined, out.noa_nested)]
+        outputs.append((str(base.parent / (base.stem + "-dm" + base.suffix)), "ndm-product-dm",
+                        dm.top, dm.nested))
     else:
         if not args.input:
             raise SpecError(f"{method} needs --input files in layer order")
@@ -248,15 +259,15 @@ def cmd_construct(args) -> int:
         ]
         if method == "kron-ndm":
             out = construct_ndm_kron(inputs, chain)
-            outputs = [(args.out, method, out.top, out.nested)]
         elif method == "kron-soa":
             if len(inputs) != 2:
                 raise SpecError("kron-soa takes exactly two --input arrays")
             out = construct_soa_kron(inputs[1], inputs[0], chain)
-            outputs = [(args.out, method, out.b.matrix, out.soa)]
         else:
             out = construct_noa_kron_multi(inputs, chain)
-            outputs = [(args.out, method, out.top, out.nested)]
+    # a kron-soa file records B's slices, every other file its nested claim
+    outputs.append((args.out, method, out.top,
+                    out.sliced[0] if method == "kron-soa" else out.nested))
     reports = out.verification
     written = []  # removed again if a later write fails
     try:
@@ -301,6 +312,8 @@ def _load_permutations(path, kind: str, chain: GroupChain):
 
 
 def cmd_lift(args) -> int:
+    _refuse_unread(args, ("perms",) if args.mode == "grouped" else ("i", "j", "group_order"),
+                   f"in {args.mode} mode")
     design = load(args.design)
     family = _load_family(design)
     chain = family.chain

@@ -31,7 +31,7 @@ from nestfill.cli import main
 from nestfill.galois import Field, poly_residue
 from nestfill.groups import Zn, chain_field_tower, chain_omega_ring
 from nestfill.io import load
-from nestfill.kronecker import GroupMatrix
+from nestfill.kronecker import GroupMatrix, kron_sum
 from nestfill.spacefill import (
     NestedPermutation,
     SlicedPermutation,
@@ -112,7 +112,7 @@ def test_criterion_03_column_kron_soa():
             GroupMatrix([[chain.parse(t) for t in r] for r in KRON_SOA_INPUT_A2]), 2, 2
         )
         out = construct_soa_kron(a2, a1, chain)
-        b = out.b.matrix.rows
+        b = out.top.rows
         assert check_oa_strength(b, 12, 2).passed
         rho1 = chain.projection_map(1)
         rho2 = chain.projection_map(2)
@@ -221,19 +221,20 @@ def test_criterion_09_ndm_product_bundle():
         chain = chain_field_tower(2, [1, 2])
         a = rao_hamming_oa(chain.layer_elements(2), 2)
         assert (a.n, a.m, a.levels) == (16, 5, 4)
-        out = construct_from_ndm(chain, a)
-        assert check_difference_matrix(out.d.rows, chain.layer_elements(2)).passed
-        assert out.a_plus_d.shape == (64, 10)
-        assert check_oa_strength(out.a_plus_d.rows, 4, 2).passed
+        dm, out = construct_from_ndm(chain, a)
+        assert check_difference_matrix(dm.top.rows, chain.layer_elements(2)).passed
+        a_plus_d = kron_sum(a.matrix, dm.top)
+        assert a_plus_d.shape == (64, 10)
+        assert check_oa_strength(a_plus_d.rows, 4, 2).passed
         projections = [chain.projection_map(1), chain.projection_map(2)]
         el_sets = [chain.layer_elements(1), chain.layer_elements(2)]
-        combined = out.combined.rows
+        combined = out.top.rows
         assert check_nested(
             [combined[:32], combined], projections, [2, 4], 2
         ).passed
         assert check_sliced(combined, 32, projections[0], 2, 2).passed
         assert check_nested_dm(
-            [out.d.rows[:2], out.d.rows], projections, el_sets
+            [dm.top.rows[:2], dm.top.rows], projections, el_sets
         ).passed
 
 

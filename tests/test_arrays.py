@@ -25,7 +25,7 @@ from nestfill.arrays import (
 from nestfill.errors import SpecError, VerificationFailure
 from nestfill.galois import Field
 from nestfill.groups import Zn, chain_field_tower, chain_omega_ring, chain_subfield_tower
-from nestfill.kronecker import GroupMatrix, col_kron_sum
+from nestfill.kronecker import GroupMatrix, col_kron_sum, kron_sum
 from nestfill.verify import check_difference_matrix, check_oa_strength
 
 
@@ -243,42 +243,43 @@ def test_rao_hamming_small_fields(p, u, k):
 def bundle():
     chain = chain_field_tower(2, [1, 2])
     a = rao_hamming_oa(chain.layer_elements(2), 2)
-    return chain, construct_from_ndm(chain, a)
+    return chain, a, *construct_from_ndm(chain, a)
 
 
 class TestNdmProduct:
     def test_d_shape_and_content(self, bundle):
-        chain, out = bundle
-        assert out.d.shape == (4, 2)
-        assert [e.text() for e in out.d.column(0)] == ["0", "0", "0", "0"]
-        assert [e.text() for e in out.d.column(1)] == ["0", "1", "x", "x+1"]
-        assert check_difference_matrix(out.d.rows, chain.layer_elements(2)).passed
+        chain, _, dm, _ = bundle
+        assert dm.top.shape == (4, 2)
+        assert [e.text() for e in dm.top.column(0)] == ["0", "0", "0", "0"]
+        assert [e.text() for e in dm.top.column(1)] == ["0", "1", "x", "x+1"]
+        assert check_difference_matrix(dm.top.rows, chain.layer_elements(2)).passed
 
     def test_delta_blocks(self, bundle):
-        chain, out = bundle
-        delta = out.delta(1, 1)
-        assert delta.rows == out.d.rows[:2]
+        chain, _, dm, _ = bundle
+        delta = dm.delta(1, 1)
+        assert delta.rows == dm.top.rows[:2]
         rho1 = chain.projection_map(1)
         rows = [[rho1[e] for e in r] for r in delta.rows]
         assert check_difference_matrix(rows, chain.layer_elements(1)).passed
 
     def test_a_plus_d_strength(self, bundle):
-        chain, out = bundle
-        assert out.a_plus_d.shape == (64, 10)
-        assert check_oa_strength(out.a_plus_d.rows, 4, 2).passed
+        _, a, dm, _ = bundle
+        a_plus_d = kron_sum(a.matrix, dm.top)
+        assert a_plus_d.shape == (64, 10)
+        assert check_oa_strength(a_plus_d.rows, 4, 2).passed
 
     def test_combined_is_row_permutation(self, bundle):
-        _, out = bundle
+        _, a, dm, out = bundle
         key = lambda row: tuple(e.code for e in row)
-        assert sorted(out.combined.rows, key=key) == sorted(out.a_plus_d.rows, key=key)
+        assert sorted(out.top.rows, key=key) == sorted(kron_sum(a.matrix, dm.top).rows, key=key)
 
     def test_nested_layers_are_prefixes(self, bundle):
-        _, out = bundle
-        assert out.noa_nested.rows == (32, 64)
-        assert out.combined.prefix(out.noa_nested.rows[0]).rows == out.combined.rows[:32]
+        *_, out = bundle
+        assert out.nested.rows == (32, 64)
+        assert out.top.prefix(out.nested.rows[0]).rows == out.top.rows[:32]
 
     def test_rejects_wrong_level_input(self, bundle):
-        chain, _ = bundle
+        chain, *_ = bundle
         bad = rao_hamming_oa(Field(2, 1).elements(), 2)
         with pytest.raises(SpecError):
             construct_from_ndm(chain, bad)
@@ -310,21 +311,24 @@ class TestKronSoa:
     def test_example_dimensions_and_row37(self):
         chain, a1, a2 = _ex2_inputs()
         out = construct_soa_kron(a2, a1, chain)
-        assert out.b.matrix.shape == (144, 3)
-        assert out.b.levels == 12
-        assert [e.text() for e in out.b.matrix.rows[36]] == ["0", "w", "5+w"]
+        assert out.top.shape == (144, 3)
+        assert chain.top_size == 12
+        assert [e.text() for e in out.top.rows[36]] == ["0", "w", "5+w"]
 
     def test_prefix_accessors(self):
         chain, a1, a2 = _ex2_inputs()
         out = construct_soa_kron(a2, a1, chain)
-        assert out.prefix(2).n_rows == 72
-        noa = out.prefix_noa(3)
-        assert noa.rows == (108, 144)
-        assert out.b.matrix.prefix(noa.rows[0]).rows == out.b.matrix.rows[:108]
-        assert out.soa.size == 36
-        assert out.b.n // out.soa.size == 4
+        assert out.top.prefix(2 * out.sliced[0].size).n_rows == 72
+        assert "two-layer noa (B^3, B)" in [r.check for r in out.verification]
+        noa_rows = (3 * out.sliced[0].size, out.top.n_rows)
+        assert noa_rows == (108, 144)
+        assert out.top.prefix(noa_rows[0]).rows == out.top.rows[:108]
+        assert out.sliced[0].size == 36
+        assert out.top.n_rows // out.sliced[0].size == 4
 
     def test_degenerate_single_row_shift(self):
+        """A chain whose second layer is no larger than its first has no
+        B^1 in B to nest, so it is refused before any input is checked."""
         chain = chain_omega_ring([Zn(6), Zn(1)])
         a1 = OrthogonalArray(
             GroupMatrix(
@@ -333,8 +337,8 @@ class TestKronSoa:
             6, 2,
         )
         a2 = OrthogonalArray(GroupMatrix([[chain.zero()] * 3]), 1, 2)
-        out = construct_soa_kron(a2, a1, chain)
-        assert out.b.matrix == a1.matrix
+        with pytest.raises(SpecError, match=r"layer sizes \[6, 6\] do not strictly increase"):
+            construct_soa_kron(a2, a1, chain)
 
     def test_column_mismatch(self):
         chain, a1, a2 = _ex2_inputs()
@@ -361,7 +365,7 @@ class TestKronMulti:
         a1, a2 = _trivial_oa(chain, 1), _trivial_oa(chain, 2)
         multi = construct_noa_kron_multi([a1, a2], chain)
         soa = construct_soa_kron(a2, a1, chain)
-        assert multi.top == soa.b.matrix
+        assert multi.top == soa.top
         assert check_oa_strength(multi.top.rows, 4, 2).passed
 
     def test_slices_collapse(self):

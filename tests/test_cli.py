@@ -437,6 +437,22 @@ _OUT_OF_RANGE = [
      ["lift", "--design", "d.json", "--mode", "nested", "--out", "x.json"]),
     ({"d.json": _rh_u12_sliced(slice_size=5, collapse_layer=1)},
      ["lift", "--design", "d.json", "--mode", "nested", "--out", "x.json"]),
+    ({"d.json": _chainless("design", [[0, 1], [1, 0]], s=4)},
+     CONSTRUCT_NDM + ["--input", "d.json"]),
+    ({**_zn5_kron_noa(5)[0], "a2.json": _lh16([])}, _zn5_kron_noa(5)[1]),
+    (_zn5_kron_noa(5)[0], ["construct", "--method", "kron-ndm", "--chain", "c.json",
+                           "--input", "a1.json", "--input", "a2.json", "--out", "x.json"]),
+    (_zn5_kron_noa(5)[0], _zn5_kron_noa(5)[1] + ["--k", "9", "--columns", "1;0"]),
+    ({}, CONSTRUCT_RH + ["--p", "2", "--u", "1,2", "--input", "nope.json"]),
+    ({"c.json": '{"kind": "field-tower", "p": 3, "u_chain": [1, 2]}'},
+     CONSTRUCT_RH + ["--chain", "c.json", "--p", "2", "--u", "1,2,3"]),
+    ({}, ["lift", "--design", "{rh}", "--mode", "grouped", "--i", "2", "--j", "1",
+          "--perms", "nope.json", "--out", "x.json"]),
+    ({}, LIFT_NESTED + ["--i", "2", "--j", "1", "--group-order", "0,1"]),
+    ({"c.json": '{"kind": "omega", "bases": [{"zn": 2}, {"zn": 1}]}',
+      "a1.json": _chainless("oa", [[0, 0], [0, 1], [1, 0], [1, 1]], s=2, t_claimed=2),
+      "a2.json": _chainless("oa", [[0, 0]], s=1, t_claimed=2)},
+     _zn5_kron_noa(5)[1]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -450,7 +466,10 @@ _OUT_OF_RANGE = [
        "oa-collapse-layer-alone", "oa-slice-size-5-alone", "oa-slice-size-not-dividing",
        "chainless-oa-sliced-3", "chainless-oa-sliced-2", "chainless-oa-prefixes",
        "chainless-dm", "ndm-input-declares-s-4", "kron-input-2-declares-s-3",
-       "lift-oa-slice-size-alone", "lift-oa-slice-size-not-dividing"])
+       "lift-oa-slice-size-alone", "lift-oa-slice-size-not-dividing",
+       "ndm-input-design-file", "kron-noa-input-lh-file", "kron-ndm-input-oa-file",
+       "kron-noa-k-columns", "rh-noa-input", "chain-beside-p-u", "grouped-perms",
+       "nested-i-j-group-order", "kron-noa-chain-not-growing"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -524,8 +543,8 @@ def test_design_file_claims_round_trip(case, tmp_path):
 
     if case == "nested-dm":
         chain = chain_field_tower(2, [1, 2])
-        out = construct_from_ndm(chain, rao_hamming_oa(chain.layer_elements(2), 2))
-        matrix, claim = out.d, out.dm_nested
+        dm, _ = construct_from_ndm(chain, rao_hamming_oa(chain.layer_elements(2), 2))
+        matrix, claim = dm.top, dm.nested
     else:
         chain = chain_field_tower(2, [1, 2] if case == "nested-2-layers" else [1, 2, 3])
         family = construct_noa_rh(chain, 2)
@@ -629,6 +648,42 @@ CHECK_LISTS = {
         [["nested-dm"]],
     ),
 }
+
+
+_CONSTRUCTORS = {
+    "rh-noa": "construct_noa_rh", "subfield-noa": "construct_noa_subfield",
+    "bush-noa": "construct_noa_bush", "ndm-product": "construct_from_ndm",
+    "kron-soa": "construct_soa_kron", "kron-noa": "construct_noa_kron_multi",
+    "kron-ndm": "construct_ndm_kron",
+}
+_DEFAULT_NAMES = {"nested": "nested-oa", "nested-dm": "nested-dm", "sliced": "sliced-oa"}
+
+
+@pytest.mark.parametrize("method", sorted(_CONSTRUCTORS))
+def test_every_construction_returns_nested_families(method, tmp_path, example3_inputs,
+                                                    monkeypatch):
+    """Every record a construct method returns is a NestedFamily whose nested
+    and sliced claims were all checked (an unnamed claim under its oracle's
+    default report name), and the file written for it holds its top."""
+    import nestfill.cli as cli
+    from nestfill.arrays import NestedFamily
+
+    build, returned = getattr(cli, _CONSTRUCTORS[method]), []
+
+    def recording(*args):
+        out = build(*args)
+        returned.extend(out if isinstance(out, tuple) else [out])
+        return out
+
+    monkeypatch.setattr(cli, _CONSTRUCTORS[method], recording)
+    outs = _construct_golden(method, tmp_path, example3_inputs)
+    # ndm-product returns (D, A(+)D) and writes A(+)D to --out, D beside it
+    for family, path in zip(returned[::-1], outs, strict=True):
+        assert isinstance(family, NestedFamily)
+        checked = [r.check for r in family.verification]
+        for claim in [family.nested, *family.sliced]:
+            assert (claim.name or _DEFAULT_NAMES[claim.kind]) in checked
+        assert load(path).rows == family.top.codes()
 
 
 @pytest.mark.parametrize("method", sorted(CHECK_LISTS))
