@@ -171,12 +171,8 @@ def _file_claims(design: DesignFile, chain: Optional[GroupChain]) -> list[Claim]
                 claims.append(Claim("strat", f"stratification[first {grid['rows']} rows, g={g}]",
                                     (0, grid["rows"]), strength=g))
             else:
-                size = _slice_size(grid["slice_size"], design.n)
-                claims += [
-                    Claim("strat", f"stratification[slice {l + 1}, g={g}]",
-                          (l * size, (l + 1) * size), strength=g)
-                    for l in range(design.n // size)
-                ]
+                claims.append(Claim("strat", strength=g,
+                                    size=_slice_size(grid["slice_size"], design.n)))
         return claims
     if chain is None and design.type != "design" and (
             design.type == "dm" or design.layer_prefixes or design.slice_size
@@ -314,6 +310,8 @@ def _load_permutations(path, kind: str, chain: GroupChain):
 def cmd_lift(args) -> int:
     _refuse_unread(args, ("perms",) if args.mode == "grouped" else ("i", "j", "group_order"),
                    f"in {args.mode} mode")
+    if args.perms and args.stage == "relabel-only":
+        _refuse_unread(args, ("seed",), "by a relabel-only lift with --perms")
     design = load(args.design)
     family = _load_family(design)
     chain = family.chain

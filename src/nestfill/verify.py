@@ -21,6 +21,15 @@ the sorted levels, scaled by a power of s, and the t scaled columns are
 added, so a level tuple is its base-s number and the ordered scan of a
 failing histogram is ``range(s**t)``.
 
+The stratification oracle checks a block family (the slices of one grid
+claim, or a row prefix as one block) in one pass: the grid cells
+``v*g // scale`` are computed once, and each column pair is counted once
+over all blocks as packed keys ``block*g**2 + c1*g + c2``, accepted when
+all ``blocks*g**2`` keys occur and the least count is the expected one, or,
+at one point per cell, when the keys are all distinct.  A cell outside the
+grid or a block size g**2 does not divide fails the family, and a failing
+family is scanned block by block in order for the first counterexample.
+
 A :class:`Claim` names one oracle run on a matrix; :func:`check_claims` runs a
 list of them, so the constructors' self-checks and ``nestfill verify`` share
 one description of what a design claims.
@@ -230,36 +239,89 @@ def check_latin_hypercube(rows: Sequence[Sequence[int]], name: str = "latin-hype
     return VerificationReport(name, True, f"{n}x{len(columns)} Latin hypercube")
 
 
-def check_stratification(
-    rows: Sequence[Sequence[int]],
-    scale: int,
-    g: int,
-    dims: Optional[tuple[int, int]] = None,
-    name: str = "stratification",
-) -> VerificationReport:
-    """Each cell of the g x g grid (cell index floor(value*g/scale)) must hold
-    the same number of points, for the given dimension pair or all pairs."""
-    n, columns = _columns(rows)
+def _grid_balanced(columns: list[list], scale: int, g: int, pairs: list, size: int) -> bool:
+    """Whether every block of `size` rows (a multiple of g*g) holds size/g**2
+    points in each cell of the g x g grid of every pair, counted in one pass
+    over all blocks as packed keys block*g**2 + c1*g + c2.  The keys are
+    distinct per (block, cell) only while every cell is in 0..g-1, so a cell
+    outside the grid fails the family."""
+    n = len(columns[0])
+    expected = size // (g * g)
+    cells = {d: [v * g // scale for v in columns[d]] for d in set(chain(*pairs))}
+    if any(min(col) < 0 or max(col) >= g for col in cells.values()):
+        return False
+    offsets = [b * g * g for b in range(n // size) for _ in range(size)] if size < n else None
+    lead_dim = None
+    for d1, d2 in pairs:
+        if d1 != lead_dim:  # pairs come grouped by their first column
+            lead_dim, lead = d1, map(g.__mul__, cells[d1])
+            lead = list(map(operator.add, offsets, lead) if offsets else lead)
+        keys = map(operator.add, lead, cells[d2])
+        if expected == 1:  # one point per cell: the n keys are all distinct
+            if len(set(keys)) != n:
+                return False
+            continue
+        counts = Counter(keys)
+        if len(counts) != n // expected or min(counts.values()) != expected:
+            return False
+    return True
+
+
+def _uneven_grid(columns: list[list], n: int, scale: int, g: int, pairs: list,
+                 name: str) -> Optional[VerificationReport]:
+    """The failing report of one block of n rows, at its first failing pair
+    and that pair's first uneven cell in row-major order; None when the
+    block stratifies."""
     if n % (g * g):
         return VerificationReport(
             name, False, f"run size {n} not divisible by {g}^2", {"n": n, "g": g}
         )
     expected = n // (g * g)
-    pairs = [tuple(dims)] if dims is not None else list(combinations(range(len(columns)), 2))
     columns = [[v * g // scale for v in col] for col in columns]
-    in_range = [0 <= min(col) and max(col) < g for col in columns]
     for d1, d2 in pairs:
         counts = Counter(zip(columns[d1], columns[d2]))
-        # with both columns' cells in 0..g-1, g*g keys are all the cells
-        bad = _uneven(counts, product(range(g), repeat=2), expected,
-                      in_range[d1] and in_range[d2] and len(counts) == g * g)
+        bad = _uneven(counts, product(range(g), repeat=2), expected, False)
         if bad:
             return VerificationReport(
                 name, False, "uneven grid cell",
                 {"dims": [d1, d2], "cell": list(bad[0]), "observed": bad[1],
                  "expected": expected},
             )
-    return VerificationReport(name, True, f"{g}x{g} grid, {expected}/cell")
+    return None
+
+
+def check_stratification(
+    rows: Sequence[Sequence[int]],
+    scale: int,
+    g: int,
+    dims: Optional[tuple[int, int]] = None,
+    name: str = "stratification",
+    size: int = 0,
+) -> VerificationReport:
+    """Each cell of the g x g grid (cell index floor(value*g/scale)) must hold
+    the same number of points, for the given dimension pair or all pairs.
+
+    With `size`, the rows are consecutive blocks of `size` rows and each
+    block must stratify on its own.  The report stands for the whole block
+    family: a pass carries the detail of one block, and a failure is the
+    first failing block's report with its 1-based index as `block`."""
+    n, columns = _columns(rows)
+    size = size or n
+    if n % size:
+        return VerificationReport(
+            name, False, f"run size {n} not divisible by block size {size}",
+            {"n": n, "size": size},
+        )
+    pairs = [tuple(dims)] if dims is not None else list(combinations(range(len(columns)), 2))
+    if size % (g * g) or pairs and not _grid_balanced(columns, scale, g, pairs, size):
+        # the ordered scan, block by block, finds the first counterexample
+        for b in range(n // size):
+            block = [col[b * size : (b + 1) * size] for col in columns]
+            rep = _uneven_grid(block, size, scale, g, pairs, name)
+            if rep is not None:
+                return rep if size == n else replace(
+                    rep, counterexample={"block": b + 1, **rep.counterexample})
+    return VerificationReport(name, True, f"{g}x{g} grid, {size // (g * g)}/cell")
 
 
 def check_projection_compatibility(
@@ -401,7 +463,8 @@ class Claim:
     per nested layer, or at most one for the other kinds, where none means
     the rows are checked as they are at the top level count.  `strength` is
     t, or the grid size g of a "strat" claim; `size` is the slice size of a
-    "sliced" claim.
+    "sliced" claim, or of a "strat" claim that checks every slice of its
+    rows on its own (one report per slice).
     """
 
     kind: str
@@ -412,6 +475,26 @@ class Claim:
     size: int = 0
 
 
+def _grid_reports(block: _ColumnView, scale: int, claim: Claim) -> Iterator[VerificationReport]:
+    """The reports of a "strat" claim on `block`: one, or with a slice size
+    L one per slice, named `<name>[slice l, g=<g>]`.  The slices are checked
+    as one block family; only when the family fails does each slice rerun
+    on its own, so that every slice reports its own verdict."""
+    g, size, name = claim.strength, claim.size, claim.name or "stratification"
+    if not size:
+        yield check_stratification(block, scale, g, name=name)
+        return
+    family = check_stratification(block, scale, g, name=name, size=size)
+    names = [f"{name}[slice {l + 1}, g={g}]" for l in range(len(block) // size)]
+    if family:
+        yield from (replace(family, check=slice_name) for slice_name in names)
+    elif len(block) % size:
+        yield family
+    else:
+        for l, slice_name in enumerate(names):
+            yield check_stratification(block[l * size : (l + 1) * size], scale, g, name=slice_name)
+
+
 def check_claims(
     rows: Sequence[Sequence],
     claims: Sequence[Claim],
@@ -420,7 +503,8 @@ def check_claims(
     element_sets: Sequence[Sequence] = (),
     subtract: Callable = operator.sub,
 ) -> Iterator[VerificationReport]:
-    """Yield one report per claim on `rows`, in list order.
+    """Yield the reports of the claims on `rows`, in list order: one per
+    claim, and one per slice of a "strat" claim with a slice size.
 
     projections[j-1], levels[j-1] and element_sets[j-1] are layer j's
     collapse map, level count and elements; the last entry of `levels` (and
@@ -468,6 +552,6 @@ def check_claims(
         elif c.kind == "lh":
             yield check_latin_hypercube(block, **named)
         elif c.kind == "strat":
-            yield check_stratification(block, levels[-1], c.strength, **named)
+            yield from _grid_reports(block, levels[-1], c)
         else:
             raise SpecError(f"unknown claim kind {c.kind!r}")

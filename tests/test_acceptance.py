@@ -1,7 +1,6 @@
 """Acceptance suite: one test per exit criterion, each printing a pass/fail
 line (run with -s to see the lines for passing tests)."""
 
-import json
 import random
 from contextlib import contextmanager
 from itertools import permutations as iperms
@@ -12,7 +11,6 @@ from golden import (
     KRON_NDM_GF4_Z3_Z2,
     KRON_SOA_INPUT_A1,
     KRON_SOA_INPUT_A2,
-    QUAL_OA_16_RUNS,
     RELABELED_NESTED_M3,
     RELABELED_SLICED_M,
     RH_NOA_P2_U123_K2,

@@ -214,6 +214,20 @@ class TestLift:
                    "--out", str(out)) == 0
         assert load(out).rows == [list(r) for r in RELABELED_SLICED_M]
 
+    def test_relabel_only_perms_refuses_seed(self, tmp_path, rh_design, capsys):
+        """A relabel-only lift with explicit permutations draws nothing, so a
+        --seed given beside them is refused rather than silently dropped."""
+        perms = tmp_path / "p.json"
+        perms.write_text(json.dumps({"kind": "nested", "values": NESTED_PERMS}))
+        out = tmp_path / "m3.json"
+        capsys.readouterr()
+        assert run("lift", "--design", str(rh_design), "--mode", "nested",
+                   "--stage", "relabel-only", "--perms", str(perms), "--seed", "99",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --seed is not read by a relabel-only lift with --perms"]
+        assert not out.exists()
+
     def test_full_lift_deterministic(self, tmp_path, rh_design):
         outs = []
         for name in ("l1.json", "l2.json"):

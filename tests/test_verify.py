@@ -1,6 +1,7 @@
 import ast
 import operator
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -396,6 +397,75 @@ def test_stratification_matches_ordered_scan(case):
     rows, scale, g, dims = case
     assert (check_stratification(rows, scale, g, dims)
             == _ref_stratification(rows, scale, g, dims))
+
+
+@st.composite
+def strat_family_cases(draw):
+    """Equal blocks of rows for the one-pass grid check of a block family:
+    each block holds every cell tuple over 0..g-1 once or twice (one point
+    per g x g cell for two columns), or random cells, with up to three
+    edits over the whole family (a cell set to any value, possibly past the
+    grid, or two cells of a column swapped, possibly across blocks).  One
+    column has no pair to check, and a block size that g**2 does not divide
+    fails every block."""
+    g, width, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    top = draw(st.sampled_from([g - 1, g]))
+    copies, blocks = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        size = draw(st.sampled_from([1, g, g * g, 2 * g * g]))
+        cells = draw(st.lists(st.lists(st.integers(0, top), min_size=m, max_size=m),
+                              min_size=size * blocks, max_size=size * blocks))
+    else:
+        size = copies * g**m
+        cells = []
+        for _ in range(blocks):
+            cells += draw(st.permutations([list(r) for r in product(range(g), repeat=m)
+                                           for _ in range(copies)]))
+    for _ in range(draw(st.integers(0, 3))):
+        i, k = (draw(st.integers(0, len(cells) - 1)) for _ in range(2))
+        j = draw(st.integers(0, m - 1))
+        if draw(st.booleans()):
+            cells[i][j] = draw(st.integers(0, top))
+        else:
+            cells[i][j], cells[k][j] = cells[k][j], cells[i][j]
+    rows = [[c * width + draw(st.integers(0, width - 1)) for c in r] for r in cells]
+    dims = draw(st.none() | st.sampled_from(list(permutations(range(m), 2)) or [None]))
+    return rows, g * width, g, dims, size
+
+
+@settings(max_examples=300, deadline=None)
+@given(strat_family_cases())
+@example(([[0, 0], [0, 1], [0, 2], [1, 1]], 2, 2, None, 4))  # key 0*2+2 aliases cell (1, 0)
+# block 1's cell (1, 2) aliases block 2's (0, 0), block 2's (0, -1) block 1's (1, 1)
+@example(([[0, 0], [0, 1], [1, 0], [1, 2], [0, -1], [0, 1], [1, 0], [1, 1]], 2, 2, None, 4))
+def test_stratification_family_matches_blocks(case):
+    """The one-pass decision on a block family is the per-block loop's: it
+    passes exactly when every block does, and a failing family reports the
+    first failing block.  check_claims yields the per-block reports.  The
+    per-block oracle is held to the row-wise reference as well."""
+    rows, scale, g, dims, size = case
+    blocks = [rows[b : b + size] for b in range(0, len(rows), size)]
+    reps = [check_stratification(block, scale, g, dims) for block in blocks]
+    assert reps == [_ref_stratification(block, scale, g, dims) for block in blocks]
+    family = check_stratification(rows, scale, g, dims, size=size)
+    assert family.passed == all(reps)
+    first = next((b for b, rep in enumerate(reps) if not rep), None)
+    if first is None or len(blocks) == 1:
+        assert family == reps[0]
+    else:
+        assert family == replace(reps[first], counterexample={
+            "block": first + 1, **reps[first].counterexample})
+    names = [f"stratification[slice {b + 1}, g={g}]" for b in range(len(blocks))]
+    assert list(check_claims(rows, [Claim("strat", strength=g, size=size)], levels=[scale])) == [
+        _ref_stratification(block, scale, g, name=name) for block, name in zip(blocks, names)]
+
+
+def test_stratification_family_size_not_dividing_rows():
+    rows = [[0, 0], [1, 1], [0, 1], [1, 0], [0, 0], [1, 1]]
+    want = VerificationReport("stratification", False, "run size 6 not divisible by block size 4",
+                              {"n": 6, "size": 4})
+    assert check_stratification(rows, 2, 2, size=4) == want
+    assert list(check_claims(rows, [Claim("strat", strength=2, size=4)], levels=[2])) == [want]
 
 
 @settings(max_examples=300, deadline=None)
