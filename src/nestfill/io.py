@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -110,18 +110,10 @@ class DesignFile:
     def to_dict(self) -> dict:
         out = {"format": FORMAT_NAME, "version": __version__, "type": self.type,
                "n": self.n, "m": self.m}
-        for key in (
-            "s", "t_claimed", "chain", "layer", "alphabet", "layer_prefixes",
-            "slice_size", "collapse_layer", "grids", "scale", "qual_columns",
-            "seeds", "permutations",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.meta:
-            out["meta"] = self.meta
-        if self.symbols is not None:
-            out["symbols"] = self.symbols
+        for f in fields(self)[2:]:  # every field after type and rows
+            value = getattr(self, f.name)
+            if value is not None and (value or f.name != "meta"):  # meta only when non-empty
+                out[f.name] = value
         out["rows"] = self.rows
         return out
 

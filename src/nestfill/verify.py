@@ -5,30 +5,18 @@ elements, or group elements — and count exhaustively with exact integer
 histograms.  They never call construction code; collapsing projections and
 group subtraction are handed in as plain mappings and callables.
 Column subsets are scanned in lexicographic order and the first failure is
-reported with a concrete counterexample.  Every row is counted for every
-column subset; a histogram whose keys are exactly the expected cells, each
-counted equally often, is accepted by C-level tests (`len`, `min`),
-and only a histogram that fails them is scanned cell by cell in order to
-find the first counterexample.
+reported with a concrete counterexample.
 
 The kernel works column by column.  A matrix becomes a column view once
 (:func:`check_claims` builds one for all its claims); a row block is a
-slice of every column, and a collapse is one table lookup per column
-(``map(table.__getitem__, col)``), made once per projection and shared by
-every layer prefix or slice.  The strength oracle counts each t-subset of
-columns as packed integer keys: each level is replaced by its rank among
-the sorted levels, scaled by a power of s, and the t scaled columns are
-added, so a level tuple is its base-s number and the ordered scan of a
-failing histogram is ``range(s**t)``.
-
-The stratification oracle checks a block family (the slices of one grid
-claim, or a row prefix as one block) in one pass: the grid cells
-``v*g // scale`` are computed once, and each column pair is counted once
-over all blocks as packed keys ``block*g**2 + c1*g + c2``, accepted when
-all ``blocks*g**2`` keys occur and the least count is the expected one, or,
-at one point per cell, when the keys are all distinct.  A cell outside the
-grid or a block size g**2 does not divide fails the family, and a failing
-family is scanned block by block in order for the first counterexample.
+slice of every column, and a collapse is one table lookup per column, made
+once per projection and shared by every layer prefix or slice.  One
+strength kernel counts the level ranks of an orthogonal array and, as a
+strength-2 count over g levels, the grid cells ``v*g // scale`` of a
+stratification claim.  It counts a family of equal row blocks at once as
+packed int keys (``block*s**t`` plus a digit tuple's base-s number),
+accepts a histogram by C-level tests (`len`, `min`, `set`), and scans only
+a failing family, block by block and tuple by tuple, in order.
 
 A :class:`Claim` names one oracle run on a matrix; :func:`check_claims` runs a
 list of them, so the constructors' self-checks and ``nestfill verify`` share
@@ -40,7 +28,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, permutations
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import SpecError
@@ -132,11 +120,10 @@ def _columns(rows) -> tuple[int, list[list]]:
 
 
 def _uneven(counts: Counter, cells: Iterable, expected: int, complete: bool) -> Optional[tuple]:
-    """The first of `cells` whose count in `counts` is not `expected`, with
-    that count; None when every cell has it.  `complete` says the keys of
-    `counts` are exactly `cells`.  Every caller counts expected * len(cells)
-    items, so a complete histogram whose least count is `expected` is flat,
-    and it is accepted by one C-level `min` without scanning the cells."""
+    """The first of `cells` whose count is not `expected`, with that count,
+    or None.  As every caller counts expected * len(cells) items, a histogram
+    whose keys are exactly the cells (`complete`) and least count `expected`
+    is flat and is accepted without a scan."""
     if complete and min(counts.values()) == expected:
         return None
     for cell in cells:
@@ -146,8 +133,73 @@ def _uneven(counts: Counter, cells: Iterable, expected: int, complete: bool) -> 
     return None
 
 
+def _require_positive(**params: int) -> None:
+    """Refuse a level count, group order, strength, grid, scale or block
+    size below 1."""
+    for key, value in params.items():
+        if value < 1:
+            raise SpecError(f"{key} must be at least 1, got {value}")
+
+
+def _packed(columns, tables: list[dict], subsets: Iterable[tuple], offsets: Optional[list] = None) -> Iterator:
+    """The keys of each t-subset: a row's digits as a base-s number, plus its
+    entry of `offsets`.  tables[e] maps the digit at place e to its value,
+    and the last digit is its own.  The subsets come grouped by their first
+    t - 1 columns, whose summed keys are built once and alive one at a time."""
+    head = None
+    for sub in subsets:
+        if sub[:-1] != head:
+            head, prefix = sub[:-1], offsets
+            for table, c in zip(tables, head):
+                digits = map(table.__getitem__, columns[c])
+                prefix = list(digits if prefix is None else map(operator.add, prefix, digits))
+        yield columns[sub[-1]] if prefix is None else map(operator.add, prefix, columns[sub[-1]])
+
+
+def _first_uneven(columns, s: int, t: int, subsets: Sequence[tuple], size: int) -> Optional[tuple]:
+    """The first (block, subset, key, count), in that order, whose count is
+    not size/s**t, `key` being a digit tuple's base-s number; None if none.
+
+    `columns[c]` holds the digits (0..s-1 on the grid) of each column c in
+    `subsets` (non-empty, in lexicographic order); the rows are blocks of
+    `size` rows, a multiple of s**t.  A family off the grid, or failing the
+    one-pass test over all blocks, is scanned block by block, in order."""
+    used, grid = set(chain.from_iterable(subsets)), set(range(s))
+    n, cells = len(columns[subsets[0][0]]), s**t
+    expected = size // cells
+    tables = [{d: d * s ** (t - 1 - e) for d in grid} for e in range(t - 1)]
+    # a column ever looked up in `tables` is on the grid or raises KeyError,
+    # so a pass needs only the other columns tested
+    tail, first = used.difference(*(sub[:-1] for sub in subsets)), 0
+    if all(grid.issuperset(columns[c]) for c in tail):
+        offsets = [b * cells for b in range(n // size) for _ in range(size)] if size < n else None
+        try:
+            for first, keys in enumerate(_packed(columns, tables, subsets, offsets)):
+                counts = set(keys) if expected == 1 else Counter(keys)  # one row per key: distinct
+                if len(counts) != n // expected or expected > 1 and min(counts.values()) != expected:
+                    break
+                del counts  # not held while the next subset is counted
+            else:
+                return None
+        except KeyError:
+            pass
+    if not all(grid.issuperset(columns[c]) for c in used):
+        # an off-grid digit becomes -n: a key holding it is negative, never a tuple
+        first, columns = 0, {c: [v if v in grid else -n for v in columns[c]] for c in used}
+        tables = [{**table, -n: -n * s ** (t - 1 - e)} for e, table in enumerate(tables)]
+    # the subsets before `first` passed in every block
+    for b in range(0, n, size):
+        block = {c: columns[c][b : b + size] for c in used}
+        for sub, keys in zip(subsets[first:], _packed(block, tables, subsets[first:])):
+            bad = _uneven(Counter(keys), range(cells), expected, False)
+            if bad:
+                return (b // size, sub) + bad
+    return None
+
+
 def check_oa_strength(rows: Sequence[Sequence], s: int, t: int, name: str = "oa-strength") -> VerificationReport:
     """Every t columns must carry each of the s**t level tuples n/s**t times."""
+    _require_positive(s=s, t=t)
     n, columns = _columns(rows)
     m = len(columns)
     if t > m:
@@ -163,34 +215,17 @@ def check_oa_strength(rows: Sequence[Sequence], s: int, t: int, name: str = "oa-
             name, False, f"found {len(levels)} distinct levels, expected {s}",
             {"levels": levels},
         )
-    expected = n // s**t
-    # scaled[e][c] is column c with each level replaced by its rank times
-    # s**e: the key of a t-subset is the sum of its scaled columns, most
-    # significant first, so its keys are range(s**t) in the lexicographic
-    # order of level tuples
-    scaled = []
-    for e in range(t):
-        if e == 0 and levels == list(range(s)):  # the levels are their own ranks
-            scaled.append(columns)
-            continue
-        table = {v: r * s**e for r, v in enumerate(levels)}
-        scaled.append([list(map(table.__getitem__, col)) for col in columns])
-    for cols in combinations(range(m), t):
-        keys = scaled[t - 1][cols[0]]
-        for e, c in zip(range(t - 2, -1, -1), cols[1:]):
-            keys = map(operator.add, keys, scaled[e][c])
-        counts = Counter(keys)
-        bad = _uneven(counts, range(s**t), expected, len(counts) == s**t)
-        if bad:
-            key, digits = bad[0], []
-            for _ in range(t):
-                key, d = divmod(key, s)
-                digits.append(levels[d])
-            return VerificationReport(
-                name, False, "unbalanced level tuple",
-                {"columns": list(cols), "levels": digits[::-1], "observed": bad[1],
-                 "expected": expected},
-            )
+    if levels != list(range(s)):  # the kernel counts level ranks
+        rank = {v: r for r, v in enumerate(levels)}
+        columns = [list(map(rank.__getitem__, col)) for col in columns]
+    bad = _first_uneven(columns, s, t, list(combinations(range(m), t)), n)
+    if bad:
+        _, cols, key, observed = bad
+        return VerificationReport(
+            name, False, "unbalanced level tuple",
+            {"columns": list(cols), "levels": [levels[key // s**e % s] for e in range(t - 1, -1, -1)],
+             "observed": observed, "expected": n // s**t},
+        )
     return VerificationReport(name, True, f"OA({n}, {m}, {s}, {t})")
 
 
@@ -202,9 +237,10 @@ def check_difference_matrix(
 ) -> VerificationReport:
     """Entry-wise differences of every ordered column pair must cover the
     group evenly (r/s occurrences of each element)."""
+    s = len(elements)
+    _require_positive(group_order=s)
     r, columns = _columns(rows)
     c = len(columns)
-    s = len(elements)
     if r % s:
         return VerificationReport(
             name, False, f"row count {r} not divisible by group order {s}",
@@ -239,57 +275,6 @@ def check_latin_hypercube(rows: Sequence[Sequence[int]], name: str = "latin-hype
     return VerificationReport(name, True, f"{n}x{len(columns)} Latin hypercube")
 
 
-def _grid_balanced(columns: list[list], scale: int, g: int, pairs: list, size: int) -> bool:
-    """Whether every block of `size` rows (a multiple of g*g) holds size/g**2
-    points in each cell of the g x g grid of every pair, counted in one pass
-    over all blocks as packed keys block*g**2 + c1*g + c2.  The keys are
-    distinct per (block, cell) only while every cell is in 0..g-1, so a cell
-    outside the grid fails the family."""
-    n = len(columns[0])
-    expected = size // (g * g)
-    cells = {d: [v * g // scale for v in columns[d]] for d in set(chain(*pairs))}
-    if any(min(col) < 0 or max(col) >= g for col in cells.values()):
-        return False
-    offsets = [b * g * g for b in range(n // size) for _ in range(size)] if size < n else None
-    lead_dim = None
-    for d1, d2 in pairs:
-        if d1 != lead_dim:  # pairs come grouped by their first column
-            lead_dim, lead = d1, map(g.__mul__, cells[d1])
-            lead = list(map(operator.add, offsets, lead) if offsets else lead)
-        keys = map(operator.add, lead, cells[d2])
-        if expected == 1:  # one point per cell: the n keys are all distinct
-            if len(set(keys)) != n:
-                return False
-            continue
-        counts = Counter(keys)
-        if len(counts) != n // expected or min(counts.values()) != expected:
-            return False
-    return True
-
-
-def _uneven_grid(columns: list[list], n: int, scale: int, g: int, pairs: list,
-                 name: str) -> Optional[VerificationReport]:
-    """The failing report of one block of n rows, at its first failing pair
-    and that pair's first uneven cell in row-major order; None when the
-    block stratifies."""
-    if n % (g * g):
-        return VerificationReport(
-            name, False, f"run size {n} not divisible by {g}^2", {"n": n, "g": g}
-        )
-    expected = n // (g * g)
-    columns = [[v * g // scale for v in col] for col in columns]
-    for d1, d2 in pairs:
-        counts = Counter(zip(columns[d1], columns[d2]))
-        bad = _uneven(counts, product(range(g), repeat=2), expected, False)
-        if bad:
-            return VerificationReport(
-                name, False, "uneven grid cell",
-                {"dims": [d1, d2], "cell": list(bad[0]), "observed": bad[1],
-                 "expected": expected},
-            )
-    return None
-
-
 def check_stratification(
     rows: Sequence[Sequence[int]],
     scale: int,
@@ -307,21 +292,28 @@ def check_stratification(
     first failing block's report with its 1-based index as `block`."""
     n, columns = _columns(rows)
     size = size or n
+    _require_positive(scale=scale, g=g, size=size)
     if n % size:
         return VerificationReport(
             name, False, f"run size {n} not divisible by block size {size}",
             {"n": n, "size": size},
         )
     pairs = [tuple(dims)] if dims is not None else list(combinations(range(len(columns)), 2))
-    if size % (g * g) or pairs and not _grid_balanced(columns, scale, g, pairs, size):
-        # the ordered scan, block by block, finds the first counterexample
-        for b in range(n // size):
-            block = [col[b * size : (b + 1) * size] for col in columns]
-            rep = _uneven_grid(block, size, scale, g, pairs, name)
-            if rep is not None:
-                return rep if size == n else replace(
-                    rep, counterexample={"block": b + 1, **rep.counterexample})
-    return VerificationReport(name, True, f"{g}x{g} grid, {size // (g * g)}/cell")
+    if size % (g * g):
+        block, rep = 0, VerificationReport(
+            name, False, f"run size {size} not divisible by {g}^2", {"n": size, "g": g})
+    else:
+        cells = {d: [v * g // scale for v in columns[d]] for d in set(chain(*pairs))}
+        bad = pairs and _first_uneven(cells, g, 2, pairs, size)
+        if not bad:
+            return VerificationReport(name, True, f"{g}x{g} grid, {size // (g * g)}/cell")
+        block, dims, key, observed = bad
+        rep = VerificationReport(
+            name, False, "uneven grid cell",
+            {"dims": list(dims), "cell": list(divmod(key, g)), "observed": observed,
+             "expected": size // (g * g)},
+        )
+    return rep if size == n else replace(rep, counterexample={"block": block + 1, **rep.counterexample})
 
 
 def check_projection_compatibility(
@@ -401,6 +393,7 @@ def check_nested(
 ) -> VerificationReport:
     """Row-prefix containment plus the strength condition on every collapse
     of every layer, plus compatibility of the projection family."""
+    _require_positive(t=t, s=min(s_levels, default=1))
     return _check_layers(
         layers, projections, s_levels,
         lambda rows, s, layer_name: check_oa_strength(rows, s, t, name=layer_name),
@@ -417,6 +410,7 @@ def check_nested_dm(
 ) -> VerificationReport:
     """Difference-matrix analogue of check_nested: every collapse rho_j of
     every layer must be a difference matrix over element_sets[j]."""
+    _require_positive(group_order=min(map(len, element_sets), default=1))
     return _check_layers(
         layers, projections, element_sets,
         lambda rows, els, layer_name: check_difference_matrix(rows, els, subtract,
@@ -434,6 +428,7 @@ def check_sliced(
     name: str = "sliced-oa",
 ) -> VerificationReport:
     """Each consecutive row block must collapse into a strength-t array."""
+    _require_positive(slice_size=slice_size, s=s_low, t=t)
     view = _ColumnView.of(rows)
     n = len(view)
     if n % slice_size:

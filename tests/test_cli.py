@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from golden import KRON_NDM_GF4_Z3_Z2, RELABELED_NESTED_M3, RELABELED_SLICED_M, RH_NOA_P2_U123_K2
+import nestfill
 from nestfill.cli import main
 from nestfill.galois import Field
 from nestfill.groups import Zn, chain_omega_ring
@@ -793,3 +798,31 @@ def test_verify_fail_line_names_levels_as_text(tmp_path, rh_design, capsys):
     fail = [line for line in capsys.readouterr().err.splitlines() if ": FAIL" in line]
     assert len(fail) == 1 and fail[0].startswith("nested-oa[layer 3 via rho_3]: FAIL")
     assert "'levels': ['x', 'x^2']" in fail[0]
+
+
+def test_outputs_identical_across_hash_seeds(tmp_path):
+    """construct -> grouped lift -> verify, each command in its own
+    interpreter, writes the same bytes and messages under two string hash
+    seeds, so no output depends on set or dict order of hashed values."""
+    src = str(Path(nestfill.__file__).parents[1])
+    commands = [
+        ["construct", "--method", "rh-noa", "--p", "2", "--u", "1,2,3", "--k", "2", "--out", "a.json"],
+        ["lift", "--design", "a.json", "--mode", "grouped", "--i", "2", "--j", "1", "--seed", "5",
+         "--out", "g.json"],
+        ["verify", "--design", "g.json", "--out", "r.json"],
+    ]
+    runs = []
+    for hash_seed in ("1", "2"):
+        work = tmp_path / hash_seed
+        work.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        printed = []
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "nestfill.cli", *argv], cwd=work, env=env,
+                                  capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            printed.append(proc.stdout + proc.stderr)
+        runs.append((printed, {f.name: f.read_bytes() for f in sorted(work.iterdir())}))
+    assert sorted(runs[0][1]) == ["a.json", "a.json.verify.json", "g.json", "r.json"]
+    assert runs[0] == runs[1]

@@ -376,6 +376,8 @@ def lh_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(oa_cases())
 @example(([[0], [0], [0], [1]], 2, 1))  # every level seen, but unevenly
+@example(([[0, 0], [0, 1], [1, 0], [0, 0]], 2, 2))  # index 1, row 3 a copy of row 0
+@example(([[3, 3], [3, 5], [5, 3], [3, 3]], 2, 2))  # the same on ranked levels {3, 5}
 def test_oa_strength_matches_ordered_scan(case):
     rows, s, t = case
     assert check_oa_strength(rows, s, t) == _ref_oa_strength(rows, s, t)
@@ -393,6 +395,7 @@ def test_difference_matrix_matches_ordered_scan(case):
 @settings(max_examples=300, deadline=None)
 @given(strat_cases())
 @example(([[0, 0], [0, 2], [2, 0], [4, 2]], 4, 2, None))  # cell (2, 1) past the grid
+@example(([[0, 0, 0], [0, 1, 1], [0, 2, 1], [1, 1, 0]], 2, 2, None))  # (0, 2) aliases (1, 0)
 def test_stratification_matches_ordered_scan(case):
     rows, scale, g, dims = case
     assert (check_stratification(rows, scale, g, dims)
@@ -734,3 +737,33 @@ def test_nested_reports_incompatible_projections(table1_codes):
     rep = check_nested(layers, [{c: c >> 2 for c in range(8)}, rho2, identity], [2, 4, 8], 2)
     assert (rep.check, rep.passed, rep.detail, rep.counterexample) == (
         "nested-oa", False, "refinement violated", {"layers": [1, 2], "pair": [0, 4]})
+
+
+_OA4 = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+_IDENTITY = {0: 0, 1: 1}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_oa_strength(_OA4, 0, 1),
+    lambda: check_oa_strength(_OA4, 2, 0),
+    lambda: check_difference_matrix(_OA4, []),
+    lambda: check_stratification(_OA4, 2, 0),
+    lambda: check_stratification(_OA4, 2, -1),
+    lambda: check_stratification(_OA4, 0, 1),
+    lambda: check_stratification(_OA4, 2, 1, size=-2),
+    lambda: check_sliced(_OA4, -2, _IDENTITY, 2, 2),
+    lambda: check_sliced(_OA4, 0, _IDENTITY, 2, 2),
+    lambda: check_sliced(_OA4, 4, _IDENTITY, 0, 2),
+    lambda: check_nested([_OA4], [_IDENTITY], [2], 0),
+    lambda: check_nested([_OA4], [_IDENTITY], [0], 2),
+    lambda: check_nested_dm([_OA4], [_IDENTITY], [[]]),
+    lambda: list(check_claims(_OA4, [Claim("strat", strength=2, size=-1)], levels=[2])),
+], ids=["oa-s0", "oa-t0", "dm-no-elements", "strat-g0", "strat-g-1", "strat-scale0",
+        "strat-size-2", "sliced-size-2", "sliced-size0", "sliced-s0", "nested-t0", "nested-s0",
+        "nested-dm-no-elements", "claims-strat-size-1"])
+def test_oracles_refuse_nonsense_parameters(call):
+    """A level count, strength, grid, scale or slice size below 1, a negative
+    block size, or an empty element set is a claim no matrix can meet or
+    fail: each public oracle refuses it instead of passing or crashing."""
+    with pytest.raises(SpecError):
+        call()
