@@ -373,6 +373,8 @@ def _check_kron_inputs(
     """Check that the chain's layers strictly grow and that input i is over
     transversal i (starting with a zero row where prefix nesting needs one),
     then run each input's own oracle."""
+    if not items:
+        raise SpecError(f"need one input per chain layer ({chain.layers}), got none")
     what = "difference matrix" if isinstance(items[0], DifferenceMatrix) else "array"
     if len(items) != chain.layers:
         raise SpecError(

@@ -218,7 +218,10 @@ def _slice_size(size: int, n: int) -> int:
 def cmd_construct(args) -> int:
     method = args.method
     generator = method in ("rh-noa", "subfield-noa", "bush-noa")
-    _refuse_unread(args, ("input",) if generator else ("k", "columns"), f"by {method}")
+    unread = ("input",) if generator else ("k", "columns")
+    if method == "bush-noa":
+        unread += ("columns",)  # it derives its own coefficient matrix
+    _refuse_unread(args, unread, f"by {method}")
     chain = _resolve_chain(args, method)
     params = {"p": getattr(chain, "p", None), "u": getattr(chain, "u_chain", None)
               and list(chain.u_chain), "k": args.k, "chain": chain.descriptor()}
@@ -234,8 +237,6 @@ def cmd_construct(args) -> int:
         elif method == "subfield-noa":
             out = construct_noa_subfield(chain, args.k, columns)
         else:
-            if columns is not None:
-                raise SpecError("bush-noa derives its own coefficient matrix")
             out = construct_noa_bush(chain, args.k)
     elif method == "ndm-product":
         if len(args.input) != 1:
@@ -325,7 +326,7 @@ def cmd_lift(args) -> int:
         else:
             perms = [gen(chain.sizes, seed, tag=f"{tag}:{c}") for c in range(m)]
         lifted = build(family, perms, seed=seed, stage=args.stage)
-    elif args.mode == "grouped":
+    else:  # grouped
         if args.i is None or args.j is None:
             raise SpecError("grouped mode needs --i and --j")
         order = None
@@ -337,8 +338,6 @@ def cmd_lift(args) -> int:
             family, i=args.i, j=args.j, group_order=order, seed=seed,
             stage=args.stage,
         )
-    else:  # pragma: no cover
-        raise SpecError(f"unknown mode {args.mode!r}")
     meta = {"tool": "nestfill", "version": __version__, "method": f"lift-{args.mode}",
             "source": design.meta, "stage": args.stage}
     if args.stage == "relabel-only":

@@ -7,10 +7,14 @@ group subtraction are handed in as plain mappings and callables.
 Column subsets are scanned in lexicographic order and the first failure is
 reported with a concrete counterexample.
 
-The kernel works column by column.  A matrix becomes a column view once
-(:func:`check_claims` builds one for all its claims); a row block is a
-slice of every column, and a collapse is one table lookup per column, made
-once per projection and shared by every layer prefix or slice.  One
+The kernel works column by column.  :func:`check_claims` is the one place
+that cuts a matrix: it builds one column view for all its claims, collapses
+it at most once per layer (one table lookup per column), and cuts every
+nested layer prefix, slice and row range from that view or collapse, so
+the nested and sliced checks share the oa/dm oracles and the collapses of
+the plain claims.  :func:`check_nested`, :func:`check_nested_dm` and
+:func:`check_sliced` are one-claim calls of it; the nested two first check
+that each layer matrix they are handed is a row prefix of the next.  One
 strength kernel counts the level ranks of an orthogonal array and, as a
 strength-2 count over g levels, the grid cells ``v*g // scale`` of a
 stratification claim.  It counts a family of equal row blocks at once as
@@ -299,6 +303,8 @@ def check_stratification(
             {"n": n, "size": size},
         )
     pairs = [tuple(dims)] if dims is not None else list(combinations(range(len(columns)), 2))
+    if not set(pairs) <= set(permutations(range(len(columns)), 2)):
+        raise SpecError(f"dims {dims} are not two distinct columns of {len(columns)}")
     if size % (g * g):
         block, rep = 0, VerificationReport(
             name, False, f"run size {size} not divisible by {g}^2", {"n": size, "g": g})
@@ -343,47 +349,6 @@ def check_projection_compatibility(
     return VerificationReport(name, True)
 
 
-def _check_layers(
-    layers: Sequence[Sequence[Sequence]],
-    projections: Sequence[Mapping],
-    per_layer: Sequence,
-    oracle: Callable,
-    name: str,
-    detail: str,
-) -> VerificationReport:
-    """Row-prefix containment, compatibility of the projection family, and
-    `oracle(rows, per_layer[j], name)` on every collapse rho_j (j <= i) of
-    every layer i.  Once containment holds, every layer is a row prefix of
-    the top, so the top is projected once per rho_j and each layer is
-    handed its prefix of that projection."""
-    mats = [_ColumnView.of(layer) for layer in layers]
-    if len(mats) != len(projections) or len(mats) != len(per_layer):
-        raise SpecError("layers, projections and per-layer levels must align")
-    for i in range(len(mats) - 1):
-        small, big = mats[i], mats[i + 1]
-        if len(big) <= len(small):
-            return VerificationReport(
-                name, False, f"layer {i + 2} not larger than layer {i + 1}"
-            )
-        if big[: len(small)].cols != small.cols:
-            first_bad = next(k for k in range(len(small)) if big[k] != small[k])
-            return VerificationReport(
-                name, False, f"layer {i + 1} is not a row prefix of layer {i + 2}",
-                {"row": first_bad},
-            )
-    compat = check_projection_compatibility(projections)
-    if not compat:
-        return VerificationReport(name, False, compat.detail, compat.counterexample)
-    collapsed = [mats[-1].project(p) for p in projections]
-    for i, mat in enumerate(mats):
-        for j in range(i + 1):
-            rep = oracle(collapsed[j][: len(mat)], per_layer[j],
-                         f"{name}[layer {i + 1} via rho_{j + 1}]")
-            if not rep:
-                return rep
-    return VerificationReport(name, True, detail)
-
-
 def check_nested(
     layers: Sequence[Sequence[Sequence]],
     projections: Sequence[Mapping],
@@ -393,12 +358,7 @@ def check_nested(
 ) -> VerificationReport:
     """Row-prefix containment plus the strength condition on every collapse
     of every layer, plus compatibility of the projection family."""
-    _require_positive(t=t, s=min(s_levels, default=1))
-    return _check_layers(
-        layers, projections, s_levels,
-        lambda rows, s, layer_name: check_oa_strength(rows, s, t, name=layer_name),
-        name, f"{len(layers)} layers, strength {t}",
-    )
+    return _check_prefixes(layers, Claim("nested", name, strength=t), projections, s_levels)
 
 
 def check_nested_dm(
@@ -410,13 +370,27 @@ def check_nested_dm(
 ) -> VerificationReport:
     """Difference-matrix analogue of check_nested: every collapse rho_j of
     every layer must be a difference matrix over element_sets[j]."""
-    _require_positive(group_order=min(map(len, element_sets), default=1))
-    return _check_layers(
-        layers, projections, element_sets,
-        lambda rows, els, layer_name: check_difference_matrix(rows, els, subtract,
-                                                              name=layer_name),
-        name, f"{len(layers)} layers",
-    )
+    return _check_prefixes(layers, Claim("nested-dm", name), projections,
+                           list(map(len, element_sets)), element_sets, subtract)
+
+
+def _check_prefixes(layers, claim, projections, levels, *dm_inputs) -> VerificationReport:
+    """Row-prefix containment of `layers`, then the nested `claim` on the
+    largest layer, cut at every layer's row count."""
+    mats = [_ColumnView.of(layer) for layer in layers]
+    if not len(mats) == len(projections) == len(levels):
+        raise SpecError("layers, projections and per-layer levels must align")
+    for i, (small, big) in enumerate(zip(mats, mats[1:])):
+        if len(big) <= len(small):
+            break  # check_claims reports the layer sizes
+        row = next((k for k in range(len(small)) if big[k] != small[k]), None)
+        if row is not None:
+            return VerificationReport(
+                claim.name, False, f"layer {i + 1} is not a row prefix of layer {i + 2}", {"row": row}
+            )
+    claim = replace(claim, rows=tuple(map(len, mats)), layers=tuple(range(1, len(mats) + 1)))
+    top = max(mats, key=len, default=[])
+    return next(check_claims(top, [claim], projections, levels, *dm_inputs))
 
 
 def check_sliced(
@@ -428,22 +402,8 @@ def check_sliced(
     name: str = "sliced-oa",
 ) -> VerificationReport:
     """Each consecutive row block must collapse into a strength-t array."""
-    _require_positive(slice_size=slice_size, s=s_low, t=t)
-    view = _ColumnView.of(rows)
-    n = len(view)
-    if n % slice_size:
-        return VerificationReport(
-            name, False, f"run size {n} not divisible by slice size {slice_size}"
-        )
-    collapsed = view.project(projection)
-    for l in range(n // slice_size):
-        rep = check_oa_strength(collapsed[l * slice_size : (l + 1) * slice_size], s_low, t,
-                                name=f"{name}[slice {l + 1}]")
-        if not rep:
-            return rep
-    return VerificationReport(
-        name, True, f"{n // slice_size} slices of {slice_size} rows"
-    )
+    claims = [Claim("sliced", name, layers=(1,), strength=t, size=slice_size)]
+    return next(check_claims(rows, claims, [projection], [s_low]))
 
 
 @dataclass(frozen=True)
@@ -470,24 +430,28 @@ class Claim:
     size: int = 0
 
 
-def _grid_reports(block: _ColumnView, scale: int, claim: Claim) -> Iterator[VerificationReport]:
+# each claim kind's default report name
+_NAMES = {"oa": "oa-strength", "dm": "difference-matrix", "nested": "nested-oa",
+          "nested-dm": "nested-dm", "sliced": "sliced-oa", "lh": "latin-hypercube",
+          "strat": "stratification"}
+
+
+def _grid_reports(
+    block: _ColumnView, scale: int, claim: Claim, name: str
+) -> Iterator[VerificationReport]:
     """The reports of a "strat" claim on `block`: one, or with a slice size
     L one per slice, named `<name>[slice l, g=<g>]`.  The slices are checked
     as one block family; only when the family fails does each slice rerun
     on its own, so that every slice reports its own verdict."""
-    g, size, name = claim.strength, claim.size, claim.name or "stratification"
-    if not size:
-        yield check_stratification(block, scale, g, name=name)
-        return
+    g, size = claim.strength, claim.size
     family = check_stratification(block, scale, g, name=name, size=size)
-    names = [f"{name}[slice {l + 1}, g={g}]" for l in range(len(block) // size)]
-    if family:
-        yield from (replace(family, check=slice_name) for slice_name in names)
-    elif len(block) % size:
+    if not size or len(block) % size:
         yield family
-    else:
-        for l, slice_name in enumerate(names):
-            yield check_stratification(block[l * size : (l + 1) * size], scale, g, name=slice_name)
+        return
+    for l in range(len(block) // size):
+        slice_name = f"{name}[slice {l + 1}, g={g}]"
+        yield (replace(family, check=slice_name) if family else
+               check_stratification(block[l * size : (l + 1) * size], scale, g, name=slice_name))
 
 
 def check_claims(
@@ -506,47 +470,70 @@ def check_claims(
     of `element_sets`) is the top layer's, and a "strat" claim reads it as
     the scale of the values.  `subtract` is the group difference the
     difference-matrix claims count.  The reports are yielded lazily, so a caller
-    may stop at the first failure.  `rows` becomes one column view for all
-    the claims, and each layer's collapse of it is made once, when a claim
-    first needs it.
+    may stop at the first failure.
+
+    This is the one place that cuts a matrix into row prefixes and blocks:
+    `rows` becomes one column view for all the claims, each layer's collapse
+    of it is made once, when a claim first needs it, and every nested
+    prefix, slice and row range is cut from that view or collapse.  A nested
+    claim's stops must lie in 1..n (increasing, or the claim fails), and any
+    other claim's row range in 0..n; a stop outside is a SpecError.
     """
     view = _ColumnView.of(rows)
-    collapsed: dict[int, _ColumnView] = {}
+    n, collapsed = len(view), {}
+
+    def collapse(j):
+        if j not in collapsed:
+            collapsed[j] = view.project(projections[j - 1])
+        return collapsed[j]
+
+    def oracle(block, j, name):  # the oa or dm oracle of the current claim
+        if c.kind.endswith("dm"):
+            return check_difference_matrix(block, element_sets[j - 1], subtract, name=name)
+        return check_oa_strength(block, levels[j - 1], c.strength, name=name)
+
     for c in claims:
+        if c.kind not in _NAMES:
+            raise SpecError(f"unknown claim kind {c.kind!r}")
         if any(not 1 <= j <= len(levels) for j in c.layers):
             raise SpecError(f"claim {c.name or c.kind!r} names a layer outside 1..{len(levels)}")
-        named = {"name": c.name} if c.name else {}
-        if c.kind == "nested":
-            yield check_nested(
-                [view[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
-                [levels[j - 1] for j in c.layers], c.strength, **named,
+        nested, name = c.kind.startswith("nested"), c.name or _NAMES[c.kind]
+        if not (len(c.rows) == len(c.layers) and all(0 < k <= n for k in c.rows) if nested
+                else not c.rows or len(c.rows) == 2 and 0 <= c.rows[0] < c.rows[1] <= n):
+            raise SpecError(f"claim {name!r} cuts rows {list(c.rows)} that do not fit "
+                            f"its layers {list(c.layers)} in {n} rows")
+        if nested:
+            stops, layers = c.rows, c.layers
+            # the first failing step decides: layer sizes, compatibility, then every collapse
+            steps = chain(
+                (VerificationReport(name, a < b, f"layer {i + 2} not larger than layer {i + 1}")
+                 for i, (a, b) in enumerate(zip(stops, stops[1:]))),
+                map(check_projection_compatibility, [[projections[j - 1] for j in layers]], [name]),
+                (oracle(collapse(j)[:stop], j, f"{name}[layer {i + 1} via rho_{p + 1}]")
+                 for i, stop in enumerate(stops) for p, j in enumerate(layers[: i + 1])),
             )
-            continue
-        if c.kind == "nested-dm":
-            yield check_nested_dm(
-                [view[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
-                [element_sets[j - 1] for j in c.layers], subtract, **named,
-            )
+            strength = f", strength {c.strength}" if c.kind == "nested" else ""
+            yield next((rep for rep in steps if not rep),
+                       VerificationReport(name, True, f"{len(stops)} layers{strength}"))
             continue
         j = c.layers[0] if c.layers else len(levels)
-        if c.kind == "sliced":
-            block = view[c.rows[0] : c.rows[1]] if c.rows else view
-            yield check_sliced(block, c.size, projections[j - 1], levels[j - 1], c.strength, **named)
-            continue
-        block = view
-        if c.layers:
-            if j not in collapsed:
-                collapsed[j] = view.project(projections[j - 1])
-            block = collapsed[j]
+        block = collapse(j) if c.layers else view
         if c.rows:
             block = block[c.rows[0] : c.rows[1]]
-        if c.kind == "oa":
-            yield check_oa_strength(block, levels[j - 1], c.strength, **named)
-        elif c.kind == "dm":
-            yield check_difference_matrix(block, element_sets[j - 1], subtract, **named)
+        if c.kind == "sliced":
+            size, total = c.size, len(block)
+            _require_positive(slice_size=size)  # the oracle refuses s or t below 1
+            steps = chain(
+                [VerificationReport(name, not total % size,
+                                    f"run size {total} not divisible by slice size {size}")],
+                (oracle(block[b : b + size], j, f"{name}[slice {b // size + 1}]")
+                 for b in range(0, total, size)),
+            )
+            yield next((rep for rep in steps if not rep),
+                       VerificationReport(name, True, f"{total // size} slices of {size} rows"))
+        elif c.kind in ("oa", "dm"):
+            yield oracle(block, j, name)
         elif c.kind == "lh":
-            yield check_latin_hypercube(block, **named)
-        elif c.kind == "strat":
-            yield from _grid_reports(block, levels[-1], c)
+            yield check_latin_hypercube(block, name=name)
         else:
-            raise SpecError(f"unknown claim kind {c.kind!r}")
+            yield from _grid_reports(block, levels[-1], c, name)

@@ -439,6 +439,13 @@ class TestKronNdm:
             construct_ndm_kron([d1, d2], chain)
 
 
+@pytest.mark.parametrize("construct", [construct_noa_kron_multi, construct_ndm_kron])
+def test_kron_without_inputs_is_spec_error(construct):
+    """An empty input list is refused by count, before any input is read."""
+    with pytest.raises(SpecError, match="got none"):
+        construct([], chain_omega_ring([Zn(3), Zn(3)]))
+
+
 def test_full_factorial_order():
     f = Field(2, 1)
     rows = full_factorial(f.elements(), 2)

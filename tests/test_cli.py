@@ -472,6 +472,24 @@ _OUT_OF_RANGE = [
       "a1.json": _chainless("oa", [[0, 0], [0, 1], [1, 0], [1, 1]], s=2, t_claimed=2),
       "a2.json": _chainless("oa", [[0, 0]], s=1, t_claimed=2)},
      _zn5_kron_noa(5)[1]),
+    ({}, CONSTRUCT_RH + ["--p", "2", "--u", "1,x"]),
+    ({"c.json": '{"kind": "omega", "bases": [{"zn": 2}, {"zn": 2}]}'},
+     CONSTRUCT_RH + ["--chain", "c.json", "--columns", "1;0"]),
+    ({}, ["construct", "--method", "rh-noa", "--p", "2", "--u", "1,2", "--out", "x.json"]),
+    ({}, ["construct", "--method", "bush-noa", "--p", "2", "--u", "2,4", "--k", "3",
+          "--columns", "1;0", "--out", "x.json"]),
+    ({}, CONSTRUCT_NDM + ["--input", "a.json", "--input", "b.json"]),
+    (_zn5_kron_noa(5)[0], ["construct", "--method", "kron-noa", "--chain", "c.json",
+                           "--out", "x.json"]),
+    (_zn5_kron_noa(5)[0], ["construct", "--method", "kron-soa", "--chain", "c.json",
+                           "--input", "a1.json", "--out", "x.json"]),
+    ({"d.json": _chainless("oa", [[0, 0], [0, 1], [1, 0], [1, 1]], s=2, t_claimed=2)},
+     ["lift", "--design", "d.json", "--mode", "nested", "--out", "x.json"]),
+    ({"d.json": '{%s, "type": "oa", "rows": [[0, 1], [1, 0]], '
+      '"chain": {"kind": "field-tower", "p": 2, "u_chain": [1, 2]}}' % _DESIGN},
+     ["lift", "--design", "d.json", "--mode", "nested", "--out", "x.json"]),
+    ({"p.json": '{"kind": "sliced", "values": []}'}, LIFT_NESTED + ["--perms", "p.json"]),
+    ({}, ["lift", "--design", "{rh}", "--mode", "grouped", "--out", "x.json"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -488,7 +506,11 @@ _OUT_OF_RANGE = [
        "lift-oa-slice-size-alone", "lift-oa-slice-size-not-dividing",
        "ndm-input-design-file", "kron-noa-input-lh-file", "kron-ndm-input-oa-file",
        "kron-noa-k-columns", "rh-noa-input", "chain-beside-p-u", "grouped-perms",
-       "nested-i-j-group-order", "kron-noa-chain-not-growing"])
+       "nested-i-j-group-order", "kron-noa-chain-not-growing",
+       "u-not-integers", "columns-on-omega-chain", "rh-noa-without-k", "bush-noa-columns",
+       "ndm-product-two-inputs", "kron-noa-without-input", "kron-soa-one-input",
+       "lift-chainless-oa", "lift-oa-without-prefixes", "perms-of-wrong-kind",
+       "grouped-without-i-j"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

@@ -486,6 +486,20 @@ def _project(rows, table):
 
 
 def _ref_nested(layers, projections, s_levels, t, name="nested-oa"):
+    return _ref_layers(layers, projections, s_levels,
+                       lambda rows, s, layer: _ref_oa_strength(rows, s, t, layer),
+                       name, f"{len(layers)} layers, strength {t}")
+
+
+def _ref_nested_dm(layers, projections, element_sets, subtract, name="nested-dm"):
+    return _ref_layers(layers, projections, element_sets,
+                       lambda rows, els, layer: _ref_difference_matrix(rows, els, subtract, layer),
+                       name, f"{len(layers)} layers")
+
+
+def _ref_layers(layers, projections, per_layer, oracle, name, detail):
+    """Containment, compatibility, then oracle(collapsed rows, per_layer[j],
+    name) on every collapse rho_j of every layer i (j <= i)."""
     mats = [[tuple(r) for r in layer] for layer in layers]
     for i in range(len(mats) - 1):
         if len(mats[i + 1]) <= len(mats[i]):
@@ -501,11 +515,11 @@ def _ref_nested(layers, projections, s_levels, t, name="nested-oa"):
                                   {"layers": layers_, "pair": pair})
     for i, mat in enumerate(mats):
         for j in range(i + 1):
-            rep = _ref_oa_strength(_project(mat, projections[j]), s_levels[j], t,
-                                   f"{name}[layer {i + 1} via rho_{j + 1}]")
+            rep = oracle(_project(mat, projections[j]), per_layer[j],
+                         f"{name}[layer {i + 1} via rho_{j + 1}]")
             if not rep:
                 return rep
-    return VerificationReport(name, True, f"{len(layers)} layers, strength {t}")
+    return VerificationReport(name, True, detail)
 
 
 def _ref_sliced(rows, slice_size, projection, s_low, t, name="sliced-oa"):
@@ -525,6 +539,9 @@ def _ref_claim(rows, c, projections, levels, element_sets, subtract):
     if c.kind == "nested":
         return _ref_nested([rows[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
                            [levels[j - 1] for j in c.layers], c.strength)
+    if c.kind == "nested-dm":
+        return _ref_nested_dm([rows[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
+                              [element_sets[j - 1] for j in c.layers], subtract)
     j = c.layers[0] if c.layers else len(levels)
     block = rows[c.rows[0] : c.rows[1]] if c.rows else rows
     if c.kind == "sliced":
@@ -690,6 +707,85 @@ def test_claims_match_rowwise_reference(case):
         _ref_claim(rows, c, projections, levels, element_sets, subtract) for c in claims]
 
 
+def _ndm_case(*claims):
+    """`claims` on the three-layer nested DM of README example 3 (codes over
+    GF(4) x Z3 x Z2) with its chain's oracle inputs: one case of
+    nested_dm_claim_cases."""
+    chain = chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
+    rows = [[chain.parse(t).code for t in row] for row in KRON_NDM_GF4_Z3_Z2]
+    inputs = chain.oracle_inputs()
+    return (rows, list(claims), inputs["projections"], inputs["levels"],
+            inputs["element_sets"], inputs["subtract"])
+
+
+@st.composite
+def nested_dm_claim_cases(draw):
+    """The claims of claim_cases with nested-DM claims mixed in, each on a
+    sorted subset of the layers (so rho_p of a report is the p-th claimed
+    layer, not layer p), at random prefix stops."""
+    top, claims, projections, sizes, element_sets = draw(claim_cases())
+    n = len(top)
+    for _ in range(draw(st.integers(1, 2))):
+        layers = tuple(sorted(draw(st.sets(st.integers(1, len(sizes)), min_size=1))))
+        stops = sorted(draw(st.lists(st.integers(1, n), min_size=len(layers),
+                                     max_size=len(layers))))
+        claims.insert(draw(st.integers(0, len(claims))),
+                      Claim("nested-dm", rows=tuple(stops), layers=layers))
+    return top, claims, projections, sizes, element_sets, lambda a, b: (a - b) % 16
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_dm_claim_cases())
+@example(_ndm_case(Claim("nested-dm", rows=(4, 12, 48), layers=(1, 2, 3)),
+                   Claim("nested-dm", rows=(8, 48), layers=(1, 3)),
+                   Claim("dm", rows=(12, 24), layers=(2,))))  # all pass
+# the 24-row third layer fails via rho_3
+@example(_ndm_case(Claim("nested-dm", rows=(4, 12, 24), layers=(1, 2, 3))))
+def test_nested_dm_claims_match_rowwise_reference(case):
+    rows, claims, projections, levels, element_sets, subtract = case
+    assert list(check_claims(rows, claims, projections, levels, element_sets, subtract)) == [
+        _ref_claim(rows, c, projections, levels, element_sets, subtract) for c in claims]
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_cases())
+def test_nested_dm_matches_rowwise_reference(case):
+    layers, projections, sizes, _ = case
+    element_sets = [sorted(set(p.values())) for p in projections]
+    subtract = lambda a, b: (a - b) % 16  # noqa: E731
+    assert (check_nested_dm(layers, projections, element_sets, subtract)
+            == _ref_nested_dm(layers, projections, element_sets, subtract))
+
+
+def test_each_collapse_is_made_once_per_claim_list(monkeypatch):
+    """The rh-noa self-check (one nested claim and three sliced claims over
+    a three-layer chain) collapses its top once per layer it uses."""
+    calls = []
+    project = nestfill.verify._ColumnView.project
+    monkeypatch.setattr(nestfill.verify._ColumnView, "project",
+                        lambda view, table: calls.append(table) or project(view, table))
+    nestfill.arrays.construct_noa_rh(chain_field_tower(2, [1, 2, 3]), 2)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("claim", [
+    Claim("oa", rows=(0, 1000)),
+    Claim("strat", rows=(0, 64), strength=2),
+    Claim("sliced", rows=(0, 64), layers=(1,), size=4),
+    Claim("nested", rows=(4, 1000), layers=(1, 2)),
+    Claim("oa", rows=(-1, 4)),
+    Claim("dm", rows=(2, 2), layers=(1,)),
+    Claim("nested", rows=(0, 4), layers=(1, 2)),
+], ids=["oa-past-rows", "strat-past-rows", "sliced-past-rows", "nested-stop-past-rows",
+        "oa-negative-start", "dm-empty-range", "nested-stop-0"])
+def test_claims_refuse_rows_outside_the_matrix(claim):
+    """A row range or prefix stop outside the matrix is refused, not cut
+    short by slicing."""
+    oa = [[0, 0], [0, 1], [1, 0], [1, 1]]
+    with pytest.raises(SpecError):
+        list(check_claims(oa, [claim], [{0: 0, 1: 1}] * 2, [2, 2], [[0, 1]] * 2))
+
+
 def test_verify_imports_no_construction_code():
     """The oracles must not trust construction code: verify.py may import
     nothing from the package but its errors."""
@@ -758,9 +854,13 @@ _IDENTITY = {0: 0, 1: 1}
     lambda: check_nested([_OA4], [_IDENTITY], [0], 2),
     lambda: check_nested_dm([_OA4], [_IDENTITY], [[]]),
     lambda: list(check_claims(_OA4, [Claim("strat", strength=2, size=-1)], levels=[2])),
+    lambda: check_stratification([r[:2] for r in _OA4], 2, 2, dims=(0, 5)),
+    lambda: check_stratification([r[:2] for r in _OA4], 2, 2, dims=(0, -1)),
+    lambda: check_stratification([r[:2] for r in _OA4], 2, 2, dims=(1, 1)),
 ], ids=["oa-s0", "oa-t0", "dm-no-elements", "strat-g0", "strat-g-1", "strat-scale0",
         "strat-size-2", "sliced-size-2", "sliced-size0", "sliced-s0", "nested-t0", "nested-s0",
-        "nested-dm-no-elements", "claims-strat-size-1"])
+        "nested-dm-no-elements", "claims-strat-size-1", "strat-dims-past-columns",
+        "strat-dims-negative", "strat-dims-repeated"])
 def test_oracles_refuse_nonsense_parameters(call):
     """A level count, strength, grid, scale or slice size below 1, a negative
     block size, or an empty element set is a claim no matrix can meet or
