@@ -1,5 +1,9 @@
 """Command-line front end: construct, lift, verify, export.
 
+`construct` and `lift` write JSON design files; `export` is the one command
+that converts them to CSV or scatter data.  A non-default field modulus comes
+from the `modulus` key of a `--chain` descriptor.
+
 Exit codes: 0 on success, 2 on bad parameters, malformed inputs or an
 unwritable output path, 3 when a brute-force oracle rejects a claim.  Every
 randomized stage records its seed and permutations in the output file, and
@@ -91,15 +95,12 @@ def _refuse_unread(args, names, where: str) -> None:
 
 def _resolve_chain(args, method: str) -> GroupChain:
     if args.chain:
-        _refuse_unread(args, ("p", "u", "modulus"), "beside --chain")
+        _refuse_unread(args, ("p", "u"), "beside --chain")
         return chain_from_descriptor(read_json(args.chain, "chain file"))
     if args.p is None or not args.u:
         raise SpecError("give either --chain FILE or both --p and --u")
-    u_chain = _parse_int_list(args.u)
-    modulus = _parse_int_list(args.modulus) if args.modulus else None
-    if method in ("subfield-noa", "bush-noa"):
-        return chain_subfield_tower(args.p, u_chain, modulus)
-    return chain_field_tower(args.p, u_chain, modulus)
+    tower = chain_subfield_tower if method in ("subfield-noa", "bush-noa") else chain_field_tower
+    return tower(args.p, _parse_int_list(args.u))
 
 
 def _parse_columns(text: str, chain: GroupChain):
@@ -125,10 +126,6 @@ def _load_input_design(path, chain: GroupChain, levels: int, want: str):
     return OrthogonalArray(rows, levels, design.t_claimed or 2)
 
 
-def _write_design(design: DesignFile, out: str, fmt: str) -> Path:
-    return save_csv(design, out) if fmt == "csv" else save_json(design, out)
-
-
 def _report_text(reports, **head) -> str:
     """The JSON report of `reports` (the `head` keys, `passed`, `checks`) as
     written by `construct` and `verify`."""
@@ -150,16 +147,25 @@ def _design_file(matrix: GroupMatrix, chain: GroupChain, method: str, params: di
     rows = matrix.codes()
     return DesignFile(
         type=kind, rows=rows, s=chain.top_size, chain=chain.descriptor(),
-        layer=chain.layers, alphabet="layer",
         meta={"tool": "nestfill", "version": __version__, "method": method,
               "params": params},
         symbols=symbols_for(chain, rows), **annotations,
     )
 
 
+# each claim annotation -> the file types that record it (a `design` file's
+# `layer_prefixes` and `slice_size` are the provenance a relabel-only lift copies)
+_ANNOTATED_TYPES = {"grids": ("lh",), "scale": ("lh",), "collapse_layer": ("oa",),
+                    "slice_size": ("oa", "design"), "layer_prefixes": ("oa", "dm", "design")}
+
+
 def _file_claims(design: DesignFile, chain: Optional[GroupChain]) -> list[Claim]:
     """The claims `design`, over its `chain`, records (README "Claims"); an
     annotation that cannot be checked in full is a SpecError."""
+    for key, types in _ANNOTATED_TYPES.items():
+        if getattr(design, key) is not None and design.type not in types:
+            raise SpecError(f"{design.type!r} files cannot carry {key!r}; "
+                            f"only {'/'.join(types)} files do")
     if design.type == "lh":
         claims = [Claim("lh")]
         for grid in design.grids or []:
@@ -270,7 +276,7 @@ def cmd_construct(args) -> int:
     try:
         for path, tag, matrix, claim in outputs:
             design = _design_file(matrix, chain, tag, params, claim)
-            written.append(_write_design(design, path, args.format))
+            written.append(save_json(design, path))
         out_path = written[-1]
         written.append(_write_text(out_path.with_suffix(out_path.suffix + ".verify.json"),
                                    _report_text(reports), "verification report"))
@@ -295,6 +301,20 @@ def _load_family(design: DesignFile) -> NestedFamily:
     return NestedFamily(chain, GroupMatrix(design.rows, chain.group), nested)
 
 
+def _check_prefix_layers(family: NestedFamily) -> None:
+    """Refuse a family whose layer-i prefix holds a code outside layer i.  The
+    nested lift reads prefix i as a design over layer i; `verify`, and the
+    sliced and grouped lifts, read only its collapse."""
+    chain = family.chain
+    for layer, stop in enumerate(family.nested.rows[:-1], start=1):
+        codes = set(chain.layer_codes(layer))
+        for r, row in enumerate(family.top.code_rows[:stop]):
+            if not codes.issuperset(row):
+                code = next(c for c in row if c not in codes)
+                raise SpecError(f"row {r} of the layer-{layer} prefix holds code {code} "
+                                f"({chain.group.text_code(code)}), which is not in layer {layer}")
+
+
 def _load_permutations(path, kind: str, chain: GroupChain):
     data = read_json(path, "permutation file")
     if not isinstance(data, dict) or data.get("kind") != kind:
@@ -315,6 +335,8 @@ def cmd_lift(args) -> int:
         _refuse_unread(args, ("seed",), "by a relabel-only lift with --perms")
     design = load(args.design)
     family = _load_family(design)
+    if args.mode == "nested":
+        _check_prefix_layers(family)
     chain = family.chain
     seed = _default_seed(args)
     m = family.top.n_cols
@@ -353,7 +375,7 @@ def cmd_lift(args) -> int:
             grids=lifted.grids, seeds={"lift": seed},
             permutations=lifted.permutations or None, meta=meta,
         )
-    out_path = _write_design(out, args.out, args.format)
+    out_path = save_json(out, args.out)
     print(f"wrote {out_path} ({out.type}, {out.n}x{out.m})")
     return 0
 
@@ -392,7 +414,7 @@ def cmd_export(args) -> int:
         paths = export_scatter(design, args.out)
         print("\n".join(str(p) for p in paths))
         return 0
-    path = _write_design(design, args.out, args.format)
+    path = (save_csv if args.format == "csv" else save_json)(design, args.out)
     print(f"wrote {path}")
     return 0
 
@@ -409,14 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--method", required=True, choices=CONSTRUCT_METHODS)
     c.add_argument("--p", type=int, help="prime modulus for tower chains")
     c.add_argument("--u", help="comma-separated layer degrees, e.g. 1,2,3")
-    c.add_argument("--modulus", help="irreducible polynomial coefficients, low degree first")
     c.add_argument("--chain", help="JSON file with a chain descriptor")
     c.add_argument("--k", type=int, help="number of independent columns")
     c.add_argument("--columns", help="explicit generator columns as code lists, e.g. '1,0;0,1;1,1'")
     c.add_argument("--input", action="append", default=[],
                    help="input design file (repeat in layer order)")
     c.add_argument("--out", required=True)
-    c.add_argument("--format", choices=("json", "csv"), default="json")
     c.set_defaults(func=cmd_construct)
 
     l = sub.add_parser("lift", help="relabel and lift a design to a space-filling one")
@@ -429,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--j", type=int, help="collapse layer (grouped mode)")
     l.add_argument("--group-order", help="comma-separated layer-j codes (grouped mode)")
     l.add_argument("--out", required=True)
-    l.add_argument("--format", choices=("json", "csv"), default="json")
     l.set_defaults(func=cmd_lift)
 
     v = sub.add_parser("verify", help="re-run every oracle a design file claims")

@@ -175,6 +175,12 @@ class Field(TextCodec):
     """
 
     def __init__(self, p: int, u: int, modulus: Optional[Sequence[int]] = None):
+        # refused before the primality test and the modulus search, which would
+        # run for ages; u capped at the limit's bit length keeps p**u small and
+        # the comparison exact
+        if p > 1 and u > 0 and p ** min(u, MAX_TABLE_ORDER.bit_length()) > MAX_TABLE_ORDER:
+            raise SpecError(f"GF({p}^{u}) is too large: arithmetic tables are limited to "
+                            f"order {MAX_TABLE_ORDER}")
         if not is_prime(p):
             raise SpecError(f"p={p} is not prime")
         if u < 1:

@@ -45,10 +45,8 @@ _FIELDS = {
     "rows": (lambda v: isinstance(v, list) and all(map(isinstance, v, itertools.repeat(list))),
              "a list of rows"),
     **{key: (_positive, "a positive integer") for key in (
-        "s", "t_claimed", "layer", "slice_size", "collapse_layer", "scale")},
-    "qual_columns": (lambda v: is_int(v) and v >= 0, "a non-negative integer"),
+        "s", "t_claimed", "slice_size", "collapse_layer", "scale")},
     "chain": (lambda v: isinstance(v, dict), "an object"),
-    "alphabet": (lambda v: isinstance(v, str), "a string"),
     "layer_prefixes": (lambda v: isinstance(v, list) and all(map(_positive, v)),
                        "a list of positive integers"),
     "grids": (lambda v: isinstance(v, list) and all(map(_grid, v)),
@@ -67,14 +65,11 @@ class DesignFile:
     s: Optional[int] = None
     t_claimed: Optional[int] = None
     chain: Optional[dict] = None
-    layer: Optional[int] = None
-    alphabet: Optional[str] = None
     layer_prefixes: Optional[list[int]] = None
     slice_size: Optional[int] = None
     collapse_layer: Optional[int] = None
     grids: Optional[list[dict]] = None
     scale: Optional[int] = None
-    qual_columns: Optional[int] = None
     seeds: Optional[dict] = None
     permutations: Optional[list[list[int]]] = None
     meta: dict = field(default_factory=dict)
@@ -132,7 +127,12 @@ class DesignFile:
         for key in ("type", "rows"):
             if key not in kwargs:
                 raise SpecError(f"design file has no {key!r}")
-        return cls(**kwargs)
+        design = cls(**kwargs)
+        for key in ("n", "m"):  # the header, where present, must count the rows read
+            if key in data and not (is_int(data[key]) and data[key] == getattr(design, key)):
+                raise SpecError(f"design header {key}={data[key]!r} does not match the "
+                                f"{design.n}x{design.m} rows")
+        return design
 
 
 def symbols_for(chain: GroupChain, rows) -> dict:

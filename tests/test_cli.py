@@ -391,6 +391,21 @@ def _zn5_kron_noa(s2):
     return files, argv
 
 
+def _with_keys(text, **keys):
+    """The design file `text` with `keys` added or replaced."""
+    return json.dumps({**json.loads(text), **keys})
+
+
+def _rh_u12_swapped():
+    """`_rh_u12([4, 16])` with rows 1 (0,1,1) and 5 (0,3,3) swapped: both
+    collapse alike under rho_1, but code 3 of layer 2 now sits in the
+    layer-1 prefix."""
+    data = json.loads(_rh_u12([4, 16]))
+    rows = data["rows"]
+    rows[1], rows[5] = rows[5], rows[1]
+    return json.dumps(data)
+
+
 CONSTRUCT_NDM_GF8 = ["construct", "--method", "ndm-product", "--p", "2", "--u", "1,2,3",
                      "--input", "a.json"]
 
@@ -490,6 +505,18 @@ _OUT_OF_RANGE = [
      ["lift", "--design", "d.json", "--mode", "nested", "--out", "x.json"]),
     ({"p.json": '{"kind": "sliced", "values": []}'}, LIFT_NESTED + ["--perms", "p.json"]),
     ({}, ["lift", "--design", "{rh}", "--mode", "grouped", "--out", "x.json"]),
+    ({"d.json": _with_keys(_rh_u12([4, 16]), grids=[{"grid": 3, "rows": 16}])},
+     ["verify", "--design", "d.json"]),
+    ({"d.json": _with_keys(_rh_u12([4, 16]), scale=5)}, ["verify", "--design", "d.json"]),
+    ({"d.json": _with_keys(_gf4_dm([2, 4]), slice_size=2, collapse_layer=1)},
+     ["verify", "--design", "d.json"]),
+    ({"d.json": _with_keys(_gf4_dm([2, 4]), grids=[{"grid": 2, "rows": 4}])},
+     ["verify", "--design", "d.json"]),
+    ({"d.json": _rh_u12_swapped()}, ["lift", "--design", "d.json", "--mode", "nested",
+                                     "--seed", "1", "--out", "x.json"]),
+    ({"d.json": _with_keys(_rh_u12([4, 16]), n=999, m=42)}, ["verify", "--design", "d.json"]),
+    ({"d.csv": '# meta={%s, "type": "design", "n": 3, "m": 2}\nx1,x2\n0,1\n1,0\n' % _DESIGN},
+     ["verify", "--design", "d.csv"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -510,7 +537,8 @@ _OUT_OF_RANGE = [
        "u-not-integers", "columns-on-omega-chain", "rh-noa-without-k", "bush-noa-columns",
        "ndm-product-two-inputs", "kron-noa-without-input", "kron-soa-one-input",
        "lift-chainless-oa", "lift-oa-without-prefixes", "perms-of-wrong-kind",
-       "grouped-without-i-j"])
+       "grouped-without-i-j", "oa-grids", "oa-scale", "dm-sliced", "dm-grids",
+       "lift-nested-prefix-outside-layer", "header-n-m-mismatch", "csv-header-n-mismatch"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -848,3 +876,88 @@ def test_outputs_identical_across_hash_seeds(tmp_path):
         runs.append((printed, {f.name: f.read_bytes() for f in sorted(work.iterdir())}))
     assert sorted(runs[0][1]) == ["a.json", "a.json.verify.json", "g.json", "r.json"]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    CONSTRUCT_RH[:-2] + ["--p", "2", "--u", "1,2", "--format", "csv", "--out", "x.csv"],
+    LIFT_NESTED[:-1] + ["x.csv", "--format", "csv"],
+    CONSTRUCT_RH + ["--p", "2", "--u", "1,2,3", "--modulus", "1,0,1,1"],
+], ids=["construct-format", "lift-format", "construct-modulus"])
+def test_removed_options_are_unknown_arguments(argv, tmp_path, rh_design, monkeypatch, capsys):
+    """CSV comes from `export` and a modulus from a `--chain` descriptor;
+    `construct`/`lift --format` and `construct --modulus` are not options."""
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(*(a.format(rh=rh_design) for a in argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a3.json", "a3.json.verify.json"]
+
+
+def test_construct_from_chain_with_modulus(tmp_path):
+    """A chain descriptor's non-default modulus (x^3+x^2+1) is recorded in
+    the design file, and the design verifies over it."""
+    chain = tmp_path / "c.json"
+    chain.write_text(json.dumps({"kind": "field-tower", "p": 2, "u_chain": [1, 2, 3],
+                                 "modulus": [1, 0, 1, 1]}))
+    out = tmp_path / "m.json"
+    assert run("construct", "--method", "rh-noa", "--chain", str(chain), "--k", "2",
+               "--out", str(out)) == 0
+    design = load(out)
+    assert design.chain["modulus"] == [1, 0, 1, 1]
+    assert design.load_chain().field.modulus == (1, 0, 1, 1)
+    assert json.loads((tmp_path / "m.json.verify.json").read_text())["passed"] is True
+    assert run("verify", "--design", str(out)) == 0
+
+
+def test_file_with_unread_keys_verifies_and_lifts_unchanged(tmp_path, rh_design, capsys):
+    """A construct file carrying `layer` and `alphabet` after its chain, as
+    older writers wrote them, verifies and lifts exactly like the file
+    without them: nothing reads either key."""
+    old = {}
+    for key, value in json.loads(rh_design.read_text()).items():
+        old[key] = value
+        if key == "chain":
+            old.update(layer=3, alphabet="layer")
+    old_path = tmp_path / "old.json"
+    old_path.write_text(json.dumps(old, indent=2))
+    outputs = []
+    for path in (rh_design, old_path):
+        stem = path.stem
+        capsys.readouterr()
+        assert run("verify", "--design", str(path), "--out", str(tmp_path / f"{stem}.r")) == 0
+        report = json.loads((tmp_path / f"{stem}.r").read_text())
+        assert report.pop("design") == str(path)
+        assert run("lift", "--design", str(path), "--mode", "sliced", "--seed", "3",
+                   "--out", str(tmp_path / f"{stem}.lh")) == 0
+        printed = capsys.readouterr()
+        outputs.append((report, printed.err, (tmp_path / f"{stem}.lh").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+_GF2_40 = {"kind": "field-tower", "p": 2, "u_chain": [1, 40]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--method", "rh-noa", "--p", "2", "--u", "1,40", "--k", "2", "--out", "x.json"],
+    ["construct", "--method", "rh-noa", "--p", "1000000000000000003", "--u", "1", "--k", "2",
+     "--out", "x.json"],
+    ["verify", "--design", "lh.json"],
+], ids=["construct-gf-2-40", "construct-huge-prime", "verify-lh-over-gf-2-40"])
+def test_oversized_field_refused_before_it_is_built(argv, tmp_path):
+    """A field above the table limit exits 2 at once, before the primality
+    test or the modulus search; each command runs in its own interpreter
+    under a timeout, so a field that is built anyway fails the test."""
+    (tmp_path / "lh.json").write_text(json.dumps(
+        {"format": "nestfill-design", "version": "0.1.0", "type": "lh", "rows": [[0], [1]],
+         "chain": _GF2_40}))
+    src = str(Path(nestfill.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "nestfill.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and "is too large" in err[0]
+    assert not (tmp_path / "x.json").exists()
