@@ -17,13 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional, Sequence
+from math import prod
+from typing import Callable, Optional, Sequence
 
 from .errors import SpecError, VerificationFailure
 from .galois import Element, Field
 from .groups import FieldTowerChain, GroupChain, SubfieldTowerChain
 from .kronecker import GroupMatrix, col_kron_sum, kron_sum
 from .verify import Claim, VerificationReport, check_claims
+
+# the most cells an array built here may hold: at about 76 bytes a cell, some 320 MB
+MAX_CELLS = 2**22
 
 
 @dataclass
@@ -69,6 +73,14 @@ class GeneratorMatrix:
 
     def column_codes(self) -> list[list[int]]:
         return [list(col) for col in self.codes]
+
+
+def _require_cells(rows: int, cols: int, rows_text: str = "") -> None:
+    """Refuse, before it is allocated, an array of `rows` x `cols` cells above
+    MAX_CELLS; `rows_text` names the row count where it is not spelled out."""
+    if rows * cols > MAX_CELLS:
+        raise SpecError(f"an array of {rows_text or rows} rows and {cols} columns is too large: "
+                        f"the limit is {MAX_CELLS} cells")
 
 
 def _leads_with_one(col: Sequence[int]) -> bool:
@@ -232,11 +244,18 @@ def _noa_family(chain: GroupChain, top: GroupMatrix, stops: tuple[int, ...], str
     return NestedFamily(chain, top, nested, sliced, reports, generator)
 
 
-def _construct_noa(chain: GroupChain, gen: GeneratorMatrix, strength: int) -> NestedFamily:
+def _construct_noa(chain: GroupChain, k: int, strength: int,
+                   generator: Callable[[], GeneratorMatrix]) -> NestedFamily:
+    """The nested family of H_I times `generator()`, which is called only once
+    the top_size**k rows of H_I are known to fit."""
+    q, rows = chain.top_size, f"{chain.top_size}^{k}"
+    _require_cells(q ** min(k, 23), k, rows)  # q >= 2, so any k above 22 is refused
+    gen = generator()
     if gen.k < 2:
         raise SpecError("k must be >= 2 so strength-2 claims are checkable")
-    top = _matmul(build_h_tower(chain, gen.k)[-1], gen)
-    return _noa_family(chain, top, tuple(s**gen.k for s in chain.sizes), strength, [], gen)
+    _require_cells(q**k, gen.m, rows)
+    top = _matmul(build_h_tower(chain, k)[-1], gen)
+    return _noa_family(chain, top, tuple(s**k for s in chain.sizes), strength, [], gen)
 
 
 def _require_tower(chain: GroupChain):
@@ -251,8 +270,7 @@ def construct_noa_rh(
     """Strength-2 nested family from the prime-field generator matrix."""
     tower = _require_tower(chain)
     base = [tower.field.element(c) for c in range(tower.p)]
-    gen = generator_matrix(base, k, columns)
-    return _construct_noa(tower, gen, 2)
+    return _construct_noa(tower, k, 2, lambda: generator_matrix(base, k, columns))
 
 
 def construct_noa_subfield(
@@ -270,8 +288,8 @@ def construct_noa_subfield(
             "construct_noa_subfield needs a subfield tower chain "
             "(kind 'subfield-tower', degrees dividing upward)"
         )
-    gen = generator_matrix(chain.layer_elements(1), k, columns)
-    return _construct_noa(chain, gen, 2)
+    base = chain.layer_elements(1)
+    return _construct_noa(chain, k, 2, lambda: generator_matrix(base, k, columns))
 
 
 def bush_matrix(chain: GroupChain, k: int) -> GeneratorMatrix:
@@ -296,8 +314,7 @@ def construct_noa_bush(chain: GroupChain, k: int) -> NestedFamily:
     for a, b in zip(tower.u_chain, tower.u_chain[1:]):
         if b % a:
             raise SpecError(f"layer degrees must divide upward, got {list(tower.u_chain)}")
-    gen = bush_matrix(tower, k)
-    return _construct_noa(tower, gen, k)
+    return _construct_noa(tower, k, k, lambda: bush_matrix(tower, k))
 
 
 def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> tuple[NestedFamily, NestedFamily]:
@@ -316,6 +333,7 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> tuple[NestedFam
     reports = _require(a.matrix, [Claim("oa", "ndm-product input")], **inputs)
     fld = tower.field
     t1 = tower.transversal_codes(1)
+    _require_cells(a.n * s_top, a.m * len(t1))  # A (+) D
     d = GroupMatrix(
         [tuple(fld.mul[v][t] for t in t1) for v in tower.ordered_codes("outer-first")], fld
     )
@@ -406,6 +424,7 @@ def _check_kron_inputs(
 def _kron_tower(mats: Sequence[GroupMatrix], name: str) -> list[GroupMatrix]:
     """T_1 = M_1 and T_i = M_i (+c) T_{i-1}; each T_i must be a row prefix of
     the top T_I.  Returns T_1, ..., T_I."""
+    _require_cells(prod(m.n_rows for m in mats), mats[0].n_cols)
     tops = [mats[0]]
     for m in mats[1:]:
         tops.append(col_kron_sum(m, tops[-1]))
@@ -443,6 +462,7 @@ def construct_soa_kron(
         raise SpecError("construct_soa_kron needs a two-layer chain")
     reports = _check_kron_inputs(chain, [a1, a2], require_zero_rows=False)
     strength = min(a1.strength, a2.strength)
+    _require_cells(a2.n * a1.n, a1.m)
     top = col_kron_sum(a2.matrix, a1.matrix)
     size = a1.matrix.n_rows
     soa = Claim("sliced", "B slices", layers=(1,), strength=strength, size=size)

@@ -94,7 +94,7 @@ def _refuse_unread(args, names, where: str) -> None:
 
 
 def _resolve_chain(args, method: str) -> GroupChain:
-    if args.chain:
+    if args.chain is not None:
         _refuse_unread(args, ("p", "u"), "beside --chain")
         return chain_from_descriptor(read_json(args.chain, "chain file"))
     if args.p is None or not args.u:
@@ -177,8 +177,9 @@ def _file_claims(design: DesignFile, chain: Optional[GroupChain]) -> list[Claim]
                 claims.append(Claim("strat", f"stratification[first {grid['rows']} rows, g={g}]",
                                     (0, grid["rows"]), strength=g))
             else:
-                claims.append(Claim("strat", strength=g,
-                                    size=_slice_size(grid["slice_size"], design.n)))
+                size = _slice_size(grid["slice_size"], design.n)
+                claims.append(Claim("strat", f"stratification[slices of {size} rows, g={g}]",
+                                    strength=g, size=size))
         return claims
     if chain is None and design.type != "design" and (
             design.type == "dm" or design.layer_prefixes or design.slice_size
@@ -235,7 +236,7 @@ def cmd_construct(args) -> int:
     if generator:
         if args.k is None:
             raise SpecError(f"--k is required for {method}")
-        columns = _parse_columns(args.columns, chain) if args.columns else None
+        columns = _parse_columns(args.columns, chain) if args.columns is not None else None
         if columns is not None:
             params["columns"] = [[e.code for e in col] for col in columns]
         if method == "rh-noa":
@@ -331,7 +332,7 @@ def _load_permutations(path, kind: str, chain: GroupChain):
 def cmd_lift(args) -> int:
     _refuse_unread(args, ("perms",) if args.mode == "grouped" else ("i", "j", "group_order"),
                    f"in {args.mode} mode")
-    if args.perms and args.stage == "relabel-only":
+    if args.perms is not None and args.stage == "relabel-only":
         _refuse_unread(args, ("seed",), "by a relabel-only lift with --perms")
     design = load(args.design)
     family = _load_family(design)
@@ -343,7 +344,7 @@ def cmd_lift(args) -> int:
     if args.mode in ("nested", "sliced"):
         gen, tag, build = {"nested": (gen_nested_permutation, "np", build_nsfd),
                            "sliced": (gen_sliced_permutation, "sp", build_ssfd_multi)}[args.mode]
-        if args.perms:
+        if args.perms is not None:
             perms = _load_permutations(args.perms, args.mode, chain)
         else:
             perms = [gen(chain.sizes, seed, tag=f"{tag}:{c}") for c in range(m)]
@@ -352,7 +353,7 @@ def cmd_lift(args) -> int:
         if args.i is None or args.j is None:
             raise SpecError("grouped mode needs --i and --j")
         order = None
-        if args.group_order:
+        if args.group_order is not None:
             order = [
                 chain.element_from_code(c) for c in _parse_int_list(args.group_order)
             ]

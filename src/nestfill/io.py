@@ -170,7 +170,7 @@ def _write_text(path, text: str, what: str) -> Path:
 def _parse_json(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, too deep, or an over-long integer
         raise SpecError(f"cannot parse {what}: {exc}") from None
 
 

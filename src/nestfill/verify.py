@@ -419,7 +419,7 @@ class Claim:
     the rows are checked as they are at the top level count.  `strength` is
     t, or the grid size g of a "strat" claim; `size` is the slice size of a
     "sliced" claim, or of a "strat" claim that checks every slice of its
-    rows on its own (one report per slice).
+    rows on its own.  :func:`check_claims` yields one report per claim.
     """
 
     kind: str
@@ -436,24 +436,6 @@ _NAMES = {"oa": "oa-strength", "dm": "difference-matrix", "nested": "nested-oa",
           "strat": "stratification"}
 
 
-def _grid_reports(
-    block: _ColumnView, scale: int, claim: Claim, name: str
-) -> Iterator[VerificationReport]:
-    """The reports of a "strat" claim on `block`: one, or with a slice size
-    L one per slice, named `<name>[slice l, g=<g>]`.  The slices are checked
-    as one block family; only when the family fails does each slice rerun
-    on its own, so that every slice reports its own verdict."""
-    g, size = claim.strength, claim.size
-    family = check_stratification(block, scale, g, name=name, size=size)
-    if not size or len(block) % size:
-        yield family
-        return
-    for l in range(len(block) // size):
-        slice_name = f"{name}[slice {l + 1}, g={g}]"
-        yield (replace(family, check=slice_name) if family else
-               check_stratification(block[l * size : (l + 1) * size], scale, g, name=slice_name))
-
-
 def check_claims(
     rows: Sequence[Sequence],
     claims: Sequence[Claim],
@@ -462,8 +444,8 @@ def check_claims(
     element_sets: Sequence[Sequence] = (),
     subtract: Callable = operator.sub,
 ) -> Iterator[VerificationReport]:
-    """Yield the reports of the claims on `rows`, in list order: one per
-    claim, and one per slice of a "strat" claim with a slice size.
+    """Yield the reports of the claims on `rows`, in list order: one report
+    per claim.
 
     projections[j-1], levels[j-1] and element_sets[j-1] are layer j's
     collapse map, level count and elements; the last entry of `levels` (and
@@ -536,4 +518,4 @@ def check_claims(
         elif c.kind == "lh":
             yield check_latin_hypercube(block, name=name)
         else:
-            yield from _grid_reports(block, levels[-1], c, name)
+            yield check_stratification(block, levels[-1], c.strength, name=name, size=c.size)

@@ -406,6 +406,9 @@ def _rh_u12_swapped():
     return json.dumps(data)
 
 
+_DEEP = "[" * 200000 + "]" * 200000  # past the JSON decoder's recursion limit
+_LONG = "9" * 5000  # past the 4,300-digit limit of int() on a decimal string
+
 CONSTRUCT_NDM_GF8 = ["construct", "--method", "ndm-product", "--p", "2", "--u", "1,2,3",
                      "--input", "a.json"]
 
@@ -517,6 +520,18 @@ _OUT_OF_RANGE = [
     ({"d.json": _with_keys(_rh_u12([4, 16]), n=999, m=42)}, ["verify", "--design", "d.json"]),
     ({"d.csv": '# meta={%s, "type": "design", "n": 3, "m": 2}\nx1,x2\n0,1\n1,0\n' % _DESIGN},
      ["verify", "--design", "d.csv"]),
+    ({"d.json": _DEEP}, ["verify", "--design", "d.json"]),
+    ({"d.csv": f"# meta={_DEEP}\nx1\n0\n"}, ["verify", "--design", "d.csv"]),
+    ({"c.json": _DEEP}, CONSTRUCT_RH + ["--chain", "c.json"]),
+    ({"d.json": '{%s, "type": "design", "s": %s, "rows": [[0]]}' % (_DESIGN, _LONG)},
+     ["verify", "--design", "d.json"]),
+    ({"p.json": '{"kind": "nested", "values": [[%s]]}' % _LONG},
+     LIFT_NESTED + ["--perms", "p.json"]),
+    ({}, CONSTRUCT_RH + ["--p", "2", "--u", "1,2", "--columns", ""]),
+    ({}, CONSTRUCT_RH + ["--p", "2", "--u", "1,2", "--chain", ""]),
+    ({}, LIFT_NESTED + ["--perms", ""]),
+    ({}, ["lift", "--design", "{rh}", "--mode", "grouped", "--i", "2", "--j", "1",
+          "--group-order", "", "--out", "x.json"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -538,7 +553,10 @@ _OUT_OF_RANGE = [
        "ndm-product-two-inputs", "kron-noa-without-input", "kron-soa-one-input",
        "lift-chainless-oa", "lift-oa-without-prefixes", "perms-of-wrong-kind",
        "grouped-without-i-j", "oa-grids", "oa-scale", "dm-sliced", "dm-grids",
-       "lift-nested-prefix-outside-layer", "header-n-m-mismatch", "csv-header-n-mismatch"])
+       "lift-nested-prefix-outside-layer", "header-n-m-mismatch", "csv-header-n-mismatch",
+       "json-too-deep", "csv-meta-too-deep", "chain-too-deep", "json-int-too-long",
+       "perms-int-too-long", "empty-columns", "empty-chain", "empty-perms",
+       "empty-group-order"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -772,13 +790,11 @@ def test_check_lists_pinned(method, tmp_path, example3_inputs):
      ["latin-hypercube"] + [f"stratification[first {n} rows, g={g}]"
                             for n, g in ((4, 2), (16, 4), (64, 8))]),
     (["--mode", "sliced"],
-     ["latin-hypercube"]
-     + [f"stratification[slice {l}, g=2]" for l in range(1, 17)]
-     + [f"stratification[slice {l}, g=4]" for l in range(1, 5)]
-     + ["stratification[first 64 rows, g=8]"]),
+     ["latin-hypercube", "stratification[slices of 4 rows, g=2]",
+      "stratification[slices of 16 rows, g=4]", "stratification[first 64 rows, g=8]"]),
     (["--mode", "grouped", "--i", "2", "--j", "1"],
-     ["latin-hypercube"] + [f"stratification[slice {l}, g=2]" for l in range(1, 5)]
-     + ["stratification[first 64 rows, g=8]"]),
+     ["latin-hypercube", "stratification[slices of 16 rows, g=2]",
+      "stratification[first 64 rows, g=8]"]),
     (["--mode", "nested", "--stage", "relabel-only"], ["oa-strength"]),
 ])
 def test_lift_check_lists_pinned(lift_args, want, tmp_path, rh_design):
@@ -961,3 +977,94 @@ def test_oversized_field_refused_before_it_is_built(argv, tmp_path):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and "is too large" in err[0]
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--method", "rh-noa", "--p", "7", "--u", "1,2", "--k", "6", "--out", "x.json"],
+    ["construct", "--method", "rh-noa", "--p", "2", "--u", "1,2,3,4", "--k", "6",
+     "--out", "x.json"],
+], ids=["rh-noa-49-to-the-6", "rh-noa-16-to-the-6"])
+def test_oversized_construction_refused_before_it_allocates(argv, tmp_path):
+    """A construction above MAX_CELLS exits 2 with one line before its
+    arrays are built; each command runs in its own interpreter under a
+    timeout and a 1 GiB address-space cap, so an array that is built anyway
+    fails the test quickly."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(nestfill.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "nestfill.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=30, preexec_fn=cap)
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and "is too large" in err[0] and "4194304 cells" in err[0]
+    assert not (tmp_path / "x.json").exists()
+
+
+_LIFTS = [["--mode", "nested"], ["--mode", "sliced"], ["--mode", "grouped", "--i", "2", "--j", "1"],
+          ["--mode", "sliced", "--stage", "relabel-only"]]
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_LISTS) + [" ".join(a) for a in _LIFTS])
+def test_check_claims_yields_one_report_per_claim(case, tmp_path, example3_inputs, rh_design,
+                                                  monkeypatch):
+    """Every claim list that construct's self-checks and verify's re-checks
+    run, for each construct method's golden case and each lift mode, yields
+    exactly one report per claim."""
+    import nestfill.arrays
+    import nestfill.cli
+    from nestfill.verify import check_claims
+
+    counts = []
+
+    def counting(rows, claims, *args, **kwargs):
+        reports = list(check_claims(rows, claims, *args, **kwargs))
+        counts.append((len(reports), len(claims)))
+        return iter(reports)
+
+    monkeypatch.setattr(nestfill.arrays, "check_claims", counting)
+    monkeypatch.setattr(nestfill.cli, "check_claims", counting)
+    if case in CHECK_LISTS:
+        outs = _construct_golden(case, tmp_path, example3_inputs)
+    else:
+        outs = [tmp_path / "lift.json"]
+        assert run("lift", "--design", str(rh_design), *case.split(), "--seed", "1",
+                   "--out", str(outs[0])) == 0
+    for out in outs:
+        assert run("verify", "--design", str(out), "--out", str(tmp_path / "report.json")) == 0
+    assert counts and all(got == want for got, want in counts)
+
+
+def test_tampered_slice_fails_its_grid_claim_once(tmp_path, rh_design, capsys):
+    """A sliced lift with one row of slice 3 swapped for a row of slice 4 in
+    another grid cell stays a Latin hypercube, and its 16-row slices and 64
+    rows still stratify: only the 4-row slice grid fails, as one report that
+    names block 3 and its first uneven cell."""
+    lift = tmp_path / "lift.json"
+    assert run("lift", "--design", str(rh_design), "--mode", "sliced", "--seed", "1",
+               "--out", str(lift)) == 0
+    data = json.loads(lift.read_text())
+    assert data["grids"][0] == {"slice_size": 4, "grid": 2}
+    rows, scale = data["rows"], data["scale"]
+
+    def cell(row):
+        return [v * 2 // scale for v in row]
+
+    swap = next(r for r in range(12, 16) if cell(rows[r]) != cell(rows[8]))
+    rows[8], rows[swap] = rows[swap], rows[8]
+    bad, report = tmp_path / "bad.json", tmp_path / "report.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("verify", "--design", str(bad), "--out", str(report)) == 3
+    err = capsys.readouterr().err.splitlines()
+    checks = json.loads(report.read_text())["checks"]
+    assert len(err) == len(checks) == 4
+    failed = [c for c in checks if not c["passed"]]
+    assert [c["check"] for c in failed] == ["stratification[slices of 4 rows, g=2]"]
+    ce = failed[0]["counterexample"]
+    assert sorted(ce) == ["block", "cell", "dims", "expected", "observed"]
+    assert ce["block"] == 3 and ce["expected"] == 1

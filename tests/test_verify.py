@@ -444,7 +444,7 @@ def strat_family_cases(draw):
 def test_stratification_family_matches_blocks(case):
     """The one-pass decision on a block family is the per-block loop's: it
     passes exactly when every block does, and a failing family reports the
-    first failing block.  check_claims yields the per-block reports.  The
+    first failing block.  check_claims yields the family report alone.  The
     per-block oracle is held to the row-wise reference as well."""
     rows, scale, g, dims, size = case
     blocks = [rows[b : b + size] for b in range(0, len(rows), size)]
@@ -458,9 +458,10 @@ def test_stratification_family_matches_blocks(case):
     else:
         assert family == replace(reps[first], counterexample={
             "block": first + 1, **reps[first].counterexample})
-    names = [f"stratification[slice {b + 1}, g={g}]" for b in range(len(blocks))]
-    assert list(check_claims(rows, [Claim("strat", strength=g, size=size)], levels=[scale])) == [
-        _ref_stratification(block, scale, g, name=name) for block, name in zip(blocks, names)]
+    if dims is not None:  # a claim counts every dimension pair
+        family = check_stratification(rows, scale, g, size=size)
+    claims = [Claim("strat", strength=g, size=size)]
+    assert list(check_claims(rows, claims, levels=[scale])) == [family]
 
 
 def test_stratification_family_size_not_dividing_rows():
