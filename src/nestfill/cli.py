@@ -2,7 +2,8 @@
 
 `construct` and `lift` write JSON design files; `export` is the one command
 that converts them to CSV or scatter data.  A non-default field modulus comes
-from the `modulus` key of a `--chain` descriptor.
+from the `modulus` key of a `--chain` descriptor.  `METHODS` is the one place
+a construct method is described.
 
 Exit codes: 0 on success, 2 on bad parameters, malformed inputs or an
 unwritable output path, 3 when a brute-force oracle rejects a claim.  Every
@@ -18,7 +19,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .arrays import (
@@ -63,11 +64,6 @@ from .spacefill import (
 )
 from .verify import Claim, check_claims
 
-CONSTRUCT_METHODS = (
-    "rh-noa", "subfield-noa", "bush-noa", "ndm-product",
-    "kron-soa", "kron-noa", "kron-ndm",
-)
-
 
 def _default_seed(args) -> int:
     if args.seed is not None:
@@ -81,7 +77,7 @@ def _default_seed(args) -> int:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        return [int(v) for v in text.split(",")]
     except ValueError:
         raise SpecError(f"expected comma-separated integers, got {text!r}") from None
 
@@ -93,13 +89,12 @@ def _refuse_unread(args, names, where: str) -> None:
             raise SpecError(f"--{name.replace('_', '-')} is not read {where}")
 
 
-def _resolve_chain(args, method: str) -> GroupChain:
+def _resolve_chain(args, tower) -> GroupChain:
     if args.chain is not None:
         _refuse_unread(args, ("p", "u"), "beside --chain")
         return chain_from_descriptor(read_json(args.chain, "chain file"))
     if args.p is None or not args.u:
         raise SpecError("give either --chain FILE or both --p and --u")
-    tower = chain_subfield_tower if method in ("subfield-noa", "bush-noa") else chain_field_tower
     return tower(args.p, _parse_int_list(args.u))
 
 
@@ -107,10 +102,7 @@ def _parse_columns(text: str, chain: GroupChain):
     field = getattr(chain, "field", None)
     if field is None:
         raise SpecError("--columns needs a field or subfield tower chain")
-    cols = []
-    for chunk in text.split(";"):
-        cols.append(tuple(field.element(c) for c in _parse_int_list(chunk)))
-    return cols
+    return [tuple(field.element(c) for c in _parse_int_list(chunk)) for chunk in text.split(";")]
 
 
 def _load_input_design(path, chain: GroupChain, levels: int, want: str):
@@ -222,62 +214,63 @@ def _slice_size(size: int, n: int) -> int:
     return size
 
 
+class Method(NamedTuple):
+    """A construct method: the options it reads beside --chain/--p/--u/--out, in its
+    builder's order; the tower --p/--u name; its --input type, count (None: one per
+    layer) and levels of input i; each file's stem tail ("" is --out) and claim."""
+    reads: tuple
+    build: Callable
+    tower: Callable = chain_field_tower
+    input: str = "oa"
+    count: Optional[int] = None
+    levels: Callable = lambda chain, i: len(chain.transversal_codes(i))
+    writes: tuple = ("",)
+    claim: Callable = lambda family: family.nested
+
+
+# each builder looks `construct_*` up when called, so a rebound one is called
+METHODS = {
+    "rh-noa": Method(("k", "columns"), lambda *a: construct_noa_rh(*a)),
+    "subfield-noa": Method(("k", "columns"), lambda *a: construct_noa_subfield(*a),
+                           chain_subfield_tower),
+    "bush-noa": Method(("k",), lambda *a: construct_noa_bush(*a), chain_subfield_tower),
+    "ndm-product": Method(("input",), lambda chain, a: construct_from_ndm(
+        chain, OrthogonalArray(a[0].matrix, chain.top_size, 2)), count=1,
+        levels=lambda chain, i: chain.top_size, writes=("-dm", "")),
+    "kron-soa": Method(("input",), lambda chain, a: construct_soa_kron(a[1], a[0], chain),
+                       count=2, claim=lambda family: family.sliced[0]),
+    "kron-noa": Method(("input",), lambda chain, a: construct_noa_kron_multi(a, chain)),
+    "kron-ndm": Method(("input",), lambda chain, a: construct_ndm_kron(a, chain), input="dm"),
+}
+
+
 def cmd_construct(args) -> int:
-    method = args.method
-    generator = method in ("rh-noa", "subfield-noa", "bush-noa")
-    unread = ("input",) if generator else ("k", "columns")
-    if method == "bush-noa":
-        unread += ("columns",)  # it derives its own coefficient matrix
-    _refuse_unread(args, unread, f"by {method}")
-    chain = _resolve_chain(args, method)
+    name, method = args.method, METHODS[args.method]
+    _refuse_unread(args, [o for o in ("input", "k", "columns") if o not in method.reads],
+                   f"by {name}")
+    chain = _resolve_chain(args, method.tower)
     params = {"p": getattr(chain, "p", None), "u": getattr(chain, "u_chain", None)
               and list(chain.u_chain), "k": args.k, "chain": chain.descriptor()}
-    outputs = []
-    if generator:
-        if args.k is None:
-            raise SpecError(f"--k is required for {method}")
-        columns = _parse_columns(args.columns, chain) if args.columns is not None else None
-        if columns is not None:
-            params["columns"] = [[e.code for e in col] for col in columns]
-        if method == "rh-noa":
-            out = construct_noa_rh(chain, args.k, columns)
-        elif method == "subfield-noa":
-            out = construct_noa_subfield(chain, args.k, columns)
-        else:
-            out = construct_noa_bush(chain, args.k)
-    elif method == "ndm-product":
-        if len(args.input) != 1:
-            raise SpecError("ndm-product takes exactly one --input array")
-        a = _load_input_design(args.input[0], chain, chain.top_size, "oa")
-        dm, out = construct_from_ndm(chain, OrthogonalArray(a.matrix, chain.top_size, 2))
-        base = Path(args.out)
-        outputs.append((str(base.parent / (base.stem + "-dm" + base.suffix)), "ndm-product-dm",
-                        dm.top, dm.nested))
-    else:
-        if not args.input:
-            raise SpecError(f"{method} needs --input files in layer order")
-        want = "dm" if method == "kron-ndm" else "oa"
-        inputs = [
-            _load_input_design(p, chain, len(chain.transversal_codes(i)), want)
-            for i, p in enumerate(args.input, start=1)
-        ]
-        if method == "kron-ndm":
-            out = construct_ndm_kron(inputs, chain)
-        elif method == "kron-soa":
-            if len(inputs) != 2:
-                raise SpecError("kron-soa takes exactly two --input arrays")
-            out = construct_soa_kron(inputs[1], inputs[0], chain)
-        else:
-            out = construct_noa_kron_multi(inputs, chain)
-    # a kron-soa file records B's slices, every other file its nested claim
-    outputs.append((args.out, method, out.top,
-                    out.sliced[0] if method == "kron-soa" else out.nested))
-    reports = out.verification
+    if "k" in method.reads and args.k is None:
+        raise SpecError(f"--k is required for {name}")
+    given = {"k": args.k, "columns": None}
+    if args.columns is not None:
+        given["columns"] = _parse_columns(args.columns, chain)
+        params["columns"] = [[e.code for e in col] for col in given["columns"]]
+    if (n := method.count) and len(args.input) != n:
+        raise SpecError(f"{name} takes exactly {('one', 'two')[n - 1]} --input "
+                        f"array{'s' * (n > 1)}")
+    given["input"] = [_load_input_design(p, chain, method.levels(chain, i), method.input)
+                      for i, p in enumerate(args.input, start=1)]
+    built = method.build(chain, *(given[o] for o in method.reads))
+    families = built if isinstance(built, tuple) else (built,)
+    reports, base = families[-1].verification, Path(args.out)
     written = []  # removed again if a later write fails
     try:
-        for path, tag, matrix, claim in outputs:
-            design = _design_file(matrix, chain, tag, params, claim)
-            written.append(save_json(design, path))
+        for tail, family in zip(method.writes, families):
+            design = _design_file(family.top, chain, name + tail, params, method.claim(family))
+            written.append(save_json(design, base.parent / (base.stem + tail + base.suffix)
+                                     if tail else args.out))
         out_path = written[-1]
         written.append(_write_text(out_path.with_suffix(out_path.suffix + ".verify.json"),
                                    _report_text(reports), "verification report"))
@@ -352,11 +345,8 @@ def cmd_lift(args) -> int:
     else:  # grouped
         if args.i is None or args.j is None:
             raise SpecError("grouped mode needs --i and --j")
-        order = None
-        if args.group_order is not None:
-            order = [
-                chain.element_from_code(c) for c in _parse_int_list(args.group_order)
-            ]
+        order = None if args.group_order is None else [
+            chain.element_from_code(c) for c in _parse_int_list(args.group_order)]
         lifted = build_ssfd_grouped(
             family, i=args.i, j=args.j, group_order=order, seed=seed,
             stage=args.stage,
@@ -429,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a design and verify it")
-    c.add_argument("--method", required=True, choices=CONSTRUCT_METHODS)
+    c.add_argument("--method", required=True, choices=tuple(METHODS))
     c.add_argument("--p", type=int, help="prime modulus for tower chains")
     c.add_argument("--u", help="comma-separated layer degrees, e.g. 1,2,3")
     c.add_argument("--chain", help="JSON file with a chain descriptor")

@@ -8,7 +8,7 @@ import pytest
 
 from golden import KRON_NDM_GF4_Z3_Z2, RELABELED_NESTED_M3, RELABELED_SLICED_M, RH_NOA_P2_U123_K2
 import nestfill
-from nestfill.cli import main
+from nestfill.cli import METHODS, main
 from nestfill.galois import Field
 from nestfill.groups import Zn, chain_omega_ring
 from nestfill.io import load
@@ -532,6 +532,9 @@ _OUT_OF_RANGE = [
     ({}, LIFT_NESTED + ["--perms", ""]),
     ({}, ["lift", "--design", "{rh}", "--mode", "grouped", "--i", "2", "--j", "1",
           "--group-order", "", "--out", "x.json"]),
+    ({}, CONSTRUCT_RH + ["--p", "2", "--u", "1,,2,"]),
+    ({}, ["lift", "--design", "{rh}", "--mode", "grouped", "--i", "2", "--j", "1",
+          "--group-order", "0,,1", "--out", "x.json"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -556,7 +559,7 @@ _OUT_OF_RANGE = [
        "lift-nested-prefix-outside-layer", "header-n-m-mismatch", "csv-header-n-mismatch",
        "json-too-deep", "csv-meta-too-deep", "chain-too-deep", "json-int-too-long",
        "perms-int-too-long", "empty-columns", "empty-chain", "empty-perms",
-       "empty-group-order"])
+       "empty-group-order", "u-empty-item", "group-order-empty-item"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -565,6 +568,63 @@ def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, 
     assert run(*(a.format(rh=rh_design) for a in argv)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+_CONSTRUCT_OPTIONS = {"k": "2", "columns": "1,0;0,1;1,1", "input": "a.json"}
+# the construct options each method does not read
+_UNREAD = {"rh-noa": ["input"], "subfield-noa": ["input"], "bush-noa": ["input", "columns"],
+           **dict.fromkeys(["ndm-product", "kron-soa", "kron-noa", "kron-ndm"], ["k", "columns"])}
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_construct_refuses_every_option_its_method_does_not_read(method, tmp_path, monkeypatch,
+                                                                  capsys):
+    """Each construct option a method does not read exits 2 with one line
+    naming it, and agrees with the method's `reads`; an option it reads is
+    never refused as unread."""
+    monkeypatch.chdir(tmp_path)
+    for option, value in _CONSTRUCT_OPTIONS.items():
+        capsys.readouterr()
+        code = run("construct", "--method", method, "--p", "2", "--u", "1,2",
+                   f"--{option}", value, "--out", "x.json")
+        err = capsys.readouterr().err.splitlines()
+        assert (option in _UNREAD[method]) != (option in METHODS[method].reads)
+        if option in _UNREAD[method]:
+            assert code == 2
+            assert err == [f"error: --{option} is not read by {method}"]
+        else:
+            assert not any("is not read" in line for line in err)
+
+
+@pytest.mark.parametrize("method, count, word", [("ndm-product", 2, "one --input array"),
+                                                 ("kron-soa", 3, "two --input arrays")],
+                         ids=["ndm-product", "kron-soa"])
+def test_input_count_is_checked_before_any_input_is_read(method, count, word, tmp_path,
+                                                         monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain.json").write_text(json.dumps(chain_omega_ring([Zn(6), Zn(2)]).descriptor()))
+    chain = ["--p", "2", "--u", "1,2"] if method == "ndm-product" else ["--chain", "chain.json"]
+    capsys.readouterr()
+    assert run("construct", "--method", method, *chain, *["--input", "missing.json"] * count,
+               "--out", "x.json") == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {method} takes exactly {word}"]
+
+
+def test_ndm_product_reads_its_input_at_strength_2(tmp_path):
+    """The A of A (+) D is read as a strength-2 array whatever `t_claimed` its
+    file declares, so the files written do not depend on it."""
+    from nestfill.arrays import rao_hamming_oa
+    from nestfill.groups import chain_field_tower
+
+    rows = rao_hamming_oa(chain_field_tower(2, [1, 2]).layer_elements(2), 2).matrix.codes()
+    written = []
+    for t in (2, 3):
+        out = tmp_path / f"t{t}" / "n.json"
+        out.parent.mkdir()
+        a = _write_input(tmp_path / f"a{t}.json", rows, 4, t=t)
+        assert run(*CONSTRUCT_NDM[:-2], "--input", str(a), "--out", str(out)) == 0
+        written.append([p.read_bytes() for p in sorted(out.parent.iterdir())])
+    assert written[0] == written[1]
 
 
 _WRITES = {
