@@ -279,7 +279,7 @@ def cmd_construct(args) -> int:
             path.unlink()
         raise
     print(f"wrote {out_path} ({design.type}, {design.n}x{design.m}); "
-          f"{len(reports)} checks passed")
+          f"{len(reports)} check{'s' * (len(reports) != 1)} passed")
     return 0
 
 

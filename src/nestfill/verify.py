@@ -12,7 +12,9 @@ that cuts a matrix: it builds one column view for all its claims, collapses
 it at most once per layer (one table lookup per column), and cuts every
 nested layer prefix, slice and row range from that view or collapse, so
 the nested and sliced checks share the oa/dm oracles and the collapses of
-the plain claims.  :func:`check_nested`, :func:`check_nested_dm` and
+the plain claims.  Within one call, a block equal, cell for cell, to one
+that already passed takes that block's report instead of being counted
+again.  :func:`check_nested`, :func:`check_nested_dm` and
 :func:`check_sliced` are one-claim calls of it; the nested two first check
 that each layer matrix they are handed is a row prefix of the next.  One
 strength kernel counts the level ranks of an orthogonal array and, as a
@@ -459,27 +461,51 @@ def check_claims(
     of it is made once, when a claim first needs it, and every nested
     prefix, slice and row range is cut from that view or collapse.  A nested
     claim's stops must lie in 1..n (increasing, or the claim fails), and any
-    other claim's row range in 0..n; a stop outside is a SpecError.
+    other claim's row range in 0..n; a stop outside is a SpecError, and so
+    is a claim whose layers have no entry in `levels`, `projections` (when
+    it collapses) or `element_sets` (for the dm kinds).
+
+    Each distinct block is counted once per call.  The passing report of an
+    oa or dm oracle run is kept under (oa or dm, collapse layer j, strength,
+    block), and a later block with the same key takes that report under its
+    own name.  A block with fewer rows than the matrix is keyed by its
+    cells, compared cell by cell, so every block a report stands for was
+    counted or equals one that was; a whole-matrix block is keyed only by
+    whether it is the view or the collapse by rho_j, which fixes its cells.
+    Failing reports are not kept: a failing block is counted again where it
+    recurs, so its report carries its own name and counterexample.
     """
     view = _ColumnView.of(rows)
-    n, collapsed = len(view), {}
+    n, collapsed, proven = len(view), {}, {}
 
     def collapse(j):
         if j not in collapsed:
             collapsed[j] = view.project(projections[j - 1])
         return collapsed[j]
 
-    def oracle(block, j, name):  # the oa or dm oracle of the current claim
-        if c.kind.endswith("dm"):
-            return check_difference_matrix(block, element_sets[j - 1], subtract, name=name)
-        return check_oa_strength(block, levels[j - 1], c.strength, name=name)
+    def oracle(base, j, a, b, name):  # the oa or dm oracle of the current claim on base[a:b]
+        block = base if b - a == n else base[a:b]
+        # a whole base is fixed by j and whether it is the view; a smaller block
+        # by its cells, compared cell by cell
+        key = (dm, j, c.strength, base is view if block is base else tuple(map(tuple, block.cols)))
+        rep = proven.get(key) or (
+            check_difference_matrix(block, element_sets[j - 1], subtract, name=name) if dm
+            else check_oa_strength(block, levels[j - 1], c.strength, name=name))
+        if rep:
+            proven[key] = rep
+        return replace(rep, check=name)
 
     for c in claims:
         if c.kind not in _NAMES:
             raise SpecError(f"unknown claim kind {c.kind!r}")
         if any(not 1 <= j <= len(levels) for j in c.layers):
             raise SpecError(f"claim {c.name or c.kind!r} names a layer outside 1..{len(levels)}")
-        nested, name = c.kind.startswith("nested"), c.name or _NAMES[c.kind]
+        nested, dm, name = c.kind.startswith("nested"), c.kind.endswith("dm"), c.name or _NAMES[c.kind]
+        # the inputs each layer of the claim reads; an lh claim on the rows reads none
+        inputs = levels, *[projections] * bool(c.layers), *[element_sets] * dm
+        if min(map(len, inputs)) < max(c.layers, default=len(levels) or c.kind != "lh"):
+            raise SpecError(f"claim {name!r} lacks the level count, projection or element set "
+                            f"of a layer it reads")
         if not (len(c.rows) == len(c.layers) and all(0 < k <= n for k in c.rows) if nested
                 else not c.rows or len(c.rows) == 2 and 0 <= c.rows[0] < c.rows[1] <= n):
             raise SpecError(f"claim {name!r} cuts rows {list(c.rows)} that do not fit "
@@ -491,7 +517,7 @@ def check_claims(
                 (VerificationReport(name, a < b, f"layer {i + 2} not larger than layer {i + 1}")
                  for i, (a, b) in enumerate(zip(stops, stops[1:]))),
                 map(check_projection_compatibility, [[projections[j - 1] for j in layers]], [name]),
-                (oracle(collapse(j)[:stop], j, f"{name}[layer {i + 1} via rho_{p + 1}]")
+                (oracle(collapse(j), j, 0, stop, f"{name}[layer {i + 1} via rho_{p + 1}]")
                  for i, stop in enumerate(stops) for p, j in enumerate(layers[: i + 1])),
             )
             strength = f", strength {c.strength}" if c.kind == "nested" else ""
@@ -499,23 +525,22 @@ def check_claims(
                        VerificationReport(name, True, f"{len(stops)} layers{strength}"))
             continue
         j = c.layers[0] if c.layers else len(levels)
-        block = collapse(j) if c.layers else view
-        if c.rows:
-            block = block[c.rows[0] : c.rows[1]]
+        base = collapse(j) if c.layers else view
+        start, stop = c.rows or (0, n)
         if c.kind == "sliced":
-            size, total = c.size, len(block)
+            size, total = c.size, stop - start
             _require_positive(slice_size=size)  # the oracle refuses s or t below 1
             steps = chain(
                 [VerificationReport(name, not total % size,
                                     f"run size {total} not divisible by slice size {size}")],
-                (oracle(block[b : b + size], j, f"{name}[slice {b // size + 1}]")
-                 for b in range(0, total, size)),
+                (oracle(base, j, b, b + size, f"{name}[slice {(b - start) // size + 1}]")
+                 for b in range(start, stop, size)),
             )
             yield next((rep for rep in steps if not rep),
                        VerificationReport(name, True, f"{total // size} slices of {size} rows"))
         elif c.kind in ("oa", "dm"):
-            yield oracle(block, j, name)
-        elif c.kind == "lh":
-            yield check_latin_hypercube(block, name=name)
+            yield oracle(base, j, start, stop, name)
         else:
-            yield check_stratification(block, levels[-1], c.strength, name=name, size=c.size)
+            block = base[start:stop] if c.rows else base
+            yield (check_latin_hypercube(block, name=name) if c.kind == "lh" else
+                   check_stratification(block, levels[-1], c.strength, name=name, size=c.size))

@@ -27,7 +27,13 @@ def test_traced_oracle_work_counts(monkeypatch, tmp_path, capsys):
     """The benchmark's exhaustiveness counters, recorded in-process through
     the wrappers of `bench/layers.py` for one construct and its verify: every
     strength histogram is still one `check_oa_strength` call whose first
-    argument has the row and column counts `_oa_work` reads."""
+    argument has the row and column counts `_oa_work` reads.
+
+    `check_claims` counts each distinct block once per claim list and hands
+    a block equal, cell for cell, to one already proven that block's passing
+    report, so a reused block never enters the wrapped `check_oa_strength`.
+    The counts are those of the distinct blocks: 12 calls over 1368 rows,
+    where counting every slice and prefix again made 36 over 1944."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     monkeypatch.chdir(tmp_path)
     import layers
@@ -44,4 +50,4 @@ def test_traced_oracle_work_counts(monkeypatch, tmp_path, capsys):
     finally:
         rec.uninstall()
     capsys.readouterr()
-    assert (rec.counts["verify.oa_calls"], rec.counts["verify.rows_counted"]) == (36, 1944)
+    assert (rec.counts["verify.oa_calls"], rec.counts["verify.rows_counted"]) == (12, 1368)

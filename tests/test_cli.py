@@ -971,6 +971,15 @@ def test_removed_options_are_unknown_arguments(argv, tmp_path, rh_design, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a3.json", "a3.json.verify.json"]
 
 
+@pytest.mark.parametrize("u, line", [("2", "1 check passed"), ("1,2", "2 checks passed")])
+def test_construct_counts_its_checks_in_words(u, line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run("construct", "--method", "rh-noa", "--p", "2", "--u", u, "--k", "2",
+               "--out", "x.json") == 0
+    assert capsys.readouterr().out.endswith(f"; {line}\n")
+
+
 def test_construct_from_chain_with_modulus(tmp_path):
     """A chain descriptor's non-default modulus (x^3+x^2+1) is recorded in
     the design file, and the design verifies over it."""

@@ -537,21 +537,22 @@ def _ref_sliced(rows, slice_size, projection, s_low, t, name="sliced-oa"):
 
 
 def _ref_claim(rows, c, projections, levels, element_sets, subtract):
+    named = {"name": c.name} if c.name else {}
     if c.kind == "nested":
         return _ref_nested([rows[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
-                           [levels[j - 1] for j in c.layers], c.strength)
+                           [levels[j - 1] for j in c.layers], c.strength, **named)
     if c.kind == "nested-dm":
         return _ref_nested_dm([rows[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
-                              [element_sets[j - 1] for j in c.layers], subtract)
+                              [element_sets[j - 1] for j in c.layers], subtract, **named)
     j = c.layers[0] if c.layers else len(levels)
     block = rows[c.rows[0] : c.rows[1]] if c.rows else rows
     if c.kind == "sliced":
-        return _ref_sliced(block, c.size, projections[j - 1], levels[j - 1], c.strength)
+        return _ref_sliced(block, c.size, projections[j - 1], levels[j - 1], c.strength, **named)
     if c.layers:
         block = _project(block, projections[j - 1])
     if c.kind == "oa":
-        return _ref_oa_strength(block, levels[j - 1], c.strength)
-    return _ref_difference_matrix(block, element_sets[j - 1], subtract)
+        return _ref_oa_strength(block, levels[j - 1], c.strength, **named)
+    return _ref_difference_matrix(block, element_sets[j - 1], subtract, **named)
 
 
 _GOLDEN = [[Field(2, 3).parse_code(v) for v in row] for row in RH_NOA_P2_U123_K2]
@@ -758,6 +759,85 @@ def test_nested_dm_matches_rowwise_reference(case):
             == _ref_nested_dm(layers, projections, element_sets, subtract))
 
 
+@st.composite
+def repeated_block_cases(draw):
+    """Claim lists that meet the same block again and again.  A chain matrix
+    is stacked two or three times, now and then with one cell of one copy
+    changed.  The claims are sliced claims with one slice per copy, oa and
+    dm claims on each copy's rows, oa and dm claims on the whole matrix and
+    on each of its collapses (each listed twice, at two strengths), a nested
+    claim, and one claim listed again under two other names, in a random
+    order."""
+    top, projections, sizes = draw(chain_matrices())
+    size, copies = len(top), draw(st.integers(2, 3))
+    rows = [list(r) for r in top * copies]
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(sorted(projections[-1])))
+    n, layers = len(rows), tuple(range(1, len(sizes) + 1))
+    t = draw(st.integers(1, min(3, len(rows[0]))))
+    claims = [Claim("sliced", layers=(j,), strength=t, size=size) for j in layers]
+    claims += [Claim(kind, rows=(b, b + size), layers=(j,), strength=t)
+               for kind in ("oa", "dm") for b in range(0, n, size) for j in layers]
+    claims += [Claim(kind, layers=js, strength=strength)
+               for strength in (t, draw(st.integers(1, min(3, len(rows[0])))))
+               for kind in ("oa", "dm") for js in [(), *((j,) for j in layers)]]
+    claims.append(Claim("nested", rows=tuple(max(1, size * s // sizes[-1]) for s in sizes[:-1])
+                        + (n,), layers=layers, strength=t))
+    again = draw(st.sampled_from(claims))
+    claims += [replace(again, name="first"), replace(again, name="second")]
+    element_sets = [sorted(set(p.values())) for p in projections]
+    return rows, draw(st.permutations(claims)), projections, sizes, element_sets
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeated_block_cases())
+# the whole collapse mod 2 passes, and the whole matrix, on four levels, fails
+@example((_sparse_layers()[0][1], [Claim("oa", layers=(1,)), Claim("oa")],
+          [{c: c % 2 for c in (0, 1, 6, 7)}], [2], [[0, 1]]))
+def test_repeated_blocks_match_rowwise_reference(case):
+    """A block equal to one already proven takes that block's passing report
+    under its own name; a failing block is counted again wherever it
+    recurs, so it keeps its own name and counterexample."""
+    rows, claims, projections, levels, element_sets = case
+    subtract = lambda a, b: (a - b) % 16  # noqa: E731
+    assert list(check_claims(rows, claims, projections, levels, element_sets, subtract)) == [
+        _ref_claim(rows, c, projections, levels, element_sets, subtract) for c in claims]
+
+
+def test_failing_block_keeps_its_name_and_counterexample():
+    """The 64-row nested OA stacked twice, its second copy with one cell
+    changed: the first copy's slices pass, and the changed slice fails with
+    its own name and the counterexample of its own count."""
+    rows = [list(r) for r in _GOLDEN * 2]
+    rows[64][0] ^= 1  # another level mod 4
+    rho2 = {c: c % 4 for c in range(8)}
+    claims = [Claim("sliced", name=name, layers=(2,), size=64) for name in ("a", "b")]
+    claims += [Claim("oa", rows=(b, b + 64), layers=(2,)) for b in (0, 64, 0)]
+    reports = list(check_claims(rows, claims, [rho2, rho2], [4, 4]))
+    assert reports == [_ref_claim(rows, c, [rho2, rho2], [4, 4], [], None) for c in claims]
+    assert [(r.check, r.passed) for r in reports] == [
+        ("a[slice 2]", False), ("b[slice 2]", False), ("oa-strength", True),
+        ("oa-strength", False), ("oa-strength", True)]
+    assert reports[0].counterexample == reports[1].counterexample == reports[3].counterexample
+
+
+def test_each_distinct_block_is_counted_once(monkeypatch):
+    """The rh-noa self-check (a nested claim and one sliced claim per
+    collapse) hands the strength oracle each distinct block once: a block
+    equal to one already proven is not counted again."""
+    seen = []
+    oracle = nestfill.verify.check_oa_strength
+
+    def record(rows, s, t, name):
+        seen.append((s, t, tuple(map(tuple, rows.cols))))
+        return oracle(rows, s, t, name)
+
+    monkeypatch.setattr(nestfill.verify, "check_oa_strength", record)
+    nestfill.arrays.construct_noa_rh(chain_field_tower(2, [1, 2, 3]), 2)
+    assert len(seen) == len(set(seen)) == 6
+
+
 def test_each_collapse_is_made_once_per_claim_list(monkeypatch):
     """The rh-noa self-check (one nested claim and three sliced claims over
     a three-layer chain) collapses its top once per layer it uses."""
@@ -858,13 +938,19 @@ _IDENTITY = {0: 0, 1: 1}
     lambda: check_stratification([r[:2] for r in _OA4], 2, 2, dims=(0, 5)),
     lambda: check_stratification([r[:2] for r in _OA4], 2, 2, dims=(0, -1)),
     lambda: check_stratification([r[:2] for r in _OA4], 2, 2, dims=(1, 1)),
+    lambda: list(check_claims(_OA4, [Claim("oa")])),
+    lambda: list(check_claims(_OA4, [Claim("dm")], levels=[2])),
+    lambda: list(check_claims(_OA4, [Claim("nested", rows=(2, 4), layers=(1, 2))], levels=[2, 2])),
 ], ids=["oa-s0", "oa-t0", "dm-no-elements", "strat-g0", "strat-g-1", "strat-scale0",
         "strat-size-2", "sliced-size-2", "sliced-size0", "sliced-s0", "nested-t0", "nested-s0",
         "nested-dm-no-elements", "claims-strat-size-1", "strat-dims-past-columns",
-        "strat-dims-negative", "strat-dims-repeated"])
+        "strat-dims-negative", "strat-dims-repeated", "claims-no-levels",
+        "claims-dm-no-element-sets", "claims-nested-no-projections"])
 def test_oracles_refuse_nonsense_parameters(call):
     """A level count, strength, grid, scale or slice size below 1, a negative
     block size, or an empty element set is a claim no matrix can meet or
-    fail: each public oracle refuses it instead of passing or crashing."""
+    fail: each public oracle refuses it instead of passing or crashing.  So
+    does a claim list handed too few level counts, projections or element
+    sets for the layers its claims read."""
     with pytest.raises(SpecError):
         call()
