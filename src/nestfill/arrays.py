@@ -15,12 +15,11 @@ checks that ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from math import prod
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import SpecError, VerificationFailure
+from .errors import Record, SpecError, VerificationFailure
 from .galois import Element, Field
 from .groups import FieldTowerChain, GroupChain, SubfieldTowerChain
 from .kronecker import GroupMatrix, col_kron_sum, kron_sum
@@ -31,8 +30,7 @@ from .verify import Claim, VerificationReport, check_claims
 MAX_CELLS = 2**22
 
 
-@dataclass
-class OrthogonalArray:
+class OrthogonalArray(NamedTuple):
     """A design matrix together with its claimed OA parameters."""
 
     matrix: GroupMatrix
@@ -48,15 +46,13 @@ class OrthogonalArray:
         return self.matrix.n_cols
 
 
-@dataclass
-class DifferenceMatrix:
+class DifferenceMatrix(NamedTuple):
     """An input difference matrix of a column-wise Kronecker tower."""
 
     matrix: GroupMatrix
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
+class GeneratorMatrix(NamedTuple):
     """k x m coefficient matrix over `field`, held as code columns; every
     column starts (after zeros) with 1."""
 
@@ -202,21 +198,24 @@ def build_h_tower(chain: GroupChain, k: int) -> list[GroupMatrix]:
                         for i in range(1, chain.layers + 1)], "H")
 
 
-@dataclass
-class NestedFamily:
+class NestedFamily(Record):
     """The result of every construction: a top matrix with the claims it was
     verified against.  Its row prefixes are the nested layers (`nested`, kind
     "nested" or "nested-dm", whose `rows` are the prefix stops) and its row
     blocks the `sliced` families; `nested` and every `sliced` claim are among
     the checks whose reports `verification` holds.  `generator` is set by the
-    generator-matrix constructions."""
+    generator-matrix constructions.  `sliced` and `verification` default to
+    new empty lists."""
 
-    chain: GroupChain
-    top: GroupMatrix
-    nested: Claim
-    sliced: list[Claim] = field(default_factory=list)
-    verification: list[VerificationReport] = field(default_factory=list)
-    generator: Optional[GeneratorMatrix] = None
+    __slots__ = _fields = ("chain", "top", "nested", "sliced", "verification", "generator")
+
+    def __init__(self, chain: GroupChain, top: GroupMatrix, nested: Claim,
+                 sliced: Optional[list[Claim]] = None,
+                 verification: Optional[list[VerificationReport]] = None,
+                 generator: Optional[GeneratorMatrix] = None):
+        self.chain, self.top, self.nested, self.generator = chain, top, nested, generator
+        self.sliced = [] if sliced is None else sliced
+        self.verification = [] if verification is None else verification
 
     def a(self, i: int) -> GroupMatrix:
         """Nested layer i: the first `nested.rows[i-1]` rows of the top."""

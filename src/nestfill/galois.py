@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Optional, Sequence
 
-from .errors import SpecError
+from .errors import FrozenRecord, SpecError
 
 
 def is_prime(n: int) -> bool:
@@ -331,14 +330,17 @@ class Field(TextCodec):
         return f"Field(p={self.p}, u={self.u})"
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(FrozenRecord):
     """One element of a group (a Field, or an omega ring): its code, with
-    arithmetic read from the group's tables; immutable and hashable.  `*`
-    and `inverse()` need a Field."""
+    arithmetic read from the group's tables; immutable and hashable, and
+    equal only to an Element of the same group and code.  `*` and
+    `inverse()` need a Field."""
 
-    group: Any
-    code: int
+    __slots__ = _fields = ("group", "code")
+
+    def __init__(self, group: Any, code: int):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "code", code)
 
     def _other(self, other: "Element") -> int:
         if not isinstance(other, Element) or other.group != self.group:

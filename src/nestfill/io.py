@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .errors import SpecError
+from .errors import Record, SpecError
 from .groups import GroupChain, chain_from_descriptor, is_int
 
 FORMAT_NAME = "nestfill-design"
@@ -58,38 +57,55 @@ _FIELDS = {
 }
 
 
-@dataclass
-class DesignFile:
-    type: str  # "oa" | "dm" | "design" | "lh"
-    rows: list[list[int]]
-    s: Optional[int] = None
-    t_claimed: Optional[int] = None
-    chain: Optional[dict] = None
-    layer_prefixes: Optional[list[int]] = None
-    slice_size: Optional[int] = None
-    collapse_layer: Optional[int] = None
-    grids: Optional[list[dict]] = None
-    scale: Optional[int] = None
-    seeds: Optional[dict] = None
-    permutations: Optional[list[list[int]]] = None
-    meta: dict = field(default_factory=dict)
-    symbols: Optional[dict] = None
+def _check_rows(rows) -> None:
+    """Refuse an empty, ragged or non-integer design."""
+    if not rows or not rows[0]:
+        raise SpecError("design has no rows")
+    width = len(rows[0])
+    # one pass in C over the widths and the cell types; only a design that
+    # fails it is rescanned row by row to name its first bad row
+    if set(map(len, rows)) == {width} and set(
+        map(type, itertools.chain.from_iterable(rows))
+    ) <= {int}:
+        return
+    for r in rows:
+        if len(r) != width:
+            raise SpecError("ragged design rows")
+        if not all(map(is_int, r)):
+            raise SpecError("design rows must hold integer level codes")
 
-    def __post_init__(self):
-        if not self.rows or not self.rows[0]:
-            raise SpecError("design has no rows")
-        width = len(self.rows[0])
-        # one pass in C over the widths and the cell types; only a design that
-        # fails it is rescanned row by row to name its first bad row
-        if set(map(len, self.rows)) == {width} and set(
-            map(type, itertools.chain.from_iterable(self.rows))
-        ) <= {int}:
-            return
-        for r in self.rows:
-            if len(r) != width:
-                raise SpecError("ragged design rows")
-            if not all(map(is_int, r)):
-                raise SpecError("design rows must hold integer level codes")
+
+class DesignFile(Record):
+    """One design file's contents; its rows are checked when it is built.
+    `to_dict` writes the fields after `type` and `rows` in `_fields` order."""
+
+    __slots__ = _fields = ("type", "rows", "s", "t_claimed", "chain", "layer_prefixes",
+                           "slice_size", "collapse_layer", "grids", "scale", "seeds",
+                           "permutations", "meta", "symbols")
+
+    def __init__(
+        self,
+        type: str,  # "oa" | "dm" | "design" | "lh"
+        rows: list[list[int]],
+        s: Optional[int] = None,
+        t_claimed: Optional[int] = None,
+        chain: Optional[dict] = None,
+        layer_prefixes: Optional[list[int]] = None,
+        slice_size: Optional[int] = None,
+        collapse_layer: Optional[int] = None,
+        grids: Optional[list[dict]] = None,
+        scale: Optional[int] = None,
+        seeds: Optional[dict] = None,
+        permutations: Optional[list[list[int]]] = None,
+        meta: Optional[dict] = None,  # a new empty dict when None
+        symbols: Optional[dict] = None,
+    ):
+        _check_rows(rows)
+        self.type, self.rows, self.s, self.t_claimed = type, rows, s, t_claimed
+        self.chain, self.layer_prefixes, self.slice_size = chain, layer_prefixes, slice_size
+        self.collapse_layer, self.grids, self.scale, self.seeds = collapse_layer, grids, scale, seeds
+        self.permutations, self.symbols = permutations, symbols
+        self.meta = {} if meta is None else meta
 
     @property
     def n(self) -> int:
@@ -105,10 +121,10 @@ class DesignFile:
     def to_dict(self) -> dict:
         out = {"format": FORMAT_NAME, "version": __version__, "type": self.type,
                "n": self.n, "m": self.m}
-        for f in fields(self)[2:]:  # every field after type and rows
-            value = getattr(self, f.name)
-            if value is not None and (value or f.name != "meta"):  # meta only when non-empty
-                out[f.name] = value
+        for key in self._fields[2:]:  # every field after type and rows
+            value = getattr(self, key)
+            if value is not None and (value or key != "meta"):  # meta only when non-empty
+                out[key] = value
         out["rows"] = self.rows
         return out
 

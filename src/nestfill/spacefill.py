@@ -17,11 +17,10 @@ columns never perturbs earlier columns' draws.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arrays import NestedFamily
-from .errors import SpecError
+from .errors import FrozenRecord, SpecError
 from .galois import Element
 
 
@@ -61,30 +60,37 @@ def is_sliced_permutation(values: Sequence[int], layer_sizes: Sequence[int]) -> 
     return True
 
 
-@dataclass(frozen=True)
-class NestedPermutation:
-    values: tuple[int, ...]
-    layer_sizes: tuple[int, ...]
+class _Permutation(FrozenRecord):
+    """A permutation `values` of 0..s_I-1 for `layer_sizes`, refused with a
+    SpecError unless it has its subclass's layer structure."""
 
-    def __post_init__(self):
-        if not is_nested_permutation(self.values, self.layer_sizes):
-            raise SpecError(
-                f"{list(self.values)} is not a nested permutation for layers "
-                f"{list(self.layer_sizes)}"
-            )
+    __slots__ = _fields = ("values", "layer_sizes")
+    kind = ""
+
+    def __init__(self, values: tuple[int, ...], layer_sizes: tuple[int, ...]):
+        if not self._holds(values, layer_sizes):
+            raise SpecError(f"{list(values)} is not a {self.kind} permutation for layers "
+                            f"{list(layer_sizes)}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "layer_sizes", layer_sizes)
 
 
-@dataclass(frozen=True)
-class SlicedPermutation:
-    values: tuple[int, ...]
-    layer_sizes: tuple[int, ...]
+class NestedPermutation(_Permutation):
+    __slots__ = ()
+    kind = "nested"
 
-    def __post_init__(self):
-        if not is_sliced_permutation(self.values, self.layer_sizes):
-            raise SpecError(
-                f"{list(self.values)} is not a sliced permutation for layers "
-                f"{list(self.layer_sizes)}"
-            )
+    @staticmethod
+    def _holds(values, layer_sizes) -> bool:
+        return is_nested_permutation(values, layer_sizes)
+
+
+class SlicedPermutation(_Permutation):
+    __slots__ = ()
+    kind = "sliced"
+
+    @staticmethod
+    def _holds(values, layer_sizes) -> bool:
+        return is_sliced_permutation(values, layer_sizes)
 
 
 def _stream(seed, *tags) -> random.Random:
@@ -180,16 +186,15 @@ def _position_labels(ordering: Sequence[int], relabels: Sequence[Sequence[int]])
     return [[relabel[r] for r in position] for relabel in relabels]
 
 
-@dataclass
-class LiftedDesign:
+class LiftedDesign(NamedTuple):
     """A relabeled integer design and (unless relabel-only) its lifted
     Latin hypercube, with the slicing/nesting shape claims it must satisfy."""
 
     design: list[list[int]]            # relabeled levels, 0..scale-1
     scale: int                         # level count of `design`
     lifted: Optional[list[list[int]]]  # Latin hypercube on 0..n-1, or None
-    grids: list[dict] = field(default_factory=list)
-    permutations: list[list[int]] = field(default_factory=list)
+    grids: Sequence[dict] = ()
+    permutations: Sequence[list[int]] = ()
 
     @property
     def n(self) -> int:

@@ -33,19 +33,17 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, permutations
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import SpecError
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check: str
     passed: bool
     detail: str = ""
-    counterexample: Optional[dict] = field(default=None)
+    counterexample: Optional[dict] = None
 
     def __bool__(self) -> bool:
         return self.passed
@@ -71,7 +69,7 @@ class VerificationReport:
         for key in ("levels", "pair"):
             if key in ce:
                 ce[key] = [to_level(v) for v in ce[key]]
-        return replace(self, counterexample=ce)
+        return self._replace(counterexample=ce)
 
     def to_dict(self) -> dict:
         out = {"check": self.check, "passed": self.passed}
@@ -321,7 +319,7 @@ def check_stratification(
             {"dims": list(dims), "cell": list(divmod(key, g)), "observed": observed,
              "expected": size // (g * g)},
         )
-    return rep if size == n else replace(rep, counterexample={"block": block + 1, **rep.counterexample})
+    return rep if size == n else rep._replace(counterexample={"block": block + 1, **rep.counterexample})
 
 
 def check_projection_compatibility(
@@ -390,7 +388,7 @@ def _check_prefixes(layers, claim, projections, levels, *dm_inputs) -> Verificat
             return VerificationReport(
                 claim.name, False, f"layer {i + 1} is not a row prefix of layer {i + 2}", {"row": row}
             )
-    claim = replace(claim, rows=tuple(map(len, mats)), layers=tuple(range(1, len(mats) + 1)))
+    claim = claim._replace(rows=tuple(map(len, mats)), layers=tuple(range(1, len(mats) + 1)))
     top = max(mats, key=len, default=[])
     return next(check_claims(top, [claim], projections, levels, *dm_inputs))
 
@@ -408,8 +406,7 @@ def check_sliced(
     return next(check_claims(rows, claims, [projection], [s_low]))
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One structural claim about a matrix, checked by one oracle.
 
     `kind` picks the oracle: "oa", "dm", "nested", "nested-dm", "sliced",
@@ -463,7 +460,8 @@ def check_claims(
     claim's stops must lie in 1..n (increasing, or the claim fails), and any
     other claim's row range in 0..n; a stop outside is a SpecError, and so
     is a claim whose layers have no entry in `levels`, `projections` (when
-    it collapses) or `element_sets` (for the dm kinds).
+    it collapses) or `element_sets` (for the dm kinds), and a nested claim
+    that names no layers.
 
     Each distinct block is counted once per call.  The passing report of an
     oa or dm oracle run is kept under (oa or dm, collapse layer j, strength,
@@ -493,7 +491,7 @@ def check_claims(
             else check_oa_strength(block, levels[j - 1], c.strength, name=name))
         if rep:
             proven[key] = rep
-        return replace(rep, check=name)
+        return rep._replace(check=name)
 
     for c in claims:
         if c.kind not in _NAMES:
@@ -506,6 +504,8 @@ def check_claims(
         if min(map(len, inputs)) < max(c.layers, default=len(levels) or c.kind != "lh"):
             raise SpecError(f"claim {name!r} lacks the level count, projection or element set "
                             f"of a layer it reads")
+        if nested and not c.layers:
+            raise SpecError(f"claim {name!r} names no layers")
         if not (len(c.rows) == len(c.layers) and all(0 < k <= n for k in c.rows) if nested
                 else not c.rows or len(c.rows) == 2 and 0 <= c.rows[0] < c.rows[1] <= n):
             raise SpecError(f"claim {name!r} cuts rows {list(c.rows)} that do not fit "

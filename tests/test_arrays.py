@@ -8,6 +8,7 @@ from golden import (
 )
 from nestfill.arrays import (
     DifferenceMatrix,
+    NestedFamily,
     OrthogonalArray,
     build_h_tower,
     bush_matrix,
@@ -142,6 +143,15 @@ class TestRaoHammingNoa:
                       for l in range(top.n_rows // fam.size)]
             rows = [r for sl in slices for r in sl.rows]
             assert rows == list(top.rows)
+
+    def test_families_without_sliced_claims_do_not_share_lists(self, rh_family):
+        """A family built without `sliced` or `verification` gets new empty
+        lists of its own, since constructions append to them; it equals a
+        family of equal fields until one list changes."""
+        a, b = (NestedFamily(rh_family.chain, rh_family.top, rh_family.nested) for _ in range(2))
+        assert a == b and a.sliced is not b.sliced and a.verification is not b.verification
+        a.sliced.append(rh_family.sliced[0])
+        assert b.sliced == [] and a != b
 
     def test_block_identity_from_delta_vectors(self, rh_family, tower_238):
         # layer i rebuilds as (A_{i-1}; delta (+c) A_{i-1}) over the nonzero

@@ -680,8 +680,6 @@ def test_failed_write_leaves_no_output(blocker, files, argv, tmp_path, rh_design
 def test_design_file_claims_round_trip(case, tmp_path):
     """`_file_claims` reads back the one claim `_design_file` records; a
     sliced claim comes back after the top `oa` claim."""
-    from dataclasses import replace
-
     from nestfill.arrays import construct_from_ndm, construct_noa_rh, rao_hamming_oa
     from nestfill.cli import _design_file, _file_claims
     from nestfill.groups import chain_field_tower
@@ -697,7 +695,7 @@ def test_design_file_claims_round_trip(case, tmp_path):
         family = construct_noa_rh(chain, 2)
         matrix, claim = family.top, family.sliced[-1] if case == "sliced" else family.nested
     design = load(save_json(_design_file(matrix, chain, case, {}, claim), tmp_path / "d.json"))
-    want = [replace(claim, name="")]
+    want = [claim._replace(name="")]
     if case == "sliced":
         want.insert(0, Claim("oa", strength=claim.strength))
     assert _file_claims(design, design.load_chain()) == want
@@ -1072,6 +1070,20 @@ def test_oversized_construction_refused_before_it_allocates(argv, tmp_path):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and "is too large" in err[0] and "4194304 cells" in err[0]
     assert not (tmp_path / "x.json").exists()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    """Every CLI job imports `nestfill.cli` in a fresh interpreter, where
+    `dataclasses` would cost it `inspect`, `ast`, `dis` and `tokenize`; a
+    subprocess checks this, as pytest itself loads both."""
+    src = str(Path(nestfill.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, nestfill.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 _LIFTS = [["--mode", "nested"], ["--mode", "sliced"], ["--mode", "grouped", "--i", "2", "--j", "1"],

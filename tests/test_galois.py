@@ -1,9 +1,12 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestfill.errors import SpecError
-from nestfill.galois import Field, is_prime, poly_residue
+from nestfill.galois import Element, Field, is_prime, poly_residue
 
 
 def test_default_moduli_match_standard_small_fields():
@@ -91,6 +94,25 @@ def test_field_mismatch_raises():
         a + b
     with pytest.raises(SpecError):
         a * b
+
+
+def test_elements_are_values_of_their_group():
+    """An Element equals, and hashes as, only an Element of the same group
+    and code; it is no tuple, so it neither repeats nor orders, and it
+    refuses assignment but still copies and pickles."""
+    f4, f8 = Field(2, 2), Field(2, 3)
+    e = f4.element(1)
+    assert e == Element(f4, 1) and hash(e) == hash(Element(f4, 1))
+    assert e != f8.element(1) and e != f4.element(2) and e != (f4, 1)
+    assert len({e, Element(f4, 1), f8.element(1)}) == 2
+    with pytest.raises(TypeError):
+        3 * e
+    with pytest.raises(TypeError):
+        e < f4.element(2)
+    with pytest.raises(AttributeError):
+        e.code = 2
+    assert e.code == 1
+    assert copy.deepcopy(e) == e and pickle.loads(pickle.dumps(e)) == e
 
 
 @pytest.mark.parametrize("p,u", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])

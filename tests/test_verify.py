@@ -1,7 +1,6 @@
 import ast
 import operator
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -456,7 +455,7 @@ def test_stratification_family_matches_blocks(case):
     if first is None or len(blocks) == 1:
         assert family == reps[0]
     else:
-        assert family == replace(reps[first], counterexample={
+        assert family == reps[first]._replace(counterexample={
             "block": first + 1, **reps[first].counterexample})
     if dims is not None:  # a claim counts every dimension pair
         family = check_stratification(rows, scale, g, size=size)
@@ -785,7 +784,7 @@ def repeated_block_cases(draw):
     claims.append(Claim("nested", rows=tuple(max(1, size * s // sizes[-1]) for s in sizes[:-1])
                         + (n,), layers=layers, strength=t))
     again = draw(st.sampled_from(claims))
-    claims += [replace(again, name="first"), replace(again, name="second")]
+    claims += [again._replace(name="first"), again._replace(name="second")]
     element_sets = [sorted(set(p.values())) for p in projections]
     return rows, draw(st.permutations(claims)), projections, sizes, element_sets
 
@@ -941,16 +940,21 @@ _IDENTITY = {0: 0, 1: 1}
     lambda: list(check_claims(_OA4, [Claim("oa")])),
     lambda: list(check_claims(_OA4, [Claim("dm")], levels=[2])),
     lambda: list(check_claims(_OA4, [Claim("nested", rows=(2, 4), layers=(1, 2))], levels=[2, 2])),
+    lambda: list(check_claims([[0, 1], [1, 0]], [Claim("nested")], levels=[2])),
+    lambda: list(check_claims([[0, 1], [1, 0]], [Claim("nested-dm")], levels=[2],
+                              element_sets=[[0, 1]])),
 ], ids=["oa-s0", "oa-t0", "dm-no-elements", "strat-g0", "strat-g-1", "strat-scale0",
         "strat-size-2", "sliced-size-2", "sliced-size0", "sliced-s0", "nested-t0", "nested-s0",
         "nested-dm-no-elements", "claims-strat-size-1", "strat-dims-past-columns",
         "strat-dims-negative", "strat-dims-repeated", "claims-no-levels",
-        "claims-dm-no-element-sets", "claims-nested-no-projections"])
+        "claims-dm-no-element-sets", "claims-nested-no-projections", "claims-nested-no-layers",
+        "claims-nested-dm-no-layers"])
 def test_oracles_refuse_nonsense_parameters(call):
     """A level count, strength, grid, scale or slice size below 1, a negative
     block size, or an empty element set is a claim no matrix can meet or
     fail: each public oracle refuses it instead of passing or crashing.  So
     does a claim list handed too few level counts, projections or element
-    sets for the layers its claims read."""
+    sets for the layers its claims read, and a nested claim that names no
+    layers, which would pass without counting anything."""
     with pytest.raises(SpecError):
         call()
