@@ -20,7 +20,7 @@ from math import prod
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import Record, SpecError, VerificationFailure
-from .galois import Element, Field
+from .galois import Field
 from .groups import FieldTowerChain, GroupChain, SubfieldTowerChain
 from .kronecker import GroupMatrix, col_kron_sum, kron_sum
 from .verify import Claim, VerificationReport, check_claims
@@ -64,10 +64,6 @@ class GeneratorMatrix(NamedTuple):
     def m(self) -> int:
         return len(self.codes)
 
-    @property
-    def columns(self) -> tuple[tuple[Element, ...], ...]:
-        return tuple(tuple(map(self.field.element, col)) for col in self.codes)
-
     def column_codes(self) -> list[list[int]]:
         return [list(col) for col in self.codes]
 
@@ -85,49 +81,49 @@ def _leads_with_one(col: Sequence[int]) -> bool:
 
 
 def generator_matrix(
-    base: Sequence[Element], k: int, columns: Optional[Sequence[Sequence[Element]]] = None
+    field: Field, base: Sequence[int], k: int, columns: Optional[Sequence[Sequence[int]]] = None
 ) -> GeneratorMatrix:
-    """Coefficient columns over `base` whose first nonzero entry is one.
+    """Coefficient columns over `base` (codes of `field`) whose first nonzero
+    entry is one.
 
     With `columns` omitted, the k identity columns come first and the other
     admissible coefficient vectors follow in lexicographic order of `base`
-    (which callers pass in ascending canonical code order).
+    (which callers pass in ascending code order).
     """
     if k < 1:
         raise SpecError(f"k must be >= 1, got {k}")
-    base = GroupMatrix([base])
-    fld, codes = base.owner, base.code_rows[0]
-    if 0 not in codes or 1 not in codes:
+    if 0 not in base or 1 not in base:
         raise SpecError("base must contain 0 and 1")
     if columns is None:
         identity = [tuple(int(r == j) for r in range(k)) for j in range(k)]
         cols = identity + [
-            vec for vec in product(codes, repeat=k)
+            vec for vec in product(base, repeat=k)
             if _leads_with_one(vec) and vec not in identity
         ]
-        return GeneratorMatrix(k, fld, tuple(cols))
+        return GeneratorMatrix(k, field, tuple(cols))
     cols = []
-    for pos, col in enumerate(columns, start=1):
+    for pos, col in enumerate(map(tuple, columns), start=1):
+        codes = ",".join(map(str, col))
         if len(col) != k:
-            codes = ",".join(str(getattr(e, "code", e)) for e in col)
             raise SpecError(f"generator column {pos} (codes {codes}) does not have length {k}")
-        if GroupMatrix([col]).owner != fld:
-            raise SpecError("generator column is not over the base's field")
-        col = tuple(e.code for e in col)
+        bad = [c for c in col if c not in base]
+        if bad:
+            raise SpecError(f"generator column {pos} (codes {codes}) has entry {bad[0]} outside "
+                            f"the generator base {{{','.join(map(str, base))}}}")
         if not _leads_with_one(col):
             raise SpecError("column's first nonzero entry must be one")
         if col in cols:
             raise SpecError("duplicate generator column")
         cols.append(col)
-    return GeneratorMatrix(k, fld, tuple(cols))
+    return GeneratorMatrix(k, field, tuple(cols))
 
 
-def full_factorial(elements: Sequence[Element], k: int) -> GroupMatrix:
-    """All k-tuples over `elements` in lexicographic order, zero row first."""
+def full_factorial(codes: Sequence[int], k: int, owner) -> GroupMatrix:
+    """All k-tuples over `codes` (of the group `owner`) in lexicographic
+    order, zero row first."""
     if k < 1:
         raise SpecError(f"k must be >= 1, got {k}")
-    levels = GroupMatrix([elements])
-    return GroupMatrix(list(product(levels.code_rows[0], repeat=k)), levels.owner)
+    return GroupMatrix(list(product(codes, repeat=k)), owner)
 
 
 def _matmul(h: GroupMatrix, gen: GeneratorMatrix) -> GroupMatrix:
@@ -173,14 +169,13 @@ def _delta_claims(i: int, size: int, n_blocks: int) -> list[Claim]:
 
 
 def rao_hamming_oa(
-    elements: Sequence[Element],
-    k: int,
-    columns: Optional[Sequence[Sequence[Element]]] = None,
+    field: Field, codes: Sequence[int], k: int, columns: Optional[Sequence[Sequence[int]]] = None
 ) -> OrthogonalArray:
-    """Full factorial rows times a generator matrix; verified at strength 2."""
-    gen = generator_matrix(elements, k, columns)
-    mat = _matmul(full_factorial(elements, k), gen)
-    s = len(elements)
+    """Full factorial rows over `codes` (of `field`) times a generator matrix
+    over them; verified at strength 2."""
+    gen = generator_matrix(field, codes, k, columns)
+    mat = _matmul(full_factorial(codes, k, field), gen)
+    s = len(codes)
     _require(mat, [Claim("oa", "rao-hamming")], levels=[s])
     return OrthogonalArray(mat, s, 2)
 
@@ -194,7 +189,7 @@ def build_h_tower(chain: GroupChain, k: int) -> list[GroupMatrix]:
     zero tuple first, so H_i stacks beta (+c) H_{i-1} over the tuples beta of
     T_i with H_{i-1} itself as the first block.
     """
-    return _kron_tower([full_factorial(chain.transversal(i), k)
+    return _kron_tower([full_factorial(chain.transversal_codes(i), k, chain.group)
                         for i in range(1, chain.layers + 1)], "H")
 
 
@@ -265,16 +260,17 @@ def _require_tower(chain: GroupChain):
 
 
 def construct_noa_rh(
-    chain: GroupChain, k: int, columns: Optional[Sequence[Sequence[Element]]] = None
+    chain: GroupChain, k: int, columns: Optional[Sequence[Sequence[int]]] = None
 ) -> NestedFamily:
-    """Strength-2 nested family from the prime-field generator matrix."""
+    """Strength-2 nested family from the prime-field generator matrix;
+    `columns` are code tuples over GF(p)."""
     tower = _require_tower(chain)
-    base = [tower.field.element(c) for c in range(tower.p)]
-    return _construct_noa(tower, k, 2, lambda: generator_matrix(base, k, columns))
+    return _construct_noa(tower, k, 2,
+                          lambda: generator_matrix(tower.field, range(tower.p), k, columns))
 
 
 def construct_noa_subfield(
-    chain: GroupChain, k: int, columns: Optional[Sequence[Sequence[Element]]] = None
+    chain: GroupChain, k: int, columns: Optional[Sequence[Sequence[int]]] = None
 ) -> NestedFamily:
     """As construct_noa_rh but with generator coefficients from layer 1,
     giving (s_1^k - 1)/(s_1 - 1) columns.
@@ -288,8 +284,8 @@ def construct_noa_subfield(
             "construct_noa_subfield needs a subfield tower chain "
             "(kind 'subfield-tower', degrees dividing upward)"
         )
-    base = chain.layer_elements(1)
-    return _construct_noa(chain, k, 2, lambda: generator_matrix(base, k, columns))
+    return _construct_noa(chain, k, 2, lambda: generator_matrix(
+        chain.field, chain.layer_codes(1), k, columns))
 
 
 def bush_matrix(chain: GroupChain, k: int) -> GeneratorMatrix:

@@ -98,13 +98,6 @@ def _resolve_chain(args, tower) -> GroupChain:
     return tower(args.p, _parse_int_list(args.u))
 
 
-def _parse_columns(text: str, chain: GroupChain):
-    field = getattr(chain, "field", None)
-    if field is None:
-        raise SpecError("--columns needs a field or subfield tower chain")
-    return [tuple(field.element(c) for c in _parse_int_list(chunk)) for chunk in text.split(";")]
-
-
 def _load_input_design(path, chain: GroupChain, levels: int, want: str):
     design = load(path)
     if design.type != want:
@@ -255,11 +248,15 @@ def cmd_construct(args) -> int:
         raise SpecError(f"--k is required for {name}")
     given = {"k": args.k, "columns": None}
     if args.columns is not None:
-        given["columns"] = _parse_columns(args.columns, chain)
-        params["columns"] = [[e.code for e in col] for col in given["columns"]]
+        given["columns"] = params["columns"] = [_parse_int_list(chunk)
+                                                for chunk in args.columns.split(";")]
     if (n := method.count) and len(args.input) != n:
         raise SpecError(f"{name} takes exactly {('one', 'two')[n - 1]} --input "
                         f"array{'s' * (n > 1)}")
+    if not n and "input" in method.reads and len(args.input) != chain.layers:
+        what = "difference matrix" if method.input == "dm" else "array"
+        raise SpecError(f"need one {what} per chain layer ({chain.layers}), "
+                        f"got {len(args.input)}")
     given["input"] = [_load_input_design(p, chain, method.levels(chain, i), method.input)
                       for i, p in enumerate(args.input, start=1)]
     built = method.build(chain, *(given[o] for o in method.reads))
@@ -345,8 +342,7 @@ def cmd_lift(args) -> int:
     else:  # grouped
         if args.i is None or args.j is None:
             raise SpecError("grouped mode needs --i and --j")
-        order = None if args.group_order is None else [
-            chain.element_from_code(c) for c in _parse_int_list(args.group_order)]
+        order = None if args.group_order is None else _parse_int_list(args.group_order)
         lifted = build_ssfd_grouped(
             family, i=args.i, j=args.j, group_order=order, seed=seed,
             stage=args.stage,

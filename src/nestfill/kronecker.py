@@ -11,45 +11,32 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import SpecError
-from .galois import Element
 
 
 class GroupMatrix:
-    """Immutable rectangular matrix over one group, stored as integer codes.
-
-    `GroupMatrix(rows)` takes group elements and checks that they all belong
-    to one group; `GroupMatrix(code_rows, owner)` takes codes of `owner` (a
-    Field, or an omega ring) and checks that they are in range.  `.rows` is
-    the element view of the codes.
+    """Immutable rectangular matrix of integer codes of one group `owner` (a
+    Field, or an omega ring), checked to be in range.  `.rows` and
+    `.column(j)` are the element views of the codes.
     """
 
     __slots__ = ("code_rows", "owner")
 
-    def __init__(self, rows: Iterable[Sequence], owner=None):
-        rows = tuple(tuple(r) for r in rows)
+    def __init__(self, code_rows: Iterable[Sequence[int]], owner):
+        rows = tuple(tuple(r) for r in code_rows)
         if not rows or not rows[0]:
             raise SpecError("matrix must have at least one row and one column")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise SpecError("ragged rows")
-        if owner is None:
-            owner = getattr(rows[0][0], "group", None)
-            if owner is None or any(
-                (g := getattr(e, "group", None)) is not owner and g != owner
-                for r in rows for e in r
-            ):
-                raise SpecError("matrix entries must be elements of one group")
-            rows = tuple(tuple(e.code for e in r) for r in rows)
-        else:
-            bad = next((c for c in (min(map(min, rows)), max(map(max, rows)))
-                        if not 0 <= c < owner.size), None)
-            if bad is not None:
-                raise SpecError(f"code {bad} out of range 0..{owner.size - 1} for {owner!r}")
+        bad = next((c for c in (min(map(min, rows)), max(map(max, rows)))
+                    if not 0 <= c < owner.size), None)
+        if bad is not None:
+            raise SpecError(f"code {bad} out of range 0..{owner.size - 1} for {owner!r}")
         self.code_rows = rows
         self.owner = owner
 
     @property
-    def rows(self) -> tuple[tuple[Element, ...], ...]:
+    def rows(self) -> tuple[tuple, ...]:
         el = self.owner.element_from_code
         return tuple(tuple(map(el, r)) for r in self.code_rows)
 
@@ -65,7 +52,7 @@ class GroupMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 
-    def column(self, j: int) -> tuple[Element, ...]:
+    def column(self, j: int) -> tuple:
         return tuple(self.owner.element_from_code(r[j]) for r in self.code_rows)
 
     def prefix(self, n: int) -> "GroupMatrix":

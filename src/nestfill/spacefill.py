@@ -21,7 +21,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .arrays import NestedFamily
 from .errors import FrozenRecord, SpecError
-from .galois import Element
 
 
 def _validate_layer_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -267,23 +266,22 @@ def build_ssfd_grouped(
     family: NestedFamily,
     i: int,
     j: int,
-    group_order: Optional[Sequence[Element]] = None,
+    group_order: Optional[Sequence[int]] = None,
     seed=0,
     stage: str = "full",
 ) -> LiftedDesign:
     """Relabel by collapse groups: levels collapsing together under the layer-j
-    projection get consecutive integer labels, group blocks ordered by
-    `group_order` (default: ascending code of the layer-j representative),
-    then lift; slices of the layer-i block size stratify the s_j grid."""
+    projection get consecutive integer labels, group blocks ordered by the
+    layer-j codes of `group_order` (default: ascending code), then lift;
+    slices of the layer-i block size stratify the s_j grid."""
     chain = family.chain
     if not 1 <= j <= i <= chain.layers:
         raise SpecError(f"need 1 <= j <= i <= {chain.layers}, got i={i}, j={j}")
     reps = chain.layer_codes(j)
     if group_order is not None:
-        order = [e.code for e in group_order]
-        if sorted(order) != reps:
+        if sorted(group_order) != reps:
             raise SpecError("group order must list each layer-j element once")
-        reps = order
+        reps = group_order
     q = chain.top_size // chain.sizes[j - 1]
     proj = chain.projection_table(j)
     label = [0] * chain.top_size

@@ -102,12 +102,10 @@ def test_criterion_02_first_family_oracles(rh_family, tower):
 def test_criterion_03_column_kron_soa():
     with criterion(3, "B = A_2 (+c) A_1 is an OA(144,3,12,2) with sliced and prefix-nested structure"):
         chain = chain_omega_ring([Zn(6), Zn(2)])
-        a1 = OrthogonalArray(
-            GroupMatrix([[chain.element_from_code(v) for v in r] for r in KRON_SOA_INPUT_A1]),
-            6, 2,
-        )
+        a1 = OrthogonalArray(GroupMatrix(KRON_SOA_INPUT_A1, chain.group), 6, 2)
         a2 = OrthogonalArray(
-            GroupMatrix([[chain.parse(t) for t in r] for r in KRON_SOA_INPUT_A2]), 2, 2
+            GroupMatrix([[chain.parse_code(t) for t in r] for r in KRON_SOA_INPUT_A2],
+                        chain.group), 2, 2
         )
         out = construct_soa_kron(a2, a1, chain)
         b = out.top.rows
@@ -125,7 +123,8 @@ def test_criterion_03_column_kron_soa():
 def test_criterion_04_kron_ndm_table_and_oracles():
     with criterion(4, "kron-ndm reproduces the 48-row reference matrix; all listed collapses are difference matrices"):
         chain = chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
-        mk = lambda rows: DifferenceMatrix(GroupMatrix([[chain.parse(t) for t in r] for r in rows]))
+        mk = lambda rows: DifferenceMatrix(
+            GroupMatrix([[chain.parse_code(t) for t in r] for r in rows], chain.group))
         d1 = mk([("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")])
         d2 = mk([("0", "0", "0"), ("0", "w", "2w"), ("0", "2w", "w")])
         d3 = mk([("0", "0", "0"), ("0", "0", "w2"), ("0", "w2", "0"), ("0", "w2", "w2")])
@@ -217,7 +216,7 @@ def test_criterion_08_bush_strength_three():
 def test_criterion_09_ndm_product_bundle():
     with criterion(9, "difference-matrix product: D(4,2,4), A(+)D = OA(64,10,4,2), nested/sliced wrappers pass"):
         chain = chain_field_tower(2, [1, 2])
-        a = rao_hamming_oa(chain.layer_elements(2), 2)
+        a = rao_hamming_oa(chain.field, chain.layer_codes(2), 2)
         assert (a.n, a.m, a.levels) == (16, 5, 4)
         dm, out = construct_from_ndm(chain, a)
         assert check_difference_matrix(dm.top.rows, chain.layer_elements(2)).passed
@@ -238,9 +237,7 @@ def test_criterion_09_ndm_product_bundle():
 
 def test_criterion_10_selected_columns_strength_three(tower):
     with criterion(10, "selected columns (e1,e2,e3,(1,1,1)) over GF(2), k=3, give a strength-3 array"):
-        f = tower.field
-        e0, e1 = f.zero, f.one
-        cols = [(e1, e0, e0), (e0, e1, e0), (e0, e0, e1), (e1, e1, e1)]
+        cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
         fam = construct_noa_rh(tower, 3, cols)
         rep = check_oa_strength(fam.top.rows, 8, 3)
         assert rep.passed, rep.message()

@@ -46,11 +46,11 @@ def rh_family(tower_238):
 
 class TestGeneratorMatrix:
     def test_default_gf2_k2(self):
-        gen = generator_matrix(Field(2, 1).elements(), 2)
+        gen = generator_matrix(Field(2, 1), [0, 1], 2)
         assert gen.column_codes() == [[1, 0], [0, 1], [1, 1]]
 
     def test_default_gf2_k3_column_multiset(self):
-        gen = generator_matrix(Field(2, 1).elements(), 3)
+        gen = generator_matrix(Field(2, 1), [0, 1], 3)
         assert gen.m == 7
         assert gen.column_codes()[:3] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         multiset = {tuple(c) for c in gen.column_codes()}
@@ -60,30 +60,35 @@ class TestGeneratorMatrix:
         }
 
     def test_explicit_selection(self):
-        f = Field(2, 1)
-        e = f.elements()
-        cols = [(e[1], e[0], e[0]), (e[0], e[1], e[0]), (e[0], e[0], e[1]), (e[1], e[1], e[1])]
-        gen = generator_matrix(e, 3, cols)
+        cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+        gen = generator_matrix(Field(2, 1), [0, 1], 3, cols)
         assert gen.m == 4
 
     def test_explicit_rejects_bad_first_nonzero(self):
         f = Field(2, 2)
-        x = f.parse("x")
+        x = f.parse_code("x")
         with pytest.raises(SpecError):
-            generator_matrix(f.elements(), 2, [(x, f.zero)])
+            generator_matrix(f, range(4), 2, [(x, 0)])
 
     def test_explicit_rejects_duplicates(self):
-        f = Field(2, 1)
-        col = (f.one, f.zero)
+        col = (1, 0)
         with pytest.raises(SpecError):
-            generator_matrix(f.elements(), 2, [col, col])
+            generator_matrix(Field(2, 1), [0, 1], 2, [col, col])
+
+    def test_explicit_rejects_entries_outside_the_base(self):
+        """A coefficient of the field that is not in the base (here x over
+        the GF(2) base of GF(4)) is refused naming its column and code."""
+        f = Field(2, 2)
+        with pytest.raises(SpecError, match=r"^generator column 2 \(codes 1,2\) has entry 2 "
+                                            r"outside the generator base \{0,1\}$"):
+            generator_matrix(f, [0, 1], 2, [(1, 0), (1, f.parse_code("x"))])
 
     def test_k_below_one(self):
         with pytest.raises(SpecError):
-            generator_matrix(Field(2, 1).elements(), 0)
+            generator_matrix(Field(2, 1), [0, 1], 0)
 
     def test_subfield_base_count(self):
-        gen = generator_matrix(Field(2, 2).elements(), 2)
+        gen = generator_matrix(Field(2, 2), range(4), 2)
         assert gen.m == 5  # (16-1)/3
 
 
@@ -162,19 +167,19 @@ class TestRaoHammingNoa:
         for i in (2, 3):
             prev = rh_family.a(i - 1)
             blocks = [prev]
+            f = tower_238.field
             for beta in iproduct(tower_238.transversal(i), repeat=2):
                 if not any(beta):
                     continue
                 delta = GroupMatrix(
-                    [tuple(sum((b * c for b, c in zip(beta, col)), start=tower_238.zero()) for col in gen.columns)]
+                    [tuple(sum((b * f.element(c) for b, c in zip(beta, col)),
+                               start=tower_238.zero()).code for col in gen.codes)], f
                 )
                 blocks.append(col_kron_sum(delta, prev))
             assert GroupMatrix.vstack(blocks) == rh_family.a(i)
 
     def test_strength3_from_selected_columns(self, tower_238):
-        f = tower_238.field
-        e0, e1 = f.zero, f.one
-        cols = [(e1, e0, e0), (e0, e1, e0), (e0, e0, e1), (e1, e1, e1)]
+        cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
         fam = construct_noa_rh(tower_238, 3, cols)
         rep = check_oa_strength(fam.top.rows, 8, 3)
         assert rep.passed, rep.message()
@@ -244,7 +249,7 @@ class TestBushNoa:
     "p,u,k", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3), (2, 2, 3)]
 )
 def test_rao_hamming_small_fields(p, u, k):
-    oa = rao_hamming_oa(Field(p, u).elements(), k)
+    oa = rao_hamming_oa(Field(p, u), range(p**u), k)
     assert oa.n == (p**u) ** k
     assert oa.m == ((p**u) ** k - 1) // (p**u - 1)
 
@@ -252,7 +257,7 @@ def test_rao_hamming_small_fields(p, u, k):
 @pytest.fixture(scope="module")
 def bundle():
     chain = chain_field_tower(2, [1, 2])
-    a = rao_hamming_oa(chain.layer_elements(2), 2)
+    a = rao_hamming_oa(chain.field, chain.layer_codes(2), 2)
     return chain, a, *construct_from_ndm(chain, a)
 
 
@@ -290,29 +295,24 @@ class TestNdmProduct:
 
     def test_rejects_wrong_level_input(self, bundle):
         chain, *_ = bundle
-        bad = rao_hamming_oa(Field(2, 1).elements(), 2)
+        bad = rao_hamming_oa(Field(2, 1), [0, 1], 2)
         with pytest.raises(SpecError):
             construct_from_ndm(chain, bad)
 
     def test_rejects_non_oa_input(self):
         chain = chain_field_tower(2, [1, 2])
-        f = chain.field
-        rows = [[f.element(0)] * 3 for _ in range(16)]
-        fake = OrthogonalArray(GroupMatrix(rows), 4, 2)
+        rows = [[0] * 3 for _ in range(16)]
+        fake = OrthogonalArray(GroupMatrix(rows, chain.field), 4, 2)
         with pytest.raises(VerificationFailure):
             construct_from_ndm(chain, fake)
 
 
 def _ex2_inputs():
     chain = chain_omega_ring([Zn(6), Zn(2)])
-    a1 = OrthogonalArray(
-        GroupMatrix(
-            [[chain.element_from_code(v) for v in row] for row in KRON_SOA_INPUT_A1]
-        ),
-        6, 2,
-    )
+    a1 = OrthogonalArray(GroupMatrix(KRON_SOA_INPUT_A1, chain.group), 6, 2)
     a2 = OrthogonalArray(
-        GroupMatrix([[chain.parse(t) for t in row] for row in KRON_SOA_INPUT_A2]), 2, 2
+        GroupMatrix([[chain.parse_code(t) for t in row] for row in KRON_SOA_INPUT_A2],
+                    chain.group), 2, 2
     )
     return chain, a1, a2
 
@@ -340,19 +340,15 @@ class TestKronSoa:
         """A chain whose second layer is no larger than its first has no
         B^1 in B to nest, so it is refused before any input is checked."""
         chain = chain_omega_ring([Zn(6), Zn(1)])
-        a1 = OrthogonalArray(
-            GroupMatrix(
-                [[chain.element_from_code(v) for v in row] for row in KRON_SOA_INPUT_A1]
-            ),
-            6, 2,
-        )
-        a2 = OrthogonalArray(GroupMatrix([[chain.zero()] * 3]), 1, 2)
+        a1 = OrthogonalArray(GroupMatrix(KRON_SOA_INPUT_A1, chain.group), 6, 2)
+        a2 = OrthogonalArray(GroupMatrix([[0] * 3], chain.group), 1, 2)
         with pytest.raises(SpecError, match=r"layer sizes \[6, 6\] do not strictly increase"):
             construct_soa_kron(a2, a1, chain)
 
     def test_column_mismatch(self):
         chain, a1, a2 = _ex2_inputs()
-        clipped = OrthogonalArray(GroupMatrix([r[:2] for r in a2.matrix.rows]), 2, 2)
+        clipped = OrthogonalArray(GroupMatrix([r[:2] for r in a2.matrix.code_rows],
+                                              chain.group), 2, 2)
         with pytest.raises(SpecError):
             construct_soa_kron(clipped, a1, chain)
 
@@ -363,10 +359,10 @@ class TestKronSoa:
 
 
 def _trivial_oa(chain, layer):
-    tr = chain.transversal(layer)
+    tr = chain.transversal_codes(layer)
     s = len(tr)
     rows = [(tr[a], tr[b], tr[(a + b) % s]) for a in range(s) for b in range(s)]
-    return OrthogonalArray(GroupMatrix(rows), s, 2)
+    return OrthogonalArray(GroupMatrix(rows, chain.group), s, 2)
 
 
 class TestKronMulti:
@@ -393,7 +389,7 @@ class TestKronMulti:
     def test_zero_row_requirement(self):
         chain = chain_omega_ring([Zn(2), Zn(2)])
         a1, a2 = _trivial_oa(chain, 1), _trivial_oa(chain, 2)
-        shuffled = OrthogonalArray(GroupMatrix(a2.matrix.rows[::-1]), 2, 2)
+        shuffled = OrthogonalArray(GroupMatrix(a2.matrix.code_rows[::-1], chain.group), 2, 2)
         with pytest.raises(SpecError):
             construct_noa_kron_multi([a1, shuffled], chain)
 
@@ -402,7 +398,7 @@ class TestKronMulti:
 def example3():
     chain = chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
     parse_rows = lambda rows: GroupMatrix(
-        [[chain.parse(t) for t in row] for row in rows]
+        [[chain.parse_code(t) for t in row] for row in rows], chain.group
     )
     d1 = DifferenceMatrix(
         parse_rows([("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")])
@@ -433,8 +429,9 @@ class TestKronNdm:
     def test_single_layer_is_identity(self):
         chain = chain_omega_ring([Field(2, 2)])
         rows = GroupMatrix(
-            [[chain.parse(t) for t in row] for row in
-             [("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")]]
+            [[chain.parse_code(t) for t in row] for row in
+             [("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")]],
+            chain.group,
         )
         d1 = DifferenceMatrix(rows)
         out = construct_ndm_kron([d1], chain)
@@ -442,9 +439,9 @@ class TestKronNdm:
 
     def test_input_oracle_failure(self):
         chain = chain_omega_ring([Field(2, 2), Zn(3)])
-        const = GroupMatrix([[chain.zero()] * 3 for _ in range(4)])
+        const = GroupMatrix([[0] * 3 for _ in range(4)], chain.group)
         d1 = DifferenceMatrix(const)
-        d2 = DifferenceMatrix(GroupMatrix([[chain.zero()] * 3]))
+        d2 = DifferenceMatrix(GroupMatrix([[0] * 3], chain.group))
         with pytest.raises(VerificationFailure):
             construct_ndm_kron([d1, d2], chain)
 
@@ -458,5 +455,6 @@ def test_kron_without_inputs_is_spec_error(construct):
 
 def test_full_factorial_order():
     f = Field(2, 1)
-    rows = full_factorial(f.elements(), 2)
+    rows = full_factorial([0, 1], 2, f)
+    assert rows.owner == f
     assert [[e.code for e in r] for r in rows.rows] == [[0, 0], [0, 1], [1, 0], [1, 1]]

@@ -168,7 +168,7 @@ class TestKronConstruct:
         from nestfill.groups import chain_field_tower
 
         chain = chain_field_tower(2, [1, 2])
-        a = rao_hamming_oa(chain.layer_elements(2), 2)
+        a = rao_hamming_oa(chain.field, chain.layer_codes(2), 2)
         a_file = _write_input(tmp_path / "a.json", a.matrix.codes(), 4)
         out = tmp_path / "prod.json"
         assert run("construct", "--method", "ndm-product", "--p", "2", "--u", "1,2",
@@ -373,7 +373,7 @@ def _gf8_oa(s):
     from nestfill.arrays import rao_hamming_oa
     from nestfill.groups import chain_field_tower
 
-    oa = rao_hamming_oa(chain_field_tower(2, [1, 2, 3]).layer_elements(3), 2)
+    oa = rao_hamming_oa(chain_field_tower(2, [1, 2, 3]).field, range(8), 2)
     return _chainless("oa", oa.matrix.codes(), s=s, t_claimed=2)
 
 
@@ -535,6 +535,19 @@ _OUT_OF_RANGE = [
     ({}, CONSTRUCT_RH + ["--p", "2", "--u", "1,,2,"]),
     ({}, ["lift", "--design", "{rh}", "--mode", "grouped", "--i", "2", "--j", "1",
           "--group-order", "0,,1", "--out", "x.json"]),
+    ({}, CONSTRUCT_RH + ["--p", "2", "--u", "1,2", "--columns", "1,0;1,3"]),
+    ({}, CONSTRUCT_RH + ["--p", "2", "--u", "1,2", "--columns", "1,0;1,2"]),
+    ({}, ["construct", "--method", "subfield-noa", "--p", "2", "--u", "1,2", "--k", "2",
+          "--columns", "1,0;1,2", "--out", "x.json"]),
+    ({**_zn5_kron_noa(5)[0], "c.json": json.dumps(
+        chain_omega_ring([Zn(5), Zn(5), Zn(5)]).descriptor())},
+     ["construct", "--method", "kron-soa", "--chain", "c.json", "--input", "a1.json",
+      "--input", "a2.json", "--out", "x.json"]),
+    ({"c.json": '{"kind": "lattice"}'}, CONSTRUCT_RH + ["--chain", "c.json"]),
+    ({"c.json": '{"kind": "omega", "bases": [{"zn": 0}]}'}, CONSTRUCT_RH + ["--chain", "c.json"]),
+    ({"c.json": '{"kind": "omega", "bases": [{"q": 3}]}'}, CONSTRUCT_RH + ["--chain", "c.json"]),
+    ({"c.json": '{"kind": "field-tower", "p": 2, "u_chain": [0, 1]}'},
+     CONSTRUCT_RH + ["--chain", "c.json"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -559,7 +572,10 @@ _OUT_OF_RANGE = [
        "lift-nested-prefix-outside-layer", "header-n-m-mismatch", "csv-header-n-mismatch",
        "json-too-deep", "csv-meta-too-deep", "chain-too-deep", "json-int-too-long",
        "perms-int-too-long", "empty-columns", "empty-chain", "empty-perms",
-       "empty-group-order", "u-empty-item", "group-order-empty-item"])
+       "empty-group-order", "u-empty-item", "group-order-empty-item",
+       "rh-noa-column-code-outside-field", "rh-noa-column-outside-gf-p",
+       "subfield-noa-column-outside-layer-1", "kron-soa-three-layer-chain",
+       "chain-kind-unknown", "omega-base-zn-0", "omega-base-unknown", "field-tower-u-0"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -596,18 +612,23 @@ def test_construct_refuses_every_option_its_method_does_not_read(method, tmp_pat
             assert not any("is not read" in line for line in err)
 
 
-@pytest.mark.parametrize("method, count, word", [("ndm-product", 2, "one --input array"),
-                                                 ("kron-soa", 3, "two --input arrays")],
-                         ids=["ndm-product", "kron-soa"])
-def test_input_count_is_checked_before_any_input_is_read(method, count, word, tmp_path,
+@pytest.mark.parametrize("method, count, message", [
+    ("ndm-product", 2, "ndm-product takes exactly one --input array"),
+    ("kron-soa", 3, "kron-soa takes exactly two --input arrays"),
+    ("kron-noa", 3, "need one array per chain layer (2), got 3"),
+    ("kron-ndm", 3, "need one difference matrix per chain layer (2), got 3"),
+], ids=["ndm-product", "kron-soa", "kron-noa", "kron-ndm"])
+def test_input_count_is_checked_before_any_input_is_read(method, count, message, tmp_path,
                                                          monkeypatch, capsys):
+    """A wrong number of inputs is refused naming both counts before any
+    input is read (none of the named files exists)."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "chain.json").write_text(json.dumps(chain_omega_ring([Zn(6), Zn(2)]).descriptor()))
     chain = ["--p", "2", "--u", "1,2"] if method == "ndm-product" else ["--chain", "chain.json"]
     capsys.readouterr()
     assert run("construct", "--method", method, *chain, *["--input", "missing.json"] * count,
                "--out", "x.json") == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {method} takes exactly {word}"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_ndm_product_reads_its_input_at_strength_2(tmp_path):
@@ -616,7 +637,7 @@ def test_ndm_product_reads_its_input_at_strength_2(tmp_path):
     from nestfill.arrays import rao_hamming_oa
     from nestfill.groups import chain_field_tower
 
-    rows = rao_hamming_oa(chain_field_tower(2, [1, 2]).layer_elements(2), 2).matrix.codes()
+    rows = rao_hamming_oa(chain_field_tower(2, [1, 2]).field, range(4), 2).matrix.codes()
     written = []
     for t in (2, 3):
         out = tmp_path / f"t{t}" / "n.json"
@@ -688,7 +709,7 @@ def test_design_file_claims_round_trip(case, tmp_path):
 
     if case == "nested-dm":
         chain = chain_field_tower(2, [1, 2])
-        dm, _ = construct_from_ndm(chain, rao_hamming_oa(chain.layer_elements(2), 2))
+        dm, _ = construct_from_ndm(chain, rao_hamming_oa(chain.field, chain.layer_codes(2), 2))
         matrix, claim = dm.top, dm.nested
     else:
         chain = chain_field_tower(2, [1, 2] if case == "nested-2-layers" else [1, 2, 3])
@@ -726,7 +747,7 @@ def _construct_golden(method, tmp_path, example3_inputs):
         k = "3" if method == "bush-noa" else "2"
         argv += ["--p", "2", "--u", towers[method], "--k", k]
     elif method == "ndm-product":
-        a = rao_hamming_oa(chain_field_tower(2, [1, 2]).layer_elements(2), 2)
+        a = rao_hamming_oa(chain_field_tower(2, [1, 2]).field, range(4), 2)
         argv += ["--p", "2", "--u", "1,2",
                  "--input", str(_write_input(tmp_path / "a.json", a.matrix.codes(), 4))]
     elif method == "kron-ndm":

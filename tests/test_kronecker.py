@@ -1,4 +1,7 @@
+import ast
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +13,11 @@ from nestfill.verify import check_oa_strength
 
 
 def col(chain, txts):
-    return GroupMatrix([[chain.parse(t)] for t in txts])
+    return GroupMatrix([[chain.group.parse_code(t)] for t in txts], chain.group)
+
+
+def parsed(chain, rows):
+    return GroupMatrix([[chain.group.parse_code(t) for t in row] for row in rows], chain.group)
 
 
 @pytest.fixture
@@ -21,7 +28,7 @@ def f8_tower():
 
 
 def test_zero_block_is_identity(f8_tower):
-    zero = GroupMatrix([[f8_tower.zero()]])
+    zero = GroupMatrix([[0]], f8_tower.group)
     b = col(f8_tower, ["0", "1", "x", "x+1"])
     assert kron_sum(zero, b) == b
 
@@ -35,65 +42,52 @@ def test_kron_sum_column_vectors(f8_tower):
 
 
 def test_kron_sum_shape(f8_tower):
-    a = GroupMatrix([[f8_tower.zero()] * 3] * 2)  # 2x3
-    b = GroupMatrix([[f8_tower.zero()] * 5] * 4)  # 4x5
+    a = GroupMatrix([[0] * 3] * 2, f8_tower.group)  # 2x3
+    b = GroupMatrix([[0] * 5] * 4, f8_tower.group)  # 4x5
     assert kron_sum(a, b).shape == (8, 15)
-    assert col_kron_sum(a, GroupMatrix([[f8_tower.zero()] * 3] * 4)).shape == (8, 3)
+    assert col_kron_sum(a, GroupMatrix([[0] * 3] * 4, f8_tower.group)).shape == (8, 3)
 
 
 def test_col_kron_zero_row_identity():
     chain = chain_omega_ring([Zn(6), Zn(2)])
-    a1 = GroupMatrix(
-        [[chain.parse(t) for t in row] for row in [("0", "1", "5"), ("2", "3", "4")]]
-    )
-    zero_row = GroupMatrix([[chain.zero()] * 3])
+    a1 = parsed(chain, [("0", "1", "5"), ("2", "3", "4")])
+    zero_row = GroupMatrix([[0] * 3], chain.group)
     assert col_kron_sum(zero_row, a1) == a1
 
 
 def test_col_kron_block_row():
     # second block of A2 (+c) A1 starts at A2 row 2 + A1 row 1
     chain = chain_omega_ring([Zn(6), Zn(2)])
-    a1_first = GroupMatrix([[chain.parse(t) for t in ("0", "0", "5")]])
-    a2 = GroupMatrix(
-        [[chain.parse(t) for t in row] for row in [("0", "0", "0"), ("0", "w", "w")]]
-    )
+    a1_first = parsed(chain, [("0", "0", "5")])
+    a2 = parsed(chain, [("0", "0", "0"), ("0", "w", "w")])
     out = col_kron_sum(a2, a1_first)
     assert [e.text() for e in out.rows[1]] == ["0", "w", "5+w"]
 
 
 def test_col_kron_ndm_row5():
     chain = chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
-    d1 = GroupMatrix(
-        [
-            [chain.parse(t) for t in row]
-            for row in [("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")]
-        ]
-    )
-    d2 = GroupMatrix(
-        [
-            [chain.parse(t) for t in row]
-            for row in [("0", "0", "0"), ("0", "w", "2w"), ("0", "2w", "w")]
-        ]
-    )
+    d1 = parsed(chain, [("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")])
+    d2 = parsed(chain, [("0", "0", "0"), ("0", "w", "2w"), ("0", "2w", "w")])
     e2 = col_kron_sum(d2, d1)
     assert [e.text() for e in e2.rows[4]] == ["0", "w", "2w"]
 
 
 def test_mismatch_errors(f8_tower):
     other = chain_omega_ring([Zn(2)])
-    a = GroupMatrix([[f8_tower.zero()]])
-    b = GroupMatrix([[other.zero()]])
+    a = GroupMatrix([[0]], f8_tower.group)
+    b = GroupMatrix([[0]], other.group)
     with pytest.raises(SpecError):
         kron_sum(a, b)
     with pytest.raises(SpecError):
-        col_kron_sum(GroupMatrix([[f8_tower.zero()] * 2]), GroupMatrix([[f8_tower.zero()] * 3]))
+        col_kron_sum(GroupMatrix([[0] * 2], f8_tower.group), GroupMatrix([[0] * 3], f8_tower.group))
 
 
 def test_col_kron_associative(f8_tower):
     rng = random.Random(7)
-    els = [f8_tower.element_from_code(rng.randrange(8)) for _ in range(60)]
+    codes = [rng.randrange(8) for _ in range(60)]
     mk = lambda rows, cols, off: GroupMatrix(
-        [[els[(off + r * cols + c) % 60] for c in range(cols)] for r in range(rows)]
+        [[codes[(off + r * cols + c) % 60] for c in range(cols)] for r in range(rows)],
+        f8_tower.group,
     )
     for off in range(5):
         a, b, c = mk(2, 3, off), mk(3, 3, off + 7), mk(2, 3, off + 20)
@@ -104,12 +98,12 @@ def test_col_kron_associative(f8_tower):
 
 def _cyclic_oa(chain, layer, s):
     """OA(s^2, 3, s, 2) over the layer-'layer' transversal: rows (a, b, a+b)."""
-    tr = chain.transversal(layer)
+    tr = chain.transversal_codes(layer)
     rows = []
     for a in range(s):
         for b in range(s):
             rows.append((tr[a], tr[b], tr[(a + b) % s]))
-    return GroupMatrix(rows)
+    return GroupMatrix(rows, chain.group)
 
 
 @pytest.mark.parametrize("s1,s2", [(2, 2), (2, 3), (3, 2), (3, 4)])
@@ -122,3 +116,19 @@ def test_strength_preserved_under_col_kron(s1, s2):
     b = col_kron_sum(a2, a1)
     rep = check_oa_strength(b.rows, s1 * s2, 2)
     assert rep.passed, rep.message()
+
+
+def test_owner_is_required():
+    """A matrix is codes of one group: rows without their owner are refused."""
+    with pytest.raises(TypeError):
+        GroupMatrix([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("module", ["arrays", "kronecker", "spacefill", "cli"])
+def test_engine_imports_no_element(module):
+    """The engine and the CLI hold integer codes: Element is an edge view
+    (`element_from_code`, `parse`, `.rows`) that these modules never import."""
+    path = Path(importlib.import_module(f"nestfill.{module}").__file__)
+    imported = {a.name for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert "Element" not in imported

@@ -250,8 +250,7 @@ class TestSsfdGrouped:
 
     def test_pinned_group_order_matches_reference_scheme(self, rh_family):
         chain = rh_family.chain
-        f = chain.field
-        order = [f.parse(t) for t in ("0", "x", "1", "x+1")]
+        order = [chain.field.parse_code(t) for t in ("0", "x", "1", "x+1")]
         out = build_ssfd_grouped(rh_family, i=2, j=2, group_order=order, stage="relabel-only")
         # collapse groups land on {0,1},{2,3},{4,5},{6,7} in the pinned order
         label_of = {}
@@ -284,11 +283,8 @@ class TestSsfdGrouped:
             build_ssfd_grouped(rh_family, i=4, j=1)
 
     def test_group_order_must_cover_layer(self, rh_family):
-        f = rh_family.chain.field
         with pytest.raises(SpecError):
-            build_ssfd_grouped(
-                rh_family, i=1, j=1, group_order=[f.zero, f.zero]
-            )
+            build_ssfd_grouped(rh_family, i=1, j=1, group_order=[0, 0])
 
 
 @st.composite

@@ -943,12 +943,13 @@ _IDENTITY = {0: 0, 1: 1}
     lambda: list(check_claims([[0, 1], [1, 0]], [Claim("nested")], levels=[2])),
     lambda: list(check_claims([[0, 1], [1, 0]], [Claim("nested-dm")], levels=[2],
                               element_sets=[[0, 1]])),
+    lambda: list(check_claims(_OA4, [Claim("latin-square")], levels=[2])),
 ], ids=["oa-s0", "oa-t0", "dm-no-elements", "strat-g0", "strat-g-1", "strat-scale0",
         "strat-size-2", "sliced-size-2", "sliced-size0", "sliced-s0", "nested-t0", "nested-s0",
         "nested-dm-no-elements", "claims-strat-size-1", "strat-dims-past-columns",
         "strat-dims-negative", "strat-dims-repeated", "claims-no-levels",
         "claims-dm-no-element-sets", "claims-nested-no-projections", "claims-nested-no-layers",
-        "claims-nested-dm-no-layers"])
+        "claims-nested-dm-no-layers", "claims-unknown-kind"])
 def test_oracles_refuse_nonsense_parameters(call):
     """A level count, strength, grid, scale or slice size below 1, a negative
     block size, or an empty element set is a claim no matrix can meet or
