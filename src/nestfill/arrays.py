@@ -304,12 +304,13 @@ def bush_matrix(chain: GroupChain, k: int) -> GeneratorMatrix:
 
 
 def construct_noa_bush(chain: GroupChain, k: int) -> NestedFamily:
-    """Strength-k nested family from the power-matrix columns; needs
-    s_1 >= k-1 and u_i | u_{i+1}."""
+    """Strength-k nested family from the power-matrix columns; needs s_1 >= k-1
+    and a layer 1 closed under multiplication: a subfield tower, or a field
+    tower with u_1 = 1 (layer 1 is GF(p), and every layer a GF(p)-space)."""
     tower = _require_tower(chain)
-    for a, b in zip(tower.u_chain, tower.u_chain[1:]):
-        if b % a:
-            raise SpecError(f"layer degrees must divide upward, got {list(tower.u_chain)}")
+    if isinstance(tower, FieldTowerChain) and tower.u_chain[0] != 1:
+        raise SpecError("the bush construction needs a subfield tower or a field tower "
+                        f"with u_1 = 1, got a field tower with u_chain {list(tower.u_chain)}")
     return _construct_noa(tower, k, k, lambda: bush_matrix(tower, k))
 
 

@@ -14,8 +14,9 @@ digit, multiplication from the powers of a primitive element.  Text forms
 are per code too: `Field.text_code` prints, and the `TextCodec` parser it
 shares with the omega ring reads back exactly what a printer writes.
 
-`Element` is the one element view of the package: a code of a group (a
-Field, or an omega ring from :mod:`nestfill.groups`) whose arithmetic and
+The package computes on codes alone.  `Element(group, code)` is the one way
+to make an element object, at the API edge: a range-checked code of a group
+(a Field, or an omega ring from :mod:`nestfill.groups`) whose arithmetic and
 text read that group's tables and `text_code`.
 """
 
@@ -272,27 +273,6 @@ class Field(TextCodec):
             e >>= 1
         return result
 
-    # -- element API ------------------------------------------------------
-
-    def element(self, code: int) -> Element:
-        if not 0 <= code < self.size:
-            raise SpecError(f"code {code} out of range for GF({self.size})")
-        return Element(self, code)
-
-    element_from_code = element
-
-    @property
-    def zero(self) -> Element:
-        return Element(self, 0)
-
-    @property
-    def one(self) -> Element:
-        return Element(self, 1)
-
-    def elements(self) -> list[Element]:
-        """All elements in ascending canonical code order (zero first)."""
-        return [Element(self, c) for c in range(self.size)]
-
     # -- text form ---------------------------------------------------------
 
     def text_code(self, code: int) -> str:
@@ -308,9 +288,6 @@ class Field(TextCodec):
                 var = "x" if j == 1 else f"x^{j}"
                 terms.append(var if c == 1 else f"{c}{var}")
         return "+".join(terms) if terms else "0"
-
-    def parse(self, text: str) -> Element:
-        return self.element(self.parse_code(text))
 
     # -- identity ----------------------------------------------------------
 
@@ -331,14 +308,16 @@ class Field(TextCodec):
 
 
 class Element(FrozenRecord):
-    """One element of a group (a Field, or an omega ring): its code, with
-    arithmetic read from the group's tables; immutable and hashable, and
-    equal only to an Element of the same group and code.  `*` and
-    `inverse()` need a Field."""
+    """One element of a group (a Field, or an omega ring): its code, checked
+    to lie in 0 .. group.size - 1, with arithmetic read from the group's
+    tables; immutable and hashable, and equal only to an Element of the same
+    group and code.  `*` and `inverse()` need a Field."""
 
     __slots__ = _fields = ("group", "code")
 
     def __init__(self, group: Any, code: int):
+        if not 0 <= code < group.size:
+            raise SpecError(f"code {code} out of range 0..{group.size - 1} for {group!r}")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "code", code)
 

@@ -25,9 +25,9 @@ Galois field of a tower, or the omega ring itself) carries `add`/`neg`
 tables and prints a code (`text_code`), and each chain carries `proj`
 tables built once from the direct sum of its transversals.  Field and
 omega ring read text back through `parse_code` from `galois.TextCodec`,
-the inverse of `text_code`; `Zn` only prints.  At the API edge
-`GroupChain.element_from_code`, `text` and `parse` wrap codes of the
-chain's group in `galois.Element`, one view for every chain kind.
+the inverse of `text_code`; `Zn` only prints.  `galois.Element(chain.group,
+code)` makes an element at the API edge; three element views stay only for
+the benchmark harness: `layer_elements`, `enumerate_ordered`, `projection_map`.
 """
 
 from __future__ import annotations
@@ -133,20 +133,6 @@ class GroupChain:
     def top_size(self) -> int:
         return self.sizes[-1]
 
-    def zero(self) -> Element:
-        return self.element_from_code(0)
-
-    def element_from_code(self, code: int) -> Element:
-        if not 0 <= code < self.top_size:
-            raise SpecError(f"code {code} out of range for {self.group!r}")
-        return Element(self.group, code)
-
-    def text(self, el: Element) -> str:
-        return self.group.text_code(self._code(el))
-
-    def parse(self, text: str) -> Element:
-        return Element(self.group, self.group.parse_code(text))
-
     def descriptor(self) -> dict:
         raise NotImplementedError
 
@@ -154,17 +140,9 @@ class GroupChain:
         if not 1 <= i <= self.layers:
             raise SpecError(f"layer {i} out of range 1..{self.layers}")
 
-    def _code(self, el: Element) -> int:
-        if getattr(el, "group", None) != self.group:
-            raise SpecError(f"{el!r} is not an element of {self!r}")
-        return el.code
-
     def transversal_codes(self, i: int) -> list[int]:
         self._check_layer(i)
         return list(range(0, self.sizes[i - 1], self.sizes[i - 2] if i > 1 else 1))
-
-    def transversal(self, i: int) -> list[Element]:
-        return [self.element_from_code(c) for c in self.transversal_codes(i)]
 
     def layer_codes(self, i: int) -> list[int]:
         """Layer i in ascending code order (zero first)."""
@@ -172,7 +150,8 @@ class GroupChain:
         return list(range(self.sizes[i - 1]))
 
     def layer_elements(self, i: int) -> list[Element]:
-        return [self.element_from_code(c) for c in self.layer_codes(i)]
+        # an element view kept only because the benchmark's traced pass wraps it
+        return [Element(self.group, c) for c in self.layer_codes(i)]
 
     @cached_property
     def proj(self) -> list[list[int]]:
@@ -196,19 +175,6 @@ class GroupChain:
             raise SpecError("transversal sums do not cover the top layer")
         return table
 
-    def decompose(self, el: Element) -> tuple[Element, ...]:
-        """Split el into its unique per-transversal parts (they sum to el)."""
-        code = self._code(el)
-        sums = [0] + [row[code] for row in self.proj]
-        return tuple(
-            self.element_from_code(self.group.sub_codes(b, a)) for a, b in zip(sums, sums[1:])
-        )
-
-    def project(self, i: int, el: Element) -> Element:
-        """Sum of the first i parts of el; the identity on layer i."""
-        self._check_layer(i)
-        return self.element_from_code(self.proj[i - 1][self._code(el)])
-
     def ordered_codes(self, order: str) -> list[int]:
         """Kronecker-sum enumeration of the top layer.
 
@@ -228,7 +194,8 @@ class GroupChain:
         return out
 
     def enumerate_ordered(self, order: str) -> list[Element]:
-        return [self.element_from_code(c) for c in self.ordered_codes(order)]
+        # an element view kept only because the benchmark's traced pass wraps it
+        return [Element(self.group, c) for c in self.ordered_codes(order)]
 
     def projection_table(self, i: int) -> list[int]:
         """Code-level table: entry c is the code of the layer-i projection."""
@@ -236,6 +203,7 @@ class GroupChain:
         return list(self.proj[i - 1])
 
     def projection_map(self, i: int) -> dict[Element, Element]:
+        # an element view kept only because the benchmark's setup script calls it
         els = [Element(self.group, c) for c in range(self.top_size)]
         return {els[c]: els[v] for c, v in enumerate(self.projection_table(i))}
 
@@ -360,7 +328,8 @@ class SubfieldTowerChain(_FieldChain):
         return list(self._layer_codes[i - 1])
 
     def layer_elements(self, i: int) -> list[Element]:
-        return [self.field.element(c) for c in self.layer_codes(i)]
+        # an element view kept only because the benchmark's traced pass wraps it
+        return [Element(self.field, c) for c in self.layer_codes(i)]
 
     def transversal_codes(self, i: int) -> list[int]:
         self._check_layer(i)
@@ -408,21 +377,16 @@ class OmegaRingChain(TextCodec, GroupChain):
         return self.add[a][self.neg[b]]
 
     def encode(self, parts: Sequence[int]) -> int:
-        """The code of the formal sum whose w^b coefficient has code parts[b]."""
-        code, scale = 0, 1
-        for base, part in zip(self.bases, parts):
-            code += part * scale
-            scale *= base.size
-        return code
-
-    def element(self, parts: Sequence[int]) -> Element:
-        parts = tuple(parts)
+        """The code of the formal sum with w^b coefficient parts[b], one per base."""
         if len(parts) != len(self.bases):
             raise SpecError("wrong number of components")
+        code, scale = 0, 1
         for base, part in zip(self.bases, parts):
             if not 0 <= part < base.size:
                 raise SpecError(f"component {part} out of range for {base!r}")
-        return Element(self, self.encode(parts))
+            code += part * scale
+            scale *= base.size
+        return code
 
     # -- text form: psi_0 first, then psi_b * w^b with ascending b ---------
 

@@ -2,8 +2,8 @@
 
 Both operators follow the left operand's row order: the result is a stack of
 row blocks, one per left-hand row, each block a shifted copy of the right
-operand.  That block layout is what the nested/sliced constructions read
-their layer prefixes and slices from.
+operand, which the nested/sliced constructions cut into layer prefixes
+and slices.  A matrix holds codes only; its group's `add` table adds them.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from .errors import SpecError
 
 class GroupMatrix:
     """Immutable rectangular matrix of integer codes of one group `owner` (a
-    Field, or an omega ring), checked to be in range.  `.rows` and
-    `.column(j)` are the element views of the codes.
-    """
+    Field, or an omega ring), checked to be in range."""
 
     __slots__ = ("code_rows", "owner")
 
@@ -36,11 +34,6 @@ class GroupMatrix:
         self.owner = owner
 
     @property
-    def rows(self) -> tuple[tuple, ...]:
-        el = self.owner.element_from_code
-        return tuple(tuple(map(el, r)) for r in self.code_rows)
-
-    @property
     def n_rows(self) -> int:
         return len(self.code_rows)
 
@@ -51,9 +44,6 @@ class GroupMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
-
-    def column(self, j: int) -> tuple:
-        return tuple(self.owner.element_from_code(r[j]) for r in self.code_rows)
 
     def prefix(self, n: int) -> "GroupMatrix":
         return GroupMatrix(self.code_rows[:n], self.owner)

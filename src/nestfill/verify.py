@@ -1,9 +1,9 @@
 """Brute-force oracles for every structural claim.
 
-Checkers operate on raw matrices — integer levels, integer codes of group
-elements, or group elements — and count exhaustively with exact integer
-histograms.  They never call construction code; collapsing projections and
-group subtraction are handed in as plain mappings and callables.
+Checkers operate on raw matrices of integer levels or integer codes of
+group elements, and count exhaustively with exact integer histograms.
+They never call construction code; collapsing projections and group
+subtraction are handed in as plain mappings and callables.
 Column subsets are scanned in lexicographic order and the first failure is
 reported with a concrete counterexample.
 
@@ -59,8 +59,8 @@ class VerificationReport(NamedTuple):
 
     def with_levels(self, to_level: Callable) -> "VerificationReport":
         """This report with the level-valued counterexample entries
-        (`levels`, `element`, `pair`) passed through `to_level`, e.g. to turn
-        codes back into group elements for display."""
+        (`levels`, `element`, `pair`) passed through `to_level`, e.g. to print
+        codes as their group's text."""
         if not self.counterexample:
             return self
         ce = dict(self.counterexample)
@@ -78,10 +78,6 @@ class VerificationReport(NamedTuple):
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
         return out
-
-
-def _level_key(v):
-    return v.code if hasattr(v, "code") else v
 
 
 class _ColumnView:
@@ -213,7 +209,7 @@ def check_oa_strength(rows: Sequence[Sequence], s: int, t: int, name: str = "oa-
             name, False, f"run size {n} not divisible by {s}^{t}",
             {"n": n, "s": s, "t": t},
         )
-    levels = sorted(set(chain.from_iterable(columns)), key=_level_key)
+    levels = sorted(set(chain.from_iterable(columns)))
     if len(levels) != s:
         return VerificationReport(
             name, False, f"found {len(levels)} distinct levels, expected {s}",
@@ -251,7 +247,7 @@ def check_difference_matrix(
             {"rows": r, "group order": s},
         )
     expected = r // s
-    ordered = sorted(elements, key=_level_key)
+    ordered = sorted(elements)
     element_set = set(elements)
     for c1, c2 in permutations(range(c), 2):
         counts = Counter(map(subtract, columns[c1], columns[c2]))

@@ -85,16 +85,16 @@ def test_criterion_01_table_exact_reproduction(tmp_path):
 def test_criterion_02_first_family_oracles(rh_family, tower):
     with criterion(2, "every collapse of every layer and every sliced family passes its oracle"):
         for i in range(1, 4):
-            a_i = rh_family.a(i).rows
+            a_i = rh_family.a(i).code_rows
             for j in range(1, i + 1):
-                rho = tower.projection_map(j)
+                rho = tower.projection_table(j)
                 rows = [[rho[e] for e in r] for r in a_i]
                 rep = check_oa_strength(rows, 2**j, 2)
                 assert rep.passed, (i, j, rep.message())
         for i in (1, 2):
             for j in range(1, i + 1):
                 rep = check_sliced(
-                    rh_family.top.rows, 4**i, tower.projection_map(j), 2**j, 2
+                    rh_family.top.code_rows, 4**i, tower.projection_table(j), 2**j, 2
                 )
                 assert rep.passed, (i, j, rep.message())
 
@@ -108,10 +108,10 @@ def test_criterion_03_column_kron_soa():
                         chain.group), 2, 2
         )
         out = construct_soa_kron(a2, a1, chain)
-        b = out.top.rows
+        b = out.top.code_rows
         assert check_oa_strength(b, 12, 2).passed
-        rho1 = chain.projection_map(1)
-        rho2 = chain.projection_map(2)
+        rho1 = chain.projection_table(1)
+        rho2 = chain.projection_table(2)
         for i in range(4):
             block = [[rho1[e] for e in r] for r in b[i * 36 : (i + 1) * 36]]
             assert check_oa_strength(block, 6, 2).passed
@@ -129,29 +129,30 @@ def test_criterion_04_kron_ndm_table_and_oracles():
         d2 = mk([("0", "0", "0"), ("0", "w", "2w"), ("0", "2w", "w")])
         d3 = mk([("0", "0", "0"), ("0", "0", "w2"), ("0", "w2", "0"), ("0", "w2", "w2")])
         out = construct_ndm_kron([d1, d2, d3], chain)
-        texts = [tuple(e.text() for e in r) for r in out.top.rows]
+        texts = [tuple(map(chain.text_code, r)) for r in out.top.code_rows]
         assert texts == KRON_NDM_GF4_Z3_Z2
-        e1, e2, e3 = (out.a(i).rows for i in (1, 2, 3))
-        rho = {j: chain.projection_map(j) for j in (1, 2, 3)}
-        proj = lambda rows, j: [tuple(rho[j][e] for e in r) for r in rows]
-        els = {j: chain.layer_elements(j) for j in (1, 2, 3)}
+        e1, e2, e3 = (out.a(i).code_rows for i in (1, 2, 3))
+        rho = {j: chain.projection_table(j) for j in (1, 2, 3)}
+        proj = lambda rows, j: [tuple(rho[j][c] for c in r) for r in rows]
+        els = {j: chain.layer_codes(j) for j in (1, 2, 3)}
+        dm = lambda rows, j: check_difference_matrix(rows, els[j], chain.sub_codes)
         # stacked-copy identities
         assert proj(e3, 2) == list(e2) * 4
         assert proj(e3, 1) == list(e1) * 12
         assert proj(e2, 1) == list(e1) * 3
         # every listed collapse passes the difference-matrix oracle
-        assert check_difference_matrix(proj(e3, 3), els[3]).passed
-        assert check_difference_matrix(proj(e3, 2), els[2]).passed
-        assert check_difference_matrix(proj(e3, 1), els[1]).passed
+        assert dm(proj(e3, 3), 3).passed
+        assert dm(proj(e3, 2), 2).passed
+        assert dm(proj(e3, 1), 1).passed
         for l in range(1, 13):
-            block = out.delta(1, l).rows
+            block = out.delta(1, l).code_rows
             assert proj(block, 1) == list(e1)
-            assert check_difference_matrix(proj(block, 1), els[1]).passed
+            assert dm(proj(block, 1), 1).passed
         for l in range(1, 5):
-            block = out.delta(2, l).rows
+            block = out.delta(2, l).code_rows
             assert proj(block, 2) == list(e2)
-            assert check_difference_matrix(proj(block, 1), els[1]).passed
-            assert check_difference_matrix(proj(block, 2), els[2]).passed
+            assert dm(proj(block, 1), 1).passed
+            assert dm(proj(block, 2), 2).passed
 
 
 def test_criterion_05_relabel_determinism(rh_family):
@@ -204,12 +205,12 @@ def test_criterion_08_bush_strength_three():
     with criterion(8, "bush-noa (p=3, u=1,2, k=3) yields strength-3 arrays at 4 columns with collapsing"):
         chain = chain_field_tower(3, [1, 2])
         fam = construct_noa_bush(chain, 3)
-        a1, a2 = fam.a(1).rows, fam.a(2).rows
+        a1, a2 = fam.a(1).code_rows, fam.a(2).code_rows
         assert len(a1[0]) == 4
         assert check_oa_strength(a1, 3, 3).passed
         assert check_oa_strength(a2, 9, 3).passed
-        rho1 = chain.projection_map(1)
-        collapsed = [[rho1[e] for e in r] for r in a2]
+        rho1 = chain.projection_table(1)
+        collapsed = [[rho1[c] for c in r] for r in a2]
         assert check_oa_strength(collapsed, 3, 3).passed
 
 
@@ -219,19 +220,20 @@ def test_criterion_09_ndm_product_bundle():
         a = rao_hamming_oa(chain.field, chain.layer_codes(2), 2)
         assert (a.n, a.m, a.levels) == (16, 5, 4)
         dm, out = construct_from_ndm(chain, a)
-        assert check_difference_matrix(dm.top.rows, chain.layer_elements(2)).passed
+        subtract = chain.group.sub_codes
+        assert check_difference_matrix(dm.top.code_rows, chain.layer_codes(2), subtract).passed
         a_plus_d = kron_sum(a.matrix, dm.top)
         assert a_plus_d.shape == (64, 10)
-        assert check_oa_strength(a_plus_d.rows, 4, 2).passed
-        projections = [chain.projection_map(1), chain.projection_map(2)]
-        el_sets = [chain.layer_elements(1), chain.layer_elements(2)]
-        combined = out.top.rows
+        assert check_oa_strength(a_plus_d.code_rows, 4, 2).passed
+        projections = [chain.projection_table(1), chain.projection_table(2)]
+        el_sets = [chain.layer_codes(1), chain.layer_codes(2)]
+        combined = out.top.code_rows
         assert check_nested(
             [combined[:32], combined], projections, [2, 4], 2
         ).passed
         assert check_sliced(combined, 32, projections[0], 2, 2).passed
         assert check_nested_dm(
-            [dm.top.rows[:2], dm.top.rows], projections, el_sets
+            [dm.top.code_rows[:2], dm.top.code_rows], projections, el_sets, subtract
         ).passed
 
 
@@ -239,7 +241,7 @@ def test_criterion_10_selected_columns_strength_three(tower):
     with criterion(10, "selected columns (e1,e2,e3,(1,1,1)) over GF(2), k=3, give a strength-3 array"):
         cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
         fam = construct_noa_rh(tower, 3, cols)
-        rep = check_oa_strength(fam.top.rows, 8, 3)
+        rep = check_oa_strength(fam.top.code_rows, 8, 3)
         assert rep.passed, rep.message()
 
 
@@ -281,15 +283,16 @@ def test_criterion_12_property_suite():
             chain = _random_chain(rng)
             i = rng.randint(1, chain.layers)
             j = rng.randint(1, chain.layers)
-            g1 = chain.element_from_code(rng.randrange(chain.top_size))
-            g2 = chain.element_from_code(rng.randrange(chain.top_size))
-            assert chain.project(i, g1 + g2) == chain.project(i, g1) + chain.project(i, g2)
-            assert chain.project(i, chain.project(j, g1)) == chain.project(min(i, j), g1)
-            if j <= i and chain.project(i, g1) == chain.project(i, g2):
-                assert chain.project(j, g1) == chain.project(j, g2)
+            add, rho_i, rho_j = chain.group.add, chain.proj[i - 1], chain.proj[j - 1]
+            g1 = rng.randrange(chain.top_size)
+            g2 = rng.randrange(chain.top_size)
+            assert rho_i[add[g1][g2]] == add[rho_i[g1]][rho_i[g2]]
+            assert rho_i[rho_j[g1]] == chain.proj[min(i, j) - 1][g1]
+            if j <= i and rho_i[g1] == rho_i[g2]:
+                assert rho_j[g1] == rho_j[g2]
             # counting law: collapsing the inner-first enumeration repeats
             # every layer element in consecutive runs
-            proj = [chain.project(i, el).code for el in chain.enumerate_ordered("inner-first")]
+            proj = [rho_i[c] for c in chain.ordered_codes("inner-first")]
             rep = chain.top_size // chain.sizes[i - 1]
             blocks = [proj[k * rep : (k + 1) * rep] for k in range(chain.sizes[i - 1])]
             assert all(len(set(b)) == 1 for b in blocks)

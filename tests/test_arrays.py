@@ -31,7 +31,7 @@ from nestfill.verify import check_difference_matrix, check_oa_strength
 
 
 def element_texts(matrix):
-    return [tuple(e.text() for e in row) for row in matrix.rows]
+    return [tuple(map(matrix.owner.text_code, row)) for row in matrix.code_rows]
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +110,9 @@ class TestHTower:
         tower = build_h_tower(tower_238, 2)
         assert [h.n_rows for h in tower] == [4, 16, 64]
         for h in tower:
-            assert all(e.code == 0 for e in h.rows[0])
-        assert tower[2].rows[:16] == tower[1].rows
-        assert tower[1].rows[:4] == tower[0].rows
+            assert all(c == 0 for c in h.code_rows[0])
+        assert tower[2].code_rows[:16] == tower[1].code_rows
+        assert tower[1].code_rows[:4] == tower[0].code_rows
 
 
 class TestRaoHammingNoa:
@@ -125,15 +125,15 @@ class TestRaoHammingNoa:
 
     def test_first_layer_collapse(self, rh_family, tower_238):
         a1 = rh_family.a(1)
-        rho1 = tower_238.projection_map(1)
-        rows = [[rho1[e] for e in r] for r in a1.rows]
+        rho1 = tower_238.projection_table(1)
+        rows = [[rho1[c] for c in r] for r in a1.code_rows]
         assert check_oa_strength(rows, 2, 2).passed
 
     def test_all_layer_collapses(self, rh_family, tower_238):
         for i in range(1, 4):
             for j in range(1, i + 1):
-                rho = tower_238.projection_map(j)
-                rows = [[rho[e] for e in r] for r in rh_family.a(i).rows]
+                rho = tower_238.projection_table(j)
+                rows = [[rho[c] for c in r] for r in rh_family.a(i).code_rows]
                 rep = check_oa_strength(rows, 2**j, 2)
                 assert rep.passed, (i, j, rep.message())
 
@@ -146,8 +146,8 @@ class TestRaoHammingNoa:
         for fam in rh_family.sliced:
             slices = [top.row_block(l * fam.size, (l + 1) * fam.size)
                       for l in range(top.n_rows // fam.size)]
-            rows = [r for sl in slices for r in sl.rows]
-            assert rows == list(top.rows)
+            rows = [r for sl in slices for r in sl.code_rows]
+            assert rows == list(top.code_rows)
 
     def test_families_without_sliced_claims_do_not_share_lists(self, rh_family):
         """A family built without `sliced` or `verification` gets new empty
@@ -168,21 +168,26 @@ class TestRaoHammingNoa:
             prev = rh_family.a(i - 1)
             blocks = [prev]
             f = tower_238.field
-            for beta in iproduct(tower_238.transversal(i), repeat=2):
+            for beta in iproduct(tower_238.transversal_codes(i), repeat=2):
                 if not any(beta):
                     continue
-                delta = GroupMatrix(
-                    [tuple(sum((b * f.element(c) for b, c in zip(beta, col)),
-                               start=tower_238.zero()).code for col in gen.codes)], f
-                )
+                delta = GroupMatrix([tuple(_dot(f, beta, col) for col in gen.codes)], f)
                 blocks.append(col_kron_sum(delta, prev))
             assert GroupMatrix.vstack(blocks) == rh_family.a(i)
 
     def test_strength3_from_selected_columns(self, tower_238):
         cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
         fam = construct_noa_rh(tower_238, 3, cols)
-        rep = check_oa_strength(fam.top.rows, 8, 3)
+        rep = check_oa_strength(fam.top.code_rows, 8, 3)
         assert rep.passed, rep.message()
+
+
+def _dot(f, xs, ys):
+    """The code of sum x*y over the paired codes of xs and ys in field f."""
+    acc = 0
+    for x, y in zip(xs, ys):
+        acc = f.add[acc][f.mul[x][y]]
+    return acc
 
 
 class TestSubfieldNoa:
@@ -190,18 +195,18 @@ class TestSubfieldNoa:
         chain = chain_subfield_tower(2, [2, 4])
         fam = construct_noa_subfield(chain, 2)
         assert fam.top.shape == (256, 5)
-        assert check_oa_strength(fam.top.rows, 16, 2).passed
-        rho1 = chain.projection_map(1)
-        prefix = [[rho1[e] for e in r] for r in fam.a(1).rows]
+        assert check_oa_strength(fam.top.code_rows, 16, 2).passed
+        rho1 = chain.projection_table(1)
+        prefix = [[rho1[c] for c in r] for r in fam.a(1).code_rows]
         rep = check_oa_strength(prefix, 4, 2)
         assert rep.passed, rep.message()
-        assert all(e.code == 0 for e in fam.top.rows[0])
+        assert all(c == 0 for c in fam.top.code_rows[0])
 
     def test_layer_one_entries_stay_in_layer(self):
         chain = chain_subfield_tower(2, [2, 4])
         fam = construct_noa_subfield(chain, 2)
-        layer1 = set(chain.layer_elements(1))
-        assert all(e in layer1 for row in fam.a(1).rows for e in row)
+        layer1 = set(chain.layer_codes(1))
+        assert all(c in layer1 for row in fam.a(1).code_rows for c in row)
 
     def test_divisibility_enforced(self):
         with pytest.raises(SpecError):
@@ -222,26 +227,27 @@ class TestBushNoa:
     def test_strength_two_case(self):
         fam = construct_noa_bush(chain_field_tower(2, [1, 2]), 2)
         assert fam.a(1).shape == (4, 3)
-        assert check_oa_strength(fam.a(1).rows, 2, 2).passed
+        assert check_oa_strength(fam.a(1).code_rows, 2, 2).passed
 
     def test_strength_three_case(self):
         chain = chain_field_tower(3, [1, 2])
         fam = construct_noa_bush(chain, 3)
         assert fam.top.shape == (729, 4)
-        assert check_oa_strength(fam.a(1).rows, 3, 3).passed
-        assert check_oa_strength(fam.top.rows, 9, 3).passed
+        assert check_oa_strength(fam.a(1).code_rows, 3, 3).passed
+        assert check_oa_strength(fam.top.code_rows, 9, 3).passed
 
     def test_zero_row_maps_to_zero(self):
         fam = construct_noa_bush(chain_field_tower(2, [1, 2]), 2)
         # the all-zero input row hits the (0,...,0,1) column with zero too
-        assert [e.code for e in fam.top.rows[0]] == [e.code * 0 for e in fam.top.rows[0]]
+        assert fam.top.code_rows[0] == (0,) * fam.top.n_cols
 
     def test_s1_too_small(self):
         with pytest.raises(SpecError):
             construct_noa_bush(chain_field_tower(2, [1, 2]), 4)
 
     def test_divisibility_enforced(self):
-        with pytest.raises(SpecError):
+        # a field tower with u_1 = 2: its layer 1 is not closed under multiplication
+        with pytest.raises(SpecError, match="field tower with u_1 = 1"):
             construct_noa_bush(chain_field_tower(2, [2, 3]), 2)
 
 
@@ -265,33 +271,34 @@ class TestNdmProduct:
     def test_d_shape_and_content(self, bundle):
         chain, _, dm, _ = bundle
         assert dm.top.shape == (4, 2)
-        assert [e.text() for e in dm.top.column(0)] == ["0", "0", "0", "0"]
-        assert [e.text() for e in dm.top.column(1)] == ["0", "1", "x", "x+1"]
-        assert check_difference_matrix(dm.top.rows, chain.layer_elements(2)).passed
+        column = lambda j: [chain.field.text_code(r[j]) for r in dm.top.code_rows]
+        assert column(0) == ["0", "0", "0", "0"]
+        assert column(1) == ["0", "1", "x", "x+1"]
+        assert check_difference_matrix(dm.top.code_rows, chain.layer_codes(2),
+                                       chain.field.sub_codes).passed
 
     def test_delta_blocks(self, bundle):
         chain, _, dm, _ = bundle
         delta = dm.delta(1, 1)
-        assert delta.rows == dm.top.rows[:2]
-        rho1 = chain.projection_map(1)
-        rows = [[rho1[e] for e in r] for r in delta.rows]
-        assert check_difference_matrix(rows, chain.layer_elements(1)).passed
+        assert delta.code_rows == dm.top.code_rows[:2]
+        rho1 = chain.projection_table(1)
+        rows = [[rho1[c] for c in r] for r in delta.code_rows]
+        assert check_difference_matrix(rows, chain.layer_codes(1), chain.field.sub_codes).passed
 
     def test_a_plus_d_strength(self, bundle):
         _, a, dm, _ = bundle
         a_plus_d = kron_sum(a.matrix, dm.top)
         assert a_plus_d.shape == (64, 10)
-        assert check_oa_strength(a_plus_d.rows, 4, 2).passed
+        assert check_oa_strength(a_plus_d.code_rows, 4, 2).passed
 
     def test_combined_is_row_permutation(self, bundle):
         _, a, dm, out = bundle
-        key = lambda row: tuple(e.code for e in row)
-        assert sorted(out.top.rows, key=key) == sorted(kron_sum(a.matrix, dm.top).rows, key=key)
+        assert sorted(out.top.code_rows) == sorted(kron_sum(a.matrix, dm.top).code_rows)
 
     def test_nested_layers_are_prefixes(self, bundle):
         *_, out = bundle
         assert out.nested.rows == (32, 64)
-        assert out.top.prefix(out.nested.rows[0]).rows == out.top.rows[:32]
+        assert out.top.prefix(out.nested.rows[0]).code_rows == out.top.code_rows[:32]
 
     def test_rejects_wrong_level_input(self, bundle):
         chain, *_ = bundle
@@ -323,7 +330,7 @@ class TestKronSoa:
         out = construct_soa_kron(a2, a1, chain)
         assert out.top.shape == (144, 3)
         assert chain.top_size == 12
-        assert [e.text() for e in out.top.rows[36]] == ["0", "w", "5+w"]
+        assert [chain.text_code(c) for c in out.top.code_rows[36]] == ["0", "w", "5+w"]
 
     def test_prefix_accessors(self):
         chain, a1, a2 = _ex2_inputs()
@@ -332,7 +339,7 @@ class TestKronSoa:
         assert "two-layer noa (B^3, B)" in [r.check for r in out.verification]
         noa_rows = (3 * out.sliced[0].size, out.top.n_rows)
         assert noa_rows == (108, 144)
-        assert out.top.prefix(noa_rows[0]).rows == out.top.rows[:108]
+        assert out.top.prefix(noa_rows[0]).code_rows == out.top.code_rows[:108]
         assert out.sliced[0].size == 36
         assert out.top.n_rows // out.sliced[0].size == 4
 
@@ -372,7 +379,7 @@ class TestKronMulti:
         multi = construct_noa_kron_multi([a1, a2], chain)
         soa = construct_soa_kron(a2, a1, chain)
         assert multi.top == soa.top
-        assert check_oa_strength(multi.top.rows, 4, 2).passed
+        assert check_oa_strength(multi.top.code_rows, 4, 2).passed
 
     def test_slices_collapse(self):
         chain = chain_omega_ring([Zn(2), Zn(2)])
@@ -381,9 +388,9 @@ class TestKronMulti:
         )
         fam = out.sliced[0]
         assert fam.size == 4
-        rho1 = chain.projection_map(1)
+        rho1 = chain.projection_table(1)
         for l in range(1, out.top.n_rows // fam.size + 1):
-            rows = [[rho1[e] for e in r] for r in out.delta(1, l).rows]
+            rows = [[rho1[c] for c in r] for r in out.delta(1, l).code_rows]
             assert check_oa_strength(rows, 2, 2).passed
 
     def test_zero_row_requirement(self):
@@ -421,9 +428,9 @@ class TestKronNdm:
 
     def test_projection_stacks_copies(self, example3):
         chain, out = example3
-        rho2 = chain.projection_map(2)
-        projected = [tuple(rho2[e] for e in r) for r in out.top.rows]
-        e2 = out.a(2).rows
+        rho2 = chain.projection_table(2)
+        projected = [tuple(rho2[c] for c in r) for r in out.top.code_rows]
+        e2 = out.a(2).code_rows
         assert projected == list(e2) * 4
 
     def test_single_layer_is_identity(self):
@@ -457,4 +464,4 @@ def test_full_factorial_order():
     f = Field(2, 1)
     rows = full_factorial([0, 1], 2, f)
     assert rows.owner == f
-    assert [[e.code for e in r] for r in rows.rows] == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert rows.codes() == [[0, 0], [0, 1], [1, 0], [1, 1]]

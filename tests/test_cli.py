@@ -72,6 +72,21 @@ class TestConstruct:
         assert design.t_claimed == 3
         assert run("verify", "--design", str(out)) == 0
 
+    def test_bush_over_field_tower_with_prime_layer_one(self, tmp_path):
+        """A field tower with u_1 = 1 needs no divisibility: layer 1 is GF(p),
+        every layer a GF(p)-space, so the u = 1,2,3 tower builds, verifies
+        and lifts nested."""
+        chain = tmp_path / "gf8.json"
+        chain.write_text('{"kind": "field-tower", "p": 2, "u_chain": [1, 2, 3]}')
+        out, lifted = tmp_path / "bush.json", tmp_path / "bush-nested.json"
+        assert run("construct", "--method", "bush-noa", "--chain", str(chain),
+                   "--k", "2", "--out", str(out)) == 0
+        assert (load(out).n, load(out).m) == (64, 3)
+        assert run("verify", "--design", str(out)) == 0
+        assert run("lift", "--design", str(out), "--mode", "nested", "--seed", "1",
+                   "--out", str(lifted)) == 0
+        assert run("verify", "--design", str(lifted)) == 0
+
     def test_subfield_method(self, tmp_path):
         out = tmp_path / "sub.json"
         assert run("construct", "--method", "subfield-noa", "--p", "2", "--u",
@@ -106,7 +121,7 @@ def example3_inputs(tmp_path):
         payload = {
             "format": "nestfill-design", "version": "0.1.0", "type": "dm",
             "n": len(rows), "m": 3, "s": s,
-            "rows": [[chain.parse(t).code for t in row] for row in rows],
+            "rows": [[chain.parse_code(t) for t in row] for row in rows],
         }
         p = tmp_path / name
         p.write_text(json.dumps(payload))
@@ -135,7 +150,7 @@ class TestKronConstruct:
         )
         a2 = _write_input(
             tmp_path / "a2.json",
-            [[chain.parse(t).code for t in row] for row in KRON_SOA_INPUT_A2], 2,
+            [[chain.parse_code(t) for t in row] for row in KRON_SOA_INPUT_A2], 2,
         )
         out = tmp_path / "b.json"
         assert run("construct", "--method", "kron-soa", "--chain", str(chain_file),
@@ -149,8 +164,8 @@ class TestKronConstruct:
         chain = chain_omega_ring([Zn(2), Zn(2)])
         chain_file = tmp_path / "chain.json"
         chain_file.write_text(json.dumps(chain.descriptor()))
-        tr1 = [e.code for e in chain.transversal(1)]
-        tr2 = [e.code for e in chain.transversal(2)]
+        tr1 = chain.transversal_codes(1)
+        tr2 = chain.transversal_codes(2)
         mk = lambda tr: [
             [tr[a], tr[b], tr[(a + b) % 2]] for a in range(2) for b in range(2)
         ]
@@ -383,7 +398,7 @@ def _zn5_kron_noa(s2):
     chain = chain_omega_ring([Zn(5), Zn(5)])
     files = {"c.json": json.dumps(chain.descriptor())}
     for i, s in ((1, 5), (2, s2)):
-        tr = [e.code for e in chain.transversal(i)]
+        tr = chain.transversal_codes(i)
         rows = [[tr[a], tr[b], tr[(a + b) % 5]] for a in range(5) for b in range(5)]
         files[f"a{i}.json"] = _chainless("oa", rows, s=s, t_claimed=2)
     argv = ["construct", "--method", "kron-noa", "--chain", "c.json", "--input", "a1.json",
@@ -548,6 +563,14 @@ _OUT_OF_RANGE = [
     ({"c.json": '{"kind": "omega", "bases": [{"q": 3}]}'}, CONSTRUCT_RH + ["--chain", "c.json"]),
     ({"c.json": '{"kind": "field-tower", "p": 2, "u_chain": [0, 1]}'},
      CONSTRUCT_RH + ["--chain", "c.json"]),
+    ({"c.json": '{"kind": "field-tower", "p": 2, "u_chain": [2, 4]}'},
+     ["construct", "--method", "bush-noa", "--chain", "c.json", "--k", "3", "--out", "x.json"]),
+    ({}, CONSTRUCT_RH + ["--p", "2", "--u", "1,40"]),
+    ({"c.json": '{"kind": "omega", "bases": []}'}, CONSTRUCT_RH + ["--chain", "c.json"]),
+    ({"c.json": '{"kind": "omega", "bases": [{"zn": "3"}]}'},
+     CONSTRUCT_RH + ["--chain", "c.json"]),
+    ({"c.json": '{"kind": "omega", "bases": [{"gf": {"p": 2, "u": 0}}]}'},
+     CONSTRUCT_RH + ["--chain", "c.json"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -575,7 +598,9 @@ _OUT_OF_RANGE = [
        "empty-group-order", "u-empty-item", "group-order-empty-item",
        "rh-noa-column-code-outside-field", "rh-noa-column-outside-gf-p",
        "subfield-noa-column-outside-layer-1", "kron-soa-three-layer-chain",
-       "chain-kind-unknown", "omega-base-zn-0", "omega-base-unknown", "field-tower-u-0"])
+       "chain-kind-unknown", "omega-base-zn-0", "omega-base-unknown", "field-tower-u-0",
+       "bush-noa-field-tower-u1-above-1", "field-above-table-limit", "omega-bases-empty",
+       "omega-base-zn-not-integer", "omega-base-gf-u-0"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -761,13 +786,13 @@ def _construct_golden(method, tmp_path, example3_inputs):
             inputs = [
                 _write_input(tmp_path / "i1.json", [list(r) for r in KRON_SOA_INPUT_A1], 6),
                 _write_input(tmp_path / "i2.json",
-                             [[chain.parse(t).code for t in r] for r in KRON_SOA_INPUT_A2], 2),
+                             [[chain.parse_code(t) for t in r] for r in KRON_SOA_INPUT_A2], 2),
             ]
         else:
             chain = chain_omega_ring([Zn(2), Zn(2)])
             inputs = []
             for i in (1, 2):
-                tr = [e.code for e in chain.transversal(i)]
+                tr = chain.transversal_codes(i)
                 rows = [[tr[a], tr[b], tr[(a + b) % 2]] for a in range(2) for b in range(2)]
                 inputs.append(_write_input(tmp_path / f"i{i}.json", rows, 2))
         chain_file = tmp_path / "chain-kron.json"

@@ -40,29 +40,31 @@ def test_supplied_modulus_validation():
 
 def test_addition_examples_gf8():
     f = Field(2, 3)
-    x = f.element(2)
-    one = f.one
-    assert (x + x).code == 0
-    assert (x + one).text() == "x+1"
-    x2_plus_1 = f.parse("x^2+1")
-    assert (x2_plus_1 + f.parse("x+1")).text() == "x^2+x"
+    x, one = 2, 1
+    assert f.add_codes(x, x) == 0
+    assert f.text_code(f.add_codes(x, one)) == "x+1"
+    x2_plus_1 = f.parse_code("x^2+1")
+    assert f.text_code(f.add_codes(x2_plus_1, f.parse_code("x+1"))) == "x^2+x"
 
 
 def test_multiplication_examples():
     f8 = Field(2, 3)
-    x, x2 = f8.parse("x"), f8.parse("x^2")
-    assert (x * x2).text() == "x+1"  # x^3 = x+1 mod x^3+x+1
-    gamma = f8.parse("x^2+x+1")
-    assert (f8.one * gamma) == gamma
+    x, x2 = f8.parse_code("x"), f8.parse_code("x^2")
+    assert f8.text_code(f8.mul_codes(x, x2)) == "x+1"  # x^3 = x+1 mod x^3+x+1
+    gamma = f8.parse_code("x^2+x+1")
+    assert f8.mul_codes(1, gamma) == gamma
     f4 = Field(2, 2)
-    x4 = f4.parse("x")
-    assert (x4 * x4).text() == "x+1"  # x^2 = x+1 mod x^2+x+1
+    x4 = f4.parse_code("x")
+    assert f4.text_code(f4.mul_codes(x4, x4)) == "x+1"  # x^2 = x+1 mod x^2+x+1
 
 
 def test_enumeration_order_and_texts():
-    assert [e.text() for e in Field(2, 1).elements()] == ["0", "1"]
-    assert [e.text() for e in Field(2, 2).elements()] == ["0", "1", "x", "x+1"]
-    assert [e.text() for e in Field(2, 3).elements()] == [
+    def texts(f):
+        return [f.text_code(c) for c in range(f.size)]
+
+    assert texts(Field(2, 1)) == ["0", "1"]
+    assert texts(Field(2, 2)) == ["0", "1", "x", "x+1"]
+    assert texts(Field(2, 3)) == [
         "0", "1", "x", "x+1", "x^2", "x^2+1", "x^2+x", "x^2+x+1",
     ]
 
@@ -70,15 +72,15 @@ def test_enumeration_order_and_texts():
 def test_text_round_trip_all_elements():
     for p, u in [(2, 3), (3, 2), (5, 1)]:
         f = Field(p, u)
-        for e in f.elements():
-            assert f.parse(e.text()) == e
+        for code in range(f.size):
+            assert f.parse_code(f.text_code(code)) == code
 
 
 def test_parse_rejects_malformed():
     f = Field(2, 3)
     for bad in ["", "x^3", "2x", "x+x", "y", "1+"]:
         with pytest.raises(SpecError):
-            f.parse(bad)
+            f.parse_code(bad)
 
 
 def test_code_round_trip():
@@ -88,12 +90,29 @@ def test_code_round_trip():
 
 
 def test_field_mismatch_raises():
-    a = Field(2, 2).one
-    b = Field(2, 3).one
+    a = Element(Field(2, 2), 1)
+    b = Element(Field(2, 3), 1)
     with pytest.raises(SpecError):
         a + b
     with pytest.raises(SpecError):
         a * b
+
+
+def test_element_arithmetic_and_text_read_the_group_tables():
+    f = Field(2, 3)
+    x, x2 = Element(f, 2), Element(f, 4)
+    assert (x + Element(f, 1)).text() == "x+1"
+    assert (x * x2).text() == "x+1"
+    assert x - x2 == x + x2 and -x == x
+    assert x.inverse() * x == Element(f, 1)
+    assert not Element(f, 0) and x
+
+
+def test_element_refuses_a_code_outside_its_group():
+    f = Field(2, 2)
+    for code in (f.size, -1):
+        with pytest.raises(SpecError, match="out of range"):
+            Element(f, code)
 
 
 def test_elements_are_values_of_their_group():
@@ -101,14 +120,14 @@ def test_elements_are_values_of_their_group():
     and code; it is no tuple, so it neither repeats nor orders, and it
     refuses assignment but still copies and pickles."""
     f4, f8 = Field(2, 2), Field(2, 3)
-    e = f4.element(1)
+    e = Element(f4, 1)
     assert e == Element(f4, 1) and hash(e) == hash(Element(f4, 1))
-    assert e != f8.element(1) and e != f4.element(2) and e != (f4, 1)
-    assert len({e, Element(f4, 1), f8.element(1)}) == 2
+    assert e != Element(f8, 1) and e != Element(f4, 2) and e != (f4, 1)
+    assert len({e, Element(f4, 1), Element(f8, 1)}) == 2
     with pytest.raises(TypeError):
         3 * e
     with pytest.raises(TypeError):
-        e < f4.element(2)
+        e < Element(f4, 2)
     with pytest.raises(AttributeError):
         e.code = 2
     assert e.code == 1
@@ -118,34 +137,31 @@ def test_elements_are_values_of_their_group():
 @pytest.mark.parametrize("p,u", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
 def test_additive_group_axioms_exhaustive(p, u):
     f = Field(p, u)
-    els = f.elements()
-    zero = f.zero
-    for a in els:
-        assert a + zero == a
-        assert a + (-a) == zero
-        for b in els:
-            assert a + b == b + a
+    codes = range(f.size)
+    for a in codes:
+        assert f.add[a][0] == a
+        assert f.add[a][f.neg[a]] == 0
+        for b in codes:
+            assert f.add[a][b] == f.add[b][a]
 
 
 @pytest.mark.parametrize("p,u", [(2, 3), (3, 2)])
 def test_inverses_by_exhaustive_search(p, u):
     f = Field(p, u)
-    for a in f.elements():
-        if not a:
-            continue
-        hits = [b for b in f.elements() if (a * b) == f.one]
+    for a in range(1, f.size):
+        hits = [b for b in range(f.size) if f.mul[a][b] == 1]
         assert len(hits) == 1
-        assert a.inverse() == hits[0]
+        assert f.inv_code(a) == hits[0]
 
 
 @settings(max_examples=200)
 @given(st.integers(0, 26), st.integers(0, 26), st.integers(0, 26))
 def test_ring_axioms_random_triples_gf27(a, b, c):
     f = Field(3, 3)
-    ea, eb, ec = f.element(a), f.element(b), f.element(c)
-    assert (ea + eb) + ec == ea + (eb + ec)
-    assert ea * (eb + ec) == ea * eb + ea * ec
-    assert (ea * eb) * ec == ea * (eb * ec)
+    add, mul = f.add, f.mul
+    assert add[add[a][b]][c] == add[a][add[b][c]]
+    assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+    assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
 
 
 def test_poly_residue():

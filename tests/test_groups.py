@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestfill.errors import SpecError
-from nestfill.galois import Field, poly_residue
+from nestfill.galois import Element, Field, poly_residue
 from nestfill.groups import (
     FieldTowerChain,
     OmegaRingChain,
@@ -28,23 +28,30 @@ def omega_ex3():
     return chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
 
 
-def texts(chain, els):
-    return [chain.text(e) for e in els]
+def texts(chain, codes):
+    return [chain.group.text_code(c) for c in codes]
+
+
+def parts(chain, code):
+    """The per-transversal parts of `code`: the differences of its
+    successive layer projections."""
+    sums = [0] + [row[code] for row in chain.proj]
+    return [chain.group.sub_codes(b, a) for a, b in zip(sums, sums[1:])]
 
 
 class TestFieldTower:
     def test_transversals_gf8(self, tower_238):
-        assert texts(tower_238, tower_238.transversal(1)) == ["0", "1"]
-        assert texts(tower_238, tower_238.transversal(2)) == ["0", "x"]
-        assert texts(tower_238, tower_238.transversal(3)) == ["0", "x^2"]
+        assert texts(tower_238, tower_238.transversal_codes(1)) == ["0", "1"]
+        assert texts(tower_238, tower_238.transversal_codes(2)) == ["0", "x"]
+        assert texts(tower_238, tower_238.transversal_codes(3)) == ["0", "x^2"]
 
     def test_transversal_width_two(self):
         chain = chain_field_tower(2, [1, 2, 4])
-        assert texts(chain, chain.transversal(3)) == ["0", "x^2", "x^3", "x^3+x^2"]
+        assert texts(chain, chain.transversal_codes(3)) == ["0", "x^2", "x^3", "x^3+x^2"]
 
     def test_transversal_p3(self):
         chain = chain_field_tower(3, [1, 2])
-        assert texts(chain, chain.transversal(2)) == ["0", "x", "2x"]
+        assert texts(chain, chain.transversal_codes(2)) == ["0", "x", "2x"]
 
     def test_non_increasing_chain_rejected(self):
         with pytest.raises(SpecError):
@@ -55,111 +62,114 @@ class TestFieldTower:
     def test_direct_sum_covers_each_layer_once(self, tower_238):
         # the transversal sums enumerate every layer without repetition
         for i in range(1, tower_238.layers + 1):
-            acc = [tower_238.zero()]
+            add = tower_238.group.add
+            acc = [0]
             for j in range(1, i + 1):
-                acc = [a + t for a in acc for t in tower_238.transversal(j)]
-            assert len({e.code for e in acc}) == tower_238.sizes[i - 1]
-            assert {e.code for e in acc} == set(range(tower_238.sizes[i - 1]))
+                acc = [add[a][t] for a in acc for t in tower_238.transversal_codes(j)]
+            assert len(set(acc)) == tower_238.sizes[i - 1]
+            assert set(acc) == set(range(tower_238.sizes[i - 1]))
 
     def test_transversals_are_subgroups(self):
         chain = chain_field_tower(2, [1, 2, 4])
+        add = chain.group.add
         for i in range(1, 4):
-            t = chain.transversal(i)
-            codes = {e.code for e in t}
+            t = chain.transversal_codes(i)
             for a in t:
                 for b in t:
-                    assert (a + b).code in codes
+                    assert add[a][b] in t
 
     def test_decompose_monomial_split(self, tower_238):
-        gamma = tower_238.parse("x^2+x+1")
-        assert texts(tower_238, tower_238.decompose(gamma)) == ["1", "x", "x^2"]
-        assert texts(tower_238, tower_238.decompose(tower_238.zero())) == ["0", "0", "0"]
+        gamma = tower_238.group.parse_code("x^2+x+1")
+        assert texts(tower_238, parts(tower_238, gamma)) == ["1", "x", "x^2"]
+        assert texts(tower_238, parts(tower_238, 0)) == ["0", "0", "0"]
 
     def test_decompose_sums_back(self, tower_238):
+        add = tower_238.group.add
         for code in range(tower_238.top_size):
-            el = tower_238.element_from_code(code)
-            parts = tower_238.decompose(el)
-            total = tower_238.zero()
-            for part in parts:
-                total = total + part
-            assert total == el
+            total = 0
+            for i, part in enumerate(parts(tower_238, code), start=1):
+                assert part in tower_238.transversal_codes(i)
+                total = add[total][part]
+            assert total == code
 
     def test_projection_table_example(self, tower_238):
         # gamma codes 0..7 against the known collapse rows
-        rho1 = [tower_238.project(1, tower_238.element_from_code(c)).code for c in range(8)]
-        assert rho1 == [0, 1, 0, 1, 0, 1, 0, 1]
-        rho2 = texts(
-            tower_238,
-            [tower_238.project(2, tower_238.element_from_code(c)) for c in range(8)],
-        )
+        assert tower_238.projection_table(1) == [0, 1, 0, 1, 0, 1, 0, 1]
+        rho2 = texts(tower_238, tower_238.projection_table(2))
         assert rho2 == ["0", "1", "x", "x+1", "0", "1", "x", "x+1"]
-        for c in range(8):
-            el = tower_238.element_from_code(c)
-            assert tower_238.project(3, el) == el
+        assert tower_238.projection_table(3) == list(range(8))
 
     def test_projection_layer_range(self, tower_238):
         with pytest.raises(SpecError):
-            tower_238.project(0, tower_238.zero())
+            tower_238.projection_table(0)
         with pytest.raises(SpecError):
-            tower_238.project(4, tower_238.zero())
+            tower_238.projection_table(4)
 
 
 class TestOmegaRing:
     def test_example_z6_z2(self):
         chain = chain_omega_ring([Zn(6), Zn(2)])
         assert chain.sizes == (6, 12)
-        assert texts(chain, chain.transversal(1)) == ["0", "1", "2", "3", "4", "5"]
-        assert texts(chain, chain.transversal(2)) == ["0", "w"]
+        assert texts(chain, chain.transversal_codes(1)) == ["0", "1", "2", "3", "4", "5"]
+        assert texts(chain, chain.transversal_codes(2)) == ["0", "w"]
         # collapse keeps the Z_6 part
-        el = chain.parse("w+3")
-        assert chain.text(chain.project(1, el)) == "3"
-        assert chain.text(chain.project(2, el)) == "3+w"
+        el = chain.parse_code("w+3")
+        assert chain.text_code(chain.proj[0][el]) == "3"
+        assert chain.text_code(chain.proj[1][el]) == "3+w"
 
     def test_example_gf4_z3_z2(self, omega_ex3):
         assert omega_ex3.sizes == (4, 12, 24)
-        assert texts(omega_ex3, omega_ex3.transversal(2)) == ["0", "w", "2w"]
-        assert texts(omega_ex3, omega_ex3.transversal(3)) == ["0", "w2"]
-        gamma = omega_ex3.parse("x+2w+w2")
-        assert texts(omega_ex3, omega_ex3.decompose(gamma)) == ["x", "2w", "w2"]
+        assert texts(omega_ex3, omega_ex3.transversal_codes(2)) == ["0", "w", "2w"]
+        assert texts(omega_ex3, omega_ex3.transversal_codes(3)) == ["0", "w2"]
+        gamma = omega_ex3.parse_code("x+2w+w2")
+        assert texts(omega_ex3, parts(omega_ex3, gamma)) == ["x", "2w", "w2"]
 
     def test_degenerate_trivial_layer(self):
         chain = chain_omega_ring([Zn(1)])
         assert chain.sizes == (1,)
-        assert chain.layer_elements(1) == [chain.zero()]
+        assert chain.layer_codes(1) == [0]
 
     def test_text_round_trip(self, omega_ex3):
         for code in range(omega_ex3.top_size):
-            el = omega_ex3.element_from_code(code)
-            assert omega_ex3.parse(omega_ex3.text(el)) == el
+            assert omega_ex3.parse_code(omega_ex3.text_code(code)) == code
 
     def test_parse_rejects_malformed(self, omega_ex3):
         for bad in ["w3", "5w", "w+w", "x+x", ""]:
             with pytest.raises(SpecError):
-                omega_ex3.parse(bad)
+                omega_ex3.parse_code(bad)
 
     def test_field_coefficient_parenthesized(self):
         chain = chain_omega_ring([Zn(2), Field(2, 2)])
-        el = chain.element([1, 3])
-        assert chain.text(el) == "1+(x+1)w"
-        assert chain.parse("1+(x+1)w") == el
+        code = chain.encode([1, 3])
+        assert chain.text_code(code) == "1+(x+1)w"
+        assert chain.parse_code("1+(x+1)w") == code
+
+    def test_encode_checks_its_parts(self, omega_ex3):
+        assert omega_ex3.encode([3, 2, 1]) == 3 + 4 * 2 + 12 * 1
+        for bad in ([1, 1], [1, 1, 1, 1]):
+            with pytest.raises(SpecError, match="wrong number of components"):
+                omega_ex3.encode(bad)
+        for bad in ([4, 0, 0], [0, 3, 0], [0, 0, -1]):
+            with pytest.raises(SpecError, match="out of range"):
+                omega_ex3.encode(bad)
 
 
 class TestEnumeration:
     def test_outer_first_gf8(self, tower_238):
-        assert texts(tower_238, tower_238.enumerate_ordered("outer-first")) == [
+        assert texts(tower_238, tower_238.ordered_codes("outer-first")) == [
             "0", "1", "x", "x+1", "x^2", "x^2+1", "x^2+x", "x^2+x+1",
         ]
 
     def test_inner_first_gf8(self, tower_238):
-        assert texts(tower_238, tower_238.enumerate_ordered("inner-first")) == [
+        assert texts(tower_238, tower_238.ordered_codes("inner-first")) == [
             "0", "x^2", "x", "x^2+x", "1", "x^2+1", "x+1", "x^2+x+1",
         ]
 
     def test_single_layer_orders_agree(self):
         chain = chain_field_tower(2, [2])
-        inner = chain.enumerate_ordered("inner-first")
-        outer = chain.enumerate_ordered("outer-first")
-        assert inner == outer == chain.field.elements()
+        inner = chain.ordered_codes("inner-first")
+        outer = chain.ordered_codes("outer-first")
+        assert inner == outer == list(range(chain.field.size))
 
     def test_unknown_order(self, tower_238):
         with pytest.raises(SpecError):
@@ -193,12 +203,13 @@ def test_projection_laws_randomized():
         chain = _random_chain(rng)
         i = rng.randint(1, chain.layers)
         j = rng.randint(1, chain.layers)
-        g1 = chain.element_from_code(rng.randrange(chain.top_size))
-        g2 = chain.element_from_code(rng.randrange(chain.top_size))
-        assert chain.project(i, g1 + g2) == chain.project(i, g1) + chain.project(i, g2)
-        assert chain.project(i, chain.project(j, g1)) == chain.project(min(i, j), g1)
-        if j <= i and chain.project(i, g1) == chain.project(i, g2):
-            assert chain.project(j, g1) == chain.project(j, g2)
+        add, rho_i, rho_j = chain.group.add, chain.proj[i - 1], chain.proj[j - 1]
+        g1 = rng.randrange(chain.top_size)
+        g2 = rng.randrange(chain.top_size)
+        assert rho_i[add[g1][g2]] == add[rho_i[g1]][rho_i[g2]]
+        assert rho_i[rho_j[g1]] == chain.proj[min(i, j) - 1][g1]
+        if j <= i and rho_i[g1] == rho_i[g2]:
+            assert rho_j[g1] == rho_j[g2]
 
 
 @pytest.mark.parametrize(
@@ -211,29 +222,24 @@ def test_projection_laws_randomized():
 )
 def test_projection_refinement_exhaustive(make):
     chain = make()
-    els = [chain.element_from_code(c) for c in range(chain.top_size)]
+    codes = range(chain.top_size)
     for i in range(1, chain.layers + 1):
         for j in range(1, i + 1):
-            for a in els:
-                for b in els:
-                    if chain.project(i, a) == chain.project(i, b):
-                        assert chain.project(j, a) == chain.project(j, b)
+            rho_i, rho_j = chain.proj[i - 1], chain.proj[j - 1]
+            for a in codes:
+                for b in codes:
+                    if rho_i[a] == rho_i[b]:
+                        assert rho_j[a] == rho_j[b]
 
 
 def test_projection_counting_law(tower_238):
     # collapsing the inner-first enumeration repeats each layer element
     # top_size/layer_size times consecutively
     for i in range(1, 4):
-        projected = [
-            tower_238.project(i, el).code
-            for el in tower_238.enumerate_ordered("inner-first")
-        ]
+        inner = tower_238.ordered_codes("inner-first")
+        projected = [tower_238.proj[i - 1][c] for c in inner]
         rep = tower_238.top_size // tower_238.sizes[i - 1]
-        expected = [
-            el.code
-            for el in tower_238.enumerate_ordered("inner-first")[:: rep]
-            for _ in range(rep)
-        ]
+        expected = [c for c in inner[::rep] for _ in range(rep)]
         # inner-first enumeration of the layer = every rep-th entry collapsed
         assert projected == expected
         blocks = [projected[k * rep : (k + 1) * rep] for k in range(tower_238.sizes[i - 1])]
@@ -272,41 +278,38 @@ class TestSubfieldTower:
 
     def test_transversal_direct_sum(self):
         chain = chain_subfield_tower(2, [1, 2, 4])
-        acc = [chain.zero()]
+        add = chain.group.add
+        acc = [0]
         for i in (1, 2, 3):
-            t = chain.transversal(i)
-            codes = {e.code for e in t}
+            t = chain.transversal_codes(i)
             for a in t:
                 for b in t:
-                    assert (a + b).code in codes
-            acc = [a + b for a in acc for b in t]
-        assert len({e.code for e in acc}) == 16
+                    assert add[a][b] in t
+            acc = [add[a][b] for a in acc for b in t]
+        assert len(set(acc)) == 16
 
     def test_matches_degree_filter_when_u1_is_one(self):
         sub = chain_subfield_tower(3, [1, 2])
         tow = chain_field_tower(3, [1, 2])
         for i in (1, 2):
-            assert [e.code for e in sub.transversal(i)] == [
-                e.code for e in tow.transversal(i)
-            ]
-        for c in range(9):
-            el_s, el_t = sub.element_from_code(c), tow.element_from_code(c)
-            assert sub.project(1, el_s).code == tow.project(1, el_t).code
+            assert sub.transversal_codes(i) == tow.transversal_codes(i)
+        assert sub.projection_table(1) == tow.projection_table(1)
 
     def test_projection_laws(self):
         chain = chain_subfield_tower(2, [1, 2, 4])
-        els = [chain.element_from_code(c) for c in range(16)]
+        add, rho2 = chain.group.add, chain.proj[1]
         for i in (1, 2, 3):
-            for a in els:
-                for b in els:
-                    assert chain.project(i, a + b) == chain.project(i, a) + chain.project(i, b)
-                    if chain.project(2, a) == chain.project(2, b) and i <= 2:
-                        assert chain.project(i, a) == chain.project(i, b)
+            rho = chain.proj[i - 1]
+            for a in range(16):
+                for b in range(16):
+                    assert rho[add[a][b]] == add[rho[a]][rho[b]]
+                    if rho2[a] == rho2[b] and i <= 2:
+                        assert rho[a] == rho[b]
 
     def test_projection_is_identity_on_layer(self):
         chain = chain_subfield_tower(2, [2, 4])
-        for el in chain.layer_elements(1):
-            assert chain.project(1, el) == el
+        for c in chain.layer_codes(1):
+            assert chain.proj[0][c] == c
 
     def test_divisibility_required(self):
         with pytest.raises(SpecError):
@@ -329,14 +332,17 @@ def test_descriptor_round_trip(tower_238, omega_ex3):
 @given(st.integers(0, 23), st.integers(0, 23), st.integers(1, 3))
 def test_omega_projection_additivity(c1, c2, i):
     chain = chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
-    a, b = chain.element_from_code(c1), chain.element_from_code(c2)
-    assert chain.project(i, a + b) == chain.project(i, a) + chain.project(i, b)
+    add, rho = chain.add, chain.proj[i - 1]
+    assert rho[add[c1][c2]] == add[rho[c1]][rho[c2]]
 
 
 def test_omega_elements_add_but_do_not_multiply():
     chain = chain_omega_ring([Zn(3), Zn(2)])
-    a, b = chain.parse("2+w"), chain.parse("1+w")
-    assert (a + b, a - b, -a) == (chain.parse("0"), chain.parse("1"), chain.parse("1+w"))
+    def el(text):
+        return Element(chain, chain.parse_code(text))
+
+    a, b = el("2+w"), el("1+w")
+    assert (a + b, a - b, -a) == (el("0"), el("1"), el("1+w"))
     with pytest.raises(TypeError):
         a * b
 

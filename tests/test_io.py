@@ -128,5 +128,20 @@ def test_symbols_are_element_text(chain):
     codes = list(range(chain.top_size))
     rows = [codes[::-1], codes]
     symbols = symbols_for(chain, rows)
-    assert symbols == {str(c): chain.text(chain.element_from_code(c)) for c in codes}
+    assert symbols == {str(c): chain.group.text_code(c) for c in codes}
     assert list(symbols) == [str(c) for c in codes]
+
+
+def test_csv_with_blank_lines_loads_and_verifies(tmp_path, capsys):
+    """Blank lines in a CSV export, between rows or at the end, are skipped:
+    the file loads to the exported rows and still verifies."""
+    from nestfill.cli import main
+
+    design, csv = tmp_path / "a.json", tmp_path / "a.csv"
+    assert main(["construct", "--method", "rh-noa", "--p", "2", "--u", "1,2", "--k", "2",
+                 "--out", str(design)]) == 0
+    assert main(["export", "--design", str(design), "--format", "csv", "--out", str(csv)]) == 0
+    lines = csv.read_text().splitlines(keepends=True)
+    csv.write_text("".join(lines[:4] + ["\n", "  \n"] + lines[4:] + ["\n"]))
+    assert load(csv).rows == load(design).rows
+    assert main(["verify", "--design", str(csv)]) == 0

@@ -203,8 +203,8 @@ class TestNsfd:
         out = build_nsfd(family, [perm] * 3, stage="relabel-only")
         # one layer: the relabel permutes levels and nothing else
         recoded = {
-            (e.code, v) for row_a, row_m in zip(family.top.rows, out.design)
-            for e, v in zip(row_a, row_m)
+            (c, v) for row_a, row_m in zip(family.top.code_rows, out.design)
+            for c, v in zip(row_a, row_m)
         }
         assert len(recoded) == 4
         assert sorted(v for _, v in recoded) == [0, 1, 2, 3]
@@ -222,8 +222,8 @@ class TestSsfdMulti:
         chain = rh_family.chain
         ident = SlicedPermutation(tuple(range(8)), LAYERS)
         out = build_ssfd_multi(rh_family, [ident] * 3, stage="relabel-only")
-        pos = {el: r for r, el in enumerate(chain.enumerate_ordered("inner-first"))}
-        expected = [[pos[e] for e in row] for row in rh_family.top.rows]
+        pos = {c: r for r, c in enumerate(chain.ordered_codes("inner-first"))}
+        expected = [[pos[c] for c in row] for row in rh_family.top.code_rows]
         assert out.design == expected
 
     def test_full_lift_slices_stratify(self, rh_family):
@@ -243,7 +243,7 @@ class TestSsfdGrouped:
     def test_group_relabel_default_order(self, rh_family):
         out = build_ssfd_grouped(rh_family, i=1, j=1, stage="relabel-only")
         # codes {0,2,4,6} form group 0, {1,3,5,7} group 1; ascending inside
-        first = rh_family.top.rows[0]
+        first = rh_family.top.code_rows[0]
         assert out.design[0] == [0, 0, 0]
         # row 2 of the top array is (0, 1, 1): level 1 leads group 1
         assert out.design[1] == [0, 4, 4]
@@ -254,9 +254,9 @@ class TestSsfdGrouped:
         out = build_ssfd_grouped(rh_family, i=2, j=2, group_order=order, stage="relabel-only")
         # collapse groups land on {0,1},{2,3},{4,5},{6,7} in the pinned order
         label_of = {}
-        for row_a, row_m in zip(rh_family.top.rows, out.design):
-            for e, v in zip(row_a, row_m):
-                label_of[e.text()] = v
+        for row_a, row_m in zip(rh_family.top.code_rows, out.design):
+            for c, v in zip(row_a, row_m):
+                label_of[chain.field.text_code(c)] = v
         assert {label_of["0"], label_of["x^2"]} == {0, 1}
         assert {label_of["x"], label_of["x^2+x"]} == {2, 3}
         assert {label_of["1"], label_of["x^2+1"]} == {4, 5}

@@ -73,8 +73,8 @@ class TestOaStrength:
 class TestDifferenceMatrix:
     def test_small_gf4_matrix(self):
         f = Field(2, 2)
-        rows = [[f.element(0), f.element(c)] for c in range(4)]
-        rep = check_difference_matrix(rows, f.elements())
+        rows = [[0, c] for c in range(4)]
+        rep = check_difference_matrix(rows, range(4), subtract=f.sub_codes)
         assert rep.passed, rep.message()
 
     def test_constant_matrix_fails(self):
@@ -83,9 +83,8 @@ class TestDifferenceMatrix:
 
     def test_reference_ndm_top_layer(self):
         chain = chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
-        rows = [[chain.parse(t) for t in row] for row in KRON_NDM_GF4_Z3_Z2]
-        els = [chain.element_from_code(c) for c in range(24)]
-        rep = check_difference_matrix(rows, els)
+        rows = [[chain.parse_code(t) for t in row] for row in KRON_NDM_GF4_Z3_Z2]
+        rep = check_difference_matrix(rows, range(24), subtract=chain.sub_codes)
         assert rep.passed, rep.message()
 
     def test_zn_subtraction(self):
@@ -713,7 +712,7 @@ def _ndm_case(*claims):
     GF(4) x Z3 x Z2) with its chain's oracle inputs: one case of
     nested_dm_claim_cases."""
     chain = chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
-    rows = [[chain.parse(t).code for t in row] for row in KRON_NDM_GF4_Z3_Z2]
+    rows = [[chain.parse_code(t) for t in row] for row in KRON_NDM_GF4_Z3_Z2]
     inputs = chain.oracle_inputs()
     return (rows, list(claims), inputs["projections"], inputs["levels"],
             inputs["element_sets"], inputs["subtract"])
