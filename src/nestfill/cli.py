@@ -5,6 +5,11 @@ that converts them to CSV or scatter data.  A non-default field modulus comes
 from the `modulus` key of a `--chain` descriptor.  `METHODS` is the one place
 a construct method is described.
 
+Every job starts a fresh interpreter, so `arrays`, `spacefill` and `verify`
+are lazily loaded module objects (`_lazy`): a job compiles and runs each one
+only when its command first reads from it.  `verify` loads `verify` alone,
+`export` none of the three, `construct` `arrays` and `verify`, `lift` all three.
+
 Exit codes: 0 on success, 2 on bad parameters, malformed inputs or an
 unwritable output path, 3 when a brute-force oracle rejects a claim.  Every
 randomized stage records its seed and permutations in the output file, and
@@ -15,6 +20,7 @@ supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
@@ -22,18 +28,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
-from .arrays import (
-    DifferenceMatrix,
-    NestedFamily,
-    OrthogonalArray,
-    construct_from_ndm,
-    construct_ndm_kron,
-    construct_noa_bush,
-    construct_noa_kron_multi,
-    construct_noa_rh,
-    construct_noa_subfield,
-    construct_soa_kron,
-)
 from .errors import NestfillError, SpecError, VerificationFailure
 from .groups import (
     GroupChain,
@@ -53,16 +47,27 @@ from .io import (
     symbols_for,
 )
 from .kronecker import GroupMatrix
-from .spacefill import (
-    NestedPermutation,
-    SlicedPermutation,
-    build_nsfd,
-    build_ssfd_grouped,
-    build_ssfd_multi,
-    gen_nested_permutation,
-    gen_sliced_permutation,
-)
-from .verify import Claim, check_claims
+
+
+def _lazy(name: str):
+    """The package module `name`, registered in `sys.modules` now but run only
+    when one of its attributes is first read; a module already loaded is
+    returned as it is."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Never `from .arrays import ...` these three here: an import statement reads
+# the registered module's `__spec__`, which loads it at once.
+arrays, spacefill, verify = _lazy("arrays"), _lazy("spacefill"), _lazy("verify")
 
 
 def _default_seed(args) -> int:
@@ -107,8 +112,8 @@ def _load_input_design(path, chain: GroupChain, levels: int, want: str):
                         f"are expected there")
     rows = GroupMatrix(design.rows, chain.group)
     if want == "dm":
-        return DifferenceMatrix(rows)
-    return OrthogonalArray(rows, levels, design.t_claimed or 2)
+        return arrays.DifferenceMatrix(rows)
+    return arrays.OrthogonalArray(rows, levels, design.t_claimed or 2)
 
 
 def _report_text(reports, **head) -> str:
@@ -120,7 +125,7 @@ def _report_text(reports, **head) -> str:
 
 
 def _design_file(matrix: GroupMatrix, chain: GroupChain, method: str, params: dict,
-                 claim: Claim) -> DesignFile:
+                 claim: verify.Claim) -> DesignFile:
     """A constructed matrix over `chain` with its provenance and the
     annotations of the one claim it records, which `_file_claims` reads back."""
     kind = "dm" if claim.kind == "nested-dm" else "oa"
@@ -144,7 +149,7 @@ _ANNOTATED_TYPES = {"grids": ("lh",), "scale": ("lh",), "collapse_layer": ("oa",
                     "slice_size": ("oa", "design"), "layer_prefixes": ("oa", "dm", "design")}
 
 
-def _file_claims(design: DesignFile, chain: Optional[GroupChain]) -> list[Claim]:
+def _file_claims(design: DesignFile, chain: Optional[GroupChain]) -> list[verify.Claim]:
     """The claims `design`, over its `chain`, records (README "Claims"); an
     annotation that cannot be checked in full is a SpecError."""
     for key, types in _ANNOTATED_TYPES.items():
@@ -152,39 +157,41 @@ def _file_claims(design: DesignFile, chain: Optional[GroupChain]) -> list[Claim]
             raise SpecError(f"{design.type!r} files cannot carry {key!r}; "
                             f"only {'/'.join(types)} files do")
     if design.type == "lh":
-        claims = [Claim("lh")]
+        claims = [verify.Claim("lh")]
         for grid in design.grids or []:
             g = grid["grid"]
             if "rows" in grid:
                 if grid["rows"] > design.n:
                     raise SpecError(f"grid claim on the first {grid['rows']} rows of a "
                                     f"{design.n}-row design")
-                claims.append(Claim("strat", f"stratification[first {grid['rows']} rows, g={g}]",
-                                    (0, grid["rows"]), strength=g))
+                claims.append(verify.Claim(
+                    "strat", f"stratification[first {grid['rows']} rows, g={g}]",
+                    (0, grid["rows"]), strength=g))
             else:
                 size = _slice_size(grid["slice_size"], design.n)
-                claims.append(Claim("strat", f"stratification[slices of {size} rows, g={g}]",
-                                    strength=g, size=size))
+                claims.append(verify.Claim(
+                    "strat", f"stratification[slices of {size} rows, g={g}]",
+                    strength=g, size=size))
         return claims
     if chain is None and design.type != "design" and (
             design.type == "dm" or design.layer_prefixes or design.slice_size
             or design.collapse_layer):
         raise SpecError(f"the claims of this {design.type!r} file need a 'chain' to be checked")
+    t = design.t_claimed or 2
     if design.type == "design" or chain is None:
-        return [Claim("oa", strength=design.t_claimed) if design.s and design.t_claimed
-                else Claim("lh")]
+        return [verify.Claim("oa", strength=t) if design.s else verify.Claim("lh")]
     layers = tuple(range(1, chain.layers + 1))
     prefixes = _layer_stops(design, chain) if design.layer_prefixes else ()
     if design.type == "dm":
-        return [Claim("nested-dm", rows=prefixes, layers=layers) if prefixes else Claim("dm")]
-    t = design.t_claimed or 2
-    claims = [Claim("nested", rows=prefixes, layers=layers, strength=t)
-              if prefixes else Claim("oa", strength=t)]
+        return [verify.Claim("nested-dm", rows=prefixes, layers=layers) if prefixes
+                else verify.Claim("dm")]
+    claims = [verify.Claim("nested", rows=prefixes, layers=layers, strength=t)
+              if prefixes else verify.Claim("oa", strength=t)]
     if design.slice_size or design.collapse_layer:
         if not (design.slice_size and design.collapse_layer):
             raise SpecError("a sliced claim needs both 'slice_size' and 'collapse_layer'")
-        claims.append(Claim("sliced", layers=(design.collapse_layer,), strength=t,
-                            size=_slice_size(design.slice_size, design.n)))
+        claims.append(verify.Claim("sliced", layers=(design.collapse_layer,), strength=t,
+                                   size=_slice_size(design.slice_size, design.n)))
     return claims
 
 
@@ -221,19 +228,21 @@ class Method(NamedTuple):
     claim: Callable = lambda family: family.nested
 
 
-# each builder looks `construct_*` up when called, so a rebound one is called
+# each builder looks `construct_*` up on `arrays` when called, so building
+# the table loads no construction code and a rebound builder is the one called
 METHODS = {
-    "rh-noa": Method(("k", "columns"), lambda *a: construct_noa_rh(*a)),
-    "subfield-noa": Method(("k", "columns"), lambda *a: construct_noa_subfield(*a),
+    "rh-noa": Method(("k", "columns"), lambda *a: arrays.construct_noa_rh(*a)),
+    "subfield-noa": Method(("k", "columns"), lambda *a: arrays.construct_noa_subfield(*a),
                            chain_subfield_tower),
-    "bush-noa": Method(("k",), lambda *a: construct_noa_bush(*a), chain_subfield_tower),
-    "ndm-product": Method(("input",), lambda chain, a: construct_from_ndm(
-        chain, OrthogonalArray(a[0].matrix, chain.top_size, 2)), count=1,
+    "bush-noa": Method(("k",), lambda *a: arrays.construct_noa_bush(*a), chain_subfield_tower),
+    "ndm-product": Method(("input",), lambda chain, a: arrays.construct_from_ndm(
+        chain, arrays.OrthogonalArray(a[0].matrix, chain.top_size, 2)), count=1,
         levels=lambda chain, i: chain.top_size, writes=("-dm", "")),
-    "kron-soa": Method(("input",), lambda chain, a: construct_soa_kron(a[1], a[0], chain),
+    "kron-soa": Method(("input",), lambda chain, a: arrays.construct_soa_kron(a[1], a[0], chain),
                        count=2, claim=lambda family: family.sliced[0]),
-    "kron-noa": Method(("input",), lambda chain, a: construct_noa_kron_multi(a, chain)),
-    "kron-ndm": Method(("input",), lambda chain, a: construct_ndm_kron(a, chain), input="dm"),
+    "kron-noa": Method(("input",), lambda chain, a: arrays.construct_noa_kron_multi(a, chain)),
+    "kron-ndm": Method(("input",), lambda chain, a: arrays.construct_ndm_kron(a, chain),
+                       input="dm"),
 }
 
 
@@ -280,7 +289,7 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _load_family(design: DesignFile) -> NestedFamily:
+def _load_family(design: DesignFile) -> arrays.NestedFamily:
     if design.type != "oa":
         raise SpecError(f"cannot lift a {design.type!r} design file; lift needs an 'oa' file")
     chain = design.load_chain()
@@ -289,10 +298,10 @@ def _load_family(design: DesignFile) -> NestedFamily:
     if not design.layer_prefixes:
         raise SpecError("design file carries no layer prefixes; cannot lift")
     nested = _file_claims(design, chain)[0]
-    return NestedFamily(chain, GroupMatrix(design.rows, chain.group), nested)
+    return arrays.NestedFamily(chain, GroupMatrix(design.rows, chain.group), nested)
 
 
-def _check_prefix_layers(family: NestedFamily) -> None:
+def _check_prefix_layers(family: arrays.NestedFamily) -> None:
     """Refuse a family whose layer-i prefix holds a code outside layer i.  The
     nested lift reads prefix i as a design over layer i; `verify`, and the
     sliced and grouped lifts, read only its collapse."""
@@ -315,7 +324,7 @@ def _load_permutations(path, kind: str, chain: GroupChain):
         isinstance(v, list) and all(map(is_int, v)) for v in values
     ):
         raise SpecError(f"permutation file {path} needs 'values': a list of integer lists")
-    cls = NestedPermutation if kind == "nested" else SlicedPermutation
+    cls = spacefill.NestedPermutation if kind == "nested" else spacefill.SlicedPermutation
     return [cls(tuple(v), tuple(chain.sizes)) for v in values]
 
 
@@ -332,8 +341,10 @@ def cmd_lift(args) -> int:
     seed = _default_seed(args)
     m = family.top.n_cols
     if args.mode in ("nested", "sliced"):
-        gen, tag, build = {"nested": (gen_nested_permutation, "np", build_nsfd),
-                           "sliced": (gen_sliced_permutation, "sp", build_ssfd_multi)}[args.mode]
+        gen, tag, build = {
+            "nested": (spacefill.gen_nested_permutation, "np", spacefill.build_nsfd),
+            "sliced": (spacefill.gen_sliced_permutation, "sp", spacefill.build_ssfd_multi),
+        }[args.mode]
         if args.perms is not None:
             perms = _load_permutations(args.perms, args.mode, chain)
         else:
@@ -343,7 +354,7 @@ def cmd_lift(args) -> int:
         if args.i is None or args.j is None:
             raise SpecError("grouped mode needs --i and --j")
         order = None if args.group_order is None else _parse_int_list(args.group_order)
-        lifted = build_ssfd_grouped(
+        lifted = spacefill.build_ssfd_grouped(
             family, i=args.i, j=args.j, group_order=order, seed=seed,
             stage=args.stage,
         )
@@ -372,14 +383,16 @@ def verify_design(design: DesignFile) -> list:
     chain = design.load_chain()
     claims = _file_claims(design, chain)
     if design.type == "lh":
-        return list(check_claims(design.rows, claims, levels=[design.scale or design.n]))
+        return list(verify.check_claims(design.rows, claims,
+                                        levels=[design.scale or design.n]))
     if design.type == "design" or chain is None:
-        return list(check_claims(design.rows, claims, levels=[design.s]))
+        return list(verify.check_claims(design.rows, claims, levels=[design.s]))
     rows = GroupMatrix(design.rows, chain.group).code_rows
     inputs = chain.oracle_inputs()
     if design.type == "oa":
         inputs["levels"] = [*chain.sizes[:-1], design.s or chain.top_size]
-    return [r.with_levels(chain.group.text_code) for r in check_claims(rows, claims, **inputs)]
+    return [r.with_levels(chain.group.text_code)
+            for r in verify.check_claims(rows, claims, **inputs)]
 
 
 def cmd_verify(args) -> int:

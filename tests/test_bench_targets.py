@@ -7,7 +7,7 @@ rename of a benchmarked function into a test failure.
 
 from pathlib import Path
 
-import nestfill.cli  # noqa: F401  (imports every module the wrappers patch)
+import nestfill.cli  # noqa: F401  (registers every module the wrappers patch)
 
 
 def test_every_benchmarked_name_exists(monkeypatch):

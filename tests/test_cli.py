@@ -248,6 +248,23 @@ class TestLift:
             "error: --seed is not read by a relabel-only lift with --perms"]
         assert not out.exists()
 
+    def test_relabel_only_lift_of_file_without_strength_verifies(self, tmp_path, rh_design):
+        """An `oa` file without `t_claimed` is checked at strength 2, and so is
+        the `design` file its relabel-only lift writes, which copies `s` but
+        has no strength to copy."""
+        data = json.loads(rh_design.read_text())
+        del data["t_claimed"]
+        source, out = tmp_path / "no-t.json", tmp_path / "m.json"
+        source.write_text(json.dumps(data))
+        assert run("verify", "--design", str(source)) == 0
+        assert run("lift", "--design", str(source), "--mode", "nested",
+                   "--stage", "relabel-only", "--seed", "1", "--out", str(out)) == 0
+        design = load(out)
+        assert (design.type, design.s, design.t_claimed) == ("design", 8, None)
+        report = tmp_path / "r.json"
+        assert run("verify", "--design", str(out), "--out", str(report)) == 0
+        assert _check_names(report) == ["oa-strength"]
+
     def test_full_lift_deterministic(self, tmp_path, rh_design):
         outs = []
         for name in ("l1.json", "l2.json"):
@@ -747,6 +764,15 @@ def test_design_file_claims_round_trip(case, tmp_path):
     assert _file_claims(design, design.load_chain()) == want
 
 
+def test_chainless_oa_without_strength_is_checked_at_strength_2(tmp_path):
+    """A chainless `oa` file without `t_claimed` claims strength 2, as a
+    chained one does, not a Latin hypercube its rows cannot be."""
+    path, report = tmp_path / "d.json", tmp_path / "r.json"
+    path.write_text(_chainless("oa", [[0, 0], [0, 1], [1, 0], [1, 1]], s=2))
+    assert run("verify", "--design", str(path), "--out", str(report)) == 0
+    assert _check_names(report) == ["oa-strength"]
+
+
 def test_columns_of_wrong_length_name_codes_and_position(tmp_path, capsys):
     argv = CONSTRUCT_RH[:-2] + ["--p", "2", "--u", "1,2", "--columns", "1,0;0,1;1,1;2",
                                 "--out", str(tmp_path / "x.json")]
@@ -856,17 +882,17 @@ def test_every_construction_returns_nested_families(method, tmp_path, example3_i
     """Every record a construct method returns is a NestedFamily whose nested
     and sliced claims were all checked (an unnamed claim under its oracle's
     default report name), and the file written for it holds its top."""
-    import nestfill.cli as cli
+    import nestfill.arrays as arrays
     from nestfill.arrays import NestedFamily
 
-    build, returned = getattr(cli, _CONSTRUCTORS[method]), []
+    build, returned = getattr(arrays, _CONSTRUCTORS[method]), []
 
     def recording(*args):
         out = build(*args)
         returned.extend(out if isinstance(out, tuple) else [out])
         return out
 
-    monkeypatch.setattr(cli, _CONSTRUCTORS[method], recording)
+    monkeypatch.setattr(arrays, _CONSTRUCTORS[method], recording)
     outs = _construct_golden(method, tmp_path, example3_inputs)
     # ndm-product returns (D, A(+)D) and writes A(+)D to --out, D beside it
     for family, path in zip(returned[::-1], outs, strict=True):
@@ -1118,18 +1144,63 @@ def test_oversized_construction_refused_before_it_allocates(argv, tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
-    """Every CLI job imports `nestfill.cli` in a fresh interpreter, where
-    `dataclasses` would cost it `inspect`, `ast`, `dis` and `tokenize`; a
-    subprocess checks this, as pytest itself loads both."""
+def _fresh_python(code, cwd, *args):
+    """Run `code` in a fresh interpreter that imports the package from this
+    checkout; its stdout."""
     src = str(Path(nestfill.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, nestfill.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+_PACKAGE_MODULES = sorted(f"nestfill.{path.stem}"
+                          for path in Path(nestfill.__file__).parent.glob("*.py")
+                          if path.stem != "__init__")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    """Every CLI job imports `nestfill.cli` in a fresh interpreter, where
+    `dataclasses` would cost it `inspect`, `ast`, `dis` and `tokenize`; a
+    subprocess checks this, as pytest itself loads both.  The probe runs
+    every module of the package, since `cli` loads some of them only when
+    a command reads from them."""
+    probe = (f"import sys, nestfill.cli, {', '.join(_PACKAGE_MODULES)}\n"
+             f"print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))")
+    assert _fresh_python(probe, tmp_path) == "[]\n"
+
+
+_LOAD_PROBE = """
+import json, sys, types
+import nestfill.cli
+loaded = sorted(m for m in sys.modules if m.startswith("nestfill."))
+code = nestfill.cli.main(sys.argv[1:])
+# a lazily loaded module stays a _LazyModule until one of its attributes is read
+lazy = sorted(m for m in loaded if type(sys.modules[m]) is not types.ModuleType)
+print(json.dumps([loaded, code, lazy]))
+"""
+
+
+def test_each_command_runs_only_the_modules_it_reads(tmp_path):
+    """`import nestfill.cli` registers every package module, so a wrapper
+    installed right after it reaches them all; one `main` call then runs
+    only the modules its command reads: `verify` skips the construction
+    code, `export` the oracles too, `construct` the lifts."""
+    want = {"construct": ["nestfill.spacefill"],
+            "verify": ["nestfill.arrays", "nestfill.spacefill"],
+            "export": ["nestfill.arrays", "nestfill.spacefill", "nestfill.verify"],
+            "lift": []}
+    argvs = [["construct", "--method", "rh-noa", "--p", "2", "--u", "1,2", "--k", "2",
+              "--out", "a.json"],
+             ["verify", "--design", "a.json", "--out", "r.json"],
+             ["export", "--design", "a.json", "--format", "csv", "--out", "a.csv"],
+             ["lift", "--design", "a.json", "--mode", "nested", "--seed", "1",
+              "--out", "l.json"]]
+    for argv in argvs:
+        out = _fresh_python(_LOAD_PROBE, tmp_path, *argv).splitlines()[-1]
+        assert json.loads(out) == [_PACKAGE_MODULES, 0, want[argv[0]]], argv[0]
 
 
 _LIFTS = [["--mode", "nested"], ["--mode", "sliced"], ["--mode", "grouped", "--i", "2", "--j", "1"],
@@ -1143,7 +1214,7 @@ def test_check_claims_yields_one_report_per_claim(case, tmp_path, example3_input
     run, for each construct method's golden case and each lift mode, yields
     exactly one report per claim."""
     import nestfill.arrays
-    import nestfill.cli
+    import nestfill.verify
     from nestfill.verify import check_claims
 
     counts = []
@@ -1154,7 +1225,7 @@ def test_check_claims_yields_one_report_per_claim(case, tmp_path, example3_input
         return iter(reports)
 
     monkeypatch.setattr(nestfill.arrays, "check_claims", counting)
-    monkeypatch.setattr(nestfill.cli, "check_claims", counting)
+    monkeypatch.setattr(nestfill.verify, "check_claims", counting)
     if case in CHECK_LISTS:
         outs = _construct_golden(case, tmp_path, example3_inputs)
     else:
