@@ -64,9 +64,6 @@ class GeneratorMatrix(NamedTuple):
     def m(self) -> int:
         return len(self.codes)
 
-    def column_codes(self) -> list[list[int]]:
-        return [list(col) for col in self.codes]
-
 
 def _require_cells(rows: int, cols: int, rows_text: str = "") -> None:
     """Refuse, before it is allocated, an array of `rows` x `cols` cells above
@@ -211,15 +208,6 @@ class NestedFamily(Record):
         self.chain, self.top, self.nested, self.generator = chain, top, nested, generator
         self.sliced = [] if sliced is None else sliced
         self.verification = [] if verification is None else verification
-
-    def a(self, i: int) -> GroupMatrix:
-        """Nested layer i: the first `nested.rows[i-1]` rows of the top."""
-        return self.top.prefix(self.nested.rows[i - 1])
-
-    def delta(self, i: int, l: int) -> GroupMatrix:
-        """Row block l (1-based) of the top, in blocks of layer i's size."""
-        size = self.nested.rows[i - 1]
-        return self.top.row_block((l - 1) * size, l * size)
 
 
 def _noa_family(chain: GroupChain, top: GroupMatrix, stops: tuple[int, ...], strength: int,

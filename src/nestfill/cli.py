@@ -185,11 +185,15 @@ def _file_claims(design: DesignFile, chain: Optional[GroupChain]) -> list[verify
     if design.type == "dm":
         return [verify.Claim("nested-dm", rows=prefixes, layers=layers) if prefixes
                 else verify.Claim("dm")]
+    if t > design.m:  # the oracle refuses it too, but lift runs no oracle on its input
+        raise SpecError(f"strength {t} exceeds column count {design.m}")
     claims = [verify.Claim("nested", rows=prefixes, layers=layers, strength=t)
               if prefixes else verify.Claim("oa", strength=t)]
     if design.slice_size or design.collapse_layer:
         if not (design.slice_size and design.collapse_layer):
             raise SpecError("a sliced claim needs both 'slice_size' and 'collapse_layer'")
+        if design.collapse_layer > chain.layers:
+            raise SpecError(f"claim 'sliced' names a layer outside 1..{chain.layers}")
         claims.append(verify.Claim("sliced", layers=(design.collapse_layer,), strength=t,
                                    size=_slice_size(design.slice_size, design.n)))
     return claims

@@ -53,9 +53,6 @@ class Zn:
     def add(self) -> list[list[int]]:
         return [[(a + b) % self.n for b in range(self.n)] for a in range(self.n)]
 
-    def sub_codes(self, a: int, b: int) -> int:
-        return (a - b) % self.n
-
     def text_code(self, a: int) -> str:
         return str(a)
 

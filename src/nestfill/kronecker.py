@@ -45,19 +45,8 @@ class GroupMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 
-    def prefix(self, n: int) -> "GroupMatrix":
-        return GroupMatrix(self.code_rows[:n], self.owner)
-
-    def row_block(self, start: int, stop: int) -> "GroupMatrix":
-        return GroupMatrix(self.code_rows[start:stop], self.owner)
-
     def codes(self) -> list[list[int]]:
         return [list(r) for r in self.code_rows]
-
-    @classmethod
-    def vstack(cls, blocks: Sequence["GroupMatrix"]) -> "GroupMatrix":
-        owner = _common_owner(*blocks)
-        return cls([r for b in blocks for r in b.code_rows], owner)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupMatrix) and other.owner == self.owner

@@ -15,8 +15,8 @@ the nested and sliced checks share the oa/dm oracles and the collapses of
 the plain claims.  Within one call, a block equal, cell for cell, to one
 that already passed takes that block's report instead of being counted
 again.  :func:`check_nested`, :func:`check_nested_dm` and
-:func:`check_sliced` are one-claim calls of it; the nested two first check
-that each layer matrix they are handed is a row prefix of the next.  One
+:func:`check_sliced` are one-claim calls of it on a top matrix, cut at its
+prefix stops or in slices, so a layer is a row prefix by construction.  One
 strength kernel counts the level ranks of an orthogonal array and, as a
 strength-2 count over g levels, the grid cells ``v*g // scale`` of a
 stratification claim.  It counts a family of equal row blocks at once as
@@ -104,6 +104,7 @@ class _ColumnView:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return _ColumnView([col[i] for col in self.cols], len(range(self.n)[i]))
+        # a row by index: bench/layers.py reads len(rows[0]) of the view check_oa_strength gets
         return tuple(col[i] for col in self.cols)
 
     def project(self, table: Mapping) -> "_ColumnView":
@@ -279,12 +280,11 @@ def check_stratification(
     rows: Sequence[Sequence[int]],
     scale: int,
     g: int,
-    dims: Optional[tuple[int, int]] = None,
     name: str = "stratification",
     size: int = 0,
 ) -> VerificationReport:
     """Each cell of the g x g grid (cell index floor(value*g/scale)) must hold
-    the same number of points, for the given dimension pair or all pairs.
+    the same number of points, for every pair of columns.
 
     With `size`, the rows are consecutive blocks of `size` rows and each
     block must stratify on its own.  The report stands for the whole block
@@ -298,14 +298,12 @@ def check_stratification(
             name, False, f"run size {n} not divisible by block size {size}",
             {"n": n, "size": size},
         )
-    pairs = [tuple(dims)] if dims is not None else list(combinations(range(len(columns)), 2))
-    if not set(pairs) <= set(permutations(range(len(columns)), 2)):
-        raise SpecError(f"dims {dims} are not two distinct columns of {len(columns)}")
+    pairs = list(combinations(range(len(columns)), 2))
     if size % (g * g):
         block, rep = 0, VerificationReport(
             name, False, f"run size {size} not divisible by {g}^2", {"n": size, "g": g})
     else:
-        cells = {d: [v * g // scale for v in columns[d]] for d in set(chain(*pairs))}
+        cells = [[v * g // scale for v in col] for col in columns]
         bad = pairs and _first_uneven(cells, g, 2, pairs, size)
         if not bad:
             return VerificationReport(name, True, f"{g}x{g} grid, {size // (g * g)}/cell")
@@ -346,47 +344,31 @@ def check_projection_compatibility(
 
 
 def check_nested(
-    layers: Sequence[Sequence[Sequence]],
+    rows: Sequence[Sequence],
+    stops: Sequence[int],
     projections: Sequence[Mapping],
     s_levels: Sequence[int],
     t: int,
     name: str = "nested-oa",
 ) -> VerificationReport:
-    """Row-prefix containment plus the strength condition on every collapse
-    of every layer, plus compatibility of the projection family."""
-    return _check_prefixes(layers, Claim("nested", name, strength=t), projections, s_levels)
+    """The strength condition on every collapse rho_j of every layer i, the
+    first stops[i-1] rows (j <= i), plus compatibility of the projections."""
+    claim = Claim("nested", name, tuple(stops), tuple(range(1, len(stops) + 1)), t)
+    return next(check_claims(rows, [claim], projections, s_levels))
 
 
 def check_nested_dm(
-    layers: Sequence[Sequence[Sequence]],
+    rows: Sequence[Sequence],
+    stops: Sequence[int],
     projections: Sequence[Mapping],
     element_sets: Sequence[Sequence],
     subtract: Callable = operator.sub,
     name: str = "nested-dm",
 ) -> VerificationReport:
-    """Difference-matrix analogue of check_nested: every collapse rho_j of
-    every layer must be a difference matrix over element_sets[j]."""
-    return _check_prefixes(layers, Claim("nested-dm", name), projections,
-                           list(map(len, element_sets)), element_sets, subtract)
-
-
-def _check_prefixes(layers, claim, projections, levels, *dm_inputs) -> VerificationReport:
-    """Row-prefix containment of `layers`, then the nested `claim` on the
-    largest layer, cut at every layer's row count."""
-    mats = [_ColumnView.of(layer) for layer in layers]
-    if not len(mats) == len(projections) == len(levels):
-        raise SpecError("layers, projections and per-layer levels must align")
-    for i, (small, big) in enumerate(zip(mats, mats[1:])):
-        if len(big) <= len(small):
-            break  # check_claims reports the layer sizes
-        row = next((k for k in range(len(small)) if big[k] != small[k]), None)
-        if row is not None:
-            return VerificationReport(
-                claim.name, False, f"layer {i + 1} is not a row prefix of layer {i + 2}", {"row": row}
-            )
-    claim = claim._replace(rows=tuple(map(len, mats)), layers=tuple(range(1, len(mats) + 1)))
-    top = max(mats, key=len, default=[])
-    return next(check_claims(top, [claim], projections, levels, *dm_inputs))
+    """check_nested with a difference matrix over element_sets[j-1] in place of each OA."""
+    claim = Claim("nested-dm", name, tuple(stops), tuple(range(1, len(stops) + 1)))
+    return next(check_claims(rows, [claim], projections, list(map(len, element_sets)),
+                             element_sets, subtract))
 
 
 def check_sliced(

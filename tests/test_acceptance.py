@@ -85,7 +85,7 @@ def test_criterion_01_table_exact_reproduction(tmp_path):
 def test_criterion_02_first_family_oracles(rh_family, tower):
     with criterion(2, "every collapse of every layer and every sliced family passes its oracle"):
         for i in range(1, 4):
-            a_i = rh_family.a(i).code_rows
+            a_i = rh_family.top.code_rows[: rh_family.nested.rows[i - 1]]
             for j in range(1, i + 1):
                 rho = tower.projection_table(j)
                 rows = [[rho[e] for e in r] for r in a_i]
@@ -116,7 +116,7 @@ def test_criterion_03_column_kron_soa():
             block = [[rho1[e] for e in r] for r in b[i * 36 : (i + 1) * 36]]
             assert check_oa_strength(block, 6, 2).passed
         for l in (1, 2, 3):
-            rep = check_nested([b[: 36 * l], b], [rho1, rho2], [6, 12], 2)
+            rep = check_nested(b, [36 * l, 144], [rho1, rho2], [6, 12], 2)
             assert rep.passed, rep.message()
 
 
@@ -131,7 +131,7 @@ def test_criterion_04_kron_ndm_table_and_oracles():
         out = construct_ndm_kron([d1, d2, d3], chain)
         texts = [tuple(map(chain.text_code, r)) for r in out.top.code_rows]
         assert texts == KRON_NDM_GF4_Z3_Z2
-        e1, e2, e3 = (out.a(i).code_rows for i in (1, 2, 3))
+        e1, e2, e3 = (out.top.code_rows[:stop] for stop in out.nested.rows)
         rho = {j: chain.projection_table(j) for j in (1, 2, 3)}
         proj = lambda rows, j: [tuple(rho[j][c] for c in r) for r in rows]
         els = {j: chain.layer_codes(j) for j in (1, 2, 3)}
@@ -145,11 +145,11 @@ def test_criterion_04_kron_ndm_table_and_oracles():
         assert dm(proj(e3, 2), 2).passed
         assert dm(proj(e3, 1), 1).passed
         for l in range(1, 13):
-            block = out.delta(1, l).code_rows
+            block = out.top.code_rows[(l - 1) * len(e1) : l * len(e1)]
             assert proj(block, 1) == list(e1)
             assert dm(proj(block, 1), 1).passed
         for l in range(1, 5):
-            block = out.delta(2, l).code_rows
+            block = out.top.code_rows[(l - 1) * len(e2) : l * len(e2)]
             assert proj(block, 2) == list(e2)
             assert dm(proj(block, 1), 1).passed
             assert dm(proj(block, 2), 2).passed
@@ -205,7 +205,7 @@ def test_criterion_08_bush_strength_three():
     with criterion(8, "bush-noa (p=3, u=1,2, k=3) yields strength-3 arrays at 4 columns with collapsing"):
         chain = chain_field_tower(3, [1, 2])
         fam = construct_noa_bush(chain, 3)
-        a1, a2 = fam.a(1).code_rows, fam.a(2).code_rows
+        a1, a2 = (fam.top.code_rows[:stop] for stop in fam.nested.rows)
         assert len(a1[0]) == 4
         assert check_oa_strength(a1, 3, 3).passed
         assert check_oa_strength(a2, 9, 3).passed
@@ -228,13 +228,9 @@ def test_criterion_09_ndm_product_bundle():
         projections = [chain.projection_table(1), chain.projection_table(2)]
         el_sets = [chain.layer_codes(1), chain.layer_codes(2)]
         combined = out.top.code_rows
-        assert check_nested(
-            [combined[:32], combined], projections, [2, 4], 2
-        ).passed
+        assert check_nested(combined, [32, 64], projections, [2, 4], 2).passed
         assert check_sliced(combined, 32, projections[0], 2, 2).passed
-        assert check_nested_dm(
-            [dm.top.code_rows[:2], dm.top.code_rows], projections, el_sets, subtract
-        ).passed
+        assert check_nested_dm(dm.top.code_rows, [2, 4], projections, el_sets, subtract).passed
 
 
 def test_criterion_10_selected_columns_strength_three(tower):

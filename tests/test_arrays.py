@@ -47,13 +47,13 @@ def rh_family(tower_238):
 class TestGeneratorMatrix:
     def test_default_gf2_k2(self):
         gen = generator_matrix(Field(2, 1), [0, 1], 2)
-        assert gen.column_codes() == [[1, 0], [0, 1], [1, 1]]
+        assert gen.codes == ((1, 0), (0, 1), (1, 1))
 
     def test_default_gf2_k3_column_multiset(self):
         gen = generator_matrix(Field(2, 1), [0, 1], 3)
         assert gen.m == 7
-        assert gen.column_codes()[:3] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        multiset = {tuple(c) for c in gen.column_codes()}
+        assert gen.codes[:3] == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        multiset = set(gen.codes)
         # all 7 nonzero binary vectors
         assert multiset == {
             (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)
@@ -124,16 +124,16 @@ class TestRaoHammingNoa:
         assert element_texts(rh_family.top)[32] == ("x^2", "0", "x^2")
 
     def test_first_layer_collapse(self, rh_family, tower_238):
-        a1 = rh_family.a(1)
+        a1 = rh_family.top.code_rows[: rh_family.nested.rows[0]]
         rho1 = tower_238.projection_table(1)
-        rows = [[rho1[c] for c in r] for r in a1.code_rows]
+        rows = [[rho1[c] for c in r] for r in a1]
         assert check_oa_strength(rows, 2, 2).passed
 
     def test_all_layer_collapses(self, rh_family, tower_238):
-        for i in range(1, 4):
+        for i, stop in enumerate(rh_family.nested.rows, start=1):
             for j in range(1, i + 1):
                 rho = tower_238.projection_table(j)
-                rows = [[rho[c] for c in r] for r in rh_family.a(i).code_rows]
+                rows = [[rho[c] for c in r] for r in rh_family.top.code_rows[:stop]]
                 rep = check_oa_strength(rows, 2**j, 2)
                 assert rep.passed, (i, j, rep.message())
 
@@ -144,9 +144,9 @@ class TestRaoHammingNoa:
     def test_slices_partition_top(self, rh_family):
         top = rh_family.top
         for fam in rh_family.sliced:
-            slices = [top.row_block(l * fam.size, (l + 1) * fam.size)
+            slices = [top.code_rows[l * fam.size : (l + 1) * fam.size]
                       for l in range(top.n_rows // fam.size)]
-            rows = [r for sl in slices for r in sl.code_rows]
+            rows = [r for sl in slices for r in sl]
             assert rows == list(top.code_rows)
 
     def test_families_without_sliced_claims_do_not_share_lists(self, rh_family):
@@ -163,17 +163,16 @@ class TestRaoHammingNoa:
         # transversal-tuple images
         from itertools import product as iproduct
 
-        gen = rh_family.generator
+        gen, stops, f = rh_family.generator, rh_family.nested.rows, tower_238.field
         for i in (2, 3):
-            prev = rh_family.a(i - 1)
-            blocks = [prev]
-            f = tower_238.field
+            prev = GroupMatrix(rh_family.top.code_rows[: stops[i - 2]], f)
+            rows = list(prev.code_rows)
             for beta in iproduct(tower_238.transversal_codes(i), repeat=2):
                 if not any(beta):
                     continue
                 delta = GroupMatrix([tuple(_dot(f, beta, col) for col in gen.codes)], f)
-                blocks.append(col_kron_sum(delta, prev))
-            assert GroupMatrix.vstack(blocks) == rh_family.a(i)
+                rows += col_kron_sum(delta, prev).code_rows
+            assert tuple(rows) == rh_family.top.code_rows[: stops[i - 1]]
 
     def test_strength3_from_selected_columns(self, tower_238):
         cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
@@ -197,7 +196,7 @@ class TestSubfieldNoa:
         assert fam.top.shape == (256, 5)
         assert check_oa_strength(fam.top.code_rows, 16, 2).passed
         rho1 = chain.projection_table(1)
-        prefix = [[rho1[c] for c in r] for r in fam.a(1).code_rows]
+        prefix = [[rho1[c] for c in r] for r in fam.top.code_rows[: fam.nested.rows[0]]]
         rep = check_oa_strength(prefix, 4, 2)
         assert rep.passed, rep.message()
         assert all(c == 0 for c in fam.top.code_rows[0])
@@ -206,7 +205,7 @@ class TestSubfieldNoa:
         chain = chain_subfield_tower(2, [2, 4])
         fam = construct_noa_subfield(chain, 2)
         layer1 = set(chain.layer_codes(1))
-        assert all(c in layer1 for row in fam.a(1).code_rows for c in row)
+        assert all(c in layer1 for row in fam.top.code_rows[: fam.nested.rows[0]] for c in row)
 
     def test_divisibility_enforced(self):
         with pytest.raises(SpecError):
@@ -222,18 +221,19 @@ class TestBushNoa:
     def test_v_matrix_small(self):
         chain = chain_field_tower(2, [1, 2])
         gen = bush_matrix(chain, 2)
-        assert gen.column_codes() == [[1, 0], [1, 1], [0, 1]]
+        assert gen.codes == ((1, 0), (1, 1), (0, 1))
 
     def test_strength_two_case(self):
         fam = construct_noa_bush(chain_field_tower(2, [1, 2]), 2)
-        assert fam.a(1).shape == (4, 3)
-        assert check_oa_strength(fam.a(1).code_rows, 2, 2).passed
+        a1 = fam.top.code_rows[: fam.nested.rows[0]]
+        assert (len(a1), len(a1[0])) == (4, 3)
+        assert check_oa_strength(a1, 2, 2).passed
 
     def test_strength_three_case(self):
         chain = chain_field_tower(3, [1, 2])
         fam = construct_noa_bush(chain, 3)
         assert fam.top.shape == (729, 4)
-        assert check_oa_strength(fam.a(1).code_rows, 3, 3).passed
+        assert check_oa_strength(fam.top.code_rows[: fam.nested.rows[0]], 3, 3).passed
         assert check_oa_strength(fam.top.code_rows, 9, 3).passed
 
     def test_zero_row_maps_to_zero(self):
@@ -279,10 +279,10 @@ class TestNdmProduct:
 
     def test_delta_blocks(self, bundle):
         chain, _, dm, _ = bundle
-        delta = dm.delta(1, 1)
-        assert delta.code_rows == dm.top.code_rows[:2]
+        size = dm.nested.rows[0]
+        assert size == 2
         rho1 = chain.projection_table(1)
-        rows = [[rho1[c] for c in r] for r in delta.code_rows]
+        rows = [[rho1[c] for c in r] for r in dm.top.code_rows[:size]]
         assert check_difference_matrix(rows, chain.layer_codes(1), chain.field.sub_codes).passed
 
     def test_a_plus_d_strength(self, bundle):
@@ -298,7 +298,7 @@ class TestNdmProduct:
     def test_nested_layers_are_prefixes(self, bundle):
         *_, out = bundle
         assert out.nested.rows == (32, 64)
-        assert out.top.prefix(out.nested.rows[0]).code_rows == out.top.code_rows[:32]
+        assert out.top.n_rows == out.nested.rows[-1]
 
     def test_rejects_wrong_level_input(self, bundle):
         chain, *_ = bundle
@@ -335,11 +335,10 @@ class TestKronSoa:
     def test_prefix_accessors(self):
         chain, a1, a2 = _ex2_inputs()
         out = construct_soa_kron(a2, a1, chain)
-        assert out.top.prefix(2 * out.sliced[0].size).n_rows == 72
+        assert len(out.top.code_rows[: 2 * out.sliced[0].size]) == 72
         assert "two-layer noa (B^3, B)" in [r.check for r in out.verification]
         noa_rows = (3 * out.sliced[0].size, out.top.n_rows)
         assert noa_rows == (108, 144)
-        assert out.top.prefix(noa_rows[0]).code_rows == out.top.code_rows[:108]
         assert out.sliced[0].size == 36
         assert out.top.n_rows // out.sliced[0].size == 4
 
@@ -390,7 +389,8 @@ class TestKronMulti:
         assert fam.size == 4
         rho1 = chain.projection_table(1)
         for l in range(1, out.top.n_rows // fam.size + 1):
-            rows = [[rho1[c] for c in r] for r in out.delta(1, l).code_rows]
+            size = out.nested.rows[0]
+            rows = [[rho1[c] for c in r] for r in out.top.code_rows[(l - 1) * size : l * size]]
             assert check_oa_strength(rows, 2, 2).passed
 
     def test_zero_row_requirement(self):
@@ -430,7 +430,7 @@ class TestKronNdm:
         chain, out = example3
         rho2 = chain.projection_table(2)
         projected = [tuple(rho2[c] for c in r) for r in out.top.code_rows]
-        e2 = out.a(2).code_rows
+        e2 = out.top.code_rows[: out.nested.rows[1]]
         assert projected == list(e2) * 4
 
     def test_single_layer_is_identity(self):

@@ -506,6 +506,12 @@ _OUT_OF_RANGE = [
      ["lift", "--design", "d.json", "--mode", "nested", "--out", "x.json"]),
     ({"d.json": _rh_u12_sliced(slice_size=5, collapse_layer=1)},
      ["lift", "--design", "d.json", "--mode", "nested", "--out", "x.json"]),
+    *(({"d.json": _rh_u12_sliced(slice_size=4, collapse_layer=9)},
+       ["lift", "--design", "d.json", "--mode", mode, "--out", "x.json"])
+      for mode in ("nested", "sliced")),
+    ({"d.json": _with_keys(_rh_u12([4, 16]), t_claimed=99)},
+     ["lift", "--design", "d.json", "--mode", "nested", "--stage", "relabel-only",
+      "--out", "x.json"]),
     ({"d.json": _chainless("design", [[0, 1], [1, 0]], s=4)},
      CONSTRUCT_NDM + ["--input", "d.json"]),
     ({**_zn5_kron_noa(5)[0], "a2.json": _lh16([])}, _zn5_kron_noa(5)[1]),
@@ -602,6 +608,8 @@ _OUT_OF_RANGE = [
        "chainless-oa-sliced-3", "chainless-oa-sliced-2", "chainless-oa-prefixes",
        "chainless-dm", "ndm-input-declares-s-4", "kron-input-2-declares-s-3",
        "lift-oa-slice-size-alone", "lift-oa-slice-size-not-dividing",
+       "lift-nested-collapse-layer-outside-chain", "lift-sliced-collapse-layer-outside-chain",
+       "lift-relabel-strength-above-columns",
        "ndm-input-design-file", "kron-noa-input-lh-file", "kron-ndm-input-oa-file",
        "kron-noa-k-columns", "rh-noa-input", "chain-beside-p-u", "grouped-perms",
        "nested-i-j-group-order", "kron-noa-chain-not-growing",

@@ -88,9 +88,8 @@ class TestDifferenceMatrix:
         assert rep.passed, rep.message()
 
     def test_zn_subtraction(self):
-        z = Zn(3)
         rows = [[0, a] for a in range(3)]
-        assert check_difference_matrix(rows, range(3), subtract=z.sub_codes).passed
+        assert check_difference_matrix(rows, range(3), subtract=lambda a, b: (a - b) % 3).passed
 
 
 class TestLatinHypercube:
@@ -120,41 +119,34 @@ class TestStratification:
 
     def test_single_pair_selection(self):
         rows = [(0, 0, 0), (1, 3, 1), (2, 1, 2), (3, 2, 3)]
-        assert check_stratification(rows, scale=4, g=2, dims=(0, 1)).passed
-        assert not check_stratification(rows, scale=4, g=2, dims=(0, 2)).passed
+        assert check_stratification([r[:2] for r in rows], scale=4, g=2).passed
+        assert not check_stratification([r[::2] for r in rows], scale=4, g=2).passed
 
 
 class TestNestedAndSliced:
     def test_reference_family(self, table1_codes):
-        layers = [table1_codes[:4], table1_codes[:16], table1_codes]
         projections = [{c: c % 2 for c in range(8)}, {c: c % 4 for c in range(8)}, {c: c for c in range(8)}]
-        rep = check_nested(layers, projections, [2, 4, 8], 2)
+        rep = check_nested(table1_codes, [4, 16, 64], projections, [2, 4, 8], 2)
         assert rep.passed, rep.message()
 
-    def test_shuffled_layer_fails(self, table1_codes):
-        layers = [table1_codes[4:8], table1_codes[:16]]
-        projections = [{c: c % 2 for c in range(8)}, {c: c % 4 for c in range(8)}]
-        rep = check_nested(layers, projections, [2, 4], 2)
-        assert not rep.passed
-        assert "row prefix" in rep.detail
-
     def test_single_layer_reduces_to_strength(self, table1_codes):
-        rep = check_nested([table1_codes], [{c: c for c in range(8)}], [8], 2)
+        rep = check_nested(table1_codes, [64], [{c: c for c in range(8)}], [8], 2)
         assert rep.passed
 
     def test_equal_dm_layers_fail(self):
         # GF(4) codes under XOR: both collapses of D are difference matrices
         rows = [[0, a] for a in range(4)]
         projections = [{c: c & 1 for c in range(4)}, {c: c for c in range(4)}]
-        rep = check_nested_dm([rows, rows], projections, [[0, 1], range(4)], operator.xor)
+        rep = check_nested_dm(rows, [4, 4], projections, [[0, 1], range(4)], operator.xor)
         assert not rep.passed
         assert rep.detail == "layer 2 not larger than layer 1"
 
     def test_misaligned_dm_inputs_raise(self):
+        # two layers, one element set: check_claims refuses the missing layer
         rows = [[0, a] for a in range(4)]
         projections = [{c: c & 1 for c in range(4)}, {c: c for c in range(4)}]
         with pytest.raises(SpecError):
-            check_nested_dm([rows], projections, [range(4)], operator.xor)
+            check_nested_dm(rows, [2, 4], projections, [range(4)], operator.xor)
 
     def test_sliced_reference(self, table1_codes):
         rho2 = {c: c % 4 for c in range(8)}
@@ -291,13 +283,13 @@ def _ref_latin_hypercube(rows, name="latin-hypercube"):
     return VerificationReport(name, True, f"{n}x{m} Latin hypercube")
 
 
-def _ref_stratification(rows, scale, g, dims=None, name="stratification"):
+def _ref_stratification(rows, scale, g, name="stratification"):
     n, m = len(rows), len(rows[0])
     if n % (g * g):
         return VerificationReport(name, False, f"run size {n} not divisible by {g}^2",
                                   {"n": n, "g": g})
     expected = n // (g * g)
-    for d1, d2 in [tuple(dims)] if dims is not None else combinations(range(m), 2):
+    for d1, d2 in combinations(range(m), 2):
         counts = Counter((r[d1] * g // scale, r[d2] * g // scale) for r in rows)
         for cell in product(range(g), repeat=2):
             if counts[cell] != expected:
@@ -357,8 +349,7 @@ def strat_cases(draw):
     # cell g lies past the grid: its values are scale..scale+width-1
     cells = draw(near_balanced(g, m, draw(st.sampled_from([g - 1, g]))))
     rows = [[c * width + draw(st.integers(0, width - 1)) for c in r] for r in cells]
-    dims = draw(st.none() | st.sampled_from(list(permutations(range(m), 2))))
-    return rows, scale, g, dims
+    return rows, scale, g
 
 
 @st.composite
@@ -392,12 +383,11 @@ def test_difference_matrix_matches_ordered_scan(case):
 
 @settings(max_examples=300, deadline=None)
 @given(strat_cases())
-@example(([[0, 0], [0, 2], [2, 0], [4, 2]], 4, 2, None))  # cell (2, 1) past the grid
-@example(([[0, 0, 0], [0, 1, 1], [0, 2, 1], [1, 1, 0]], 2, 2, None))  # (0, 2) aliases (1, 0)
+@example(([[0, 0], [0, 2], [2, 0], [4, 2]], 4, 2))  # cell (2, 1) past the grid
+@example(([[0, 0, 0], [0, 1, 1], [0, 2, 1], [1, 1, 0]], 2, 2))  # (0, 2) aliases (1, 0)
 def test_stratification_matches_ordered_scan(case):
-    rows, scale, g, dims = case
-    assert (check_stratification(rows, scale, g, dims)
-            == _ref_stratification(rows, scale, g, dims))
+    rows, scale, g = case
+    assert check_stratification(rows, scale, g) == _ref_stratification(rows, scale, g)
 
 
 @st.composite
@@ -430,25 +420,24 @@ def strat_family_cases(draw):
         else:
             cells[i][j], cells[k][j] = cells[k][j], cells[i][j]
     rows = [[c * width + draw(st.integers(0, width - 1)) for c in r] for r in cells]
-    dims = draw(st.none() | st.sampled_from(list(permutations(range(m), 2)) or [None]))
-    return rows, g * width, g, dims, size
+    return rows, g * width, g, size
 
 
 @settings(max_examples=300, deadline=None)
 @given(strat_family_cases())
-@example(([[0, 0], [0, 1], [0, 2], [1, 1]], 2, 2, None, 4))  # key 0*2+2 aliases cell (1, 0)
+@example(([[0, 0], [0, 1], [0, 2], [1, 1]], 2, 2, 4))  # key 0*2+2 aliases cell (1, 0)
 # block 1's cell (1, 2) aliases block 2's (0, 0), block 2's (0, -1) block 1's (1, 1)
-@example(([[0, 0], [0, 1], [1, 0], [1, 2], [0, -1], [0, 1], [1, 0], [1, 1]], 2, 2, None, 4))
+@example(([[0, 0], [0, 1], [1, 0], [1, 2], [0, -1], [0, 1], [1, 0], [1, 1]], 2, 2, 4))
 def test_stratification_family_matches_blocks(case):
     """The one-pass decision on a block family is the per-block loop's: it
     passes exactly when every block does, and a failing family reports the
     first failing block.  check_claims yields the family report alone.  The
     per-block oracle is held to the row-wise reference as well."""
-    rows, scale, g, dims, size = case
+    rows, scale, g, size = case
     blocks = [rows[b : b + size] for b in range(0, len(rows), size)]
-    reps = [check_stratification(block, scale, g, dims) for block in blocks]
-    assert reps == [_ref_stratification(block, scale, g, dims) for block in blocks]
-    family = check_stratification(rows, scale, g, dims, size=size)
+    reps = [check_stratification(block, scale, g) for block in blocks]
+    assert reps == [_ref_stratification(block, scale, g) for block in blocks]
+    family = check_stratification(rows, scale, g, size=size)
     assert family.passed == all(reps)
     first = next((b for b, rep in enumerate(reps) if not rep), None)
     if first is None or len(blocks) == 1:
@@ -456,8 +445,6 @@ def test_stratification_family_matches_blocks(case):
     else:
         assert family == reps[first]._replace(counterexample={
             "block": first + 1, **reps[first].counterexample})
-    if dims is not None:  # a claim counts every dimension pair
-        family = check_stratification(rows, scale, g, size=size)
     claims = [Claim("strat", strength=g, size=size)]
     assert list(check_claims(rows, claims, levels=[scale])) == [family]
 
@@ -476,45 +463,42 @@ def test_latin_hypercube_matches_ordered_scan(rows):
     assert check_latin_hypercube(rows) == _ref_latin_hypercube(rows)
 
 
-# Row-wise references of the composite oracles: containment row by row, and
-# every collapse made one row at a time before the reference flat oracle
-# counts it.  The column-wise oracles in verify.py must give the same report.
+# Row-wise references of the composite oracles: every layer cut from the top
+# as a list of rows, and every collapse made one row at a time before the
+# reference flat oracle counts it.  The column-wise oracles in verify.py must
+# give the same report.
 
 def _project(rows, table):
     return [tuple(table[v] for v in r) for r in rows]
 
 
-def _ref_nested(layers, projections, s_levels, t, name="nested-oa"):
-    return _ref_layers(layers, projections, s_levels,
+def _ref_nested(rows, stops, projections, s_levels, t, name="nested-oa"):
+    return _ref_layers(rows, stops, projections, s_levels,
                        lambda rows, s, layer: _ref_oa_strength(rows, s, t, layer),
-                       name, f"{len(layers)} layers, strength {t}")
+                       name, f"{len(stops)} layers, strength {t}")
 
 
-def _ref_nested_dm(layers, projections, element_sets, subtract, name="nested-dm"):
-    return _ref_layers(layers, projections, element_sets,
+def _ref_nested_dm(rows, stops, projections, element_sets, subtract, name="nested-dm"):
+    return _ref_layers(rows, stops, projections, element_sets,
                        lambda rows, els, layer: _ref_difference_matrix(rows, els, subtract, layer),
-                       name, f"{len(layers)} layers")
+                       name, f"{len(stops)} layers")
 
 
-def _ref_layers(layers, projections, per_layer, oracle, name, detail):
-    """Containment, compatibility, then oracle(collapsed rows, per_layer[j],
-    name) on every collapse rho_j of every layer i (j <= i)."""
-    mats = [[tuple(r) for r in layer] for layer in layers]
-    for i in range(len(mats) - 1):
-        if len(mats[i + 1]) <= len(mats[i]):
+def _ref_layers(rows, stops, projections, per_layer, oracle, name, detail):
+    """Layer sizes, compatibility, then oracle(collapsed rows, per_layer[j],
+    name) on every collapse rho_j of every layer i, the first stops[i] rows
+    (j <= i)."""
+    for i in range(len(stops) - 1):
+        if stops[i + 1] <= stops[i]:
             return VerificationReport(name, False, f"layer {i + 2} not larger than layer {i + 1}")
-        bad = next((k for k, r in enumerate(mats[i]) if mats[i + 1][k] != r), None)
-        if bad is not None:
-            return VerificationReport(
-                name, False, f"layer {i + 1} is not a row prefix of layer {i + 2}", {"row": bad})
     violation = _pairwise_compatibility(projections)
     if violation is not None:
-        layers_, pair = violation
+        layers, pair = violation
         return VerificationReport(name, False, "refinement violated",
-                                  {"layers": layers_, "pair": pair})
-    for i, mat in enumerate(mats):
+                                  {"layers": layers, "pair": pair})
+    for i, stop in enumerate(stops):
         for j in range(i + 1):
-            rep = oracle(_project(mat, projections[j]), per_layer[j],
+            rep = oracle(_project(rows[:stop], projections[j]), per_layer[j],
                          f"{name}[layer {i + 1} via rho_{j + 1}]")
             if not rep:
                 return rep
@@ -537,10 +521,10 @@ def _ref_sliced(rows, slice_size, projection, s_low, t, name="sliced-oa"):
 def _ref_claim(rows, c, projections, levels, element_sets, subtract):
     named = {"name": c.name} if c.name else {}
     if c.kind == "nested":
-        return _ref_nested([rows[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
+        return _ref_nested(rows, c.rows, [projections[j - 1] for j in c.layers],
                            [levels[j - 1] for j in c.layers], c.strength, **named)
     if c.kind == "nested-dm":
-        return _ref_nested_dm([rows[:n] for n in c.rows], [projections[j - 1] for j in c.layers],
+        return _ref_nested_dm(rows, c.rows, [projections[j - 1] for j in c.layers],
                               [element_sets[j - 1] for j in c.layers], subtract, **named)
     j = c.layers[0] if c.layers else len(levels)
     block = rows[c.rows[0] : c.rows[1]] if c.rows else rows
@@ -590,9 +574,8 @@ def chain_matrices(draw):
 
 @st.composite
 def nested_cases(draw):
-    """Layers cut from a chain matrix at increasing stops (or at random
-    ones, so a layer may not be larger), now and then with one cell of a
-    lower layer changed so that it is no prefix."""
+    """A chain matrix with prefix stops, increasing (or random, so a layer
+    may not be larger), the last one its row count."""
     top, projections, sizes = draw(chain_matrices())
     n = len(top)
     natural = [n * s // sizes[-1] for s in sizes]
@@ -601,22 +584,17 @@ def nested_cases(draw):
     else:
         stops = sorted(draw(st.lists(st.integers(1, n), min_size=len(sizes) - 1,
                                      max_size=len(sizes) - 1))) + [n]
-    layers = [[list(r) for r in top[:k]] for k in stops]
-    if len(layers) > 1 and draw(st.integers(0, 3)) == 0:
-        layer = draw(st.sampled_from(layers[:-1]))
-        row = draw(st.sampled_from(layer))
-        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(list(projections[-1])))
-    return layers, projections, sizes, draw(st.integers(1, min(3, len(top[0]))))
+    return top, stops, projections, sizes, draw(st.integers(1, min(3, len(top[0]))))
 
 
-def _sparse_layers():
-    """Two layers over the codes {0, 1, 6, 7}: the four binary pairs, then
-    all sixteen pairs with the 6 and the 0 of rows (6, 6) and (7, 0)
-    exchanged, which the collapse mod 2 cannot see."""
+def _sparse_nest():
+    """Two layers over the codes {0, 1, 6, 7}, as a top and its prefix stops:
+    the four binary pairs, then all sixteen pairs with the 6 and the 0 of
+    rows (6, 6) and (7, 0) exchanged, which the collapse mod 2 cannot see."""
     swap = {(6, 6): (6, 0), (7, 0): (7, 6)}
     top = [(0, 0), (0, 1), (1, 0), (1, 1)] + [
         swap.get(r, r) for r in product([0, 1, 6, 7], repeat=2) if not set(r) <= {0, 1}]
-    return [top[:4], top], [{c: c % 2 for c in (0, 1, 6, 7)}, {c: c for c in (0, 1, 6, 7)}]
+    return top, [4, 16], [{c: c % 2 for c in (0, 1, 6, 7)}, {c: c for c in (0, 1, 6, 7)}]
 
 
 # the 2^3 factorial on the codes {1, 6} with row (1, 6, 6) replaced by a second (1, 1, 6)
@@ -626,19 +604,17 @@ _T3_ROWS = [tuple(6 if b else 1 for b in r) for r in product([1, 0], repeat=3)
 
 @settings(max_examples=300, deadline=None)
 @given(nested_cases())
-@example((*_sparse_layers(), [2, 4], 2))  # layer 2 via rho_2 fails at sparse codes (6, 0)
-@example(([[(0, 0)], [(1, 0), (0, 0)]], [{0: 0, 1: 1}] * 2, [2, 2], 1))  # no row prefix
-@example(([[(0,)], [(0, 1), (1, 0)]], [{0: 0, 1: 1}] * 2, [2, 2], 1))  # widths differ
-@example(([_T3_ROWS], [{1: 1, 6: 6}], [2], 3))  # strength 3 fails at levels (1, 1, 6)
+@example((*_sparse_nest(), [2, 4], 2))  # layer 2 via rho_2 fails at sparse codes (6, 0)
+@example((_T3_ROWS, [8], [{1: 1, 6: 6}], [2], 3))  # strength 3 fails at levels (1, 1, 6)
 def test_nested_matches_rowwise_reference(case):
-    layers, projections, s_levels, t = case
-    assert (check_nested(layers, projections, s_levels, t)
-            == _ref_nested(layers, projections, s_levels, t))
+    rows, stops, projections, s_levels, t = case
+    assert (check_nested(rows, stops, projections, s_levels, t)
+            == _ref_nested(rows, stops, projections, s_levels, t))
 
 
 def test_nested_counterexample_at_sparse_codes():
-    layers, projections = _sparse_layers()
-    rep = check_nested(layers, projections, [2, 4], 2)
+    rows, stops, projections = _sparse_nest()
+    rep = check_nested(rows, stops, projections, [2, 4], 2)
     assert (rep.check, rep.counterexample) == (
         "nested-oa[layer 2 via rho_2]",
         {"columns": [0, 1], "levels": [6, 0], "observed": 2, "expected": 1})
@@ -656,7 +632,7 @@ def sliced_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(sliced_cases())
 @example((_GOLDEN, 16, {c: c % 4 for c in range(8)}, 4, 2))  # every slice passes
-@example((_sparse_layers()[0][1], 8, {c: c for c in (0, 1, 6, 7)}, 4, 1))  # slice 1: four 0s
+@example((_sparse_nest()[0], 8, {c: c for c in (0, 1, 6, 7)}, 4, 1))  # slice 1: four 0s
 @example((_T3_ROWS * 2, 8, {1: 1, 6: 6}, 2, 3))  # slice 1 fails at levels (1, 1, 6)
 def test_sliced_matches_rowwise_reference(case):
     rows, size, projection, s_low, t = case
@@ -697,9 +673,9 @@ def claim_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(claim_cases())
-@example((_sparse_layers()[0][1], [Claim("oa", rows=(4, 16), layers=(1,)),
-                                   Claim("oa", layers=(2,))],
-          *_sparse_layers()[1:], [2, 4], [[0, 1], [0, 1, 6, 7]]))  # the second fails at (6, 0)
+@example((_sparse_nest()[0], [Claim("oa", rows=(4, 16), layers=(1,)),
+                              Claim("oa", layers=(2,))],
+          _sparse_nest()[2], [2, 4], [[0, 1], [0, 1, 6, 7]]))  # the second fails at (6, 0)
 def test_claims_match_rowwise_reference(case):
     rows, claims, projections, levels, element_sets = case
     subtract = lambda a, b: (a - b) % 16  # noqa: E731
@@ -750,11 +726,11 @@ def test_nested_dm_claims_match_rowwise_reference(case):
 @settings(max_examples=300, deadline=None)
 @given(nested_cases())
 def test_nested_dm_matches_rowwise_reference(case):
-    layers, projections, sizes, _ = case
+    rows, stops, projections, sizes, _ = case
     element_sets = [sorted(set(p.values())) for p in projections]
     subtract = lambda a, b: (a - b) % 16  # noqa: E731
-    assert (check_nested_dm(layers, projections, element_sets, subtract)
-            == _ref_nested_dm(layers, projections, element_sets, subtract))
+    assert (check_nested_dm(rows, stops, projections, element_sets, subtract)
+            == _ref_nested_dm(rows, stops, projections, element_sets, subtract))
 
 
 @st.composite
@@ -791,7 +767,7 @@ def repeated_block_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(repeated_block_cases())
 # the whole collapse mod 2 passes, and the whole matrix, on four levels, fails
-@example((_sparse_layers()[0][1], [Claim("oa", layers=(1,)), Claim("oa")],
+@example((_sparse_nest()[0], [Claim("oa", layers=(1,)), Claim("oa")],
           [{c: c % 2 for c in (0, 1, 6, 7)}], [2], [[0, 1]]))
 def test_repeated_blocks_match_rowwise_reference(case):
     """A block equal to one already proven takes that block's passing report
@@ -905,11 +881,13 @@ def test_nested_reports_incompatible_projections(table1_codes):
     """A prefix family whose coarse projection (the x^2 bit) splits a class
     of the finer one (c mod 4) fails on compatibility, before any layer
     oracle runs."""
-    layers = [table1_codes[:4], table1_codes[:16], table1_codes]
+    stops = [4, 16, 64]
     identity = {c: c for c in range(8)}
     rho2 = {c: c % 4 for c in range(8)}
-    assert check_nested(layers, [{c: c % 2 for c in range(8)}, rho2, identity], [2, 4, 8], 2)
-    rep = check_nested(layers, [{c: c >> 2 for c in range(8)}, rho2, identity], [2, 4, 8], 2)
+    assert check_nested(table1_codes, stops, [{c: c % 2 for c in range(8)}, rho2, identity],
+                        [2, 4, 8], 2)
+    rep = check_nested(table1_codes, stops, [{c: c >> 2 for c in range(8)}, rho2, identity],
+                       [2, 4, 8], 2)
     assert (rep.check, rep.passed, rep.detail, rep.counterexample) == (
         "nested-oa", False, "refinement violated", {"layers": [1, 2], "pair": [0, 4]})
 
@@ -929,13 +907,10 @@ _IDENTITY = {0: 0, 1: 1}
     lambda: check_sliced(_OA4, -2, _IDENTITY, 2, 2),
     lambda: check_sliced(_OA4, 0, _IDENTITY, 2, 2),
     lambda: check_sliced(_OA4, 4, _IDENTITY, 0, 2),
-    lambda: check_nested([_OA4], [_IDENTITY], [2], 0),
-    lambda: check_nested([_OA4], [_IDENTITY], [0], 2),
-    lambda: check_nested_dm([_OA4], [_IDENTITY], [[]]),
+    lambda: check_nested(_OA4, [4], [_IDENTITY], [2], 0),
+    lambda: check_nested(_OA4, [4], [_IDENTITY], [0], 2),
+    lambda: check_nested_dm(_OA4, [4], [_IDENTITY], [[]]),
     lambda: list(check_claims(_OA4, [Claim("strat", strength=2, size=-1)], levels=[2])),
-    lambda: check_stratification([r[:2] for r in _OA4], 2, 2, dims=(0, 5)),
-    lambda: check_stratification([r[:2] for r in _OA4], 2, 2, dims=(0, -1)),
-    lambda: check_stratification([r[:2] for r in _OA4], 2, 2, dims=(1, 1)),
     lambda: list(check_claims(_OA4, [Claim("oa")])),
     lambda: list(check_claims(_OA4, [Claim("dm")], levels=[2])),
     lambda: list(check_claims(_OA4, [Claim("nested", rows=(2, 4), layers=(1, 2))], levels=[2, 2])),
@@ -945,8 +920,7 @@ _IDENTITY = {0: 0, 1: 1}
     lambda: list(check_claims(_OA4, [Claim("latin-square")], levels=[2])),
 ], ids=["oa-s0", "oa-t0", "dm-no-elements", "strat-g0", "strat-g-1", "strat-scale0",
         "strat-size-2", "sliced-size-2", "sliced-size0", "sliced-s0", "nested-t0", "nested-s0",
-        "nested-dm-no-elements", "claims-strat-size-1", "strat-dims-past-columns",
-        "strat-dims-negative", "strat-dims-repeated", "claims-no-levels",
+        "nested-dm-no-elements", "claims-strat-size-1", "claims-no-levels",
         "claims-dm-no-element-sets", "claims-nested-no-projections", "claims-nested-no-layers",
         "claims-nested-dm-no-layers", "claims-unknown-kind"])
 def test_oracles_refuse_nonsense_parameters(call):
