@@ -3,7 +3,9 @@
 `construct` and `lift` write JSON design files; `export` is the one command
 that converts them to CSV or scatter data.  A non-default field modulus comes
 from the `modulus` key of a `--chain` descriptor.  `METHODS` is the one place
-a construct method is described.
+a construct method is described.  `_file_claims` maps a design file's
+annotations to claims for `verify` and `lift`; the file types that may carry
+each key come from `io._FIELDS`, and a key on another type exits 2.
 
 Every job starts a fresh interpreter, so `arrays`, `spacefill` and `verify`
 are lazily loaded module objects (`_lazy`): a job compiles and runs each one
@@ -37,6 +39,7 @@ from .groups import (
     is_int,
 )
 from .io import (
+    _FIELDS,
     DesignFile,
     _write_text,
     export_scatter,
@@ -143,16 +146,11 @@ def _design_file(matrix: GroupMatrix, chain: GroupChain, method: str, params: di
     )
 
 
-# each claim annotation -> the file types that record it (a `design` file's
-# `layer_prefixes` and `slice_size` are the provenance a relabel-only lift copies)
-_ANNOTATED_TYPES = {"grids": ("lh",), "scale": ("lh",), "collapse_layer": ("oa",),
-                    "slice_size": ("oa", "design"), "layer_prefixes": ("oa", "dm", "design")}
-
-
 def _file_claims(design: DesignFile, chain: Optional[GroupChain]) -> list[verify.Claim]:
     """The claims `design`, over its `chain`, records (README "Claims"); an
-    annotation that cannot be checked in full is a SpecError."""
-    for key, types in _ANNOTATED_TYPES.items():
+    annotation that cannot be checked in full, or that `_FIELDS` does not
+    allow on its file type, is a SpecError."""
+    for key, (_, _, types) in _FIELDS.items():
         if getattr(design, key) is not None and design.type not in types:
             raise SpecError(f"{design.type!r} files cannot carry {key!r}; "
                             f"only {'/'.join(types)} files do")
@@ -305,20 +303,6 @@ def _load_family(design: DesignFile) -> arrays.NestedFamily:
     return arrays.NestedFamily(chain, GroupMatrix(design.rows, chain.group), nested)
 
 
-def _check_prefix_layers(family: arrays.NestedFamily) -> None:
-    """Refuse a family whose layer-i prefix holds a code outside layer i.  The
-    nested lift reads prefix i as a design over layer i; `verify`, and the
-    sliced and grouped lifts, read only its collapse."""
-    chain = family.chain
-    for layer, stop in enumerate(family.nested.rows[:-1], start=1):
-        codes = set(chain.layer_codes(layer))
-        for r, row in enumerate(family.top.code_rows[:stop]):
-            if not codes.issuperset(row):
-                code = next(c for c in row if c not in codes)
-                raise SpecError(f"row {r} of the layer-{layer} prefix holds code {code} "
-                                f"({chain.group.text_code(code)}), which is not in layer {layer}")
-
-
 def _load_permutations(path, kind: str, chain: GroupChain):
     data = read_json(path, "permutation file")
     if not isinstance(data, dict) or data.get("kind") != kind:
@@ -339,8 +323,6 @@ def cmd_lift(args) -> int:
         _refuse_unread(args, ("seed",), "by a relabel-only lift with --perms")
     design = load(args.design)
     family = _load_family(design)
-    if args.mode == "nested":
-        _check_prefix_layers(family)
     chain = family.chain
     seed = _default_seed(args)
     m = family.top.n_cols

@@ -38,22 +38,29 @@ def _grid(g) -> bool:
     return len(extent) == 1 and _positive(extent[0]) and _positive(g.get("grid"))
 
 
-# every key a design file may carry -> (test of its value, what the test wants)
+_TYPES = ("oa", "dm", "design", "lh")
+
+# every key a design file may carry, in the order `to_dict` writes it -> (test
+# of its value, what the test wants, the file types that may carry it); a key
+# on another type is a claim no check reads, which `verify` and `lift` refuse
 _FIELDS = {
-    "type": (lambda v: v in ("oa", "dm", "design", "lh"), "one of oa, dm, design, lh"),
+    "type": (lambda v: v in _TYPES, "one of oa, dm, design, lh", _TYPES),
     "rows": (lambda v: isinstance(v, list) and all(map(isinstance, v, itertools.repeat(list))),
-             "a list of rows"),
-    **{key: (_positive, "a positive integer") for key in (
-        "s", "t_claimed", "slice_size", "collapse_layer", "scale")},
-    "chain": (lambda v: isinstance(v, dict), "an object"),
+             "a list of rows", _TYPES),
+    "s": (_positive, "a positive integer", ("oa", "dm", "design")),
+    "t_claimed": (_positive, "a positive integer", ("oa", "design")),
+    "chain": (lambda v: isinstance(v, dict), "an object", _TYPES),
     "layer_prefixes": (lambda v: isinstance(v, list) and all(map(_positive, v)),
-                       "a list of positive integers"),
+                       "a list of positive integers", ("oa", "dm", "design")),
+    "slice_size": (_positive, "a positive integer", ("oa", "design")),
+    "collapse_layer": (_positive, "a positive integer", ("oa",)),
     "grids": (lambda v: isinstance(v, list) and all(map(_grid, v)),
-              "a list of {grid, rows | slice_size} objects of positive integers"),
-    "seeds": (lambda v: isinstance(v, dict), "an object"),
-    "permutations": (lambda v: isinstance(v, list), "a list"),
-    "meta": (lambda v: isinstance(v, dict), "an object"),
-    "symbols": (lambda v: isinstance(v, dict), "an object"),
+              "a list of {grid, rows | slice_size} objects of positive integers", ("lh",)),
+    "scale": (_positive, "a positive integer", ("lh",)),
+    "seeds": (lambda v: isinstance(v, dict), "an object", _TYPES),
+    "permutations": (lambda v: isinstance(v, list), "a list", _TYPES),
+    "meta": (lambda v: isinstance(v, dict), "an object", _TYPES),
+    "symbols": (lambda v: isinstance(v, dict), "an object", _TYPES),
 }
 
 
@@ -76,36 +83,22 @@ def _check_rows(rows) -> None:
 
 
 class DesignFile(Record):
-    """One design file's contents; its rows are checked when it is built.
-    `to_dict` writes the fields after `type` and `rows` in `_fields` order."""
+    """One design file's contents: one keyword field per `_FIELDS` key, None
+    where absent (`meta` an empty dict); its rows are checked when it is
+    built.  `to_dict` writes the fields after `type` and `rows` in `_fields`
+    order."""
 
-    __slots__ = _fields = ("type", "rows", "s", "t_claimed", "chain", "layer_prefixes",
-                           "slice_size", "collapse_layer", "grids", "scale", "seeds",
-                           "permutations", "meta", "symbols")
+    __slots__ = _fields = tuple(_FIELDS)
 
-    def __init__(
-        self,
-        type: str,  # "oa" | "dm" | "design" | "lh"
-        rows: list[list[int]],
-        s: Optional[int] = None,
-        t_claimed: Optional[int] = None,
-        chain: Optional[dict] = None,
-        layer_prefixes: Optional[list[int]] = None,
-        slice_size: Optional[int] = None,
-        collapse_layer: Optional[int] = None,
-        grids: Optional[list[dict]] = None,
-        scale: Optional[int] = None,
-        seeds: Optional[dict] = None,
-        permutations: Optional[list[list[int]]] = None,
-        meta: Optional[dict] = None,  # a new empty dict when None
-        symbols: Optional[dict] = None,
-    ):
+    def __init__(self, type: str, rows: list[list[int]], **fields):
+        if unknown := fields.keys() - _FIELDS:
+            raise TypeError(f"DesignFile got unknown fields {sorted(unknown)}")
         _check_rows(rows)
-        self.type, self.rows, self.s, self.t_claimed = type, rows, s, t_claimed
-        self.chain, self.layer_prefixes, self.slice_size = chain, layer_prefixes, slice_size
-        self.collapse_layer, self.grids, self.scale, self.seeds = collapse_layer, grids, scale, seeds
-        self.permutations, self.symbols = permutations, symbols
-        self.meta = {} if meta is None else meta
+        fields.update(type=type, rows=rows)
+        for key in self._fields:
+            setattr(self, key, fields.get(key))
+        if self.meta is None:
+            self.meta = {}
 
     @property
     def n(self) -> int:
@@ -133,7 +126,7 @@ class DesignFile(Record):
         if not isinstance(data, dict) or data.get("format") != FORMAT_NAME:
             raise SpecError("not a nestfill design file")
         kwargs = {}
-        for key, (valid, want) in _FIELDS.items():
+        for key, (valid, want, _) in _FIELDS.items():
             value = data.get(key)
             if value is None:
                 continue

@@ -7,7 +7,10 @@ permutation sends each block of q = s_I/s_j consecutive positions onto one
 value block of the same width, for every j below the top.  Relabeling an
 array's levels through such permutations and then expanding each level into
 a block of distinct values produces designs whose prefixes (nested case) or
-row slices (sliced case) stratify progressively coarser grids.
+row slices (sliced case) stratify progressively coarser grids.  The nested
+lift reads prefix i as a design over layer i, so `build_nsfd` refuses a
+family whose layer-i prefix holds a code outside layer i; the sliced and
+grouped lifts read only collapses.
 
 All randomness is drawn from per-purpose streams seeded with strings such as
 "<seed>:lh:<column>", so results are reproducible across runs and adding
@@ -233,8 +236,16 @@ def build_nsfd(
 ) -> LiftedDesign:
     """Relabel the top array through nested permutations keyed by the
     outer-first enumeration, then lift to a Latin hypercube whose row
-    prefixes stratify progressively finer grids."""
+    prefixes stratify progressively finer grids.  A family whose layer-i
+    prefix holds a code outside layer i is refused."""
     chain = family.chain
+    for layer, stop in enumerate(family.nested.rows[:-1], start=1):
+        codes = set(chain.layer_codes(layer))
+        for r, row in enumerate(family.top.code_rows[:stop]):
+            if not codes.issuperset(row):
+                code = next(c for c in row if c not in codes)
+                raise SpecError(f"row {r} of the layer-{layer} prefix holds code {code} "
+                                f"({chain.group.text_code(code)}), which is not in layer {layer}")
     _check_perms(permutations, family.top.n_cols, chain.sizes, NestedPermutation)
     labels = _position_labels(chain.ordered_codes("outer-first"),
                               [p.values for p in permutations])

@@ -553,6 +553,9 @@ _OUT_OF_RANGE = [
      ["verify", "--design", "d.json"]),
     ({"d.json": _with_keys(_gf4_dm([2, 4]), grids=[{"grid": 2, "rows": 4}])},
      ["verify", "--design", "d.json"]),
+    ({"d.json": _with_keys(_lh16([]), t_claimed=2)}, ["verify", "--design", "d.json"]),
+    ({"d.json": _with_keys(_lh16([]), s=16)}, ["verify", "--design", "d.json"]),
+    ({"d.json": _with_keys(_gf4_dm([2, 4]), t_claimed=2)}, ["verify", "--design", "d.json"]),
     ({"d.json": _rh_u12_swapped()}, ["lift", "--design", "d.json", "--mode", "nested",
                                      "--seed", "1", "--out", "x.json"]),
     ({"d.json": _with_keys(_rh_u12([4, 16]), n=999, m=42)}, ["verify", "--design", "d.json"]),
@@ -617,6 +620,7 @@ _OUT_OF_RANGE = [
        "ndm-product-two-inputs", "kron-noa-without-input", "kron-soa-one-input",
        "lift-chainless-oa", "lift-oa-without-prefixes", "perms-of-wrong-kind",
        "grouped-without-i-j", "oa-grids", "oa-scale", "dm-sliced", "dm-grids",
+       "lh-t-claimed", "lh-s", "dm-t-claimed",
        "lift-nested-prefix-outside-layer", "header-n-m-mismatch", "csv-header-n-mismatch",
        "json-too-deep", "csv-meta-too-deep", "chain-too-deep", "json-int-too-long",
        "perms-int-too-long", "empty-columns", "empty-chain", "empty-perms",
@@ -634,6 +638,49 @@ def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, 
     assert run(*(a.format(rh=rh_design) for a in argv)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_nested_lift_names_the_prefix_row_outside_its_layer(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(_rh_u12_swapped())
+    assert run("lift", "--design", str(path), "--mode", "nested", "--seed", "1",
+               "--out", str(tmp_path / "x.json")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: row 1 of the layer-1 prefix holds code 3 (x+1), which is not in layer 1"]
+
+
+# README "Claims": the file types that may carry each claim key
+_CLAIM_KEY_TYPES = {"s": ("oa", "dm", "design"), "t_claimed": ("oa", "design"),
+                    "layer_prefixes": ("oa", "dm", "design"), "slice_size": ("oa", "design"),
+                    "collapse_layer": ("oa",), "grids": ("lh",), "scale": ("lh",)}
+# one file of each type carrying every claim key its type may carry, each in full
+_FULL_FILES = {
+    "oa": _with_keys(_rh_u12([4, 16]), slice_size=4, collapse_layer=1),
+    "dm": _with_keys(_gf4_dm([2, 4]), s=4),
+    "design": _with_keys(_rh_u12([4, 16]), type="design", slice_size=4),
+    "lh": _lh16([{"grid": 2, "rows": 16}]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FULL_FILES))
+def test_claim_keys_allowed_by_file_type(kind, tmp_path, capsys):
+    """`verify` takes every claim key on the types README "Claims" allows it
+    on, and exits 2 on each other type with one line naming the key."""
+    data = json.loads(_FULL_FILES[kind])
+    assert {k for k in _CLAIM_KEY_TYPES if k in data} == {
+        k for k, types in _CLAIM_KEY_TYPES.items() if kind in types}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(data))
+    assert run("verify", "--design", str(path), "--out", str(tmp_path / "r.json")) != 2
+    for key, types in _CLAIM_KEY_TYPES.items():
+        if kind in types:
+            continue
+        value = next(v[key] for v in map(json.loads, _FULL_FILES.values()) if key in v)
+        path.write_text(json.dumps({**data, key: value}))
+        capsys.readouterr()
+        assert run("verify", "--design", str(path)) == 2, key
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {kind!r} files cannot carry {key!r}; only {'/'.join(types)} files do"]
 
 
 _CONSTRUCT_OPTIONS = {"k": "2", "columns": "1,0;0,1;1,1", "input": "a.json"}

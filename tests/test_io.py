@@ -5,7 +5,15 @@ import pytest
 from nestfill.errors import SpecError
 from nestfill.galois import Field
 from nestfill.groups import chain_field_tower, chain_omega_ring, chain_subfield_tower
-from nestfill.io import DesignFile, export_scatter, load, save_csv, save_json, symbols_for
+from nestfill.io import (
+    _FIELDS,
+    DesignFile,
+    export_scatter,
+    load,
+    save_csv,
+    save_json,
+    symbols_for,
+)
 
 
 def small_design():
@@ -48,6 +56,31 @@ def test_first_bad_row_named(rows, message):
     with the message of the first bad row."""
     with pytest.raises(SpecError, match=f"^{message}$"):
         DesignFile(type="design", rows=rows)
+
+
+# a valid value of every design-file key
+_VALUES = {
+    "type": "oa", "rows": [[0, 1], [1, 0]], "s": 2, "t_claimed": 2,
+    "chain": {"kind": "field-tower", "p": 2, "u_chain": [1]}, "layer_prefixes": [2],
+    "slice_size": 1, "collapse_layer": 1, "grids": [{"grid": 2, "rows": 2}], "scale": 2,
+    "seeds": {"lift": 1}, "permutations": [[1, 0]], "meta": {"method": "fixture"},
+    "symbols": {"0": "0", "1": "1"},
+}
+
+
+def test_every_field_round_trips_in_table_order():
+    """`DesignFile` has one field per `_FIELDS` key, and `to_dict` writes them
+    in table order, `rows` last, so `from_dict` reads back an equal file."""
+    assert set(_VALUES) == set(_FIELDS) and DesignFile._fields == tuple(_FIELDS)
+    d = DesignFile(**_VALUES)
+    data = d.to_dict()
+    assert list(data) == ["format", "version", "type", "n", "m", *list(_FIELDS)[2:], "rows"]
+    assert DesignFile.from_dict(data) == d
+
+
+def test_unknown_field_is_a_type_error():
+    with pytest.raises(TypeError, match="strength"):
+        DesignFile(type="oa", rows=[[0]], strength=2)
 
 
 def test_json_one_row_per_line(tmp_path):

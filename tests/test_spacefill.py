@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden import RELABELED_NESTED_M3, RELABELED_SLICED_M, QUAL_OA_16_RUNS
-from nestfill.arrays import construct_noa_rh
+from nestfill.arrays import construct_from_ndm, construct_noa_rh, rao_hamming_oa
 from nestfill.errors import SpecError
 from nestfill.groups import chain_field_tower
 from nestfill.spacefill import (
@@ -208,6 +208,22 @@ class TestNsfd:
         }
         assert len(recoded) == 4
         assert sorted(v for _, v in recoded) == [0, 1, 2, 3]
+
+
+def test_nested_lift_refuses_prefix_outside_its_layer():
+    """The A(+)D nest of `construct_from_ndm` exists only through collapses:
+    its layer-1 prefix holds higher-layer codes, so the nested lift refuses
+    it and the sliced and grouped lifts, which key on collapses, take it."""
+    chain = chain_field_tower(2, [1, 2, 3])
+    _, family = construct_from_ndm(chain, rao_hamming_oa(chain.field, chain.layer_codes(3), 2))
+    m = family.top.n_cols
+    nested = [gen_nested_permutation(chain.sizes, 0, tag=c) for c in range(m)]
+    with pytest.raises(SpecError, match=r"^row 1 of the layer-1 prefix holds code 2 \(x\), "
+                                        r"which is not in layer 1$"):
+        build_nsfd(family, nested)
+    sliced = [gen_sliced_permutation(chain.sizes, 0, tag=c) for c in range(m)]
+    assert build_ssfd_multi(family, sliced).n == family.top.n_rows
+    assert build_ssfd_grouped(family, i=2, j=1).n == family.top.n_rows
 
 
 class TestSsfdMulti:
