@@ -281,7 +281,7 @@ def cmd_construct(args) -> int:
                                      if tail else args.out))
         out_path = written[-1]
         written.append(_write_text(out_path.with_suffix(out_path.suffix + ".verify.json"),
-                                   _report_text(reports), "verification report"))
+                                   [_report_text(reports)], "verification report"))
     except SpecError:
         for path in written:
             path.unlink()
@@ -386,7 +386,7 @@ def cmd_verify(args) -> int:
     reports = verify_design(design)
     text = _report_text(reports, design=str(args.design))
     if args.out:
-        _write_text(args.out, text, "verification report")
+        _write_text(args.out, [text], "verification report")
     else:
         sys.stdout.write(text)
     for r in reports:

@@ -11,7 +11,11 @@ in a single ``# meta=...`` comment line followed by an ``x1..xm`` header and
 the code rows.  Scatter export writes one two-column CSV per dimension pair.
 
 Serialization is deterministic: fixed key order, no timestamps, so repeated
-runs of the same job produce byte-identical files.
+runs of the same job produce byte-identical files.  Writers stream: a design
+file goes to disk as its header and then one row at a time, never as one
+whole-file string, and a write that fails removes its partial file.  Scatter
+export formats each distinct value once and shares that string between the
+cells holding it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import __version__
 from .errors import Record, SpecError
@@ -84,19 +88,23 @@ def _check_rows(rows) -> None:
 
 class DesignFile(Record):
     """One design file's contents: one keyword field per `_FIELDS` key, None
-    where absent (`meta` an empty dict); its rows are checked when it is
-    built.  `to_dict` writes the fields after `type` and `rows` in `_fields`
-    order."""
+    where absent (`meta` an empty dict); each given field passes its
+    `_FIELDS` test and the rows are checked when it is built, so every file
+    the writers emit loads.  `to_dict` writes the fields after `type` and
+    `rows` in `_fields` order."""
 
     __slots__ = _fields = tuple(_FIELDS)
 
     def __init__(self, type: str, rows: list[list[int]], **fields):
         if unknown := fields.keys() - _FIELDS:
             raise TypeError(f"DesignFile got unknown fields {sorted(unknown)}")
-        _check_rows(rows)
         fields.update(type=type, rows=rows)
-        for key in self._fields:
-            setattr(self, key, fields.get(key))
+        for key, (valid, want, _) in _FIELDS.items():
+            value = fields.get(key)
+            if value is not None and not valid(value):
+                raise SpecError(f"design field {key!r} must be {want}, got {value!r}")
+            setattr(self, key, value)
+        _check_rows(rows)
         if self.meta is None:
             self.meta = {}
 
@@ -125,14 +133,7 @@ class DesignFile(Record):
     def from_dict(cls, data: dict) -> "DesignFile":
         if not isinstance(data, dict) or data.get("format") != FORMAT_NAME:
             raise SpecError("not a nestfill design file")
-        kwargs = {}
-        for key, (valid, want, _) in _FIELDS.items():
-            value = data.get(key)
-            if value is None:
-                continue
-            if not valid(value):
-                raise SpecError(f"design field {key!r} must be {want}, got {value!r}")
-            kwargs[key] = value
+        kwargs = {key: data[key] for key in _FIELDS if data.get(key) is not None}
         for key in ("type", "rows"):
             if key not in kwargs:
                 raise SpecError(f"design file has no {key!r}")
@@ -154,8 +155,16 @@ def save_json(design: DesignFile, path) -> Path:
     payload = design.to_dict()
     rows = payload.pop("rows")
     head = json.dumps(payload, indent=2)[: -len("\n}")]
-    body = "],\n    [".join([",".join(map(str, r)) for r in rows])
-    return _write_text(path, f'{head},\n  "rows": [\n    [{body}]\n  ]\n}}\n', "design file")
+
+    def pieces():
+        yield f'{head},\n  "rows": [\n'
+        sep = "    ["
+        for r in rows:
+            yield sep + ",".join(map(str, r))
+            sep = "],\n    ["
+        yield "]\n  ]\n}\n"
+
+    return _write_text(path, pieces(), "design file")
 
 
 def _read_text(path, what: str) -> str:
@@ -165,13 +174,20 @@ def _read_text(path, what: str) -> str:
         raise SpecError(f"cannot read {what} {path}: {exc}") from None
 
 
-def _write_text(path, text: str, what: str) -> Path:
-    """Write `text` to `path`; an unwritable path is a SpecError naming
-    `what` was to be written there."""
+def _write_text(path, pieces: Iterable[str], what: str) -> Path:
+    """Stream the string `pieces` to `path`.  An unwritable path is a
+    SpecError naming `what` was to be written there; a write that fails
+    after the file was opened removes the partial file first."""
     path = Path(path)
+    opened = False
     try:
-        path.write_text(text)
+        with path.open("w") as out:
+            opened = True
+            out.writelines(pieces)
     except OSError as exc:
+        # never a device, a pipe or the target of a link such as /dev/stdout
+        if opened and path.is_file() and not path.is_symlink():
+            path.unlink()
         raise SpecError(f"cannot write {what} {path}: {exc.strerror or exc}") from None
     return path
 
@@ -200,11 +216,10 @@ def load(path) -> DesignFile:
 def save_csv(design: DesignFile, path) -> Path:
     payload = design.to_dict()
     rows = payload.pop("rows")
-    lines = [f"# {FORMAT_NAME} v{__version__}"]
-    lines.append("# meta=" + json.dumps(payload))
-    lines.append(",".join(f"x{j + 1}" for j in range(design.m)))
-    lines.extend(",".join(map(str, r)) for r in rows)
-    return _write_text(path, "\n".join(lines) + "\n", "design file")
+    head = (f"# {FORMAT_NAME} v{__version__}\n# meta={json.dumps(payload)}\n"
+            + ",".join(f"x{j + 1}" for j in range(design.m)) + "\n")
+    return _write_text(path, itertools.chain(
+        [head], (",".join(map(str, r)) + "\n" for r in rows)), "design file")
 
 
 def _load_csv(text: str) -> DesignFile:
@@ -237,15 +252,17 @@ def export_scatter(design: DesignFile, out_prefix) -> list[Path]:
     m = design.m
     if m < 2:
         raise SpecError("scatter export needs at least two dimensions")
-    columns = [list(map(str, col)) for col in zip(*design.rows)]
+    # one str per distinct value, shared by every cell that holds it
+    text = {v: str(v) for v in set(itertools.chain.from_iterable(design.rows))}
+    columns = [list(map(text.__getitem__, col)) for col in zip(*design.rows)]
     paths = []  # removed again if a later write fails
     try:
         for i in range(m):
             for j in range(i + 1, m):
                 path = prefix.parent / f"{prefix.name}_x{i + 1}_x{j + 1}.csv"
-                lines = [f"x{i + 1},x{j + 1}"]
-                lines.extend(map(",".join, zip(columns[i], columns[j])))
-                paths.append(_write_text(path, "\n".join(lines) + "\n", "scatter file"))
+                points = "\n".join(map(",".join, zip(columns[i], columns[j])))
+                paths.append(_write_text(path, [f"x{i + 1},x{j + 1}\n", points, "\n"],
+                                         "scatter file"))
     except SpecError:
         for path in paths:
             path.unlink()

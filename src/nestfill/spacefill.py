@@ -14,7 +14,9 @@ grouped lifts read only collapses.
 
 All randomness is drawn from per-purpose streams seeded with strings such as
 "<seed>:lh:<column>", so results are reproducible across runs and adding
-columns never perturbs earlier columns' draws.
+columns never perturbs earlier columns' draws.  An n-run lift holds n int
+objects, whatever its column count: every column's values are shared
+objects drawn from one list(range(n)).
 """
 
 from __future__ import annotations
@@ -149,18 +151,20 @@ def oa_based_lh(rows: Sequence[Sequence[int]], s: int, seed, tag="lh") -> list[l
 
     Every column must carry each level exactly q times; the result has each
     column a permutation of 0..n-1 and floor(out*s/n) == rows entry-wise.
+    Each block is a shuffled slice of one shared list(range(n)), so all
+    columns reference the same n int objects; `rows` is read, not copied.
     """
-    rows = [list(r) for r in rows]
     n = len(rows)
     if n == 0 or n % s:
         raise SpecError(f"run size {n} is not a multiple of the level count {s}")
     q = n // s
     m = len(rows[0])
+    values = list(range(n))
     out = [[0] * m for _ in range(n)]
     for col in range(m):
         positions: dict[int, list[int]] = {r: [] for r in range(s)}
-        for idx in range(n):
-            v = rows[idx][col]
+        for idx, row in enumerate(rows):
+            v = row[col]
             if v not in positions:
                 raise SpecError(f"column {col} holds level {v} outside 0..{s - 1}")
             positions[v].append(idx)
@@ -171,10 +175,10 @@ def oa_based_lh(rows: Sequence[Sequence[int]], s: int, seed, tag="lh") -> list[l
                 f"{len(positions[bad])} times, expected {q}"
             )
         rng = _stream(seed, tag, col)
-        for r in range(s):
-            block = list(range(r * q, (r + 1) * q))
+        for r, where in positions.items():  # levels 0..s-1 in order
+            block = values[r * q : (r + 1) * q]
             rng.shuffle(block)
-            for idx, value in zip(positions[r], block):
+            for idx, value in zip(where, block):
                 out[idx][col] = value
     return out
 

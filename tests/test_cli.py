@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -792,6 +793,106 @@ def test_failed_write_leaves_no_output(blocker, files, argv, tmp_path, rh_design
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot write ")
     assert sorted(p.name for p in work.iterdir()) == sorted([blocker, *files])
+
+
+# sha256 of the seed-3 lifts of `rh_design` and of their exports (a scatter
+# export's files read in name order), as written before the writers streamed
+_LIFT_DIGESTS = {
+    "nested": {
+        "lift": "8a207fc37ea809ce084aa4b3ffe4e8b69e6b58ad6f2e232885f623abf6cec432",
+        "json": "8a207fc37ea809ce084aa4b3ffe4e8b69e6b58ad6f2e232885f623abf6cec432",
+        "csv": "3e91be9d206e684f7bbf1305bba3fd1375c407d976ed53a372a57a36f68d5117",
+        "scatter": "8e68027f7c187bd707d8943585dd31722406754914b206c022956cd299ce81ac",
+    },
+    "sliced": {
+        "lift": "0c5fb33f1dad61407e172279c5e1b5e4a8a0df65d076dcc5addd3ff86fbfe042",
+        "json": "0c5fb33f1dad61407e172279c5e1b5e4a8a0df65d076dcc5addd3ff86fbfe042",
+        "csv": "c7717ecfefb82037a17ccd3698a1f4a41cc9b0b351dec619653c30699c1f9b14",
+        "scatter": "316a100a4e22164c30b2700e0cd615977d2a638e364fb3d985c7a12a05a46f2a",
+    },
+    "grouped": {
+        "lift": "e4d384b041ffe922fa767a9a40b1fb373097b113b6e716770f8102fb94387741",
+        "json": "e4d384b041ffe922fa767a9a40b1fb373097b113b6e716770f8102fb94387741",
+        "csv": "4310b83f9e2d6e8ee598eb4ee7471264525f7df551e2747e01a543bbd94fe13d",
+        "scatter": "6e1b6c596d9e13f5b71960b103d79a718a0c817599c02a177daf4553b496e6a5",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", list(_LIFT_DIGESTS))
+def test_lift_and_export_bytes_are_pinned(mode, tmp_path, rh_design):
+    """The seed-3 lift in each mode, and its json, csv and scatter exports,
+    keep their bytes."""
+    lift = tmp_path / "lift.json"
+    extra = ["--i", "2", "--j", "1"] if mode == "grouped" else []
+    assert run("lift", "--design", str(rh_design), "--mode", mode, *extra, "--seed", "3",
+               "--out", str(lift)) == 0
+    digests = {"lift": hashlib.sha256(lift.read_bytes()).hexdigest()}
+    for fmt in ("json", "csv", "scatter"):
+        out = tmp_path / fmt
+        out.mkdir()
+        assert run("export", "--design", str(lift), "--format", fmt,
+                   "--out", str(out / ("x" if fmt == "scatter" else f"x.{fmt}"))) == 0
+        h = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            h.update(path.read_bytes())
+        digests[fmt] = h.hexdigest()
+    assert digests == _LIFT_DIGESTS[mode]
+
+
+def _fail_third_write(monkeypatch):
+    """Make every file opened for writing raise ENOSPC on its third write:
+    after the header and the first row (a scatter file's points)."""
+    real_open = Path.open
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        f = real_open(path, mode, *args, **kwargs)
+        if "w" in mode:
+            written = []
+
+            def write(text):
+                if len(written) == 2:
+                    raise OSError(28, "No space left on device")
+                written.append(text)
+                return type(f).write(f, text)
+
+            f.write = write
+        return f
+
+    monkeypatch.setattr(Path, "open", failing_open)
+
+
+@pytest.mark.parametrize("argv", [
+    _WRITES["lift"],
+    ["export", "--design", "{rh}", "--format", "json", "--out"],
+    _WRITES["export-csv"],
+    _WRITES["export-scatter"],
+], ids=["lift", "export-json", "export-csv", "export-scatter"])
+def test_write_failing_midway_leaves_no_file(argv, tmp_path, rh_design, monkeypatch, capsys):
+    """A write that fails after the first row reached the file exits 2 with
+    one error line and removes the partial file."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    _fail_third_write(monkeypatch)
+    capsys.readouterr()
+    assert run(*(a.format(rh=rh_design) for a in argv), "out") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {'scatter' if 'scatter' in argv else 'design'} file "
+        f"{'out_x1_x2.csv' if 'scatter' in argv else 'out'}: No space left on device"]
+    assert list(work.iterdir()) == []
+
+
+def test_write_failing_through_a_link_keeps_the_link(tmp_path, rh_design, monkeypatch, capsys):
+    """Only a regular file is removed after a failed write, never a link
+    (such as /dev/stdout) or what it points at."""
+    monkeypatch.chdir(tmp_path)
+    Path("target.json").write_text("old")
+    Path("out.json").symlink_to("target.json")
+    _fail_third_write(monkeypatch)
+    assert run("export", "--design", str(rh_design), "--format", "json",
+               "--out", "out.json") == 2
+    assert Path("out.json").is_symlink() and Path("target.json").is_file()
 
 
 @pytest.mark.parametrize("case", ["nested-2-layers", "nested-3-layers", "nested-dm", "sliced"])

@@ -78,6 +78,32 @@ def test_every_field_round_trips_in_table_order():
     assert DesignFile.from_dict(data) == d
 
 
+# an invalid value of every design-file key, the same after a JSON round trip
+_BAD = {
+    "type": "table", "rows": [[0, 1], 5], "s": 0, "t_claimed": -1, "chain": [],
+    "layer_prefixes": [0], "slice_size": "1", "collapse_layer": True,
+    "grids": [{"grid": 2}], "scale": 0, "seeds": [], "permutations": {}, "meta": [],
+    "symbols": [],
+}
+
+
+@pytest.mark.parametrize("key", list(_FIELDS))
+def test_bad_field_refused_when_built(key, tmp_path):
+    """`DesignFile` refuses an invalid field with the message `load` gives for
+    it, so no writer can emit a file that does not load (such as an `lh`
+    file with `scale` 0)."""
+    assert set(_BAD) == set(_FIELDS)
+    message = f"design field {key!r} must be {_FIELDS[key][1]}, got {_BAD[key]!r}"
+    with pytest.raises(SpecError) as built:
+        DesignFile(**{**_VALUES, key: _BAD[key]})
+    assert str(built.value) == message
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({**DesignFile(**_VALUES).to_dict(), key: _BAD[key]}))
+    with pytest.raises(SpecError) as loaded:
+        load(path)
+    assert str(loaded.value) == message
+
+
 def test_unknown_field_is_a_type_error():
     with pytest.raises(TypeError, match="strength"):
         DesignFile(type="oa", rows=[[0]], strength=2)

@@ -1,4 +1,5 @@
 import random
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from nestfill.groups import chain_field_tower
 from nestfill.spacefill import (
     NestedPermutation,
     SlicedPermutation,
+    _stream,
     build_nsfd,
     build_ssfd_grouped,
     build_ssfd_multi,
@@ -336,6 +338,96 @@ def test_lh_lift_properties_random_balanced_columns(s, q, m, seed):
         assert sorted(row[j] for row in out) == list(range(n))
     for row_in, row_out in zip(rows, out):
         assert [v // q for v in row_out] == row_in
+
+
+# the row-wise lift as it was before it shared one list(range(n)) between
+# its columns: the reference the column-wise lift must equal
+def _ref_oa_based_lh(rows: Sequence[Sequence[int]], s: int, seed, tag="lh") -> list[list[int]]:
+    """Expand each level r of each column into the value block
+    [r*q, (r+1)*q) via a per-column uniform shuffle, q = n/s.
+
+    Every column must carry each level exactly q times; the result has each
+    column a permutation of 0..n-1 and floor(out*s/n) == rows entry-wise.
+    """
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    if n == 0 or n % s:
+        raise SpecError(f"run size {n} is not a multiple of the level count {s}")
+    q = n // s
+    m = len(rows[0])
+    out = [[0] * m for _ in range(n)]
+    for col in range(m):
+        positions: dict[int, list[int]] = {r: [] for r in range(s)}
+        for idx in range(n):
+            v = rows[idx][col]
+            if v not in positions:
+                raise SpecError(f"column {col} holds level {v} outside 0..{s - 1}")
+            positions[v].append(idx)
+        bad = next((r for r, p in positions.items() if len(p) != q), None)
+        if bad is not None:
+            raise SpecError(
+                f"column {col} is unbalanced: level {bad} occurs "
+                f"{len(positions[bad])} times, expected {q}"
+            )
+        rng = _stream(seed, tag, col)
+        for r in range(s):
+            block = list(range(r * q, (r + 1) * q))
+            rng.shuffle(block)
+            for idx, value in zip(positions[r], block):
+                out[idx][col] = value
+    return out
+
+
+
+@st.composite
+def lift_cases(draw):
+    """A column-balanced design over s levels, or one broken by up to two
+    faults: a level out of range, an unbalanced column, a run size s does not
+    divide."""
+    s, q, m = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = s * q
+    cols = [draw(st.permutations([r for r in range(s) for _ in range(q)])) for _ in range(m)]
+    rows = [[cols[c][r] for c in range(m)] for r in range(n)]
+    for fault in draw(st.lists(st.sampled_from(["out-of-range", "unbalanced", "run-size"]),
+                               max_size=2)):
+        if not rows:
+            break
+        row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, m - 1))
+        if fault == "out-of-range":
+            rows[row][col] = draw(st.sampled_from([-1, s, s + 3]))
+        elif fault == "unbalanced" and s > 1:
+            rows[row][col] = (rows[row][col] + draw(st.integers(1, s - 1))) % s
+        elif fault == "run-size" and len(rows) == n:
+            rows.pop()
+    return rows, s
+
+
+def _outcome(lift, rows, s, seed):
+    try:
+        return lift(rows, s, seed)
+    except SpecError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lift_cases(), st.integers(0, 10_000))
+def test_lift_equals_row_wise_reference(case, seed):
+    """The same values, or the same refusal with the same message, as the
+    row-wise lift."""
+    rows, s = case
+    copy = [list(r) for r in rows]
+    assert _outcome(oa_based_lh, rows, s, seed) == _outcome(_ref_oa_based_lh, rows, s, seed)
+    assert rows == copy  # the input is read, not changed
+
+
+def test_lift_holds_one_int_object_per_value():
+    """All columns of an n-run lift share n int objects, above the interpreter's
+    small-int cache (n > 256) too."""
+    n, s = 512, 4
+    rows = [[r % s, (r // s) % s, (r * 3 + 1) % s] for r in range(n)]
+    out = oa_based_lh(rows, s, seed=5)
+    assert out == _ref_oa_based_lh(rows, s, seed=5)
+    assert len({id(v) for r in out for v in r}) == n
 
 
 class TestCompose:
