@@ -3,8 +3,9 @@
 `construct` and `lift` write JSON design files; `export` is the one command
 that converts them to CSV or scatter data.  A non-default field modulus comes
 from the `modulus` key of a `--chain` descriptor.  `METHODS` is the one place
-a construct method is described.  `_file_claims` maps a design file's
-annotations to claims for `verify` and `lift`; the file types that may carry
+a construct method is described.  `_file_claims` is the one reader of a
+design file's claims for `verify` and `lift`: it loads the file's chain and
+returns the claims with their oracle inputs; the file types that may carry
 each key come from `io._FIELDS`, and a key on another type exits 2.
 
 Every job starts a fresh interpreter, so `arrays`, `spacefill` and `verify`
@@ -146,68 +147,74 @@ def _design_file(matrix: GroupMatrix, chain: GroupChain, method: str, params: di
     )
 
 
-def _file_claims(design: DesignFile, chain: Optional[GroupChain]) -> list[verify.Claim]:
-    """The claims `design`, over its `chain`, records (README "Claims"); an
-    annotation that cannot be checked in full, or that `_FIELDS` does not
-    allow on its file type, is a SpecError."""
+def _file_claims(design: DesignFile) -> tuple[list, dict, Optional[GroupChain]]:
+    """The claims `design` records (README "Claims"), the `check_claims`
+    keyword inputs they are checked with, and the chain whose codes its rows
+    hold, None where they are checked as integer levels.  This is the one
+    place that loads a file's chain and reads its type; an annotation that
+    cannot be checked in full, or that `_FIELDS` does not allow on its file
+    type, is a SpecError."""
+    chain = design.load_chain()
     for key, (_, _, types) in _FIELDS.items():
         if getattr(design, key) is not None and design.type not in types:
             raise SpecError(f"{design.type!r} files cannot carry {key!r}; "
                             f"only {'/'.join(types)} files do")
+    n = design.n
     if design.type == "lh":
         claims = [verify.Claim("lh")]
         for grid in design.grids or []:
             g = grid["grid"]
             if "rows" in grid:
-                if grid["rows"] > design.n:
+                if grid["rows"] > n:
                     raise SpecError(f"grid claim on the first {grid['rows']} rows of a "
-                                    f"{design.n}-row design")
+                                    f"{n}-row design")
                 claims.append(verify.Claim(
                     "strat", f"stratification[first {grid['rows']} rows, g={g}]",
                     (0, grid["rows"]), strength=g))
             else:
-                size = _slice_size(grid["slice_size"], design.n)
+                size = _slice_size(grid["slice_size"], n)
                 claims.append(verify.Claim(
                     "strat", f"stratification[slices of {size} rows, g={g}]",
                     strength=g, size=size))
-        return claims
+        if design.scale not in (None, n):  # a Latin hypercube holds the values 0..n-1
+            raise SpecError(f"scale {design.scale} of a Latin hypercube is not its row "
+                            f"count {n}")
+        return claims, {"levels": [n]}, None
     if chain is None and design.type != "design" and (
             design.type == "dm" or design.layer_prefixes or design.slice_size
             or design.collapse_layer):
         raise SpecError(f"the claims of this {design.type!r} file need a 'chain' to be checked")
     t = design.t_claimed or 2
     if design.type == "design" or chain is None:
-        return [verify.Claim("oa", strength=t) if design.s else verify.Claim("lh")]
+        return ([verify.Claim("oa", strength=t) if design.s else verify.Claim("lh")],
+                {"levels": [design.s]}, None)
     layers = tuple(range(1, chain.layers + 1))
-    prefixes = _layer_stops(design, chain) if design.layer_prefixes else ()
+    stops = tuple(design.layer_prefixes or ())
+    if stops:
+        if len(stops) != chain.layers:
+            raise SpecError(f"{len(stops)} layer prefixes for a {chain.layers}-layer chain")
+        if any(b <= a for a, b in zip(stops, stops[1:])):
+            raise SpecError(f"layer prefixes {list(stops)} are not strictly increasing")
+        if stops[-1] != n:
+            raise SpecError(f"last layer prefix {stops[-1]} is not the row count {n}")
     if design.type == "dm":
-        return [verify.Claim("nested-dm", rows=prefixes, layers=layers) if prefixes
-                else verify.Claim("dm")]
-    if t > design.m:  # the oracle refuses it too, but lift runs no oracle on its input
-        raise SpecError(f"strength {t} exceeds column count {design.m}")
-    claims = [verify.Claim("nested", rows=prefixes, layers=layers, strength=t)
-              if prefixes else verify.Claim("oa", strength=t)]
-    if design.slice_size or design.collapse_layer:
-        if not (design.slice_size and design.collapse_layer):
-            raise SpecError("a sliced claim needs both 'slice_size' and 'collapse_layer'")
-        if design.collapse_layer > chain.layers:
-            raise SpecError(f"claim 'sliced' names a layer outside 1..{chain.layers}")
-        claims.append(verify.Claim("sliced", layers=(design.collapse_layer,), strength=t,
-                                   size=_slice_size(design.slice_size, design.n)))
-    return claims
-
-
-def _layer_stops(design: DesignFile, chain: GroupChain) -> tuple[int, ...]:
-    """The file's `layer_prefixes`: one per chain layer, strictly increasing,
-    the last one the file's row count."""
-    stops = tuple(design.layer_prefixes)
-    if len(stops) != chain.layers:
-        raise SpecError(f"{len(stops)} layer prefixes for a {chain.layers}-layer chain")
-    if any(b <= a for a, b in zip(stops, stops[1:])):
-        raise SpecError(f"layer prefixes {list(stops)} are not strictly increasing")
-    if stops[-1] != design.n:
-        raise SpecError(f"last layer prefix {stops[-1]} is not the row count {design.n}")
-    return stops
+        claims = [verify.Claim("nested-dm", rows=stops, layers=layers) if stops
+                  else verify.Claim("dm")]
+    else:
+        if t > design.m:  # the oracle refuses it too, but lift runs no oracle on its input
+            raise SpecError(f"strength {t} exceeds column count {design.m}")
+        claims = [verify.Claim("nested", rows=stops, layers=layers, strength=t)
+                  if stops else verify.Claim("oa", strength=t)]
+        if design.slice_size or design.collapse_layer:
+            if not (design.slice_size and design.collapse_layer):
+                raise SpecError("a sliced claim needs both 'slice_size' and 'collapse_layer'")
+            if design.collapse_layer > chain.layers:
+                raise SpecError(f"claim 'sliced' names a layer outside 1..{chain.layers}")
+            claims.append(verify.Claim("sliced", layers=(design.collapse_layer,), strength=t,
+                                       size=_slice_size(design.slice_size, n)))
+    if design.s not in (None, chain.top_size):
+        raise SpecError(f"s={design.s} is not the chain's top size {chain.top_size}")
+    return claims, chain.oracle_inputs(), chain
 
 
 def _slice_size(size: int, n: int) -> int:
@@ -294,13 +301,12 @@ def cmd_construct(args) -> int:
 def _load_family(design: DesignFile) -> arrays.NestedFamily:
     if design.type != "oa":
         raise SpecError(f"cannot lift a {design.type!r} design file; lift needs an 'oa' file")
-    chain = design.load_chain()
-    if chain is None:
+    if not design.chain:
         raise SpecError("design file carries no chain; cannot lift")
     if not design.layer_prefixes:
         raise SpecError("design file carries no layer prefixes; cannot lift")
-    nested = _file_claims(design, chain)[0]
-    return arrays.NestedFamily(chain, GroupMatrix(design.rows, chain.group), nested)
+    claims, _, chain = _file_claims(design)
+    return arrays.NestedFamily(chain, GroupMatrix(design.rows, chain.group), claims[0])
 
 
 def _load_permutations(path, kind: str, chain: GroupChain):
@@ -347,18 +353,14 @@ def cmd_lift(args) -> int:
     meta = {"tool": "nestfill", "version": __version__, "method": f"lift-{args.mode}",
             "source": design.meta, "stage": args.stage}
     if args.stage == "relabel-only":
-        out = DesignFile(
-            type="design", rows=lifted.design, s=lifted.scale,
-            t_claimed=design.t_claimed, chain=design.chain,
-            layer_prefixes=design.layer_prefixes, slice_size=design.slice_size,
-            permutations=lifted.permutations or None, meta=meta,
-        )
+        fields = dict(type="design", rows=lifted.design, s=lifted.scale,
+                      t_claimed=design.t_claimed, layer_prefixes=design.layer_prefixes,
+                      slice_size=design.slice_size)
     else:
-        out = DesignFile(
-            type="lh", rows=lifted.lifted, scale=lifted.n, chain=design.chain,
-            grids=lifted.grids, seeds={"lift": seed},
-            permutations=lifted.permutations or None, meta=meta,
-        )
+        fields = dict(type="lh", rows=lifted.lifted, scale=lifted.n, grids=lifted.grids,
+                      seeds={"lift": seed})
+    out = DesignFile(**fields, chain=design.chain, permutations=lifted.permutations or None,
+                     meta=meta)
     out_path = save_json(out, args.out)
     print(f"wrote {out_path} ({out.type}, {out.n}x{out.m})")
     return 0
@@ -366,19 +368,12 @@ def cmd_lift(args) -> int:
 
 def verify_design(design: DesignFile) -> list:
     """Run every oracle the file's annotations claim."""
-    chain = design.load_chain()
-    claims = _file_claims(design, chain)
-    if design.type == "lh":
-        return list(verify.check_claims(design.rows, claims,
-                                        levels=[design.scale or design.n]))
-    if design.type == "design" or chain is None:
-        return list(verify.check_claims(design.rows, claims, levels=[design.s]))
-    rows = GroupMatrix(design.rows, chain.group).code_rows
-    inputs = chain.oracle_inputs()
-    if design.type == "oa":
-        inputs["levels"] = [*chain.sizes[:-1], design.s or chain.top_size]
-    return [r.with_levels(chain.group.text_code)
-            for r in verify.check_claims(rows, claims, **inputs)]
+    claims, inputs, chain = _file_claims(design)
+    rows = design.rows if chain is None else GroupMatrix(design.rows, chain.group).code_rows
+    reports = verify.check_claims(rows, claims, **inputs)
+    if chain is None:
+        return list(reports)
+    return [r.with_levels(chain.group.text_code) for r in reports]
 
 
 def cmd_verify(args) -> int:

@@ -598,6 +598,11 @@ _OUT_OF_RANGE = [
      CONSTRUCT_RH + ["--chain", "c.json"]),
     ({"c.json": '{"kind": "omega", "bases": [{"gf": {"p": 2, "u": 0}}]}'},
      CONSTRUCT_RH + ["--chain", "c.json"]),
+    ({"d.json": _with_keys(_gf4_dm([2, 4]), s=99)}, ["verify", "--design", "d.json"]),
+    ({"d.json": _with_keys(_rh_u12([4, 16]), s=8)}, ["verify", "--design", "d.json"]),
+    ({"d.json": _with_keys(_rh_u12([4, 16]), s=8)},
+     ["lift", "--design", "d.json", "--mode", "sliced", "--out", "x.json"]),
+    ({"d.json": _with_keys(_lh16([]), scale=5)}, ["verify", "--design", "d.json"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -630,7 +635,8 @@ _OUT_OF_RANGE = [
        "subfield-noa-column-outside-layer-1", "kron-soa-three-layer-chain",
        "chain-kind-unknown", "omega-base-zn-0", "omega-base-unknown", "field-tower-u-0",
        "bush-noa-field-tower-u1-above-1", "field-above-table-limit", "omega-bases-empty",
-       "omega-base-zn-not-integer", "omega-base-gf-u-0"])
+       "omega-base-zn-not-integer", "omega-base-gf-u-0", "dm-s-not-chain-top",
+       "oa-s-not-chain-top", "lift-oa-s-not-chain-top", "lh-scale-not-rows"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -648,6 +654,74 @@ def test_nested_lift_names_the_prefix_row_outside_its_layer(tmp_path, capsys):
                "--out", str(tmp_path / "x.json")) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: row 1 of the layer-1 prefix holds code 3 (x+1), which is not in layer 1"]
+
+
+_VERIFY = ["verify", "--design", "d.json"]
+_LIFT = ["lift", "--design", "d.json", "--mode", "nested", "--out", "x.json"]
+_LIFT_SLICED = ["lift", "--design", "d.json", "--mode", "sliced", "--out", "x.json"]
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (_lh16([{"rows": 100000, "grid": 2}]), _VERIFY,
+     "grid claim on the first 100000 rows of a 16-row design"),
+    (_lh16([{"slice_size": 5, "grid": 1}]), _VERIFY,
+     "slice size 5 does not divide the 16 rows of the design"),
+    *((_rh_u12_sliced(slice_size=5, collapse_layer=1), argv,
+       "slice size 5 does not divide the 16 rows of the design") for argv in (_VERIFY, _LIFT)),
+    (_chainless("dm", [[0, 1], [1, 0]]), _VERIFY,
+     "the claims of this 'dm' file need a 'chain' to be checked"),
+    (_chainless("oa", [[0, 0], [0, 1], [1, 0], [1, 1]], s=2, layer_prefixes=[2, 4]), _VERIFY,
+     "the claims of this 'oa' file need a 'chain' to be checked"),
+    *((_with_keys(_rh_u12([4, 16]), t_claimed=99), argv,
+       "strength 99 exceeds column count 3") for argv in (_VERIFY, _LIFT)),
+    *((_rh_u12_sliced(**keys), argv,
+       "a sliced claim needs both 'slice_size' and 'collapse_layer'")
+      for keys in ({"slice_size": 4}, {"collapse_layer": 1}) for argv in (_VERIFY, _LIFT)),
+    *((_rh_u12_sliced(slice_size=4, collapse_layer=9), argv,
+       "claim 'sliced' names a layer outside 1..2") for argv in (_VERIFY, _LIFT)),
+    (_gf4_dm([2, 4, 4]), _VERIFY, "3 layer prefixes for a 2-layer chain"),
+    (_rh_u12([4, 8, 16]), _LIFT, "3 layer prefixes for a 2-layer chain"),
+    (_gf4_dm([4, 4]), _VERIFY, "layer prefixes [4, 4] are not strictly increasing"),
+    (_rh_u12([16, 16]), _LIFT, "layer prefixes [16, 16] are not strictly increasing"),
+    *((_rh_u12([4, 1000]), argv, "last layer prefix 1000 is not the row count 16")
+      for argv in (_VERIFY, _LIFT)),
+    *((_with_keys(_rh_u12([4, 16]), grids=[{"grid": 2, "rows": 16}]), argv,
+       "'oa' files cannot carry 'grids'; only lh files do") for argv in (_VERIFY, _LIFT)),
+    (_gf4_dm([2, 4]), _LIFT, "cannot lift a 'dm' design file; lift needs an 'oa' file"),
+    (_lh16([]), _LIFT, "cannot lift a 'lh' design file; lift needs an 'oa' file"),
+    (_chainless("oa", [[0, 0], [0, 1], [1, 0], [1, 1]], s=2), _LIFT,
+     "design file carries no chain; cannot lift"),
+    (_rh_u12_sliced(layer_prefixes=None, slice_size=4, collapse_layer=1), _LIFT,
+     "design file carries no layer prefixes; cannot lift"),
+    (_with_keys(_gf4_dm([2, 4]), s=99), _VERIFY, "s=99 is not the chain's top size 4"),
+    *((_with_keys(_rh_u12([4, 16]), s=8), argv, "s=8 is not the chain's top size 4")
+      for argv in (_VERIFY, _LIFT_SLICED)),
+    (_with_keys(_lh16([]), scale=5), _VERIFY,
+     "scale 5 of a Latin hypercube is not its row count 16"),
+    (_with_keys(_lh16([{"grid": 2, "rows": 16}]), scale=32), _VERIFY,
+     "scale 32 of a Latin hypercube is not its row count 16"),
+], ids=["verify-grid-rows-past-design", "verify-grid-slice-not-dividing",
+        "verify-oa-slice-not-dividing", "lift-oa-slice-not-dividing",
+        "verify-chainless-dm", "verify-chainless-oa-prefixes",
+        "verify-strength-above-columns", "lift-strength-above-columns",
+        "verify-slice-size-alone", "lift-slice-size-alone",
+        "verify-collapse-layer-alone", "lift-collapse-layer-alone",
+        "verify-collapse-layer-outside-chain", "lift-collapse-layer-outside-chain",
+        "verify-dm-prefix-count", "lift-oa-prefix-count", "verify-dm-prefix-order",
+        "lift-oa-prefix-order", "verify-last-prefix-not-rows", "lift-last-prefix-not-rows",
+        "verify-oa-grids", "lift-oa-grids", "lift-dm-file", "lift-lh-file",
+        "lift-chainless-oa", "lift-oa-without-prefixes", "verify-dm-s-not-chain-top",
+        "verify-oa-s-not-chain-top", "lift-oa-s-not-chain-top", "verify-lh-scale-not-rows",
+        "verify-lh-scale-not-rows-with-grid"])
+def test_reader_refusal_messages(text, argv, message, tmp_path, monkeypatch, capsys):
+    """Each refusal of the one design-file reader, and of lift's own checks
+    before it, exits 2 with exactly one line naming what is wrong."""
+    monkeypatch.chdir(tmp_path)
+    Path("d.json").write_text(text)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not Path("x.json").exists()
 
 
 # README "Claims": the file types that may carry each claim key
@@ -897,8 +971,9 @@ def test_write_failing_through_a_link_keeps_the_link(tmp_path, rh_design, monkey
 
 @pytest.mark.parametrize("case", ["nested-2-layers", "nested-3-layers", "nested-dm", "sliced"])
 def test_design_file_claims_round_trip(case, tmp_path):
-    """`_file_claims` reads back the one claim `_design_file` records; a
-    sliced claim comes back after the top `oa` claim."""
+    """`_file_claims` reads back the one claim `_design_file` records, with
+    the file's chain and its oracle inputs; a sliced claim comes back after
+    the top `oa` claim."""
     from nestfill.arrays import construct_from_ndm, construct_noa_rh, rao_hamming_oa
     from nestfill.cli import _design_file, _file_claims
     from nestfill.groups import chain_field_tower
@@ -917,7 +992,10 @@ def test_design_file_claims_round_trip(case, tmp_path):
     want = [claim._replace(name="")]
     if case == "sliced":
         want.insert(0, Claim("oa", strength=claim.strength))
-    assert _file_claims(design, design.load_chain()) == want
+    claims, inputs, read_chain = _file_claims(design)
+    assert claims == want
+    assert read_chain.descriptor() == chain.descriptor()
+    assert inputs["levels"] == chain.sizes
 
 
 def test_chainless_oa_without_strength_is_checked_at_strength_2(tmp_path):
