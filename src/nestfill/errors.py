@@ -1,4 +1,4 @@
-"""Exception types and the record base shared across the package."""
+"""Exception types and the record bases shared across the package."""
 
 
 class NestfillError(Exception):
@@ -61,3 +61,21 @@ class FrozenRecord(Record):
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+class Described:
+    """A group or chain that is its `descriptor()`, the JSON a design file
+    stores for it: equal to another Described object exactly when their
+    descriptors are equal, and hashed on the descriptor's repr (every
+    descriptor is built in a fixed key order)."""
+
+    __slots__ = ()
+
+    def descriptor(self) -> dict:
+        raise NotImplementedError
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Described) and other.descriptor() == self.descriptor()
+
+    def __hash__(self) -> int:
+        return hash(repr(self.descriptor()))

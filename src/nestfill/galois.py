@@ -27,7 +27,7 @@ import re
 from functools import cached_property
 from typing import Any, Optional, Sequence
 
-from .errors import FrozenRecord, SpecError
+from .errors import Described, FrozenRecord, SpecError
 
 
 def is_prime(n: int) -> bool:
@@ -147,7 +147,7 @@ def _terms(text: str) -> list[str]:
     return re.split(r"\+(?![^(]*\))", text.replace(" ", ""))
 
 
-class TextCodec:
+class TextCodec(Described):
     """Reading text back as the printer writes it: `parse_code` inverts the
     group's `text_code`, accepting exactly a printed text with its terms in
     any order."""
@@ -197,7 +197,6 @@ class Field(TextCodec):
             if not _poly_is_irreducible(mod, p):
                 raise SpecError("modulus is reducible over Z_%d" % p)
             self.modulus = mod
-        self._hash = hash((self.p, self.u, self.modulus))
 
     # -- code-level arithmetic -------------------------------------------
 
@@ -293,15 +292,6 @@ class Field(TextCodec):
 
     def descriptor(self) -> dict:
         return {"gf": {"p": self.p, "u": self.u, "modulus": list(self.modulus)}}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Field)
-            and (self.p, self.u, self.modulus) == (other.p, other.u, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, u={self.u})"

@@ -36,11 +36,11 @@ from functools import cached_property
 from math import prod
 from typing import Optional, Sequence, Union
 
-from .errors import SpecError
+from .errors import Described, SpecError
 from .galois import Element, Field, TextCodec, check_table_order, direct_sum_table
 
 
-class Zn:
+class Zn(Described):
     """Additive group of integers modulo n, used as an omega-ring base."""
 
     def __init__(self, n: int):
@@ -58,12 +58,6 @@ class Zn:
 
     def descriptor(self) -> dict:
         return {"zn": self.n}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Zn) and other.n == self.n
-
-    def __hash__(self) -> int:
-        return hash(("zn", self.n))
 
     def __repr__(self) -> str:
         return f"Zn({self.n})"
@@ -108,7 +102,7 @@ def base_from_descriptor(d: dict) -> BaseGroup:
 OmegaElement = Element
 
 
-class GroupChain:
+class GroupChain(Described):
     """Shared behavior of the chain kinds.
 
     sizes[i-1] is |F_i| and the top layer has index I = layers.  `group` is
@@ -129,9 +123,6 @@ class GroupChain:
     @property
     def top_size(self) -> int:
         return self.sizes[-1]
-
-    def descriptor(self) -> dict:
-        raise NotImplementedError
 
     def _check_layer(self, i: int) -> None:
         if not 1 <= i <= self.layers:
@@ -245,16 +236,6 @@ class _FieldChain(GroupChain):
             "u_chain": list(self.u_chain),
             "modulus": list(self.field.modulus),
         }
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and other.field == self.field
-            and other.u_chain == self.u_chain
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.field, self.u_chain))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(p={self.p}, u_chain={list(self.u_chain)})"
@@ -407,12 +388,6 @@ class OmegaRingChain(TextCodec, GroupChain):
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "bases": [b.descriptor() for b in self.bases]}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OmegaRingChain) and other.bases == self.bases
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.bases))
 
     def __repr__(self) -> str:
         return f"OmegaRingChain({list(self.bases)!r})"

@@ -69,21 +69,14 @@ _FIELDS = {
 
 
 def _check_rows(rows) -> None:
-    """Refuse an empty, ragged or non-integer design."""
+    """Refuse an empty, ragged or non-integer design: two passes in C, over
+    the row widths and then over the cell types."""
     if not rows or not rows[0]:
         raise SpecError("design has no rows")
-    width = len(rows[0])
-    # one pass in C over the widths and the cell types; only a design that
-    # fails it is rescanned row by row to name its first bad row
-    if set(map(len, rows)) == {width} and set(
-        map(type, itertools.chain.from_iterable(rows))
-    ) <= {int}:
-        return
-    for r in rows:
-        if len(r) != width:
-            raise SpecError("ragged design rows")
-        if not all(map(is_int, r)):
-            raise SpecError("design rows must hold integer level codes")
+    if len(set(map(len, rows))) != 1:
+        raise SpecError("ragged design rows")
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        raise SpecError("design rows must hold integer level codes")
 
 
 class DesignFile(Record):
@@ -224,7 +217,7 @@ def save_csv(design: DesignFile, path) -> Path:
 
 def _load_csv(text: str) -> DesignFile:
     meta = None
-    rows = []
+    lines = []
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -234,16 +227,28 @@ def _load_csv(text: str) -> DesignFile:
             if body.startswith("meta="):
                 meta = _parse_json(body[len("meta=") :], "CSV '# meta=' line")
             continue
-        if line.startswith("x1"):
-            continue
-        try:
-            rows.append([int(v) for v in line.split(",")])
-        except ValueError:
-            raise SpecError(f"malformed CSV row {line!r}") from None
+        lines.append(line)
+    if lines and lines[0].startswith("x1"):  # the x1..xm header; a later one is a bad row
+        del lines[0]
+    # each cell is a JSON integer, so the data lines parse as one JSON array
+    # of rows; a line that is not one row alone (such as `1],[2`) changes
+    # the row count or fails the parse, and is named
+    rows = _json_or_none("[[" + "],[".join(lines) + "]]" if lines else "[]")
+    if rows is None or len(rows) != len(lines):
+        bad = next(line for line in lines if _json_or_none(f"[{line}]") is None)
+        raise SpecError(f"malformed CSV row {bad!r}")
     if not isinstance(meta, dict):
         raise SpecError("CSV design is missing its '# meta={...}' line")
     meta["rows"] = rows
     return DesignFile.from_dict(meta)
+
+
+def _json_or_none(text: str):
+    """The parsed JSON array `text`, or None where it is not one."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        return None
 
 
 def export_scatter(design: DesignFile, out_prefix) -> list[Path]:

@@ -306,6 +306,12 @@ class TestNdmProduct:
         with pytest.raises(SpecError):
             construct_from_ndm(chain, bad)
 
+    def test_rejects_input_over_another_field(self):
+        """GF(8) under x^3+x^2+1 is not the chain's GF(8) under x^3+x+1."""
+        a = rao_hamming_oa(Field(2, 3, [1, 0, 1, 1]), range(8), 2)
+        with pytest.raises(SpecError, match="^input array is not over this chain's field$"):
+            construct_from_ndm(chain_field_tower(2, [1, 2, 3]), a)
+
     def test_rejects_non_oa_input(self):
         chain = chain_field_tower(2, [1, 2])
         rows = [[0] * 3 for _ in range(16)]
@@ -458,6 +464,14 @@ def test_kron_without_inputs_is_spec_error(construct):
     """An empty input list is refused by count, before any input is read."""
     with pytest.raises(SpecError, match="got none"):
         construct([], chain_omega_ring([Zn(3), Zn(3)]))
+
+
+def test_kron_refuses_a_wrong_input_count():
+    """One array for a two-layer chain is refused by count, before it is read."""
+    chain = chain_omega_ring([Zn(3), Zn(3)])
+    a = OrthogonalArray(full_factorial(chain.transversal_codes(1), 2, chain.group), 3, 2)
+    with pytest.raises(SpecError, match=r"^need one array per chain layer \(2\), got 1$"):
+        construct_noa_kron_multi([a], chain)
 
 
 def test_full_factorial_order():

@@ -1,11 +1,15 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden import KRON_NDM_GF4_Z3_Z2, RELABELED_NESTED_M3, RELABELED_SLICED_M, RH_NOA_P2_U123_K2
 import nestfill
@@ -439,6 +443,16 @@ def _rh_u12_swapped():
     return json.dumps(data)
 
 
+def _rh_u12_csv(cell):
+    """The CSV export of `_rh_u12([4, 16])` with `cell` in place of its first
+    data cell (a 0)."""
+    data = json.loads(_rh_u12([4, 16]))
+    lines = [",".join(map(str, r)) for r in data.pop("rows")]
+    lines[0] = cell + lines[0][1:]
+    return "# meta=%s\nx1,x2,x3\n%s\n" % (json.dumps(data), "\n".join(lines))
+
+
+_CSV_CELLS = ["0_0", "+0", "01", "\u0661", "1],[2"]  # first cells that leave no JSON row
 _DEEP = "[" * 200000 + "]" * 200000  # past the JSON decoder's recursion limit
 _LONG = "9" * 5000  # past the 4,300-digit limit of int() on a decimal string
 
@@ -603,6 +617,9 @@ _OUT_OF_RANGE = [
     ({"d.json": _with_keys(_rh_u12([4, 16]), s=8)},
      ["lift", "--design", "d.json", "--mode", "sliced", "--out", "x.json"]),
     ({"d.json": _with_keys(_lh16([]), scale=5)}, ["verify", "--design", "d.json"]),
+    *(({"d.csv": _rh_u12_csv(cell)}, ["verify", "--design", "d.csv"]) for cell in _CSV_CELLS),
+    ({}, ["construct", "--method", "rh-noa", "--p", "7", "--u", "1,2", "--k", "6",
+          "--out", "x.json"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -636,7 +653,9 @@ _OUT_OF_RANGE = [
        "chain-kind-unknown", "omega-base-zn-0", "omega-base-unknown", "field-tower-u-0",
        "bush-noa-field-tower-u1-above-1", "field-above-table-limit", "omega-bases-empty",
        "omega-base-zn-not-integer", "omega-base-gf-u-0", "dm-s-not-chain-top",
-       "oa-s-not-chain-top", "lift-oa-s-not-chain-top", "lh-scale-not-rows"])
+       "oa-s-not-chain-top", "lift-oa-s-not-chain-top", "lh-scale-not-rows",
+       "csv-cell-underscore", "csv-cell-plus", "csv-cell-leading-zero",
+       "csv-cell-arabic-indic-digit", "csv-line-two-rows", "construct-above-max-cells"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -645,6 +664,79 @@ def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, 
     assert run(*(a.format(rh=rh_design) for a in argv)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def rh_texts(tmp_path_factory):
+    """A scratch directory and the texts of an rh-noa p2 u1,2 k2 design file
+    and of its CSV export."""
+    where = tmp_path_factory.mktemp("readers")
+    assert run("construct", "--method", "rh-noa", "--p", "2", "--u", "1,2", "--k", "2",
+               "--out", str(where / "rh.json")) == 0
+    assert run("export", "--design", str(where / "rh.json"), "--format", "csv",
+               "--out", str(where / "rh.csv")) == 0
+    return where, {fmt: (where / f"rh.{fmt}").read_text() for fmt in ("json", "csv")}
+
+
+_SCALARS = st.none() | st.booleans() | st.integers(-3, 99) | st.text(max_size=3)
+# a value of each JSON type
+_JSON_TYPES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.integers(-3, 99) | st.integers() | st.floats(),
+    "string": st.text(max_size=6),
+    "array": st.lists(_SCALARS, max_size=4),
+    "object": st.dictionaries(st.text(max_size=4), _SCALARS, max_size=3),
+}
+_TYPE_NAMES = {type(None): "null", bool: "boolean", int: "number", float: "number",
+               str: "string", list: "array", dict: "object"}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_design_file_readers_survive_one_mutation(rh_texts, data):
+    """`verify` and `export` of a design file, JSON or CSV, with one key given
+    a value of another JSON type, one key dropped or one cell rewritten, exit
+    0, 2 or 3 without a traceback, and an exit 2 prints exactly one line."""
+    where, texts = rh_texts
+    fmt = data.draw(st.sampled_from(["json", "csv"]))
+    if fmt == "json":
+        head = json.loads(texts[fmt])
+    else:
+        title, meta, header, *lines = texts[fmt].splitlines()
+        head = json.loads(meta[len("# meta="):])
+    how = data.draw(st.sampled_from(["retype", "drop", "cell"]))
+    if how == "cell":
+        r, c = data.draw(st.integers(0, 15)), data.draw(st.integers(0, 2))
+        if fmt == "json":
+            head["rows"][r][c] = data.draw(st.one_of(*_JSON_TYPES.values()))
+        else:
+            cells = lines[r].split(",")
+            cells[c] = data.draw(st.integers(-3, 99).map(str) | st.text(max_size=6))
+            lines[r] = ",".join(cells)
+    else:
+        keys = [(head, k) for k in head] + [(head["chain"], k) for k in head["chain"]]
+        owner, key = data.draw(st.sampled_from(keys))
+        if how == "drop":
+            del owner[key]
+        else:
+            kind = data.draw(st.sampled_from(
+                [t for t in _JSON_TYPES if t != _TYPE_NAMES[type(owner[key])]]))
+            owner[key] = data.draw(_JSON_TYPES[kind])
+    path = where / f"d.{fmt}"
+    if fmt == "json":
+        path.write_text(json.dumps(head), encoding="utf-8")
+    else:
+        path.write_text("\n".join([title, "# meta=" + json.dumps(head), header, *lines]) + "\n",
+                        encoding="utf-8")
+    for argv in (["verify", "--design", str(path)],
+                 ["export", "--design", str(path), "--format", "json",
+                  "--out", str(where / "x.json")]):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3) and "Traceback" not in err.getvalue(), (code, err.getvalue())
+        assert code != 2 or len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 def test_nested_lift_names_the_prefix_row_outside_its_layer(tmp_path, capsys):
@@ -700,6 +792,10 @@ _LIFT_SLICED = ["lift", "--design", "d.json", "--mode", "sliced", "--out", "x.js
      "scale 5 of a Latin hypercube is not its row count 16"),
     (_with_keys(_lh16([{"grid": 2, "rows": 16}]), scale=32), _VERIFY,
      "scale 32 of a Latin hypercube is not its row count 16"),
+    # a text starting with '#' reads as CSV whatever its suffix; only the first
+    # line that is not a comment may be the x1..xm header
+    *((_rh_u12_csv(cell), _VERIFY, f"malformed CSV row '{cell},0,0'")
+      for cell in [*_CSV_CELLS, "x1"]),
 ], ids=["verify-grid-rows-past-design", "verify-grid-slice-not-dividing",
         "verify-oa-slice-not-dividing", "lift-oa-slice-not-dividing",
         "verify-chainless-dm", "verify-chainless-oa-prefixes",
@@ -712,7 +808,10 @@ _LIFT_SLICED = ["lift", "--design", "d.json", "--mode", "sliced", "--out", "x.js
         "verify-oa-grids", "lift-oa-grids", "lift-dm-file", "lift-lh-file",
         "lift-chainless-oa", "lift-oa-without-prefixes", "verify-dm-s-not-chain-top",
         "verify-oa-s-not-chain-top", "lift-oa-s-not-chain-top", "verify-lh-scale-not-rows",
-        "verify-lh-scale-not-rows-with-grid"])
+        "verify-lh-scale-not-rows-with-grid", "verify-csv-cell-underscore",
+        "verify-csv-cell-plus", "verify-csv-cell-leading-zero",
+        "verify-csv-cell-arabic-indic-digit", "verify-csv-line-two-rows",
+        "verify-csv-second-header"])
 def test_reader_refusal_messages(text, argv, message, tmp_path, monkeypatch, capsys):
     """Each refusal of the one design-file reader, and of lift's own checks
     before it, exits 2 with exactly one line naming what is wrong."""

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -326,6 +326,28 @@ def test_descriptor_round_trip(tower_238, omega_ex3):
         clone = chain_from_descriptor(chain.descriptor())
         assert clone == chain
         assert clone.sizes == chain.sizes
+
+
+def test_groups_and_chains_are_equal_exactly_when_their_descriptors_are():
+    """A group or chain is its descriptor, the JSON a design file stores: over
+    every pair of one fixed list, equality holds exactly when the descriptors
+    are equal, equal objects hash equal, and a chain read back from its
+    descriptor equals it."""
+    golden = [
+        chain_field_tower(2, [1, 2, 3]),  # RH_NOA_P2_U123_K2 and the relabeled designs
+        chain_omega_ring([Field(2, 2), Zn(3), Zn(2)]),  # KRON_NDM_GF4_Z3_Z2
+        chain_omega_ring([Zn(6), Zn(2)]),  # KRON_SOA_INPUT_A1 and _A2
+    ]
+    chains = golden + [chain_field_tower(2, [1, 2]), chain_subfield_tower(2, [1, 2])]
+    items = chains + [c.group for c in golden] + [
+        Zn(3), Field(2, 3), Field(2, 3, [1, 0, 1, 1])]
+    for a, b in product(items, repeat=2):
+        same = a.descriptor() == b.descriptor()
+        assert (a == b, a != b) == (same, not same), (a, b)
+        assert not same or hash(a) == hash(b), (a, b)
+    assert golden[0].group == Field(2, 3) and golden[0].group is not items[-2]
+    for chain in chains:
+        assert chain_from_descriptor(chain.descriptor()) == chain
 
 
 @settings(max_examples=200)

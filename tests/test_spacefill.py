@@ -81,6 +81,11 @@ class TestPermutationValidators:
         with pytest.raises(SpecError):
             is_nested_permutation(tuple(range(8)), (3, 8))  # 3 does not divide 8
 
+    def test_generator_refuses_non_increasing_layer_sizes(self):
+        with pytest.raises(SpecError,
+                           match=r"^layer sizes must be strictly increasing, got \[4, 2\]$"):
+            gen_nested_permutation((4, 2), 0)
+
     def test_validators_match_first_principles_definitions(self):
         from itertools import permutations as iperms
 
@@ -198,6 +203,12 @@ class TestNsfd:
         p = gen_nested_permutation((2, 4), 0)
         with pytest.raises(SpecError):
             build_nsfd(rh_family, [p, p, p])
+
+    def test_sliced_permutations_refused(self, rh_family):
+        perms = [SlicedPermutation(v, LAYERS) for v in SLICED_PERMS]
+        with pytest.raises(SpecError,
+                           match="^expected NestedPermutation, got SlicedPermutation$"):
+            build_nsfd(rh_family, perms)
 
     def test_single_layer_relabel_is_bijective_recoding(self):
         family = construct_noa_rh(chain_field_tower(2, [2]), 2)

@@ -896,6 +896,11 @@ _OA4 = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
 _IDENTITY = {0: 0, 1: 1}
 
 
+def test_oa_strength_refuses_an_empty_matrix():
+    with pytest.raises(SpecError, match="^empty matrix$"):
+        check_oa_strength([], 2, 1)
+
+
 @pytest.mark.parametrize("call", [
     lambda: check_oa_strength(_OA4, 0, 1),
     lambda: check_oa_strength(_OA4, 2, 0),
