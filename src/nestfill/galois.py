@@ -10,9 +10,10 @@ Polynomials are handled as coefficient tuples, lowest degree first.  Fields
 here are tiny (a few dozen elements at most in practice), so irreducibility
 is checked by exhaustive trial division.  Arithmetic on codes reads q x q
 addition and multiplication tables, built on first use: addition digit by
-digit, multiplication from the powers of a primitive element.  Text forms
-are per code too: `Field.text_code` prints, and the `TextCodec` parser it
-shares with the omega ring reads back exactly what a printer writes.
+digit, multiplication from the powers of a primitive element; a Field
+above the table limit is refused when built, so its tables fit.  Text is
+per code too, and one way: `Field.text_code` prints a code, and no reader
+turns text back into one, as every input to the package is a code.
 
 The package computes on codes alone.  `Element(group, code)` is the one way
 to make an element object, at the API edge: a range-checked code of a group
@@ -23,7 +24,6 @@ text read that group's tables and `text_code`.
 from __future__ import annotations
 
 import itertools
-import re
 from functools import cached_property
 from typing import Any, Optional, Sequence
 
@@ -140,32 +140,7 @@ def direct_sum_table(tables: Sequence[Sequence[Sequence[int]]]) -> list[list[int
     return out
 
 
-def _terms(text: str) -> list[str]:
-    """The terms of `text` with spaces dropped: split on each '+' outside
-    parentheses (one not followed by a ')' before the next '('), so
-    `(x+1)w` is one term."""
-    return re.split(r"\+(?![^(]*\))", text.replace(" ", ""))
-
-
-class TextCodec(Described):
-    """Reading text back as the printer writes it: `parse_code` inverts the
-    group's `text_code`, accepting exactly a printed text with its terms in
-    any order."""
-
-    @cached_property
-    def _code_of_terms(self) -> dict[frozenset, int]:
-        check_table_order(self.size)
-        return {frozenset(_terms(self.text_code(c))): c for c in range(self.size)}
-
-    def parse_code(self, text: str) -> int:
-        terms = _terms(text)
-        code = self._code_of_terms.get(frozenset(terms))
-        if code is None or len(set(terms)) != len(terms):
-            raise SpecError(f"{text!r} is not the text of an element of {self!r}")
-        return code
-
-
-class Field(TextCodec):
+class Field(Described):
     """GF(p**u) with elements encoded as integers 0 .. p**u - 1.
 
     The modulus may be supplied as u+1 coefficients (lowest degree first,
@@ -211,7 +186,6 @@ class Field(TextCodec):
     @cached_property
     def add(self) -> list[list[int]]:
         """add[a][b] is the code of a + b: digit-wise addition mod p."""
-        check_table_order(self.size)
         zp = [[(a + b) % self.p for b in range(self.p)] for a in range(self.p)]
         return direct_sum_table([zp] * self.u)
 
@@ -224,7 +198,6 @@ class Field(TextCodec):
         """mul[a][b] is the code of a * b, read off the powers of the
         smallest-code primitive element."""
         q = self.size
-        check_table_order(q)
         for g in range(1, q):
             exp = [1]
             while len(exp) < q - 1:
@@ -300,8 +273,8 @@ class Field(TextCodec):
 class Element(FrozenRecord):
     """One element of a group (a Field, or an omega ring): its code, checked
     to lie in 0 .. group.size - 1, with arithmetic read from the group's
-    tables; immutable and hashable, and equal only to an Element of the same
-    group and code.  `*` and `inverse()` need a Field."""
+    tables; immutable, hashed on its code, and equal only to an Element of
+    the same group and code.  `*` and `inverse()` need a Field."""
 
     __slots__ = _fields = ("group", "code")
 
@@ -310,6 +283,10 @@ class Element(FrozenRecord):
             raise SpecError(f"code {code} out of range 0..{group.size - 1} for {group!r}")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "code", code)
+
+    def __hash__(self) -> int:
+        # the code alone: hashing the group would build its descriptor each call
+        return hash(self.code)
 
     def _other(self, other: "Element") -> int:
         if not isinstance(other, Element) or other.group != self.group:

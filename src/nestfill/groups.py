@@ -23,11 +23,12 @@ size; subfield layers are scattered code sets, still listed ascending.
 Inside the package everything is an integer code: each chain's `group` (the
 Galois field of a tower, or the omega ring itself) carries `add`/`neg`
 tables and prints a code (`text_code`), and each chain carries `proj`
-tables built once from the direct sum of its transversals.  Field and
-omega ring read text back through `parse_code` from `galois.TextCodec`,
-the inverse of `text_code`; `Zn` only prints.  `galois.Element(chain.group,
-code)` makes an element at the API edge; three element views stay only for
-the benchmark harness: `layer_elements`, `enumerate_ordered`, `projection_map`.
+tables built once from the direct sum of its transversals.  Text only
+leaves the package: every group prints a code, and none reads text back.
+A `Zn` or omega ring above the table limit is refused when built, as a
+`Field` is.  `galois.Element(chain.group, code)` makes an element at the
+API edge; three element views stay only for the benchmark harness:
+`layer_elements`, `enumerate_ordered`, `projection_map`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from math import prod
 from typing import Optional, Sequence, Union
 
 from .errors import Described, SpecError
-from .galois import Element, Field, TextCodec, check_table_order, direct_sum_table
+from .galois import Element, Field, check_table_order, direct_sum_table
 
 
 class Zn(Described):
@@ -46,6 +47,7 @@ class Zn(Described):
     def __init__(self, n: int):
         if n < 1:
             raise SpecError(f"Z_n needs n >= 1, got {n}")
+        check_table_order(n)
         self.n = n
         self.size = n
 
@@ -107,8 +109,8 @@ class GroupChain(Described):
 
     sizes[i-1] is |F_i| and the top layer has index I = layers.  `group` is
     the additive group every layer lives in (a Field, or the omega ring
-    itself): codes 0 .. top_size-1 with `add`/`neg` tables, `text_code`
-    and `parse_code`.  Subclasses provide `group` and `descriptor`;
+    itself): codes 0 .. top_size-1 with `add`/`neg` tables and
+    `text_code`.  Subclasses provide `group` and `descriptor`;
     transversals default to the digit-structured layout where T_i holds the
     multiples of |F_{i-1}| below |F_i|.
     """
@@ -314,7 +316,7 @@ class SubfieldTowerChain(_FieldChain):
         return list(self._transversals[i - 1])
 
 
-class OmegaRingChain(TextCodec, GroupChain):
+class OmegaRingChain(GroupChain):
     """Tower of truncated formal sums over base groups in the symbol w."""
 
     kind = "omega"
@@ -330,6 +332,7 @@ class OmegaRingChain(TextCodec, GroupChain):
         self.sizes = tuple(
             prod(b.size for b in bases[:i]) for i in range(1, len(bases) + 1)
         )
+        check_table_order(self.top_size)
 
     # -- the ring as the additive group of its codes -----------------------
 
@@ -344,7 +347,6 @@ class OmegaRingChain(TextCodec, GroupChain):
     @cached_property
     def add(self) -> list[list[int]]:
         """add[a][b] is the code of a + b: component-wise in the bases."""
-        check_table_order(self.top_size)
         return direct_sum_table([b.add for b in self.bases])
 
     @cached_property
@@ -353,18 +355,6 @@ class OmegaRingChain(TextCodec, GroupChain):
 
     def sub_codes(self, a: int, b: int) -> int:
         return self.add[a][self.neg[b]]
-
-    def encode(self, parts: Sequence[int]) -> int:
-        """The code of the formal sum with w^b coefficient parts[b], one per base."""
-        if len(parts) != len(self.bases):
-            raise SpecError("wrong number of components")
-        code, scale = 0, 1
-        for base, part in zip(self.bases, parts):
-            if not 0 <= part < base.size:
-                raise SpecError(f"component {part} out of range for {base!r}")
-            code += part * scale
-            scale *= base.size
-        return code
 
     # -- text form: psi_0 first, then psi_b * w^b with ascending b ---------
 

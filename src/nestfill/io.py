@@ -7,8 +7,9 @@ symbol table mapping codes to element text forms.  The header keys are
 written with a two-space indent and ``rows`` comes last, one compact row
 per line.  Reading takes any JSON layout of the same object, so older files
 written one integer per line load unchanged.  CSV carries the same metadata
-in a single ``# meta=...`` comment line followed by an ``x1..xm`` header and
-the code rows.  Scatter export writes one two-column CSV per dimension pair.
+in exactly one ``# meta=...`` comment line (a second is refused) followed
+by an ``x1..xm`` header and the code rows.  Scatter export writes one
+two-column CSV per dimension pair.
 
 Serialization is deterministic: fixed key order, no timestamps, so repeated
 runs of the same job produce byte-identical files.  Writers stream: a design
@@ -216,7 +217,7 @@ def save_csv(design: DesignFile, path) -> Path:
 
 
 def _load_csv(text: str) -> DesignFile:
-    meta = None
+    metas = []
     lines = []
     for line in text.splitlines():
         line = line.strip()
@@ -225,9 +226,11 @@ def _load_csv(text: str) -> DesignFile:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("meta="):
-                meta = _parse_json(body[len("meta=") :], "CSV '# meta=' line")
+                metas.append(_parse_json(body[len("meta=") :], "CSV '# meta=' line"))
             continue
         lines.append(line)
+    if len(metas) > 1:
+        raise SpecError(f"CSV design has {len(metas)} '# meta=' lines; it must have one")
     if lines and lines[0].startswith("x1"):  # the x1..xm header; a later one is a bad row
         del lines[0]
     # each cell is a JSON integer, so the data lines parse as one JSON array
@@ -237,10 +240,9 @@ def _load_csv(text: str) -> DesignFile:
     if rows is None or len(rows) != len(lines):
         bad = next(line for line in lines if _json_or_none(f"[{line}]") is None)
         raise SpecError(f"malformed CSV row {bad!r}")
-    if not isinstance(meta, dict):
+    if not metas or not isinstance(metas[0], dict):
         raise SpecError("CSV design is missing its '# meta={...}' line")
-    meta["rows"] = rows
-    return DesignFile.from_dict(meta)
+    return DesignFile.from_dict({**metas[0], "rows": rows})
 
 
 def _json_or_none(text: str):

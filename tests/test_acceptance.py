@@ -14,6 +14,7 @@ from golden import (
     RELABELED_NESTED_M3,
     RELABELED_SLICED_M,
     RH_NOA_P2_U123_K2,
+    code_of,
 )
 from nestfill.arrays import (
     DifferenceMatrix,
@@ -104,7 +105,7 @@ def test_criterion_03_column_kron_soa():
         chain = chain_omega_ring([Zn(6), Zn(2)])
         a1 = OrthogonalArray(GroupMatrix(KRON_SOA_INPUT_A1, chain.group), 6, 2)
         a2 = OrthogonalArray(
-            GroupMatrix([[chain.parse_code(t) for t in r] for r in KRON_SOA_INPUT_A2],
+            GroupMatrix([[code_of(chain, t) for t in r] for r in KRON_SOA_INPUT_A2],
                         chain.group), 2, 2
         )
         out = construct_soa_kron(a2, a1, chain)
@@ -124,7 +125,7 @@ def test_criterion_04_kron_ndm_table_and_oracles():
     with criterion(4, "kron-ndm reproduces the 48-row reference matrix; all listed collapses are difference matrices"):
         chain = chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
         mk = lambda rows: DifferenceMatrix(
-            GroupMatrix([[chain.parse_code(t) for t in r] for r in rows], chain.group))
+            GroupMatrix([[code_of(chain, t) for t in r] for r in rows], chain.group))
         d1 = mk([("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")])
         d2 = mk([("0", "0", "0"), ("0", "w", "2w"), ("0", "2w", "w")])
         d3 = mk([("0", "0", "0"), ("0", "0", "w2"), ("0", "w2", "0"), ("0", "w2", "w2")])
@@ -248,8 +249,8 @@ def test_criterion_11_modulus_projection_counterexample():
         def phi(g, code):
             return f.encode(poly_residue(f.coeffs(code), g, 2) + (0, 0, 0))
 
-        x2, xp1 = f.parse_code("x^2"), f.parse_code("x+1")
-        assert phi((1, 1, 1), x2) == phi((1, 1, 1), xp1) == f.parse_code("x+1")
+        x2, xp1 = code_of(f, "x^2"), code_of(f, "x+1")
+        assert phi((1, 1, 1), x2) == phi((1, 1, 1), xp1) == code_of(f, "x+1")
         assert phi((1, 1), x2) == 1
         assert phi((1, 1), xp1) == 0
         assert phi((1, 1), x2) != phi((1, 1), xp1)

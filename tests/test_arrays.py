@@ -5,6 +5,7 @@ from golden import (
     KRON_SOA_INPUT_A1,
     KRON_SOA_INPUT_A2,
     RH_NOA_P2_U123_K2,
+    code_of,
 )
 from nestfill.arrays import (
     DifferenceMatrix,
@@ -66,7 +67,7 @@ class TestGeneratorMatrix:
 
     def test_explicit_rejects_bad_first_nonzero(self):
         f = Field(2, 2)
-        x = f.parse_code("x")
+        x = code_of(f, "x")
         with pytest.raises(SpecError):
             generator_matrix(f, range(4), 2, [(x, 0)])
 
@@ -81,7 +82,7 @@ class TestGeneratorMatrix:
         f = Field(2, 2)
         with pytest.raises(SpecError, match=r"^generator column 2 \(codes 1,2\) has entry 2 "
                                             r"outside the generator base \{0,1\}$"):
-            generator_matrix(f, [0, 1], 2, [(1, 0), (1, f.parse_code("x"))])
+            generator_matrix(f, [0, 1], 2, [(1, 0), (1, code_of(f, "x"))])
 
     def test_k_below_one(self):
         with pytest.raises(SpecError):
@@ -324,7 +325,7 @@ def _ex2_inputs():
     chain = chain_omega_ring([Zn(6), Zn(2)])
     a1 = OrthogonalArray(GroupMatrix(KRON_SOA_INPUT_A1, chain.group), 6, 2)
     a2 = OrthogonalArray(
-        GroupMatrix([[chain.parse_code(t) for t in row] for row in KRON_SOA_INPUT_A2],
+        GroupMatrix([[code_of(chain, t) for t in row] for row in KRON_SOA_INPUT_A2],
                     chain.group), 2, 2
     )
     return chain, a1, a2
@@ -411,7 +412,7 @@ class TestKronMulti:
 def example3():
     chain = chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
     parse_rows = lambda rows: GroupMatrix(
-        [[chain.parse_code(t) for t in row] for row in rows], chain.group
+        [[code_of(chain, t) for t in row] for row in rows], chain.group
     )
     d1 = DifferenceMatrix(
         parse_rows([("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")])
@@ -442,7 +443,7 @@ class TestKronNdm:
     def test_single_layer_is_identity(self):
         chain = chain_omega_ring([Field(2, 2)])
         rows = GroupMatrix(
-            [[chain.parse_code(t) for t in row] for row in
+            [[code_of(chain, t) for t in row] for row in
              [("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")]],
             chain.group,
         )

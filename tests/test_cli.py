@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden import KRON_NDM_GF4_Z3_Z2, RELABELED_NESTED_M3, RELABELED_SLICED_M, RH_NOA_P2_U123_K2
+from golden import (
+    KRON_NDM_GF4_Z3_Z2, RELABELED_NESTED_M3, RELABELED_SLICED_M, RH_NOA_P2_U123_K2, code_of,
+)
 import nestfill
 from nestfill.cli import METHODS, main
 from nestfill.galois import Field
@@ -38,7 +40,7 @@ class TestConstruct:
     def test_rh_reproduces_reference_rows(self, rh_design):
         design = load(rh_design)
         f = Field(2, 3)
-        want = [[f.parse_code(t) for t in row] for row in RH_NOA_P2_U123_K2]
+        want = [[code_of(f, t) for t in row] for row in RH_NOA_P2_U123_K2]
         assert design.rows == want
         texts = [
             tuple(design.symbols[str(c)] for c in row) for row in design.rows
@@ -126,7 +128,7 @@ def example3_inputs(tmp_path):
         payload = {
             "format": "nestfill-design", "version": "0.1.0", "type": "dm",
             "n": len(rows), "m": 3, "s": s,
-            "rows": [[chain.parse_code(t) for t in row] for row in rows],
+            "rows": [[code_of(chain, t) for t in row] for row in rows],
         }
         p = tmp_path / name
         p.write_text(json.dumps(payload))
@@ -155,7 +157,7 @@ class TestKronConstruct:
         )
         a2 = _write_input(
             tmp_path / "a2.json",
-            [[chain.parse_code(t) for t in row] for row in KRON_SOA_INPUT_A2], 2,
+            [[code_of(chain, t) for t in row] for row in KRON_SOA_INPUT_A2], 2,
         )
         out = tmp_path / "b.json"
         assert run("construct", "--method", "kron-soa", "--chain", str(chain_file),
@@ -372,7 +374,7 @@ def _rh_u12(prefixes):
     """The rh-noa p2 u1,2 k2 `oa` file (the reference table's first 16 rows)
     with `prefixes` as its layer prefixes."""
     f = Field(2, 2)
-    rows = [[f.parse_code(t) for t in row] for row in RH_NOA_P2_U123_K2[:16]]
+    rows = [[code_of(f, t) for t in row] for row in RH_NOA_P2_U123_K2[:16]]
     return ('{%s, "type": "oa", "s": 4, "t_claimed": 2, "rows": %s, "layer_prefixes": %s, '
             '"chain": {"kind": "field-tower", "p": 2, "u_chain": [1, 2]}}'
             % (_DESIGN, json.dumps(rows), json.dumps(prefixes)))
@@ -450,6 +452,16 @@ def _rh_u12_csv(cell):
     lines = [",".join(map(str, r)) for r in data.pop("rows")]
     lines[0] = cell + lines[0][1:]
     return "# meta=%s\nx1,x2,x3\n%s\n" % (json.dumps(data), "\n".join(lines))
+
+
+def _rh_u12_csv_two_metas():
+    """The CSV export of `_rh_u12([4, 16])` with a second meta line after its
+    first: type `design`, without `s`, `t_claimed` or `layer_prefixes`."""
+    meta_line, *rest = _rh_u12_csv("0").splitlines(keepends=True)
+    meta = json.loads(meta_line[len("# meta="):])
+    for key in ("s", "t_claimed", "layer_prefixes"):
+        del meta[key]
+    return meta_line + "# meta=%s\n" % json.dumps({**meta, "type": "design"}) + "".join(rest)
 
 
 _CSV_CELLS = ["0_0", "+0", "01", "\u0661", "1],[2"]  # first cells that leave no JSON row
@@ -620,6 +632,7 @@ _OUT_OF_RANGE = [
     *(({"d.csv": _rh_u12_csv(cell)}, ["verify", "--design", "d.csv"]) for cell in _CSV_CELLS),
     ({}, ["construct", "--method", "rh-noa", "--p", "7", "--u", "1,2", "--k", "6",
           "--out", "x.json"]),
+    ({"d.csv": _rh_u12_csv_two_metas()}, ["verify", "--design", "d.csv"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -655,7 +668,8 @@ _OUT_OF_RANGE = [
        "omega-base-zn-not-integer", "omega-base-gf-u-0", "dm-s-not-chain-top",
        "oa-s-not-chain-top", "lift-oa-s-not-chain-top", "lh-scale-not-rows",
        "csv-cell-underscore", "csv-cell-plus", "csv-cell-leading-zero",
-       "csv-cell-arabic-indic-digit", "csv-line-two-rows", "construct-above-max-cells"])
+       "csv-cell-arabic-indic-digit", "csv-line-two-rows", "construct-above-max-cells",
+       "csv-two-meta-lines"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -739,6 +753,61 @@ def test_design_file_readers_survive_one_mutation(rh_texts, data):
         assert code != 2 or len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
+# integers far above every size limit, or small: a chain that is built
+# anyway before a size check fails fast instead of allocating
+_FUZZ_INTS = st.sampled_from([-1, 0, 1, 2, 3, 7, 2000, 10**12])
+_FUZZ_VALUES = (st.none() | st.booleans() | _FUZZ_INTS | st.text(max_size=4)
+                | st.lists(_FUZZ_INTS, max_size=3)
+                | st.dictionaries(st.sampled_from(["zn", "p", "u", "kind"]), _FUZZ_INTS,
+                                  max_size=2))
+# three two-layer chains whose transversals are both {0, 1} and {0, 2}
+_FUZZ_CHAINS = [chain_omega_ring([Field(2, 1), Zn(2)]).descriptor(),
+                {"kind": "field-tower", "p": 2, "u_chain": [1, 2], "modulus": [1, 1, 1]},
+                {"kind": "subfield-tower", "p": 2, "u_chain": [1, 2]}]
+
+
+def _json_slots(value):
+    """Every (container, key) pair inside a JSON value."""
+    if isinstance(value, (dict, list)):
+        for key in list(value.keys() if isinstance(value, dict) else range(len(value))):
+            yield value, key
+            yield from _json_slots(value[key])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_chain_and_permutation_files_survive_one_mutation(rh_texts, data):
+    """`construct --chain` of an omega, field-tower or subfield-tower
+    descriptor, and `lift --perms` of a nested permutation file, with one
+    key or list item dropped or replaced, exit 0, 2 or 3 without a
+    traceback, and an exit 2 prints exactly one line."""
+    where = rh_texts[0]
+    for i, t in enumerate(([0, 1], [0, 2]), start=1):  # an OA(4, 3, 2, 2) over T_i
+        rows = [[t[a], t[b], t[(a + b) % 2]] for a in range(2) for b in range(2)]
+        (where / f"a{i}.json").write_text(_chainless("oa", rows, s=2, t_claimed=2))
+    target = data.draw(st.sampled_from(["perms", 0, 1, 2]))
+    if target == "perms":
+        doc = {"kind": "nested", "values": [[0, 2, 1, 3], [3, 1, 2, 0], [2, 1, 0, 3]]}
+        argv = ["lift", "--design", str(where / "rh.json"), "--mode", "nested",
+                "--perms", str(where / "f.json"), "--out", str(where / "x.json")]
+    else:
+        doc = json.loads(json.dumps(_FUZZ_CHAINS[target]))
+        argv = ["construct", "--method", "kron-noa", "--chain", str(where / "f.json"),
+                "--input", str(where / "a1.json"), "--input", str(where / "a2.json"),
+                "--out", str(where / "x.json")]
+    owner, key = data.draw(st.sampled_from(list(_json_slots(doc))))
+    if data.draw(st.booleans()):
+        del owner[key]
+    else:
+        owner[key] = data.draw(_FUZZ_VALUES)
+    (where / "f.json").write_text(json.dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3) and "Traceback" not in err.getvalue(), (code, err.getvalue())
+    assert code != 2 or len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
 def test_nested_lift_names_the_prefix_row_outside_its_layer(tmp_path, capsys):
     path = tmp_path / "d.json"
     path.write_text(_rh_u12_swapped())
@@ -796,6 +865,12 @@ _LIFT_SLICED = ["lift", "--design", "d.json", "--mode", "sliced", "--out", "x.js
     # line that is not a comment may be the x1..xm header
     *((_rh_u12_csv(cell), _VERIFY, f"malformed CSV row '{cell},0,0'")
       for cell in [*_CSV_CELLS, "x1"]),
+    (_rh_u12_csv_two_metas(), _VERIFY, "CSV design has 2 '# meta=' lines; it must have one"),
+    *(("", ["construct", "--method", method, "--p", "2", "--u", u, "--k", "1",
+            "--out", "x.json"], message)
+      for method, u, message in (
+          ("rh-noa", "1,2", "k must be >= 2 so strength-2 claims are checkable"),
+          ("bush-noa", "2,4", "k must be >= 2, got 1"))),
 ], ids=["verify-grid-rows-past-design", "verify-grid-slice-not-dividing",
         "verify-oa-slice-not-dividing", "lift-oa-slice-not-dividing",
         "verify-chainless-dm", "verify-chainless-oa-prefixes",
@@ -811,10 +886,13 @@ _LIFT_SLICED = ["lift", "--design", "d.json", "--mode", "sliced", "--out", "x.js
         "verify-lh-scale-not-rows-with-grid", "verify-csv-cell-underscore",
         "verify-csv-cell-plus", "verify-csv-cell-leading-zero",
         "verify-csv-cell-arabic-indic-digit", "verify-csv-line-two-rows",
-        "verify-csv-second-header"])
+        "verify-csv-second-header", "verify-csv-two-meta-lines", "construct-rh-noa-k-1",
+        "construct-bush-noa-k-1"])
 def test_reader_refusal_messages(text, argv, message, tmp_path, monkeypatch, capsys):
-    """Each refusal of the one design-file reader, and of lift's own checks
-    before it, exits 2 with exactly one line naming what is wrong."""
+    """Each refusal of the one design-file reader, of lift's own checks
+    before it, and of construct's generator size (a `k` below 2, where no
+    design file is read), exits 2 with exactly one line naming what is
+    wrong."""
     monkeypatch.chdir(tmp_path)
     Path("d.json").write_text(text)
     capsys.readouterr()
@@ -1145,7 +1223,7 @@ def _construct_golden(method, tmp_path, example3_inputs):
             inputs = [
                 _write_input(tmp_path / "i1.json", [list(r) for r in KRON_SOA_INPUT_A1], 6),
                 _write_input(tmp_path / "i2.json",
-                             [[chain.parse_code(t) for t in r] for r in KRON_SOA_INPUT_A2], 2),
+                             [[code_of(chain, t) for t in r] for r in KRON_SOA_INPUT_A2], 2),
             ]
         else:
             chain = chain_omega_ring([Zn(2), Zn(2)])
@@ -1288,6 +1366,20 @@ def test_verify_counterexample_levels_as_element_text(tmp_path, rh_design, examp
         first = json.loads(report.read_text())["checks"][0]
         assert first["check"] == check
         assert first["counterexample"][key] == want
+
+
+def test_chained_dm_without_prefixes_claims_one_difference_matrix(tmp_path, example3_inputs):
+    """A chained `dm` file without `layer_prefixes` claims a difference matrix
+    over the chain's top group: the kron-ndm output with the key dropped
+    passes it, and fails it once one cell is changed."""
+    data = json.loads(_construct_golden("kron-ndm", tmp_path, example3_inputs)[0].read_text())
+    del data["layer_prefixes"]
+    path, report = tmp_path / "d.json", tmp_path / "report.json"
+    for code, want in ((data["rows"][4][1], 0), (8, 3)):
+        data["rows"][4][1] = code
+        path.write_text(json.dumps(data))
+        assert run("verify", "--design", str(path), "--out", str(report)) == want
+        assert _check_names(report) == ["difference-matrix"]
 
 
 def test_bad_seed_variable_exits_2(tmp_path, rh_design, monkeypatch, capsys):
@@ -1451,21 +1543,35 @@ def test_oversized_field_refused_before_it_is_built(argv, tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["construct", "--method", "rh-noa", "--p", "7", "--u", "1,2", "--k", "6", "--out", "x.json"],
-    ["construct", "--method", "rh-noa", "--p", "2", "--u", "1,2,3,4", "--k", "6",
-     "--out", "x.json"],
-], ids=["rh-noa-49-to-the-6", "rh-noa-16-to-the-6"])
-def test_oversized_construction_refused_before_it_allocates(argv, tmp_path):
-    """A construction above MAX_CELLS exits 2 with one line before its
-    arrays are built; each command runs in its own interpreter under a
-    timeout and a 1 GiB address-space cap, so an array that is built anyway
-    fails the test quickly."""
+_KRON_NOA = ["construct", "--method", "kron-noa", "--chain", "c.json", "--input", "a1.json",
+             "--input", "a2.json", "--out", "x.json"]
+
+
+@pytest.mark.parametrize("top, argv, message", [
+    (None, ["construct", "--method", "rh-noa", "--p", "7", "--u", "1,2", "--k", "6",
+            "--out", "x.json"], "4194304 cells"),
+    (None, ["construct", "--method", "rh-noa", "--p", "2", "--u", "1,2,3,4", "--k", "6",
+            "--out", "x.json"], "4194304 cells"),
+    *((n, _KRON_NOA, f"group of order {n} is too large") for n in (2000, 10**7, 10**12)),
+], ids=["rh-noa-49-to-the-6", "rh-noa-16-to-the-6", "kron-noa-z3-z2000", "kron-noa-z3-z10e7",
+        "kron-noa-z3-z10e12"])
+def test_oversized_construction_refused_before_it_allocates(top, argv, message, tmp_path):
+    """A construction above MAX_CELLS, or over a chain above the table limit
+    (here omega(Z_3, Z_top) with two 9-row Z_3 inputs), exits 2 with one
+    line before its arrays, tables or transversal lists are built; each
+    command runs in its own interpreter under a timeout and a 1 GiB
+    address-space cap, so one that allocates anyway fails the test quickly."""
     import resource
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+    if top is not None:
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"kind": "omega", "bases": [{"zn": 3}, {"zn": top}]}))
+        rows = [[a, b, (a + b) % 3] for a in range(3) for b in range(3)]
+        for name in ("a1.json", "a2.json"):
+            (tmp_path / name).write_text(_chainless("oa", rows, s=3, t_claimed=2))
     src = str(Path(nestfill.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -1473,7 +1579,7 @@ def test_oversized_construction_refused_before_it_allocates(argv, tmp_path):
                           capture_output=True, text=True, timeout=30, preexec_fn=cap)
     assert proc.returncode == 2
     err = proc.stderr.splitlines()
-    assert len(err) == 1 and "is too large" in err[0] and "4194304 cells" in err[0]
+    assert len(err) == 1 and "is too large" in err[0] and message in err[0]
     assert not (tmp_path / "x.json").exists()
 
 

@@ -1,10 +1,11 @@
 import random
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden import code_of
 from nestfill.errors import SpecError
 from nestfill.galois import Element, Field, poly_residue
 from nestfill.groups import (
@@ -79,7 +80,7 @@ class TestFieldTower:
                     assert add[a][b] in t
 
     def test_decompose_monomial_split(self, tower_238):
-        gamma = tower_238.group.parse_code("x^2+x+1")
+        gamma = code_of(tower_238.group, "x^2+x+1")
         assert texts(tower_238, parts(tower_238, gamma)) == ["1", "x", "x^2"]
         assert texts(tower_238, parts(tower_238, 0)) == ["0", "0", "0"]
 
@@ -113,7 +114,7 @@ class TestOmegaRing:
         assert texts(chain, chain.transversal_codes(1)) == ["0", "1", "2", "3", "4", "5"]
         assert texts(chain, chain.transversal_codes(2)) == ["0", "w"]
         # collapse keeps the Z_6 part
-        el = chain.parse_code("w+3")
+        el = code_of(chain, "3+w")
         assert chain.text_code(chain.proj[0][el]) == "3"
         assert chain.text_code(chain.proj[1][el]) == "3+w"
 
@@ -121,7 +122,7 @@ class TestOmegaRing:
         assert omega_ex3.sizes == (4, 12, 24)
         assert texts(omega_ex3, omega_ex3.transversal_codes(2)) == ["0", "w", "2w"]
         assert texts(omega_ex3, omega_ex3.transversal_codes(3)) == ["0", "w2"]
-        gamma = omega_ex3.parse_code("x+2w+w2")
+        gamma = code_of(omega_ex3, "x+2w+w2")
         assert texts(omega_ex3, parts(omega_ex3, gamma)) == ["x", "2w", "w2"]
 
     def test_degenerate_trivial_layer(self):
@@ -129,29 +130,26 @@ class TestOmegaRing:
         assert chain.sizes == (1,)
         assert chain.layer_codes(1) == [0]
 
+    def test_unsupported_base_refused(self):
+        with pytest.raises(SpecError, match="unsupported base group 3"):
+            OmegaRingChain([3])
+
+    def test_groups_above_the_table_limit_refused_when_built(self):
+        assert Zn(1024).size == chain_omega_ring([Zn(32), Zn(32)]).size == 1024
+        for build, order in ((lambda: Zn(1025), 1025),
+                             (lambda: chain_omega_ring([Zn(32), Zn(33)]), 1056)):
+            with pytest.raises(SpecError, match=f"group of order {order} is too large"):
+                build()
+
     def test_text_round_trip(self, omega_ex3):
         for code in range(omega_ex3.top_size):
-            assert omega_ex3.parse_code(omega_ex3.text_code(code)) == code
-
-    def test_parse_rejects_malformed(self, omega_ex3):
-        for bad in ["w3", "5w", "w+w", "x+x", ""]:
-            with pytest.raises(SpecError):
-                omega_ex3.parse_code(bad)
+            assert code_of(omega_ex3, omega_ex3.text_code(code)) == code
 
     def test_field_coefficient_parenthesized(self):
         chain = chain_omega_ring([Zn(2), Field(2, 2)])
-        code = chain.encode([1, 3])
+        code = 7  # 1 in Z_2 plus 2 * 3, the code of x+1 in GF(4), as the w part
         assert chain.text_code(code) == "1+(x+1)w"
-        assert chain.parse_code("1+(x+1)w") == code
-
-    def test_encode_checks_its_parts(self, omega_ex3):
-        assert omega_ex3.encode([3, 2, 1]) == 3 + 4 * 2 + 12 * 1
-        for bad in ([1, 1], [1, 1, 1, 1]):
-            with pytest.raises(SpecError, match="wrong number of components"):
-                omega_ex3.encode(bad)
-        for bad in ([4, 0, 0], [0, 3, 0], [0, 0, -1]):
-            with pytest.raises(SpecError, match="out of range"):
-                omega_ex3.encode(bad)
+        assert code_of(chain, "1+(x+1)w") == code
 
 
 class TestEnumeration:
@@ -256,10 +254,10 @@ def test_modulus_projection_violates_refinement():
     def phi(g, code):
         return f8.encode(poly_residue(f8.coeffs(code), g, 2) + (0, 0, 0))
 
-    x2 = f8.parse_code("x^2")
-    x_plus_1 = f8.parse_code("x+1")
-    assert phi(g2, x2) == phi(g2, x_plus_1) == f8.parse_code("x+1")
-    assert phi(g1, x2) == f8.parse_code("1")
+    x2 = code_of(f8, "x^2")
+    x_plus_1 = code_of(f8, "x+1")
+    assert phi(g2, x2) == phi(g2, x_plus_1) == code_of(f8, "x+1")
+    assert phi(g1, x2) == code_of(f8, "1")
     assert phi(g1, x_plus_1) == 0
     assert phi(g1, x2) != phi(g1, x_plus_1)
 
@@ -361,43 +359,9 @@ def test_omega_projection_additivity(c1, c2, i):
 def test_omega_elements_add_but_do_not_multiply():
     chain = chain_omega_ring([Zn(3), Zn(2)])
     def el(text):
-        return Element(chain, chain.parse_code(text))
+        return Element(chain, code_of(chain, text))
 
     a, b = el("2+w"), el("1+w")
     assert (a + b, a - b, -a) == (el("0"), el("1"), el("1+w"))
     with pytest.raises(TypeError):
         a * b
-
-
-def _top_terms(text):
-    """`text` split on each '+' outside parentheses."""
-    terms, depth = [""], 0
-    for ch in text:
-        depth += (ch == "(") - (ch == ")")
-        if ch == "+" and depth == 0:
-            terms.append("")
-        else:
-            terms[-1] += ch
-    return terms
-
-
-@pytest.mark.parametrize("group", [
-    Field(2, 3), Field(3, 2),
-    chain_omega_ring([Field(2, 2), Zn(3), Zn(2)]), chain_omega_ring([Zn(2), Field(2, 2)]),
-], ids=["GF8", "GF9", "GF4xZ3xZ2", "Z2xGF4"])
-def test_text_parses_back_under_any_term_order(group):
-    """parse_code inverts text_code, whatever the order of the top-level
-    terms (a parenthesized coefficient such as (x+1)w is one term)."""
-    for code in range(group.size):
-        for order in permutations(_top_terms(group.text_code(code))):
-            assert group.parse_code("+".join(order)) == code
-
-
-@pytest.mark.parametrize("text", ["x^1", "1x", "01", "1w", "0w", "w1", "0+w", "(1+x)w"])
-def test_parse_rejects_unprinted_spellings(text):
-    """Only the printer's spelling parses (in GF(8), or over Z2 x GF(4) when
-    w appears): no explicit x^1, w1 or unit coefficient, no leading zero or
-    zero term, no reordered coefficient."""
-    group = chain_omega_ring([Zn(2), Field(2, 2)]) if "w" in text else Field(2, 3)
-    with pytest.raises(SpecError):
-        group.parse_code(text)

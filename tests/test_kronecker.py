@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from golden import code_of
 from nestfill.errors import SpecError
 from nestfill.galois import Field
 from nestfill.groups import Zn, chain_omega_ring
@@ -13,11 +14,11 @@ from nestfill.verify import check_oa_strength
 
 
 def col(chain, txts):
-    return GroupMatrix([[chain.group.parse_code(t)] for t in txts], chain.group)
+    return GroupMatrix([[code_of(chain.group, t)] for t in txts], chain.group)
 
 
 def parsed(chain, rows):
-    return GroupMatrix([[chain.group.parse_code(t) for t in row] for row in rows], chain.group)
+    return GroupMatrix([[code_of(chain.group, t) for t in row] for row in rows], chain.group)
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden import RELABELED_NESTED_M3, RELABELED_SLICED_M, QUAL_OA_16_RUNS
+from golden import RELABELED_NESTED_M3, RELABELED_SLICED_M, QUAL_OA_16_RUNS, code_of
 from nestfill.arrays import construct_from_ndm, construct_noa_rh, rao_hamming_oa
 from nestfill.errors import SpecError
 from nestfill.groups import chain_field_tower
@@ -279,7 +279,7 @@ class TestSsfdGrouped:
 
     def test_pinned_group_order_matches_reference_scheme(self, rh_family):
         chain = rh_family.chain
-        order = [chain.field.parse_code(t) for t in ("0", "x", "1", "x+1")]
+        order = [code_of(chain.field, t) for t in ("0", "x", "1", "x+1")]
         out = build_ssfd_grouped(rh_family, i=2, j=2, group_order=order, stage="relabel-only")
         # collapse groups land on {0,1},{2,3},{4,5},{6,7} in the pinned order
         label_of = {}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import nestfill.arrays
 import nestfill.verify
-from golden import KRON_NDM_GF4_Z3_Z2, RH_NOA_P2_U123_K2
+from golden import KRON_NDM_GF4_Z3_Z2, RH_NOA_P2_U123_K2, code_of
 from nestfill.errors import SpecError
 from nestfill.galois import Field, poly_residue
 from nestfill.groups import Zn, chain_field_tower, chain_omega_ring
@@ -32,7 +32,7 @@ from nestfill.verify import (
 @pytest.fixture(scope="module")
 def table1_codes():
     f = Field(2, 3)
-    return [[f.parse_code(t) for t in row] for row in RH_NOA_P2_U123_K2]
+    return [[code_of(f, t) for t in row] for row in RH_NOA_P2_U123_K2]
 
 
 class TestOaStrength:
@@ -83,7 +83,7 @@ class TestDifferenceMatrix:
 
     def test_reference_ndm_top_layer(self):
         chain = chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
-        rows = [[chain.parse_code(t) for t in row] for row in KRON_NDM_GF4_Z3_Z2]
+        rows = [[code_of(chain, t) for t in row] for row in KRON_NDM_GF4_Z3_Z2]
         rep = check_difference_matrix(rows, range(24), subtract=chain.sub_codes)
         assert rep.passed, rep.message()
 
@@ -186,8 +186,8 @@ class TestProjectionCompatibility:
         assert not rep.passed
         # the documented violating pair: x^2 and x+1 agree under the middle
         # collapse but disagree under the coarse one
-        x2, xp1 = f.parse_code("x^2"), f.parse_code("x+1")
-        assert maps[1][x2] == maps[1][xp1] == f.parse_code("x+1")
+        x2, xp1 = code_of(f, "x^2"), code_of(f, "x+1")
+        assert maps[1][x2] == maps[1][xp1] == code_of(f, "x+1")
         assert maps[0][x2] == 1 and maps[0][xp1] == 0
 
 
@@ -537,7 +537,7 @@ def _ref_claim(rows, c, projections, levels, element_sets, subtract):
     return _ref_difference_matrix(block, element_sets[j - 1], subtract, **named)
 
 
-_GOLDEN = [[Field(2, 3).parse_code(v) for v in row] for row in RH_NOA_P2_U123_K2]
+_GOLDEN = [[code_of(Field(2, 3), v) for v in row] for row in RH_NOA_P2_U123_K2]
 
 
 @st.composite
@@ -688,7 +688,7 @@ def _ndm_case(*claims):
     GF(4) x Z3 x Z2) with its chain's oracle inputs: one case of
     nested_dm_claim_cases."""
     chain = chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
-    rows = [[chain.parse_code(t) for t in row] for row in KRON_NDM_GF4_Z3_Z2]
+    rows = [[code_of(chain, t) for t in row] for row in KRON_NDM_GF4_Z3_Z2]
     inputs = chain.oracle_inputs()
     return (rows, list(claims), inputs["projections"], inputs["levels"],
             inputs["element_sets"], inputs["subtract"])
