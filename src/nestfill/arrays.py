@@ -3,14 +3,14 @@ nested/sliced orthogonal arrays, difference-matrix products, and the
 column-wise Kronecker constructions with general level counts.
 
 Every constructor declares the structural claims of what it built as a
-list of :class:`~nestfill.verify.Claim` and re-verifies them with the
+list of :class:`~nestfill.errors.Claim` and re-verifies them with the
 brute-force oracles in :mod:`nestfill.verify` before returning; a failed
 oracle raises :class:`VerificationFailure` rather than handing back a
-mislabeled object.  Every construction returns a :class:`NestedFamily`
-(`construct_from_ndm` two of them): a top matrix whose nested and sliced
-structure is named by these claims (a nested claim's `rows` are the prefix
-stops, a sliced claim's `size` the block size), with the reports of the
-checks that ran.
+mislabeled object.  Every construction returns a
+:class:`~nestfill.errors.NestedFamily` (`construct_from_ndm` two of them): a
+top matrix whose nested and sliced structure is named by these claims (a
+nested claim's `rows` are the prefix stops, a sliced claim's `size` the
+block size), with the reports of the checks that ran.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from itertools import product
 from math import prod
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import Record, SpecError, VerificationFailure
+from .errors import Claim, NestedFamily, SpecError, VerificationFailure
 from .galois import Field
 from .groups import FieldTowerChain, GroupChain, SubfieldTowerChain
 from .kronecker import GroupMatrix, col_kron_sum, kron_sum
-from .verify import Claim, VerificationReport, check_claims
+from .verify import VerificationReport, check_claims
 
 # the most cells an array built here may hold; a build measured ~100 bytes a cell
 # (--p 2 --u 1,10 --k 2: 3,145,728 cells, 325 MB peak RSS), so ~430 MB at the limit
@@ -188,26 +188,6 @@ def build_h_tower(chain: GroupChain, k: int) -> list[GroupMatrix]:
     """
     return _kron_tower([full_factorial(chain.transversal_codes(i), k, chain.group)
                         for i in range(1, chain.layers + 1)], "H")
-
-
-class NestedFamily(Record):
-    """The result of every construction: a top matrix with the claims it was
-    verified against.  Its row prefixes are the nested layers (`nested`, kind
-    "nested" or "nested-dm", whose `rows` are the prefix stops) and its row
-    blocks the `sliced` families; `nested` and every `sliced` claim are among
-    the checks whose reports `verification` holds.  `generator` is set by the
-    generator-matrix constructions.  `sliced` and `verification` default to
-    new empty lists."""
-
-    __slots__ = _fields = ("chain", "top", "nested", "sliced", "verification", "generator")
-
-    def __init__(self, chain: GroupChain, top: GroupMatrix, nested: Claim,
-                 sliced: Optional[list[Claim]] = None,
-                 verification: Optional[list[VerificationReport]] = None,
-                 generator: Optional[GeneratorMatrix] = None):
-        self.chain, self.top, self.nested, self.generator = chain, top, nested, generator
-        self.sliced = [] if sliced is None else sliced
-        self.verification = [] if verification is None else verification
 
 
 def _noa_family(chain: GroupChain, top: GroupMatrix, stops: tuple[int, ...], strength: int,

@@ -8,10 +8,13 @@ design file's claims for `verify` and `lift`: it loads the file's chain and
 returns the claims with their oracle inputs; the file types that may carry
 each key come from `io._FIELDS`, and a key on another type exits 2.
 
-Every job starts a fresh interpreter, so `arrays`, `spacefill` and `verify`
-are lazily loaded module objects (`_lazy`): a job compiles and runs each one
-only when its command first reads from it.  `verify` loads `verify` alone,
-`export` none of the three, `construct` `arrays` and `verify`, `lift` all three.
+Every job starts a fresh interpreter, so every package module but `errors`
+and `io` is a lazily loaded module object (`_lazy`): a job compiles and runs
+each one only when its command first reads from it.  `export` runs none of
+them; `verify` runs `galois`, `groups`, `kronecker` and `verify`; `lift` runs
+`galois`, `groups`, `kronecker` and `spacefill`, as the two records it reads
+(`Claim`, `NestedFamily`) live in `errors`; `construct` runs all but
+`spacefill`.
 
 Exit codes: 0 on success, 2 on bad parameters, malformed inputs or an
 unwritable output path, 3 when a brute-force oracle rejects a claim.  Every
@@ -31,14 +34,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
-from .errors import NestfillError, SpecError, VerificationFailure
-from .groups import (
-    GroupChain,
-    chain_field_tower,
-    chain_from_descriptor,
-    chain_subfield_tower,
-    is_int,
-)
+from .errors import Claim, NestedFamily, NestfillError, SpecError, VerificationFailure, is_int
 from .io import (
     _FIELDS,
     DesignFile,
@@ -50,7 +46,6 @@ from .io import (
     save_json,
     symbols_for,
 )
-from .kronecker import GroupMatrix
 
 
 def _lazy(name: str):
@@ -69,8 +64,9 @@ def _lazy(name: str):
     return module
 
 
-# Never `from .arrays import ...` these three here: an import statement reads
-# the registered module's `__spec__`, which loads it at once.
+# Never `from .arrays import ...` these here: an import statement reads the
+# registered module's `__spec__`, which loads it at once.
+galois, groups, kronecker = _lazy("galois"), _lazy("groups"), _lazy("kronecker")
 arrays, spacefill, verify = _lazy("arrays"), _lazy("spacefill"), _lazy("verify")
 
 
@@ -98,23 +94,23 @@ def _refuse_unread(args, names, where: str) -> None:
             raise SpecError(f"--{name.replace('_', '-')} is not read {where}")
 
 
-def _resolve_chain(args, tower) -> GroupChain:
+def _resolve_chain(args, tower) -> groups.GroupChain:
     if args.chain is not None:
         _refuse_unread(args, ("p", "u"), "beside --chain")
-        return chain_from_descriptor(read_json(args.chain, "chain file"))
+        return groups.chain_from_descriptor(read_json(args.chain, "chain file"))
     if args.p is None or not args.u:
         raise SpecError("give either --chain FILE or both --p and --u")
     return tower(args.p, _parse_int_list(args.u))
 
 
-def _load_input_design(path, chain: GroupChain, levels: int, want: str):
+def _load_input_design(path, chain: groups.GroupChain, levels: int, want: str):
     design = load(path)
     if design.type != want:
         raise SpecError(f"input {path} has type {design.type!r}; {want!r} is expected there")
     if design.s and design.s != levels:
         raise SpecError(f"input {path} declares s={design.s}, but {levels} levels "
                         f"are expected there")
-    rows = GroupMatrix(design.rows, chain.group)
+    rows = kronecker.GroupMatrix(design.rows, chain.group)
     if want == "dm":
         return arrays.DifferenceMatrix(rows)
     return arrays.OrthogonalArray(rows, levels, design.t_claimed or 2)
@@ -128,8 +124,8 @@ def _report_text(reports, **head) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _design_file(matrix: GroupMatrix, chain: GroupChain, method: str, params: dict,
-                 claim: verify.Claim) -> DesignFile:
+def _design_file(matrix: kronecker.GroupMatrix, chain: groups.GroupChain, method: str,
+                 params: dict, claim: Claim) -> DesignFile:
     """A constructed matrix over `chain` with its provenance and the
     annotations of the one claim it records, which `_file_claims` reads back."""
     kind = "dm" if claim.kind == "nested-dm" else "oa"
@@ -147,35 +143,33 @@ def _design_file(matrix: GroupMatrix, chain: GroupChain, method: str, params: di
     )
 
 
-def _file_claims(design: DesignFile) -> tuple[list, dict, Optional[GroupChain]]:
+def _file_claims(design: DesignFile) -> tuple[list, dict, Optional[groups.GroupChain]]:
     """The claims `design` records (README "Claims"), the `check_claims`
     keyword inputs they are checked with, and the chain whose codes its rows
     hold, None where they are checked as integer levels.  This is the one
     place that loads a file's chain and reads its type; an annotation that
     cannot be checked in full, or that `_FIELDS` does not allow on its file
     type, is a SpecError."""
-    chain = design.load_chain()
+    chain = groups.chain_from_descriptor(design.chain) if design.chain else None
     for key, (_, _, types) in _FIELDS.items():
         if getattr(design, key) is not None and design.type not in types:
             raise SpecError(f"{design.type!r} files cannot carry {key!r}; "
                             f"only {'/'.join(types)} files do")
     n = design.n
     if design.type == "lh":
-        claims = [verify.Claim("lh")]
+        claims = [Claim("lh")]
         for grid in design.grids or []:
             g = grid["grid"]
             if "rows" in grid:
                 if grid["rows"] > n:
                     raise SpecError(f"grid claim on the first {grid['rows']} rows of a "
                                     f"{n}-row design")
-                claims.append(verify.Claim(
-                    "strat", f"stratification[first {grid['rows']} rows, g={g}]",
-                    (0, grid["rows"]), strength=g))
+                claims.append(Claim("strat", f"stratification[first {grid['rows']} rows, g={g}]",
+                                    (0, grid["rows"]), strength=g))
             else:
                 size = _slice_size(grid["slice_size"], n)
-                claims.append(verify.Claim(
-                    "strat", f"stratification[slices of {size} rows, g={g}]",
-                    strength=g, size=size))
+                claims.append(Claim("strat", f"stratification[slices of {size} rows, g={g}]",
+                                    strength=g, size=size))
         if design.scale not in (None, n):  # a Latin hypercube holds the values 0..n-1
             raise SpecError(f"scale {design.scale} of a Latin hypercube is not its row "
                             f"count {n}")
@@ -186,7 +180,7 @@ def _file_claims(design: DesignFile) -> tuple[list, dict, Optional[GroupChain]]:
         raise SpecError(f"the claims of this {design.type!r} file need a 'chain' to be checked")
     t = design.t_claimed or 2
     if design.type == "design" or chain is None:
-        return ([verify.Claim("oa", strength=t) if design.s else verify.Claim("lh")],
+        return ([Claim("oa", strength=t) if design.s else Claim("lh")],
                 {"levels": [design.s]}, None)
     layers = tuple(range(1, chain.layers + 1))
     stops = tuple(design.layer_prefixes or ())
@@ -198,20 +192,19 @@ def _file_claims(design: DesignFile) -> tuple[list, dict, Optional[GroupChain]]:
         if stops[-1] != n:
             raise SpecError(f"last layer prefix {stops[-1]} is not the row count {n}")
     if design.type == "dm":
-        claims = [verify.Claim("nested-dm", rows=stops, layers=layers) if stops
-                  else verify.Claim("dm")]
+        claims = [Claim("nested-dm", rows=stops, layers=layers) if stops else Claim("dm")]
     else:
         if t > design.m:  # the oracle refuses it too, but lift runs no oracle on its input
             raise SpecError(f"strength {t} exceeds column count {design.m}")
-        claims = [verify.Claim("nested", rows=stops, layers=layers, strength=t)
-                  if stops else verify.Claim("oa", strength=t)]
+        claims = [Claim("nested", rows=stops, layers=layers, strength=t)
+                  if stops else Claim("oa", strength=t)]
         if design.slice_size or design.collapse_layer:
             if not (design.slice_size and design.collapse_layer):
                 raise SpecError("a sliced claim needs both 'slice_size' and 'collapse_layer'")
             if design.collapse_layer > chain.layers:
                 raise SpecError(f"claim 'sliced' names a layer outside 1..{chain.layers}")
-            claims.append(verify.Claim("sliced", layers=(design.collapse_layer,), strength=t,
-                                       size=_slice_size(design.slice_size, n)))
+            claims.append(Claim("sliced", layers=(design.collapse_layer,), strength=t,
+                                size=_slice_size(design.slice_size, n)))
     if design.s not in (None, chain.top_size):
         raise SpecError(f"s={design.s} is not the chain's top size {chain.top_size}")
     return claims, chain.oracle_inputs(), chain
@@ -229,7 +222,7 @@ class Method(NamedTuple):
     layer) and levels of input i; each file's stem tail ("" is --out) and claim."""
     reads: tuple
     build: Callable
-    tower: Callable = chain_field_tower
+    tower: Callable = lambda *a: groups.chain_field_tower(*a)
     input: str = "oa"
     count: Optional[int] = None
     levels: Callable = lambda chain, i: len(chain.transversal_codes(i))
@@ -242,8 +235,9 @@ class Method(NamedTuple):
 METHODS = {
     "rh-noa": Method(("k", "columns"), lambda *a: arrays.construct_noa_rh(*a)),
     "subfield-noa": Method(("k", "columns"), lambda *a: arrays.construct_noa_subfield(*a),
-                           chain_subfield_tower),
-    "bush-noa": Method(("k",), lambda *a: arrays.construct_noa_bush(*a), chain_subfield_tower),
+                           lambda *a: groups.chain_subfield_tower(*a)),
+    "bush-noa": Method(("k",), lambda *a: arrays.construct_noa_bush(*a),
+                       lambda *a: groups.chain_subfield_tower(*a)),
     "ndm-product": Method(("input",), lambda chain, a: arrays.construct_from_ndm(
         chain, arrays.OrthogonalArray(a[0].matrix, chain.top_size, 2)), count=1,
         levels=lambda chain, i: chain.top_size, writes=("-dm", "")),
@@ -298,7 +292,7 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _load_family(design: DesignFile) -> arrays.NestedFamily:
+def _load_family(design: DesignFile) -> NestedFamily:
     if design.type != "oa":
         raise SpecError(f"cannot lift a {design.type!r} design file; lift needs an 'oa' file")
     if not design.chain:
@@ -306,10 +300,10 @@ def _load_family(design: DesignFile) -> arrays.NestedFamily:
     if not design.layer_prefixes:
         raise SpecError("design file carries no layer prefixes; cannot lift")
     claims, _, chain = _file_claims(design)
-    return arrays.NestedFamily(chain, GroupMatrix(design.rows, chain.group), claims[0])
+    return NestedFamily(chain, kronecker.GroupMatrix(design.rows, chain.group), claims[0])
 
 
-def _load_permutations(path, kind: str, chain: GroupChain):
+def _load_permutations(path, kind: str, chain: groups.GroupChain):
     data = read_json(path, "permutation file")
     if not isinstance(data, dict) or data.get("kind") != kind:
         raise SpecError(f"permutation file {path} is not of kind {kind!r}")
@@ -329,6 +323,9 @@ def cmd_lift(args) -> int:
         _refuse_unread(args, ("seed",), "by a relabel-only lift with --perms")
     design = load(args.design)
     family = _load_family(design)
+    if args.stage == "full" and family.nested.strength < 2:
+        raise SpecError(f"a full lift claims 2-D grids, which an array of strength "
+                        f"{family.nested.strength} does not stratify")
     chain = family.chain
     seed = _default_seed(args)
     m = family.top.n_cols
@@ -369,7 +366,8 @@ def cmd_lift(args) -> int:
 def verify_design(design: DesignFile) -> list:
     """Run every oracle the file's annotations claim."""
     claims, inputs, chain = _file_claims(design)
-    rows = design.rows if chain is None else GroupMatrix(design.rows, chain.group).code_rows
+    rows = (design.rows if chain is None
+            else kronecker.GroupMatrix(design.rows, chain.group).code_rows)
     reports = verify.check_claims(rows, claims, **inputs)
     if chain is None:
         return list(reports)

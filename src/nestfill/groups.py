@@ -37,7 +37,7 @@ from functools import cached_property
 from math import prod
 from typing import Optional, Sequence, Union
 
-from .errors import Described, SpecError
+from .errors import Described, SpecError, is_int
 from .galois import Element, Field, check_table_order, direct_sum_table
 
 
@@ -66,11 +66,6 @@ class Zn(Described):
 
 
 BaseGroup = Union[Zn, Field]
-
-
-def is_int(v) -> bool:
-    """True for a JSON integer (bools are not integers here)."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _int_list(v) -> bool:

@@ -17,6 +17,9 @@ file goes to disk as its header and then one row at a time, never as one
 whole-file string, and a write that fails removes its partial file.  Scatter
 export formats each distinct value once and shares that string between the
 cells holding it.
+
+This module imports only `errors`, so an `export` job loads no group code: a
+file's `chain` stays its JSON descriptor here, and `cli` builds the chain.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ from __future__ import annotations
 import itertools
 import json
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import __version__
-from .errors import Record, SpecError
-from .groups import GroupChain, chain_from_descriptor, is_int
+from .errors import Record, SpecError, is_int
 
 FORMAT_NAME = "nestfill-design"
 
@@ -110,9 +112,6 @@ class DesignFile(Record):
     def m(self) -> int:
         return len(self.rows[0])
 
-    def load_chain(self) -> Optional[GroupChain]:
-        return chain_from_descriptor(self.chain) if self.chain else None
-
     def to_dict(self) -> dict:
         out = {"format": FORMAT_NAME, "version": __version__, "type": self.type,
                "n": self.n, "m": self.m}
@@ -139,7 +138,9 @@ class DesignFile(Record):
         return design
 
 
-def symbols_for(chain: GroupChain, rows) -> dict:
+def symbols_for(chain, rows) -> dict:
+    """The symbol table of `rows`: each code they hold, as a string, mapped
+    to its text form in the group of the `groups.GroupChain` `chain`."""
     codes = sorted(set(itertools.chain.from_iterable(rows)))
     return {str(c): chain.group.text_code(c) for c in codes}
 

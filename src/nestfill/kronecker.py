@@ -20,14 +20,13 @@ class GroupMatrix:
     __slots__ = ("code_rows", "owner")
 
     def __init__(self, code_rows: Iterable[Sequence[int]], owner):
-        rows = tuple(tuple(r) for r in code_rows)
+        rows = tuple(map(tuple, code_rows))
         if not rows or not rows[0]:
             raise SpecError("matrix must have at least one row and one column")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
+        if len(set(map(len, rows))) != 1:
             raise SpecError("ragged rows")
-        bad = next((c for c in (min(map(min, rows)), max(map(max, rows)))
-                    if not 0 <= c < owner.size), None)
+        codes = set().union(*rows)  # every distinct code, collected in C
+        bad = next((c for c in (min(codes), max(codes)) if not 0 <= c < owner.size), None)
         if bad is not None:
             raise SpecError(f"code {bad} out of range 0..{owner.size - 1} for {owner!r}")
         self.code_rows = rows

@@ -24,8 +24,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional, Sequence
 
-from .arrays import NestedFamily
-from .errors import FrozenRecord, SpecError
+from .errors import FrozenRecord, NestedFamily, SpecError
 
 
 def _validate_layer_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:

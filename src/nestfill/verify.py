@@ -24,9 +24,9 @@ packed int keys (``block*s**t`` plus a digit tuple's base-s number),
 accepts a histogram by C-level tests (`len`, `min`, `set`), and scans only
 a failing family, block by block and tuple by tuple, in order.
 
-A :class:`Claim` names one oracle run on a matrix; :func:`check_claims` runs a
-list of them, so the constructors' self-checks and ``nestfill verify`` share
-one description of what a design claims.
+A :class:`~nestfill.errors.Claim` names one oracle run on a matrix;
+:func:`check_claims` runs a list of them, so the constructors' self-checks
+and ``nestfill verify`` share one description of what a design claims.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from collections import Counter
 from itertools import chain, combinations, permutations
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import SpecError
+from .errors import Claim, SpecError
 
 
 class VerificationReport(NamedTuple):
@@ -293,6 +293,8 @@ def check_stratification(
     n, columns = _columns(rows)
     size = size or n
     _require_positive(scale=scale, g=g, size=size)
+    if len(columns) < 2:  # a grid is a pair of columns: one column counts nothing
+        raise SpecError(f"a grid claim needs at least two columns, got {len(columns)}")
     if n % size:
         return VerificationReport(
             name, False, f"run size {n} not divisible by block size {size}",
@@ -304,7 +306,7 @@ def check_stratification(
             name, False, f"run size {size} not divisible by {g}^2", {"n": size, "g": g})
     else:
         cells = [[v * g // scale for v in col] for col in columns]
-        bad = pairs and _first_uneven(cells, g, 2, pairs, size)
+        bad = _first_uneven(cells, g, 2, pairs, size)
         if not bad:
             return VerificationReport(name, True, f"{g}x{g} grid, {size // (g * g)}/cell")
         block, dims, key, observed = bad
@@ -382,29 +384,6 @@ def check_sliced(
     """Each consecutive row block must collapse into a strength-t array."""
     claims = [Claim("sliced", name, layers=(1,), strength=t, size=slice_size)]
     return next(check_claims(rows, claims, [projection], [s_low]))
-
-
-class Claim(NamedTuple):
-    """One structural claim about a matrix, checked by one oracle.
-
-    `kind` picks the oracle: "oa", "dm", "nested", "nested-dm", "sliced",
-    "lh" or "strat".  `name` is the report name; empty keeps the oracle's
-    default.  `rows` holds the prefix stops of the nested kinds, one per
-    nested layer, and the (start, stop) row range of the other kinds, where
-    empty means every row.  `layers` holds the collapse layers (1-based): one
-    per nested layer, or at most one for the other kinds, where none means
-    the rows are checked as they are at the top level count.  `strength` is
-    t, or the grid size g of a "strat" claim; `size` is the slice size of a
-    "sliced" claim, or of a "strat" claim that checks every slice of its
-    rows on its own.  :func:`check_claims` yields one report per claim.
-    """
-
-    kind: str
-    name: str = ""
-    rows: tuple[int, ...] = ()
-    layers: tuple[int, ...] = ()
-    strength: int = 2
-    size: int = 0
 
 
 # each claim kind's default report name

@@ -17,7 +17,7 @@ from golden import (
 import nestfill
 from nestfill.cli import METHODS, main
 from nestfill.galois import Field
-from nestfill.groups import Zn, chain_omega_ring
+from nestfill.groups import Zn, chain_from_descriptor, chain_omega_ring
 from nestfill.io import load
 
 NESTED_PERMS = [[4, 1, 2, 7, 6, 5, 3, 0], [5, 2, 0, 7, 3, 4, 1, 6], [2, 6, 1, 4, 3, 5, 7, 0]]
@@ -430,6 +430,14 @@ def _zn5_kron_noa(s2):
     return files, argv
 
 
+# a one-column strength-1 nested OA over GF(2) < GF(4): it verifies, and its
+# relabeling does too, but a full lift's 2-D grid claims could never hold
+_STRENGTH_1_OA = json.dumps({
+    "format": "nestfill-design", "version": "0.1.0", "type": "oa", "s": 4, "t_claimed": 1,
+    "chain": {"kind": "field-tower", "p": 2, "u_chain": [1, 2]}, "layer_prefixes": [2, 4],
+    "rows": [[0], [1], [2], [3]]})
+
+
 def _with_keys(text, **keys):
     """The design file `text` with `keys` added or replaced."""
     return json.dumps({**json.loads(text), **keys})
@@ -633,6 +641,10 @@ _OUT_OF_RANGE = [
     ({}, ["construct", "--method", "rh-noa", "--p", "7", "--u", "1,2", "--k", "6",
           "--out", "x.json"]),
     ({"d.csv": _rh_u12_csv_two_metas()}, ["verify", "--design", "d.csv"]),
+    ({"d.json": _STRENGTH_1_OA}, ["lift", "--design", "d.json", "--mode", "nested",
+                                  "--seed", "1", "--out", "x.json"]),
+    ({"d.json": _with_keys(_lh16([{"grid": 4, "rows": 16}]),
+                           rows=[[v] for v in range(16)])}, ["verify", "--design", "d.json"]),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -669,7 +681,7 @@ _OUT_OF_RANGE = [
        "oa-s-not-chain-top", "lift-oa-s-not-chain-top", "lh-scale-not-rows",
        "csv-cell-underscore", "csv-cell-plus", "csv-cell-leading-zero",
        "csv-cell-arabic-indic-digit", "csv-line-two-rows", "construct-above-max-cells",
-       "csv-two-meta-lines"])
+       "csv-two-meta-lines", "lift-strength-1", "grid-on-one-column"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -678,6 +690,18 @@ def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, 
     assert run(*(a.format(rh=rh_design) for a in argv)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("mode", ["nested", "sliced"])
+def test_relabel_only_lift_of_strength_1_verifies(mode, tmp_path):
+    """Only a full lift claims grids: relabeling a strength-1 array writes a
+    `design` file that claims strength 1, and it verifies."""
+    base, out = tmp_path / "d.json", tmp_path / "r.json"
+    base.write_text(_STRENGTH_1_OA)
+    assert run("lift", "--design", str(base), "--mode", mode, "--stage", "relabel-only",
+               "--seed", "1", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["t_claimed"] == 1
+    assert run("verify", "--design", str(out), "--out", str(tmp_path / "report.json")) == 0
 
 
 @pytest.fixture(scope="module")
@@ -1486,7 +1510,7 @@ def test_construct_from_chain_with_modulus(tmp_path):
                "--out", str(out)) == 0
     design = load(out)
     assert design.chain["modulus"] == [1, 0, 1, 1]
-    assert design.load_chain().field.modulus == (1, 0, 1, 1)
+    assert chain_from_descriptor(design.chain).field.modulus == (1, 0, 1, 1)
     assert json.loads((tmp_path / "m.json.verify.json").read_text())["passed"] is True
     assert run("verify", "--design", str(out)) == 0
 
@@ -1626,11 +1650,13 @@ def test_each_command_runs_only_the_modules_it_reads(tmp_path):
     """`import nestfill.cli` registers every package module, so a wrapper
     installed right after it reaches them all; one `main` call then runs
     only the modules its command reads: `verify` skips the construction
-    code, `export` the oracles too, `construct` the lifts."""
+    code, `lift` the constructions and the oracles, `export` every group
+    module too, `construct` the lifts."""
     want = {"construct": ["nestfill.spacefill"],
             "verify": ["nestfill.arrays", "nestfill.spacefill"],
-            "export": ["nestfill.arrays", "nestfill.spacefill", "nestfill.verify"],
-            "lift": []}
+            "export": ["nestfill.arrays", "nestfill.galois", "nestfill.groups",
+                       "nestfill.kronecker", "nestfill.spacefill", "nestfill.verify"],
+            "lift": ["nestfill.arrays", "nestfill.verify"]}
     argvs = [["construct", "--method", "rh-noa", "--p", "2", "--u", "1,2", "--k", "2",
               "--out", "a.json"],
              ["verify", "--design", "a.json", "--out", "r.json"],
@@ -1640,6 +1666,43 @@ def test_each_command_runs_only_the_modules_it_reads(tmp_path):
     for argv in argvs:
         out = _fresh_python(_LOAD_PROBE, tmp_path, *argv).splitlines()[-1]
         assert json.loads(out) == [_PACKAGE_MODULES, 0, want[argv[0]]], argv[0]
+
+
+_ROOT_PROBE = """
+import json, sys
+import nestfill
+ran = sorted(m for m in sys.modules if m.startswith("nestfill."))
+homes = {}
+for name in set(nestfill.__all__) - {"__version__"}:
+    value = getattr(nestfill, name)
+    homes[name] = [value.__module__, vars(sys.modules[value.__module__])[name] is value]
+modules = {m: getattr(nestfill, m) is sys.modules[f"nestfill.{m}"]
+           for m in ("errors", "galois", "groups", "kronecker")}
+star = {}
+exec("from nestfill import *", star)
+print(json.dumps([ran, homes, modules, sorted(star.keys() - {"__builtins__"}),
+                  hasattr(nestfill, "arrays")]))
+"""
+
+
+def test_package_import_runs_no_module(tmp_path):
+    """`import nestfill` runs none of its modules; each `__all__` name is
+    then the object its home module defines, read on first access, and
+    `nestfill.groups` and the other home modules resolve as attributes, as
+    when the package root imported them all."""
+    ran, homes, modules, star, arrays = json.loads(_fresh_python(_ROOT_PROBE, tmp_path))
+    assert ran == []
+    want = {"errors": ["NestfillError", "SpecError", "VerificationFailure"],
+            "galois": ["Field", "Element"],
+            "groups": ["Zn", "FieldTowerChain", "SubfieldTowerChain", "OmegaRingChain",
+                       "chain_field_tower", "chain_subfield_tower", "chain_omega_ring",
+                       "chain_from_descriptor"],
+            "kronecker": ["GroupMatrix", "kron_sum", "col_kron_sum"]}
+    assert homes == {name: [f"nestfill.{home}", True]
+                     for home, names in want.items() for name in names}
+    assert modules == dict.fromkeys(want, True)
+    assert star == sorted(nestfill.__all__)
+    assert not arrays  # no name of `__all__` lives there, so it stays unimported
 
 
 _LIFTS = [["--mode", "nested"], ["--mode", "sliced"], ["--mode", "grouped", "--i", "2", "--j", "1"],

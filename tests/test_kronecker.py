@@ -87,10 +87,19 @@ def test_mismatch_errors(f8_tower):
 @pytest.mark.parametrize("rows, message", [
     ([], "matrix must have at least one row and one column"),
     ([[0, 1], [0]], "ragged rows"),
-], ids=["no-rows", "ragged"])
+    ([[0], [0, 1], [1]], "ragged rows"),
+], ids=["no-rows", "ragged", "ragged-first-row-shorter"])
 def test_group_matrix_refuses_a_non_rectangular_matrix(rows, message):
     with pytest.raises(SpecError, match=f"^{message}$"):
         GroupMatrix(rows, Field(2, 1))
+
+
+@pytest.mark.parametrize("rows, code", [([[0, 1], [-1, 4]], -1), ([[0, 1], [3, 4]], 4)],
+                         ids=["below-range", "above-range"])
+def test_group_matrix_names_the_first_code_out_of_range(rows, code):
+    """A code below the range is named before one above it."""
+    with pytest.raises(SpecError, match=rf"^code {code} out of range 0\.\.3 for Field\(p=2, u=2\)$"):
+        GroupMatrix(rows, Field(2, 2))
 
 
 def test_col_kron_associative(f8_tower):

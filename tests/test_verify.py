@@ -396,10 +396,9 @@ def strat_family_cases(draw):
     each block holds every cell tuple over 0..g-1 once or twice (one point
     per g x g cell for two columns), or random cells, with up to three
     edits over the whole family (a cell set to any value, possibly past the
-    grid, or two cells of a column swapped, possibly across blocks).  One
-    column has no pair to check, and a block size that g**2 does not divide
-    fails every block."""
-    g, width, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    grid, or two cells of a column swapped, possibly across blocks).  A
+    block size that g**2 does not divide fails every block."""
+    g, width, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 3))
     top = draw(st.sampled_from([g - 1, g]))
     copies, blocks = draw(st.integers(1, 2)), draw(st.integers(1, 4))
     if draw(st.booleans()):
@@ -447,6 +446,17 @@ def test_stratification_family_matches_blocks(case):
             "block": first + 1, **reps[first].counterexample})
     claims = [Claim("strat", strength=g, size=size)]
     assert list(check_claims(rows, claims, levels=[scale])) == [family]
+
+
+@pytest.mark.parametrize("size", [0, 2])
+def test_stratification_refuses_one_column(size):
+    """A grid is a pair of columns, so a grid claim on one column has nothing
+    to count and is refused, as a strength above the column count is."""
+    rows = [[v] for v in range(4)]
+    with pytest.raises(SpecError, match="^a grid claim needs at least two columns, got 1$"):
+        check_stratification(rows, 4, 2, size=size)
+    with pytest.raises(SpecError):
+        list(check_claims(rows, [Claim("strat", size=size)], levels=[4]))
 
 
 def test_stratification_family_size_not_dividing_rows():
