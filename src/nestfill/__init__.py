@@ -15,7 +15,6 @@ _HOMES = {
     "SpecError": "errors",
     "VerificationFailure": "errors",
     "Field": "galois",
-    "Element": "galois",
     "Zn": "groups",
     "FieldTowerChain": "groups",
     "SubfieldTowerChain": "groups",

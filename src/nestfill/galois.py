@@ -15,10 +15,10 @@ above the table limit is refused when built, so its tables fit.  Text is
 per code too, and one way: `Field.text_code` prints a code, and no reader
 turns text back into one, as every input to the package is a code.
 
-The package computes on codes alone.  `Element(group, code)` is the one way
-to make an element object, at the API edge: a range-checked code of a group
-(a Field, or an omega ring from :mod:`nestfill.groups`) whose arithmetic and
-text read that group's tables and `text_code`.
+The package computes on codes alone and keeps no element objects for
+users: `Element(group, code)`, a range-checked code that adds by its
+group's table, is not API and stays only for the benchmark harness's
+element views in :mod:`nestfill.groups`.
 """
 
 from __future__ import annotations
@@ -217,11 +217,6 @@ class Field(Described):
             table.append([0] + [shifted[log[b]] for b in range(1, q)])
         return table
 
-    @cached_property
-    def inv(self) -> list[Optional[int]]:
-        """inv[a] is the code of 1/a; zero has none."""
-        return [None] + [row.index(1) for row in self.mul[1:]]
-
     def add_codes(self, a: int, b: int) -> int:
         return self.add[a][b]
 
@@ -230,11 +225,6 @@ class Field(Described):
 
     def mul_codes(self, a: int, b: int) -> int:
         return self.mul[a][b]
-
-    def inv_code(self, a: int) -> int:
-        if a == 0:
-            raise SpecError("zero has no multiplicative inverse")
-        return self.inv[a]
 
     def pow_code(self, a: int, e: int) -> int:
         result, base = 1, a
@@ -272,9 +262,9 @@ class Field(Described):
 
 class Element(FrozenRecord):
     """One element of a group (a Field, or an omega ring): its code, checked
-    to lie in 0 .. group.size - 1, with arithmetic read from the group's
-    tables; immutable, hashed on its code, and equal only to an Element of
-    the same group and code.  `*` and `inverse()` need a Field."""
+    to lie in 0 .. group.size - 1; immutable, hashed on its code, and equal
+    only to an Element of the same group and code.  Not API: a view kept
+    only for the element methods the benchmark harness wraps or calls."""
 
     __slots__ = _fields = ("group", "code")
 
@@ -288,33 +278,7 @@ class Element(FrozenRecord):
         # the code alone: hashing the group would build its descriptor each call
         return hash(self.code)
 
-    def _other(self, other: "Element") -> int:
+    def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element) or other.group != self.group:
             raise SpecError("operands belong to different groups")
-        return other.code
-
-    def __add__(self, other: "Element") -> "Element":
-        return Element(self.group, self.group.add[self.code][self._other(other)])
-
-    def __sub__(self, other: "Element") -> "Element":
-        return Element(self.group, self.group.sub_codes(self.code, self._other(other)))
-
-    def __neg__(self) -> "Element":
-        return Element(self.group, self.group.neg[self.code])
-
-    def __mul__(self, other: "Element") -> "Element":
-        if not isinstance(self.group, Field):
-            return NotImplemented  # only a Field multiplies: Python raises TypeError
-        return Element(self.group, self.group.mul_codes(self.code, self._other(other)))
-
-    def inverse(self) -> "Element":
-        return Element(self.group, self.group.inv_code(self.code))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def text(self) -> str:
-        return self.group.text_code(self.code)
-
-    def __repr__(self) -> str:
-        return f"<{self.text()} in {self.group!r}>"
+        return Element(self.group, self.group.add[self.code][other.code])

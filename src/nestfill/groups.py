@@ -26,8 +26,8 @@ tables and prints a code (`text_code`), and each chain carries `proj`
 tables built once from the direct sum of its transversals.  Text only
 leaves the package: every group prints a code, and none reads text back.
 A `Zn` or omega ring above the table limit is refused when built, as a
-`Field` is.  `galois.Element(chain.group, code)` makes an element at the
-API edge; three element views stay only for the benchmark harness:
+`Field` is.  The package keeps no element objects for users: three views of
+the non-API `galois.Element` stay only for the benchmark harness:
 `layer_elements`, `enumerate_ordered`, `projection_map`.
 """
 

@@ -40,7 +40,10 @@ def _positive(v) -> bool:
 
 
 def _grid(g) -> bool:
-    """A grid claim: `grid` and exactly one of `rows` and `slice_size`."""
+    """A grid claim: `grid` and exactly one of `rows` and `slice_size`; any
+    other key is a claim no check reads, refused by name."""
+    if isinstance(g, dict) and (unknown := g.keys() - {"grid", "rows", "slice_size"}):
+        raise SpecError(f"grid entry key {min(unknown, key=str)!r} is not grid, rows or slice_size")
     extent = [g[k] for k in ("rows", "slice_size") if k in g] if isinstance(g, dict) else []
     return len(extent) == 1 and _positive(extent[0]) and _positive(g.get("grid"))
 
@@ -232,8 +235,8 @@ def _load_csv(text: str) -> DesignFile:
         lines.append(line)
     if len(metas) > 1:
         raise SpecError(f"CSV design has {len(metas)} '# meta=' lines; it must have one")
-    if lines and lines[0].startswith("x1"):  # the x1..xm header; a later one is a bad row
-        del lines[0]
+    # the x1..xm header, checked once the rows are read; a later one is a bad row
+    header = lines.pop(0) if lines and lines[0].startswith("x") else None
     # each cell is a JSON integer, so the data lines parse as one JSON array
     # of rows; a line that is not one row alone (such as `1],[2`) changes
     # the row count or fails the parse, and is named
@@ -243,7 +246,10 @@ def _load_csv(text: str) -> DesignFile:
         raise SpecError(f"malformed CSV row {bad!r}")
     if not metas or not isinstance(metas[0], dict):
         raise SpecError("CSV design is missing its '# meta={...}' line")
-    return DesignFile.from_dict({**metas[0], "rows": rows})
+    design = DesignFile.from_dict({**metas[0], "rows": rows})
+    if header is not None and header != ",".join(f"x{j + 1}" for j in range(design.m)):
+        raise SpecError(f"CSV header {header!r} is not x1..x{design.m} for {design.m}-column rows")
+    return design
 
 
 def _json_or_none(text: str):

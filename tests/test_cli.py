@@ -453,13 +453,13 @@ def _rh_u12_swapped():
     return json.dumps(data)
 
 
-def _rh_u12_csv(cell):
+def _rh_u12_csv(cell, header="x1,x2,x3"):
     """The CSV export of `_rh_u12([4, 16])` with `cell` in place of its first
-    data cell (a 0)."""
+    data cell (a 0) and `header` in place of its header."""
     data = json.loads(_rh_u12([4, 16]))
     lines = [",".join(map(str, r)) for r in data.pop("rows")]
     lines[0] = cell + lines[0][1:]
-    return "# meta=%s\nx1,x2,x3\n%s\n" % (json.dumps(data), "\n".join(lines))
+    return "# meta=%s\n%s\n%s\n" % (json.dumps(data), header, "\n".join(lines))
 
 
 def _rh_u12_csv_two_metas():
@@ -473,6 +473,8 @@ def _rh_u12_csv_two_metas():
 
 
 _CSV_CELLS = ["0_0", "+0", "01", "\u0661", "1],[2"]  # first cells that leave no JSON row
+_GRID_EXTRA_KEYS = [{"strength": 3}, {"dims": [0, 1]}]  # grid entry keys no check reads
+_BAD_CSV_HEADERS = ["x1,x2", "x1junk", "x2,x1,x3"]  # headers of 3-column rows
 _DEEP = "[" * 200000 + "]" * 200000  # past the JSON decoder's recursion limit
 _LONG = "9" * 5000  # past the 4,300-digit limit of int() on a decimal string
 
@@ -645,6 +647,10 @@ _OUT_OF_RANGE = [
                                   "--seed", "1", "--out", "x.json"]),
     ({"d.json": _with_keys(_lh16([{"grid": 4, "rows": 16}]),
                            rows=[[v] for v in range(16)])}, ["verify", "--design", "d.json"]),
+    *(({"d.json": _lh16([{"grid": 2, "rows": 16, **key}])}, ["verify", "--design", "d.json"])
+      for key in _GRID_EXTRA_KEYS),
+    *(({"d.csv": _rh_u12_csv("0", header)}, ["verify", "--design", "d.csv"])
+      for header in _BAD_CSV_HEADERS),
 ], ids=["chain-without-u_chain", "omega-without-bases", "chain-not-json", "csv-bad-meta",
         "missing-chain-file", "missing-perms-file", "perms-without-values",
         "design-without-type-rows", "csv-cell-not-int", "grid-zero",
@@ -681,7 +687,9 @@ _OUT_OF_RANGE = [
        "oa-s-not-chain-top", "lift-oa-s-not-chain-top", "lh-scale-not-rows",
        "csv-cell-underscore", "csv-cell-plus", "csv-cell-leading-zero",
        "csv-cell-arabic-indic-digit", "csv-line-two-rows", "construct-above-max-cells",
-       "csv-two-meta-lines", "lift-strength-1", "grid-on-one-column"])
+       "csv-two-meta-lines", "lift-strength-1", "grid-on-one-column",
+       "grid-key-strength", "grid-key-dims", "csv-header-one-column-short",
+       "csv-header-x1junk", "csv-header-columns-out-of-order"])
 def test_malformed_input_exits_2(files, argv, tmp_path, rh_design, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -890,6 +898,11 @@ _LIFT_SLICED = ["lift", "--design", "d.json", "--mode", "sliced", "--out", "x.js
     *((_rh_u12_csv(cell), _VERIFY, f"malformed CSV row '{cell},0,0'")
       for cell in [*_CSV_CELLS, "x1"]),
     (_rh_u12_csv_two_metas(), _VERIFY, "CSV design has 2 '# meta=' lines; it must have one"),
+    *((_lh16([{"grid": 2, "rows": 16, **key}]), _VERIFY,
+       f"grid entry key {next(iter(key))!r} is not grid, rows or slice_size")
+      for key in _GRID_EXTRA_KEYS),
+    *((_rh_u12_csv("0", header), _VERIFY, f"CSV header {header!r} is not x1..x3 for 3-column rows")
+      for header in _BAD_CSV_HEADERS),
     *(("", ["construct", "--method", method, "--p", "2", "--u", u, "--k", "1",
             "--out", "x.json"], message)
       for method, u, message in (
@@ -910,7 +923,9 @@ _LIFT_SLICED = ["lift", "--design", "d.json", "--mode", "sliced", "--out", "x.js
         "verify-lh-scale-not-rows-with-grid", "verify-csv-cell-underscore",
         "verify-csv-cell-plus", "verify-csv-cell-leading-zero",
         "verify-csv-cell-arabic-indic-digit", "verify-csv-line-two-rows",
-        "verify-csv-second-header", "verify-csv-two-meta-lines", "construct-rh-noa-k-1",
+        "verify-csv-second-header", "verify-csv-two-meta-lines", "verify-grid-key-strength",
+        "verify-grid-key-dims", "verify-csv-header-one-column-short", "verify-csv-header-x1junk",
+        "verify-csv-header-columns-out-of-order", "construct-rh-noa-k-1",
         "construct-bush-noa-k-1"])
 def test_reader_refusal_messages(text, argv, message, tmp_path, monkeypatch, capsys):
     """Each refusal of the one design-file reader, of lift's own checks
@@ -1693,7 +1708,7 @@ def test_package_import_runs_no_module(tmp_path):
     ran, homes, modules, star, arrays = json.loads(_fresh_python(_ROOT_PROBE, tmp_path))
     assert ran == []
     want = {"errors": ["NestfillError", "SpecError", "VerificationFailure"],
-            "galois": ["Field", "Element"],
+            "galois": ["Field"],
             "groups": ["Zn", "FieldTowerChain", "SubfieldTowerChain", "OmegaRingChain",
                        "chain_field_tower", "chain_subfield_tower", "chain_omega_ring",
                        "chain_from_descriptor"],

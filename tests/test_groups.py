@@ -265,14 +265,15 @@ def test_modulus_projection_violates_refinement():
 class TestSubfieldTower:
     def test_true_subfield_layers(self):
         chain = chain_subfield_tower(2, [2, 4])
-        assert [e.text() for e in chain.layer_elements(1)] == [
+        mul = chain.field.mul
+        assert [chain.field.text_code(c) for c in chain.layer_codes(1)] == [
             "0", "1", "x^2+x", "x^2+x+1",
         ]
         # layer 1 is multiplicatively closed
-        layer1 = set(chain.layer_elements(1))
+        layer1 = set(chain.layer_codes(1))
         for a in layer1:
             for b in layer1:
-                assert a * b in layer1
+                assert mul[a][b] in layer1
 
     def test_transversal_direct_sum(self):
         chain = chain_subfield_tower(2, [1, 2, 4])
@@ -362,6 +363,7 @@ def test_omega_elements_add_but_do_not_multiply():
         return Element(chain, code_of(chain, text))
 
     a, b = el("2+w"), el("1+w")
-    assert (a + b, a - b, -a) == (el("0"), el("1"), el("1+w"))
+    assert a + b == el("0")
+    assert (chain.sub_codes(a.code, b.code), chain.neg[a.code]) == (el("1").code, el("1+w").code)
     with pytest.raises(TypeError):
         a * b
