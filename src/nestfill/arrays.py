@@ -286,7 +286,8 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> tuple[NestedFam
     """The nested difference-matrix family of D (the outer-first enumeration
     times the layer-1 transversal, its row blocks the Delta blocks) and the
     nested/sliced family of A (+) D in D-row-major order; both records share
-    one list of reports."""
+    one list of reports.  A is checked at its claimed strength, at least 2,
+    and so are the sliced claims; the nested claims stay at strength 2."""
     tower = _require_tower(chain)
     s = tower.sizes
     s_top = s[-1]
@@ -295,7 +296,8 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> tuple[NestedFam
     if a.matrix.owner != tower.field:
         raise SpecError("input array is not over this chain's field")
     inputs = tower.oracle_inputs()
-    reports = _require(a.matrix, [Claim("oa", "ndm-product input")], **inputs)
+    t = max(a.strength, 2)
+    reports = _require(a.matrix, [Claim("oa", "ndm-product input", strength=t)], **inputs)
     fld = tower.field
     t1 = tower.transversal_codes(1)
     _require_cells(a.n * s_top, a.m * len(t1))  # A (+) D
@@ -337,7 +339,7 @@ def construct_from_ndm(chain: GroupChain, a: OrthogonalArray) -> tuple[NestedFam
     for i in range(1, layers):
         for j in range(1, i + 1):
             noa.sliced.append(Claim("sliced", f"sliced A(+)Delta^{i} via rho_{j}", layers=(j,),
-                                    strength=a.strength, size=n * s[i - 1]))
+                                    strength=t, size=n * s[i - 1]))
             combined_claims.append(noa.sliced[-1])
             combined_claims += [
                 Claim("nested",

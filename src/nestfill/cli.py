@@ -19,8 +19,9 @@ them; `verify` runs `galois`, `groups`, `kronecker` and `verify`; `lift` runs
 Exit codes: 0 on success, 2 on bad parameters, malformed inputs or an
 unwritable output path, 3 when a brute-force oracle rejects a claim.  Every
 randomized stage records its seed and permutations in the output file, and
-repeated runs of the same job produce byte-identical files.  NESTFILL_SEED
-supplies the default seed.
+repeated runs of the same job produce byte-identical files; `--seed`, 0 when
+not given, is the one seed a job reads.  A `--perms` file is read as integer
+lists, which the lift checks against the design's chain.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -68,16 +68,6 @@ def _lazy(name: str):
 # registered module's `__spec__`, which loads it at once.
 galois, groups, kronecker = _lazy("galois"), _lazy("groups"), _lazy("kronecker")
 arrays, spacefill, verify = _lazy("arrays"), _lazy("spacefill"), _lazy("verify")
-
-
-def _default_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("NESTFILL_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        raise SpecError(f"NESTFILL_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -238,9 +228,8 @@ METHODS = {
                            lambda *a: groups.chain_subfield_tower(*a)),
     "bush-noa": Method(("k",), lambda *a: arrays.construct_noa_bush(*a),
                        lambda *a: groups.chain_subfield_tower(*a)),
-    "ndm-product": Method(("input",), lambda chain, a: arrays.construct_from_ndm(
-        chain, arrays.OrthogonalArray(a[0].matrix, chain.top_size, 2)), count=1,
-        levels=lambda chain, i: chain.top_size, writes=("-dm", "")),
+    "ndm-product": Method(("input",), lambda chain, a: arrays.construct_from_ndm(chain, a[0]),
+                          count=1, levels=lambda chain, i: chain.top_size, writes=("-dm", "")),
     "kron-soa": Method(("input",), lambda chain, a: arrays.construct_soa_kron(a[1], a[0], chain),
                        count=2, claim=lambda family: family.sliced[0]),
     "kron-noa": Method(("input",), lambda chain, a: arrays.construct_noa_kron_multi(a, chain)),
@@ -303,7 +292,7 @@ def _load_family(design: DesignFile) -> NestedFamily:
     return NestedFamily(chain, kronecker.GroupMatrix(design.rows, chain.group), claims[0])
 
 
-def _load_permutations(path, kind: str, chain: groups.GroupChain):
+def _load_permutations(path, kind: str) -> list[list[int]]:
     data = read_json(path, "permutation file")
     if not isinstance(data, dict) or data.get("kind") != kind:
         raise SpecError(f"permutation file {path} is not of kind {kind!r}")
@@ -312,8 +301,7 @@ def _load_permutations(path, kind: str, chain: groups.GroupChain):
         isinstance(v, list) and all(map(is_int, v)) for v in values
     ):
         raise SpecError(f"permutation file {path} needs 'values': a list of integer lists")
-    cls = spacefill.NestedPermutation if kind == "nested" else spacefill.SlicedPermutation
-    return [cls(tuple(v), tuple(chain.sizes)) for v in values]
+    return values
 
 
 def cmd_lift(args) -> int:
@@ -327,7 +315,7 @@ def cmd_lift(args) -> int:
         raise SpecError(f"a full lift claims 2-D grids, which an array of strength "
                         f"{family.nested.strength} does not stratify")
     chain = family.chain
-    seed = _default_seed(args)
+    seed = 0 if args.seed is None else args.seed
     m = family.top.n_cols
     if args.mode in ("nested", "sliced"):
         gen, tag, build = {
@@ -335,7 +323,7 @@ def cmd_lift(args) -> int:
             "sliced": (spacefill.gen_sliced_permutation, "sp", spacefill.build_ssfd_multi),
         }[args.mode]
         if args.perms is not None:
-            perms = _load_permutations(args.perms, args.mode, chain)
+            perms = _load_permutations(args.perms, args.mode)
         else:
             perms = [gen(chain.sizes, seed, tag=f"{tag}:{c}") for c in range(m)]
         lifted = build(family, perms, seed=seed, stage=args.stage)

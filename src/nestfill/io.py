@@ -204,9 +204,13 @@ def read_json(path, what: str):
 
 
 def load(path) -> DesignFile:
+    """The design file at `path`: text starting with "{" reads as JSON and
+    text starting with "#" as CSV, whatever the suffix; other text reads as
+    CSV under a .csv suffix and as JSON otherwise."""
     path = Path(path)
     text = _read_text(path, "design file")
-    if path.suffix.lower() == ".csv" or text.lstrip().startswith("#"):
+    first = text.lstrip()[:1]
+    if first == "#" or (first != "{" and path.suffix.lower() == ".csv"):
         return _load_csv(text)
     return DesignFile.from_dict(_parse_json(text, f"design file {path}"))
 

@@ -4,13 +4,16 @@ them.
 A nested permutation of 0..s_I-1 places exactly one of its first s_i entries
 in each of the s_i equal value blocks, for every layer size s_i.  A sliced
 permutation sends each block of q = s_I/s_j consecutive positions onto one
-value block of the same width, for every j below the top.  Relabeling an
-array's levels through such permutations and then expanding each level into
-a block of distinct values produces designs whose prefixes (nested case) or
-row slices (sliced case) stratify progressively coarser grids.  The nested
-lift reads prefix i as a design over layer i, so `build_nsfd` refuses a
-family whose layer-i prefix holds a code outside layer i; the sliced and
-grouped lifts read only collapses.
+value block of the same width, for every j below the top.  A permutation is
+its tuple of values: the generators return one, and `build_nsfd` and
+`build_ssfd_multi`, the one place a permutation is checked, refuse any that
+does not fit their family's chain.  Relabeling an array's levels through
+such permutations and then expanding each level into a block of distinct
+values produces designs whose prefixes (nested case) or row slices (sliced
+case) stratify progressively coarser grids.  The nested lift reads prefix i
+as a design over layer i, so `build_nsfd` refuses a family whose layer-i
+prefix holds a code outside layer i; the sliced and grouped lifts read only
+collapses.
 
 All randomness is drawn from per-purpose streams seeded with strings such as
 "<seed>:lh:<column>", so results are reproducible across runs and adding
@@ -24,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import FrozenRecord, NestedFamily, SpecError
+from .errors import NestedFamily, SpecError
 
 
 def _validate_layer_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -63,44 +66,11 @@ def is_sliced_permutation(values: Sequence[int], layer_sizes: Sequence[int]) -> 
     return True
 
 
-class _Permutation(FrozenRecord):
-    """A permutation `values` of 0..s_I-1 for `layer_sizes`, refused with a
-    SpecError unless it has its subclass's layer structure."""
-
-    __slots__ = _fields = ("values", "layer_sizes")
-    kind = ""
-
-    def __init__(self, values: tuple[int, ...], layer_sizes: tuple[int, ...]):
-        if not self._holds(values, layer_sizes):
-            raise SpecError(f"{list(values)} is not a {self.kind} permutation for layers "
-                            f"{list(layer_sizes)}")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "layer_sizes", layer_sizes)
-
-
-class NestedPermutation(_Permutation):
-    __slots__ = ()
-    kind = "nested"
-
-    @staticmethod
-    def _holds(values, layer_sizes) -> bool:
-        return is_nested_permutation(values, layer_sizes)
-
-
-class SlicedPermutation(_Permutation):
-    __slots__ = ()
-    kind = "sliced"
-
-    @staticmethod
-    def _holds(values, layer_sizes) -> bool:
-        return is_sliced_permutation(values, layer_sizes)
-
-
 def _stream(seed, *tags) -> random.Random:
     return random.Random(":".join(str(t) for t in (seed, *tags)))
 
 
-def gen_nested_permutation(layer_sizes: Sequence[int], seed, tag="np") -> NestedPermutation:
+def gen_nested_permutation(layer_sizes: Sequence[int], seed, tag="np") -> tuple[int, ...]:
     """Greedy draw: position t samples uniformly among the values whose block
     (at the coarsest layer still covering position t) is untouched.
 
@@ -117,10 +87,10 @@ def gen_nested_permutation(layer_sizes: Sequence[int], seed, tag="np") -> Nested
         used = {v // q for v in values}
         candidates = [v for v in range(top) if v // q not in used]
         values.append(rng.choice(candidates))
-    return NestedPermutation(tuple(values), sizes)
+    return tuple(values)
 
 
-def gen_sliced_permutation(layer_sizes: Sequence[int], seed, tag="sp") -> SlicedPermutation:
+def gen_sliced_permutation(layer_sizes: Sequence[int], seed, tag="sp") -> tuple[int, ...]:
     """Independent uniform shuffles at every level of the block tree: coarse
     blocks are permuted among coarse positions, then recursively within."""
     sizes = _validate_layer_sizes(layer_sizes)
@@ -141,7 +111,7 @@ def gen_sliced_permutation(layer_sizes: Sequence[int], seed, tag="sp") -> Sliced
             fill(level + 1, pos_start + idx * sub, val_start + target * sub, sub)
 
     fill(0, 0, 0, top)
-    return SlicedPermutation(tuple(out), sizes)
+    return tuple(out)
 
 
 def oa_based_lh(rows: Sequence[Sequence[int]], s: int, seed, tag="lh") -> list[list[int]]:
@@ -206,17 +176,14 @@ class LiftedDesign(NamedTuple):
         return len(self.design)
 
 
-def _check_perms(perms, m, sizes, cls):
+def _check_perms(perms, m, sizes, kind, holds):
+    """Refuse unless there is one permutation per column (`m`) and `holds`
+    accepts each one for the layer `sizes`."""
     if len(perms) != m:
         raise SpecError(f"need one permutation per column ({m}), got {len(perms)}")
     for p in perms:
-        if not isinstance(p, cls):
-            raise SpecError(f"expected {cls.__name__}, got {type(p).__name__}")
-        if tuple(p.layer_sizes) != tuple(sizes):
-            raise SpecError(
-                f"permutation layers {list(p.layer_sizes)} do not match the chain "
-                f"sizes {list(sizes)}"
-            )
+        if not holds(p, sizes):
+            raise SpecError(f"{list(p)} is not a {kind} permutation for layers {list(sizes)}")
 
 
 def _lift(family: NestedFamily, labels: Sequence[Sequence[int]], grids: list[dict], seed,
@@ -228,12 +195,12 @@ def _lift(family: NestedFamily, labels: Sequence[Sequence[int]], grids: list[dic
     design = [list(map(list.__getitem__, labels, row)) for row in family.top.code_rows]
     top_size = family.chain.top_size
     lifted = oa_based_lh(design, top_size, seed) if stage == "full" else None
-    return LiftedDesign(design, top_size, lifted, grids, [list(p.values) for p in permutations])
+    return LiftedDesign(design, top_size, lifted, grids, [list(p) for p in permutations])
 
 
 def build_nsfd(
     family: NestedFamily,
-    permutations: Sequence[NestedPermutation],
+    permutations: Sequence[Sequence[int]],
     seed=0,
     stage: str = "full",
 ) -> LiftedDesign:
@@ -249,25 +216,23 @@ def build_nsfd(
                 code = next(c for c in row if c not in codes)
                 raise SpecError(f"row {r} of the layer-{layer} prefix holds code {code} "
                                 f"({chain.group.text_code(code)}), which is not in layer {layer}")
-    _check_perms(permutations, family.top.n_cols, chain.sizes, NestedPermutation)
-    labels = _position_labels(chain.ordered_codes("outer-first"),
-                              [p.values for p in permutations])
+    _check_perms(permutations, family.top.n_cols, chain.sizes, "nested", is_nested_permutation)
+    labels = _position_labels(chain.ordered_codes("outer-first"), permutations)
     grids = [{"rows": stop, "grid": s} for stop, s in zip(family.nested.rows, chain.sizes)]
     return _lift(family, labels, grids, seed, stage, permutations)
 
 
 def build_ssfd_multi(
     family: NestedFamily,
-    permutations: Sequence[SlicedPermutation],
+    permutations: Sequence[Sequence[int]],
     seed=0,
     stage: str = "full",
 ) -> LiftedDesign:
     """Relabel through sliced permutations keyed by the inner-first
     enumeration; the result slices evenly at every layer below the top."""
     chain = family.chain
-    _check_perms(permutations, family.top.n_cols, chain.sizes, SlicedPermutation)
-    labels = _position_labels(chain.ordered_codes("inner-first"),
-                              [p.values for p in permutations])
+    _check_perms(permutations, family.top.n_cols, chain.sizes, "sliced", is_sliced_permutation)
+    labels = _position_labels(chain.ordered_codes("inner-first"), permutations)
     grids = [
         {"slice_size": stop, "grid": s}
         for stop, s in zip(family.nested.rows[:-1], chain.sizes)

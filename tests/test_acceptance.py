@@ -32,8 +32,6 @@ from nestfill.groups import Zn, chain_field_tower, chain_omega_ring
 from nestfill.io import load
 from nestfill.kronecker import GroupMatrix, kron_sum
 from nestfill.spacefill import (
-    NestedPermutation,
-    SlicedPermutation,
     build_nsfd,
     build_ssfd_multi,
     is_nested_permutation,
@@ -158,27 +156,15 @@ def test_criterion_04_kron_ndm_table_and_oracles():
 
 def test_criterion_05_relabel_determinism(rh_family):
     with criterion(5, "relabel-only lifts reproduce both reference relabeled designs exactly"):
-        nested = build_nsfd(
-            rh_family,
-            [NestedPermutation(v, (2, 4, 8)) for v in NESTED_PERMS],
-            stage="relabel-only",
-        )
+        nested = build_nsfd(rh_family, NESTED_PERMS, stage="relabel-only")
         assert [tuple(r) for r in nested.design] == RELABELED_NESTED_M3
-        sliced = build_ssfd_multi(
-            rh_family,
-            [SlicedPermutation(v, (2, 4, 8)) for v in SLICED_PERMS],
-            stage="relabel-only",
-        )
+        sliced = build_ssfd_multi(rh_family, SLICED_PERMS, stage="relabel-only")
         assert [tuple(r) for r in sliced.design] == RELABELED_SLICED_M
 
 
 def test_criterion_06_nested_lift_stratification(rh_family):
     with criterion(6, "the lifted nested design is a Latin hypercube whose prefixes stratify 2^i grids exactly"):
-        out = build_nsfd(
-            rh_family,
-            [NestedPermutation(v, (2, 4, 8)) for v in NESTED_PERMS],
-            seed=20240809,
-        )
+        out = build_nsfd(rh_family, NESTED_PERMS, seed=20240809)
         assert check_latin_hypercube(out.lifted).passed
         for i in (1, 2, 3):
             prefix = out.lifted[: 4**i]
@@ -188,11 +174,7 @@ def test_criterion_06_nested_lift_stratification(rh_family):
 
 def test_criterion_07_sliced_lift_stratification(rh_family):
     with criterion(7, "the lifted sliced design stratifies at every slicing granularity simultaneously"):
-        out = build_ssfd_multi(
-            rh_family,
-            [SlicedPermutation(v, (2, 4, 8)) for v in SLICED_PERMS],
-            seed=20240809,
-        )
+        out = build_ssfd_multi(rh_family, SLICED_PERMS, seed=20240809)
         s = out.lifted
         assert check_latin_hypercube(s).passed
         for l in range(16):

@@ -230,6 +230,8 @@ class TestLift:
                    "--out", str(out)) == 0
         design = load(out)
         assert design.rows == [list(r) for r in RELABELED_NESTED_M3]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e6a01b642e641f2ca2efc12eb3fd2bb455cea90e4ac7a5aea7a2d68078fb2e6a")
         assert run("verify", "--design", str(out)) == 0
 
     def test_relabel_only_sliced_matches_reference(self, tmp_path, rh_design):
@@ -240,6 +242,8 @@ class TestLift:
                    "--stage", "relabel-only", "--perms", str(perms),
                    "--out", str(out)) == 0
         assert load(out).rows == [list(r) for r in RELABELED_SLICED_M]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "972bb2f4872749d358a90230211eb3a99b9548078170b5565080e4919835fc5b")
 
     def test_relabel_only_perms_refuses_seed(self, tmp_path, rh_design, capsys):
         """A relabel-only lift with explicit permutations draws nothing, so a
@@ -290,21 +294,25 @@ class TestLift:
         assert design.type == "lh"
         assert design.seeds == {"lift": 3}
 
-    def test_env_seed_default(self, tmp_path, rh_design, monkeypatch):
+    def test_seed_variable_is_not_read(self, tmp_path, rh_design, monkeypatch):
+        """`--seed` is the one seed input: a NESTFILL_SEED in the environment
+        leaves a lift without --seed at seed 0."""
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         monkeypatch.setenv("NESTFILL_SEED", "99")
         assert run("lift", "--design", str(rh_design), "--mode", "nested",
                    "--out", str(a)) == 0
-        monkeypatch.delenv("NESTFILL_SEED")
         assert run("lift", "--design", str(rh_design), "--mode", "nested",
-                   "--seed", "99", "--out", str(b)) == 0
+                   "--seed", "0", "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_wrong_perm_layers_rejected(self, tmp_path, rh_design):
+    def test_wrong_perm_layers_rejected(self, tmp_path, rh_design, capsys):
         perms = tmp_path / "p.json"
         perms.write_text(json.dumps({"kind": "nested", "values": [[1, 0]] * 3}))
+        capsys.readouterr()
         assert run("lift", "--design", str(rh_design), "--mode", "nested",
                    "--perms", str(perms), "--out", str(tmp_path / "x.json")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: [1, 0] is not a nested permutation for layers [2, 4, 8]"]
 
     def test_misaligned_prefixes_rejected(self, tmp_path, rh_design):
         data = json.loads(rh_design.read_text())
@@ -339,6 +347,20 @@ class TestVerifyAndExport:
                    "--out", str(back)) == 0
         assert load(back).rows == load(rh_design).rows
         assert run("verify", "--design", str(csv_path)) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--method", "rh-noa", "--p", "2", "--u", "1,2", "--k", "2"],
+        ["lift", "--design", "{rh}", "--mode", "nested", "--seed", "1"],
+        ["export", "--design", "{rh}", "--format", "json"],
+    ], ids=["construct", "lift", "export-json"])
+    @pytest.mark.parametrize("name", ["x.csv", "x.CSV"])
+    def test_json_written_to_a_csv_path_reads_back(self, argv, name, tmp_path, rh_design):
+        """Text starting with "{" reads as JSON whatever its suffix, so each
+        JSON writer's output verifies under a .csv name too."""
+        out = tmp_path / name
+        assert run(*(a.format(rh=rh_design) for a in argv), "--out", str(out)) == 0
+        assert out.read_text().startswith("{")
+        assert run("verify", "--design", str(out)) == 0
 
     def test_scatter_export(self, tmp_path, rh_design):
         lh = tmp_path / "lh.json"
@@ -1019,21 +1041,37 @@ def test_input_count_is_checked_before_any_input_is_read(method, count, message,
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
-def test_ndm_product_reads_its_input_at_strength_2(tmp_path):
-    """The A of A (+) D is read as a strength-2 array whatever `t_claimed` its
-    file declares, so the files written do not depend on it."""
+def test_ndm_product_reads_its_input_at_strength_2(tmp_path, capsys):
+    """The A of A (+) D is checked at strength 2, or at the higher strength
+    its file declares: a `t_claimed` of 1 or 2 writes the same files, a false
+    claim of 3 exits 3 naming the input check, and a true one passes."""
     from nestfill.arrays import rao_hamming_oa
     from nestfill.groups import chain_field_tower
 
     rows = rao_hamming_oa(chain_field_tower(2, [1, 2]).field, range(4), 2).matrix.codes()
     written = []
-    for t in (2, 3):
+    for t in (1, 2, 3):
         out = tmp_path / f"t{t}" / "n.json"
         out.parent.mkdir()
         a = _write_input(tmp_path / f"a{t}.json", rows, 4, t=t)
-        assert run(*CONSTRUCT_NDM[:-2], "--input", str(a), "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run(*CONSTRUCT_NDM[:-2], "--input", str(a), "--out", str(out)) == (3 if t == 3 else 0)
         written.append([p.read_bytes() for p in sorted(out.parent.iterdir())])
-    assert written[0] == written[1]
+    assert written[0] == written[1] and len(written[0]) == 3
+    assert written[2] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "verification failed: ndm-product input: FAIL (run size 16 not divisible by 4^3) "
+        "counterexample={'n': 16, 's': 4, 't': 3}"]
+    bush, out = tmp_path / "bush.json", tmp_path / "b" / "n.json"
+    out.parent.mkdir()
+    assert run("construct", "--method", "bush-noa", "--p", "2", "--u", "2", "--k", "3",
+               "--out", str(bush)) == 0
+    assert load(bush).t_claimed == 3
+    assert run(*CONSTRUCT_NDM[:-2], "--input", str(bush), "--out", str(out)) == 0
+    report = json.loads(out.with_name("n.json.verify.json").read_text())
+    assert report["passed"] and len(report["checks"]) == 10
+    assert report["checks"][0] == {"check": "ndm-product input", "passed": True,
+                                   "detail": "OA(64, 5, 4, 3)"}
 
 
 _WRITES = {
@@ -1419,15 +1457,6 @@ def test_chained_dm_without_prefixes_claims_one_difference_matrix(tmp_path, exam
         path.write_text(json.dumps(data))
         assert run("verify", "--design", str(path), "--out", str(report)) == want
         assert _check_names(report) == ["difference-matrix"]
-
-
-def test_bad_seed_variable_exits_2(tmp_path, rh_design, monkeypatch, capsys):
-    monkeypatch.setenv("NESTFILL_SEED", "abc")
-    capsys.readouterr()
-    assert run("lift", "--design", str(rh_design), "--mode", "nested",
-               "--out", str(tmp_path / "x.json")) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: NESTFILL_SEED must be an integer, got 'abc'"]
 
 
 def test_failing_input_oracle_exits_3(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from typing import Sequence
 
 import pytest
@@ -10,8 +11,6 @@ from nestfill.arrays import construct_from_ndm, construct_noa_rh, rao_hamming_oa
 from nestfill.errors import SpecError
 from nestfill.groups import chain_field_tower
 from nestfill.spacefill import (
-    NestedPermutation,
-    SlicedPermutation,
     _stream,
     build_nsfd,
     build_ssfd_grouped,
@@ -36,10 +35,8 @@ def rh_family():
 
 
 @pytest.mark.parametrize("build", [
-    lambda fam: build_nsfd(fam, [NestedPermutation(v, LAYERS) for v in NESTED_PERMS],
-                           stage="lift"),
-    lambda fam: build_ssfd_multi(fam, [SlicedPermutation(v, LAYERS) for v in SLICED_PERMS],
-                                 stage="lift"),
+    lambda fam: build_nsfd(fam, NESTED_PERMS, stage="lift"),
+    lambda fam: build_ssfd_multi(fam, SLICED_PERMS, stage="lift"),
     lambda fam: build_ssfd_grouped(fam, i=2, j=1, stage="lift"),
 ], ids=["nested", "sliced", "grouped"])
 def test_unknown_stage_rejected(rh_family, build):
@@ -70,12 +67,6 @@ class TestPermutationValidators:
     def test_non_permutation_rejected(self):
         assert not is_nested_permutation((0, 0, 1, 2, 3, 4, 5, 6), LAYERS)
         assert not is_sliced_permutation((0, 0, 1, 2, 3, 4, 5, 6), LAYERS)
-
-    def test_constructors_validate(self):
-        with pytest.raises(SpecError):
-            NestedPermutation(tuple(range(8)), LAYERS)
-        with pytest.raises(SpecError):
-            SlicedPermutation(NESTED_PERMS[0], LAYERS)
 
     def test_bad_layer_sizes(self):
         with pytest.raises(SpecError):
@@ -117,18 +108,18 @@ class TestGenerators:
     @pytest.mark.parametrize("seed", range(25))
     def test_nested_generator_validity(self, seed):
         p = gen_nested_permutation(LAYERS, seed)
-        assert is_nested_permutation(p.values, LAYERS)
+        assert type(p) is tuple and is_nested_permutation(p, LAYERS)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_sliced_generator_validity(self, seed):
         p = gen_sliced_permutation(LAYERS, seed)
-        assert is_sliced_permutation(p.values, LAYERS)
+        assert type(p) is tuple and is_sliced_permutation(p, LAYERS)
 
     @pytest.mark.parametrize("sizes", [(2, 4), (3, 6, 12), (2, 4, 8, 16), (4, 8)])
     def test_generators_other_layer_shapes(self, sizes):
         for seed in range(5):
-            assert is_nested_permutation(gen_nested_permutation(sizes, seed).values, sizes)
-            assert is_sliced_permutation(gen_sliced_permutation(sizes, seed).values, sizes)
+            assert is_nested_permutation(gen_nested_permutation(sizes, seed), sizes)
+            assert is_sliced_permutation(gen_sliced_permutation(sizes, seed), sizes)
 
     def test_determinism(self):
         a = gen_nested_permutation(LAYERS, 7)
@@ -139,7 +130,7 @@ class TestGenerators:
         assert c == d
 
     def test_seeds_vary_output(self):
-        outs = {gen_nested_permutation(LAYERS, s).values for s in range(20)}
+        outs = {gen_nested_permutation(LAYERS, s) for s in range(20)}
         assert len(outs) > 1
 
 
@@ -152,8 +143,7 @@ class TestOaBasedLh:
         assert oa_based_lh([[0], [1]], 2, seed=9) == [[0], [1]]
 
     def test_floor_identity_and_lh_validity(self, rh_family):
-        perms = [NestedPermutation(v, LAYERS) for v in NESTED_PERMS]
-        out = build_nsfd(rh_family, perms, seed=11)
+        out = build_nsfd(rh_family, NESTED_PERMS, seed=11)
         n, s = 64, 8
         assert check_latin_hypercube(out.lifted).passed
         q = n // s
@@ -175,40 +165,43 @@ class TestOaBasedLh:
 
 class TestNsfd:
     def test_relabel_matches_reference(self, rh_family):
-        perms = [NestedPermutation(v, LAYERS) for v in NESTED_PERMS]
-        out = build_nsfd(rh_family, perms, stage="relabel-only")
+        out = build_nsfd(rh_family, NESTED_PERMS, stage="relabel-only")
         assert [tuple(r) for r in out.design] == RELABELED_NESTED_M3
         assert out.lifted is None
 
     def test_spot_rows(self, rh_family):
-        perms = [NestedPermutation(v, LAYERS) for v in NESTED_PERMS]
-        out = build_nsfd(rh_family, perms, stage="relabel-only")
+        out = build_nsfd(rh_family, NESTED_PERMS, stage="relabel-only")
         assert tuple(out.design[0]) == (4, 5, 2)
         assert tuple(out.design[32]) == (6, 5, 3)
 
     def test_full_lift_stratifies_prefixes(self, rh_family):
-        perms = [NestedPermutation(v, LAYERS) for v in NESTED_PERMS]
-        out = build_nsfd(rh_family, perms, seed=7)
+        out = build_nsfd(rh_family, NESTED_PERMS, seed=7)
         for i, g in [(1, 2), (2, 4), (3, 8)]:
             prefix = out.lifted[: 4**i]
             rep = check_stratification(prefix, scale=64, g=g)
             assert rep.passed, (i, rep.message())
 
     def test_wrong_perm_count(self, rh_family):
-        perms = [NestedPermutation(v, LAYERS) for v in NESTED_PERMS[:2]]
-        with pytest.raises(SpecError):
-            build_nsfd(rh_family, perms)
+        with pytest.raises(SpecError, match=r"^need one permutation per column \(3\), got 2$"):
+            build_nsfd(rh_family, NESTED_PERMS[:2])
 
     def test_wrong_layer_sizes(self, rh_family):
         p = gen_nested_permutation((2, 4), 0)
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match=rf"^{re.escape(str(list(p)))} is not a nested "
+                                            r"permutation for layers \[2, 4, 8\]$"):
             build_nsfd(rh_family, [p, p, p])
 
     def test_sliced_permutations_refused(self, rh_family):
-        perms = [SlicedPermutation(v, LAYERS) for v in SLICED_PERMS]
-        with pytest.raises(SpecError,
-                           match="^expected NestedPermutation, got SlicedPermutation$"):
-            build_nsfd(rh_family, perms)
+        """Each lift checks every permutation by value against its chain: the
+        nested lift refuses the sliced reference permutations and the
+        identity, and the sliced lift refuses the nested ones."""
+        for build, perms, kind in ((build_nsfd, SLICED_PERMS, "nested"),
+                                   (build_nsfd, [tuple(range(8))] * 3, "nested"),
+                                   (build_ssfd_multi, NESTED_PERMS, "sliced")):
+            bad = re.escape(str(list(perms[0])))
+            with pytest.raises(SpecError, match=rf"^{bad} is not a {kind} permutation "
+                                                r"for layers \[2, 4, 8\]$"):
+                build(rh_family, perms)
 
     def test_single_layer_relabel_is_bijective_recoding(self):
         family = construct_noa_rh(chain_field_tower(2, [2]), 2)
@@ -241,23 +234,21 @@ def test_nested_lift_refuses_prefix_outside_its_layer():
 
 class TestSsfdMulti:
     def test_relabel_matches_reference(self, rh_family):
-        perms = [SlicedPermutation(v, LAYERS) for v in SLICED_PERMS]
-        out = build_ssfd_multi(rh_family, perms, stage="relabel-only")
+        out = build_ssfd_multi(rh_family, SLICED_PERMS, stage="relabel-only")
         assert [tuple(r) for r in out.design] == RELABELED_SLICED_M
         assert tuple(out.design[0]) == (0, 7, 0)
         assert tuple(out.design[40]) == (3, 7, 2)
 
     def test_identity_perms_give_inner_first_recoding(self, rh_family):
         chain = rh_family.chain
-        ident = SlicedPermutation(tuple(range(8)), LAYERS)
+        ident = tuple(range(8))
         out = build_ssfd_multi(rh_family, [ident] * 3, stage="relabel-only")
         pos = {c: r for r, c in enumerate(chain.ordered_codes("inner-first"))}
         expected = [[pos[c] for c in row] for row in rh_family.top.code_rows]
         assert out.design == expected
 
     def test_full_lift_slices_stratify(self, rh_family):
-        perms = [SlicedPermutation(v, LAYERS) for v in SLICED_PERMS]
-        out = build_ssfd_multi(rh_family, perms, seed=3)
+        out = build_ssfd_multi(rh_family, SLICED_PERMS, seed=3)
         s = out.lifted
         for i, g in [(1, 2), (2, 4)]:
             size = 4**i
@@ -328,8 +319,8 @@ def layer_chains(draw):
 @settings(max_examples=60, deadline=None)
 @given(layer_chains(), st.integers(0, 10_000))
 def test_generators_valid_on_random_layer_chains(sizes, seed):
-    assert is_nested_permutation(gen_nested_permutation(sizes, seed).values, sizes)
-    assert is_sliced_permutation(gen_sliced_permutation(sizes, seed).values, sizes)
+    assert is_nested_permutation(gen_nested_permutation(sizes, seed), sizes)
+    assert is_sliced_permutation(gen_sliced_permutation(sizes, seed), sizes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -443,8 +434,7 @@ def test_lift_holds_one_int_object_per_value():
 
 class TestCompose:
     def test_reference_composition_qualitative_columns(self, rh_family):
-        perms = [SlicedPermutation(v, LAYERS) for v in SLICED_PERMS]
-        lifted = build_ssfd_multi(rh_family, perms, seed=1)
+        lifted = build_ssfd_multi(rh_family, SLICED_PERMS, seed=1)
         combined = compose_qual_quant(lifted.lifted, 4, QUAL_OA_16_RUNS)
         assert len(combined) == 64 and len(combined[0]) == 9
         for r in range(4):
