@@ -4,9 +4,10 @@
 that converts them to CSV or scatter data.  A non-default field modulus comes
 from the `modulus` key of a `--chain` descriptor.  `METHODS` is the one place
 a construct method is described.  `_file_claims` is the one reader of a
-design file's claims for `verify` and `lift`: it loads the file's chain and
-returns the claims with their oracle inputs; the file types that may carry
-each key come from `io._FIELDS`, and a key on another type exits 2.
+design file's claims for `verify` and `lift`: it loads the file's chain,
+applies the annotation rules that need it, and returns the claims with their
+oracle inputs.  Every other annotation rule is `io.DesignFile`'s, so every
+command that reads a design file refuses such a file with exit 2.
 
 Every job starts a fresh interpreter, so every package module but `errors`
 and `io` is a lazily loaded module object (`_lazy`): a job compiles and runs
@@ -35,17 +36,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .errors import Claim, NestedFamily, NestfillError, SpecError, VerificationFailure, is_int
-from .io import (
-    _FIELDS,
-    DesignFile,
-    _write_text,
-    export_scatter,
-    load,
-    read_json,
-    save_csv,
-    save_json,
-    symbols_for,
-)
+from .io import (DesignFile, _write_text, export_scatter, load, read_json, save_csv, save_json,
+                 symbols_for)
 
 
 def _lazy(name: str):
@@ -137,36 +129,23 @@ def _file_claims(design: DesignFile) -> tuple[list, dict, Optional[groups.GroupC
     """The claims `design` records (README "Claims"), the `check_claims`
     keyword inputs they are checked with, and the chain whose codes its rows
     hold, None where they are checked as integer levels.  This is the one
-    place that loads a file's chain and reads its type; an annotation that
-    cannot be checked in full, or that `_FIELDS` does not allow on its file
-    type, is a SpecError."""
+    place that loads a file's chain; `DesignFile` has applied every rule that
+    needs none, and an annotation the chain cannot check is a SpecError."""
     chain = groups.chain_from_descriptor(design.chain) if design.chain else None
-    for key, (_, _, types) in _FIELDS.items():
-        if getattr(design, key) is not None and design.type not in types:
-            raise SpecError(f"{design.type!r} files cannot carry {key!r}; "
-                            f"only {'/'.join(types)} files do")
-    n = design.n
     if design.type == "lh":
         claims = [Claim("lh")]
         for grid in design.grids or []:
             g = grid["grid"]
             if "rows" in grid:
-                if grid["rows"] > n:
-                    raise SpecError(f"grid claim on the first {grid['rows']} rows of a "
-                                    f"{n}-row design")
                 claims.append(Claim("strat", f"stratification[first {grid['rows']} rows, g={g}]",
                                     (0, grid["rows"]), strength=g))
             else:
-                size = _slice_size(grid["slice_size"], n)
+                size = grid["slice_size"]
                 claims.append(Claim("strat", f"stratification[slices of {size} rows, g={g}]",
                                     strength=g, size=size))
-        if design.scale not in (None, n):  # a Latin hypercube holds the values 0..n-1
-            raise SpecError(f"scale {design.scale} of a Latin hypercube is not its row "
-                            f"count {n}")
-        return claims, {"levels": [n]}, None
+        return claims, {"levels": [design.n]}, None
     if chain is None and design.type != "design" and (
-            design.type == "dm" or design.layer_prefixes or design.slice_size
-            or design.collapse_layer):
+            design.type == "dm" or design.layer_prefixes or design.slice_size):
         raise SpecError(f"the claims of this {design.type!r} file need a 'chain' to be checked")
     t = design.t_claimed or 2
     if design.type == "design" or chain is None:
@@ -174,36 +153,21 @@ def _file_claims(design: DesignFile) -> tuple[list, dict, Optional[groups.GroupC
                 {"levels": [design.s]}, None)
     layers = tuple(range(1, chain.layers + 1))
     stops = tuple(design.layer_prefixes or ())
-    if stops:
-        if len(stops) != chain.layers:
-            raise SpecError(f"{len(stops)} layer prefixes for a {chain.layers}-layer chain")
-        if any(b <= a for a, b in zip(stops, stops[1:])):
-            raise SpecError(f"layer prefixes {list(stops)} are not strictly increasing")
-        if stops[-1] != n:
-            raise SpecError(f"last layer prefix {stops[-1]} is not the row count {n}")
+    if stops and len(stops) != chain.layers:
+        raise SpecError(f"{len(stops)} layer prefixes for a {chain.layers}-layer chain")
     if design.type == "dm":
         claims = [Claim("nested-dm", rows=stops, layers=layers) if stops else Claim("dm")]
     else:
-        if t > design.m:  # the oracle refuses it too, but lift runs no oracle on its input
-            raise SpecError(f"strength {t} exceeds column count {design.m}")
         claims = [Claim("nested", rows=stops, layers=layers, strength=t)
                   if stops else Claim("oa", strength=t)]
-        if design.slice_size or design.collapse_layer:
-            if not (design.slice_size and design.collapse_layer):
-                raise SpecError("a sliced claim needs both 'slice_size' and 'collapse_layer'")
+        if design.collapse_layer:  # `DesignFile` gives it a slice size
             if design.collapse_layer > chain.layers:
                 raise SpecError(f"claim 'sliced' names a layer outside 1..{chain.layers}")
             claims.append(Claim("sliced", layers=(design.collapse_layer,), strength=t,
-                                size=_slice_size(design.slice_size, n)))
+                                size=design.slice_size))
     if design.s not in (None, chain.top_size):
         raise SpecError(f"s={design.s} is not the chain's top size {chain.top_size}")
     return claims, chain.oracle_inputs(), chain
-
-
-def _slice_size(size: int, n: int) -> int:
-    if n % size:
-        raise SpecError(f"slice size {size} does not divide the {n} rows of the design")
-    return size
 
 
 class Method(NamedTuple):

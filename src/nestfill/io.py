@@ -18,8 +18,13 @@ whole-file string, and a write that fails removes its partial file.  Scatter
 export formats each distinct value once and shares that string between the
 cells holding it.
 
-This module imports only `errors`, so an `export` job loads no group code: a
-file's `chain` stays its JSON descriptor here, and `cli` builds the chain.
+`DesignFile` is the one gate of every annotation rule that needs no chain (a
+key its file type may not carry, a grid or slice past the rows, prefixes
+that do not rise to n): every reader, `export` and construct's `--input`
+included, refuses such a file, and no writer can emit one.  This module
+imports only `errors`, so an `export` job loads no group code: a file's
+`chain` stays its JSON descriptor here, and `cli._file_claims` builds the
+chain and applies the rules that need it.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ _TYPES = ("oa", "dm", "design", "lh")
 
 # every key a design file may carry, in the order `to_dict` writes it -> (test
 # of its value, what the test wants, the file types that may carry it); a key
-# on another type is a claim no check reads, which `verify` and `lift` refuse
+# on another type is a claim no check reads, which `DesignFile` refuses
 _FIELDS = {
     "type": (lambda v: v in _TYPES, "one of oa, dm, design, lh", _TYPES),
     "rows": (lambda v: isinstance(v, list) and all(map(isinstance, v, itertools.repeat(list))),
@@ -87,10 +92,12 @@ def _check_rows(rows) -> None:
 
 class DesignFile(Record):
     """One design file's contents: one keyword field per `_FIELDS` key, None
-    where absent (`meta` an empty dict); each given field passes its
-    `_FIELDS` test and the rows are checked when it is built, so every file
-    the writers emit loads.  `to_dict` writes the fields after `type` and
-    `rows` in `_fields` order."""
+    where absent (`meta` an empty dict).  Building one applies every
+    annotation rule that needs no chain: each given field passes its
+    `_FIELDS` test and suits the file type, the rows are checked, and the
+    annotations fit them.  So every file a writer emits loads, and
+    `cli._file_claims` adds only the rules that need the chain.  `to_dict`
+    writes the fields after `type` and `rows` in `_fields` order."""
 
     __slots__ = _fields = tuple(_FIELDS)
 
@@ -98,14 +105,36 @@ class DesignFile(Record):
         if unknown := fields.keys() - _FIELDS:
             raise TypeError(f"DesignFile got unknown fields {sorted(unknown)}")
         fields.update(type=type, rows=rows)
-        for key, (valid, want, _) in _FIELDS.items():
+        for key, (valid, want, types) in _FIELDS.items():
             value = fields.get(key)
             if value is not None and not valid(value):
                 raise SpecError(f"design field {key!r} must be {want}, got {value!r}")
+            if value is not None and type not in types:  # a claim no check reads
+                raise SpecError(f"{type!r} files cannot carry {key!r}; "
+                                f"only {'/'.join(types)} files do")
             setattr(self, key, value)
         _check_rows(rows)
         if self.meta is None:
             self.meta = {}
+        # the annotations must fit the rows: grids and slices within and
+        # tiling the n rows, prefixes rising to n, a strength of at most m
+        n, stops, grids = self.n, self.layer_prefixes or [], self.grids or []
+        for rows in (g["rows"] for g in grids if "rows" in g):
+            if rows > n:
+                raise SpecError(f"grid claim on the first {rows} rows of a {n}-row design")
+        if self.scale not in (None, n):  # a Latin hypercube holds the values 0..n-1
+            raise SpecError(f"scale {self.scale} of a Latin hypercube is not its row count {n}")
+        if any(b <= a for a, b in zip(stops, stops[1:])):
+            raise SpecError(f"layer prefixes {stops} are not strictly increasing")
+        if stops and stops[-1] != n:
+            raise SpecError(f"last layer prefix {stops[-1]} is not the row count {n}")
+        if (self.t_claimed or 0) > self.m:
+            raise SpecError(f"strength {self.t_claimed} exceeds column count {self.m}")
+        if self.type == "oa" and (self.slice_size is None) != (self.collapse_layer is None):
+            raise SpecError("a sliced claim needs both 'slice_size' and 'collapse_layer'")
+        for size in [g.get("slice_size", 1) for g in grids] + [self.slice_size or 1]:
+            if n % size:
+                raise SpecError(f"slice size {size} does not divide the {n} rows of the design")
 
     @property
     def n(self) -> int:

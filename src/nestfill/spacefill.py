@@ -5,7 +5,7 @@ A nested permutation of 0..s_I-1 places exactly one of its first s_i entries
 in each of the s_i equal value blocks, for every layer size s_i.  A sliced
 permutation sends each block of q = s_I/s_j consecutive positions onto one
 value block of the same width, for every j below the top.  A permutation is
-its tuple of values: the generators return one, and `build_nsfd` and
+its tuple of integer values: the generators return one, and `build_nsfd` and
 `build_ssfd_multi`, the one place a permutation is checked, refuse any that
 does not fit their family's chain.  Relabeling an array's levels through
 such permutations and then expanding each level into a block of distinct
@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import NestedFamily, SpecError
+from .errors import NestedFamily, SpecError, is_int
 
 
 def _validate_layer_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -42,7 +42,7 @@ def _validate_layer_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
 def is_nested_permutation(values: Sequence[int], layer_sizes: Sequence[int]) -> bool:
     sizes = _validate_layer_sizes(layer_sizes)
     top = sizes[-1]
-    if sorted(values) != list(range(top)):
+    if not all(map(is_int, values)) or sorted(values) != list(range(top)):  # no floats, bools
         return False
     for s_i in sizes:
         q = top // s_i
@@ -55,7 +55,7 @@ def is_nested_permutation(values: Sequence[int], layer_sizes: Sequence[int]) -> 
 def is_sliced_permutation(values: Sequence[int], layer_sizes: Sequence[int]) -> bool:
     sizes = _validate_layer_sizes(layer_sizes)
     top = sizes[-1]
-    if sorted(values) != list(range(top)):
+    if not all(map(is_int, values)) or sorted(values) != list(range(top)):  # no floats, bools
         return False
     for s_j in sizes[:-1]:
         q = top // s_j

@@ -494,7 +494,8 @@ def check_claims(
                  for b in range(start, stop, size)),
             )
             yield next((rep for rep in steps if not rep),
-                       VerificationReport(name, True, f"{total // size} slices of {size} rows"))
+                       VerificationReport(name, True, f"{total // size} slices of {size} rows, "
+                                                        f"strength {c.strength}"))
         elif c.kind in ("oa", "dm"):
             yield oracle(base, j, start, stop, name)
         else:

@@ -16,9 +16,10 @@ from golden import (
 )
 import nestfill
 from nestfill.cli import METHODS, main
+from nestfill.errors import SpecError
 from nestfill.galois import Field
 from nestfill.groups import Zn, chain_from_descriptor, chain_omega_ring
-from nestfill.io import load
+from nestfill.io import DesignFile, load
 
 NESTED_PERMS = [[4, 1, 2, 7, 6, 5, 3, 0], [5, 2, 0, 7, 3, 4, 1, 6], [2, 6, 1, 4, 3, 5, 7, 0]]
 SLICED_PERMS = [[0, 1, 2, 3, 7, 6, 5, 4], [7, 6, 5, 4, 1, 0, 2, 3], [0, 1, 3, 2, 4, 5, 7, 6]]
@@ -536,7 +537,7 @@ _OUT_OF_RANGE = [
      ["verify", "--design", "d.json"]),
     *_OUT_OF_RANGE,
     ({"d.json": _rh_u12([4, 1000])}, ["verify", "--design", "d.json"]),
-    ({"d.json": _gf4_dm([2, 4, 4])}, ["verify", "--design", "d.json"]),
+    ({"d.json": _gf4_dm([1, 2, 4])}, ["verify", "--design", "d.json"]),
     ({"d.json": _gf4_dm([4, 4])}, ["verify", "--design", "d.json"]),
     ({"d.json": _gf4_dm([1, 4])}, ["lift", "--design", "d.json", "--mode", "grouped", "--i", "1",
                                    "--j", "1", "--stage", "relabel-only", "--out", "x.json"]),
@@ -874,6 +875,16 @@ def test_nested_lift_names_the_prefix_row_outside_its_layer(tmp_path, capsys):
 _VERIFY = ["verify", "--design", "d.json"]
 _LIFT = ["lift", "--design", "d.json", "--mode", "nested", "--out", "x.json"]
 _LIFT_SLICED = ["lift", "--design", "d.json", "--mode", "sliced", "--out", "x.json"]
+_EXPORT = ["export", "--design", "d.json", "--format", "json", "--out", "x.json"]
+# the refusals that need the file's chain, given by `cli._file_claims`; a
+# design file's other refusals are `DesignFile`'s, and every reader gives them
+_CHAIN_REFUSALS = ("need a 'chain'", "-layer chain", "names a layer outside", "chain's top size")
+
+
+def _every_reader(text):
+    """The commands besides `verify` and `lift` that read the design file
+    `text` as d.json: `export`, and for an `oa` file an input of construct."""
+    return [_EXPORT] + [CONSTRUCT_NDM + ["--input", "d.json"]] * ('"type": "oa"' in text)
 
 
 @pytest.mark.parametrize("text, argv, message", [
@@ -894,7 +905,7 @@ _LIFT_SLICED = ["lift", "--design", "d.json", "--mode", "sliced", "--out", "x.js
       for keys in ({"slice_size": 4}, {"collapse_layer": 1}) for argv in (_VERIFY, _LIFT)),
     *((_rh_u12_sliced(slice_size=4, collapse_layer=9), argv,
        "claim 'sliced' names a layer outside 1..2") for argv in (_VERIFY, _LIFT)),
-    (_gf4_dm([2, 4, 4]), _VERIFY, "3 layer prefixes for a 2-layer chain"),
+    (_gf4_dm([1, 2, 4]), _VERIFY, "3 layer prefixes for a 2-layer chain"),
     (_rh_u12([4, 8, 16]), _LIFT, "3 layer prefixes for a 2-layer chain"),
     (_gf4_dm([4, 4]), _VERIFY, "layer prefixes [4, 4] are not strictly increasing"),
     (_rh_u12([16, 16]), _LIFT, "layer prefixes [16, 16] are not strictly increasing"),
@@ -953,13 +964,18 @@ def test_reader_refusal_messages(text, argv, message, tmp_path, monkeypatch, cap
     """Each refusal of the one design-file reader, of lift's own checks
     before it, and of construct's generator size (a `k` below 2, where no
     design file is read), exits 2 with exactly one line naming what is
-    wrong."""
+    wrong.  A refusal of `verify` that needs no chain is `DesignFile`'s, so
+    `export` and construct's `--input` give the same line."""
     monkeypatch.chdir(tmp_path)
     Path("d.json").write_text(text)
-    capsys.readouterr()
-    assert run(*argv) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-    assert not Path("x.json").exists()
+    readers = [argv]
+    if argv == _VERIFY and not any(r in message for r in _CHAIN_REFUSALS):
+        readers += _every_reader(text)
+    for argv in readers:
+        capsys.readouterr()
+        assert run(*argv) == 2, argv
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not Path("x.json").exists()
 
 
 # README "Claims": the file types that may carry each claim key
@@ -976,9 +992,11 @@ _FULL_FILES = {
 
 
 @pytest.mark.parametrize("kind", sorted(_FULL_FILES))
-def test_claim_keys_allowed_by_file_type(kind, tmp_path, capsys):
+def test_claim_keys_allowed_by_file_type(kind, tmp_path, monkeypatch, capsys):
     """`verify` takes every claim key on the types README "Claims" allows it
-    on, and exits 2 on each other type with one line naming the key."""
+    on, and exits 2 on each other type with one line naming the key, as
+    every other reader does and `DesignFile` raises."""
+    monkeypatch.chdir(tmp_path)
     data = json.loads(_FULL_FILES[kind])
     assert {k for k in _CLAIM_KEY_TYPES if k in data} == {
         k for k, types in _CLAIM_KEY_TYPES.items() if kind in types}
@@ -989,11 +1007,17 @@ def test_claim_keys_allowed_by_file_type(kind, tmp_path, capsys):
         if kind in types:
             continue
         value = next(v[key] for v in map(json.loads, _FULL_FILES.values()) if key in v)
-        path.write_text(json.dumps({**data, key: value}))
-        capsys.readouterr()
-        assert run("verify", "--design", str(path)) == 2, key
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {kind!r} files cannot carry {key!r}; only {'/'.join(types)} files do"]
+        bad = {**data, key: value}
+        path.write_text(json.dumps(bad))
+        message = f"{kind!r} files cannot carry {key!r}; only {'/'.join(types)} files do"
+        for argv in [_VERIFY, *_every_reader(path.read_text())]:
+            capsys.readouterr()
+            assert run(*argv) == 2, (key, argv)
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+            assert not Path("x.json").exists()
+        with pytest.raises(SpecError) as built:
+            DesignFile(**{k: v for k, v in bad.items() if k in DesignFile._fields})
+        assert str(built.value) == message
 
 
 _CONSTRUCT_OPTIONS = {"k": "2", "columns": "1,0;0,1;1,1", "input": "a.json"}
@@ -1072,6 +1096,9 @@ def test_ndm_product_reads_its_input_at_strength_2(tmp_path, capsys):
     assert report["passed"] and len(report["checks"]) == 10
     assert report["checks"][0] == {"check": "ndm-product input", "passed": True,
                                    "detail": "OA(64, 5, 4, 3)"}
+    # a sliced report names the strength its slices were checked at
+    assert report["checks"][7] == {"check": "sliced A(+)Delta^1 via rho_1", "passed": True,
+                                   "detail": "2 slices of 128 rows, strength 3"}
 
 
 _WRITES = {

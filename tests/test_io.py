@@ -59,24 +59,33 @@ def test_first_bad_row_named(rows, message):
         DesignFile(type="design", rows=rows)
 
 
-# a valid value of every design-file key
+_COMMON = {"chain": {"kind": "field-tower", "p": 2, "u_chain": [1]}, "seeds": {"lift": 1},
+           "permutations": [[1, 0]], "meta": {"method": "fixture"},
+           "symbols": {"0": "0", "1": "1"}}
+# one valid file of each type, carrying every key its type may carry
 _VALUES = {
-    "type": "oa", "rows": [[0, 1], [1, 0]], "s": 2, "t_claimed": 2,
-    "chain": {"kind": "field-tower", "p": 2, "u_chain": [1]}, "layer_prefixes": [2],
-    "slice_size": 1, "collapse_layer": 1, "grids": [{"grid": 2, "rows": 2}], "scale": 2,
-    "seeds": {"lift": 1}, "permutations": [[1, 0]], "meta": {"method": "fixture"},
-    "symbols": {"0": "0", "1": "1"},
+    "oa": {"type": "oa", "rows": [[0, 1], [1, 0]], "s": 2, "t_claimed": 2, **_COMMON,
+           "layer_prefixes": [1, 2], "slice_size": 1, "collapse_layer": 1},
+    "dm": {"type": "dm", "rows": [[0, 1], [1, 0]], "s": 2, **_COMMON, "layer_prefixes": [2]},
+    "design": {"type": "design", "rows": [[0, 1], [1, 0]], "s": 2, "t_claimed": 2, **_COMMON,
+               "layer_prefixes": [1, 2], "slice_size": 1},
+    "lh": {"type": "lh", "rows": [[0, 1], [1, 0]], **_COMMON,
+           "grids": [{"grid": 2, "rows": 2}], "scale": 2},
 }
 
 
 def test_every_field_round_trips_in_table_order():
     """`DesignFile` has one field per `_FIELDS` key, and `to_dict` writes them
     in table order, `rows` last, so `from_dict` reads back an equal file."""
-    assert set(_VALUES) == set(_FIELDS) and DesignFile._fields == tuple(_FIELDS)
-    d = DesignFile(**_VALUES)
-    data = d.to_dict()
-    assert list(data) == ["format", "version", "type", "n", "m", *list(_FIELDS)[2:], "rows"]
-    assert DesignFile.from_dict(data) == d
+    assert {k for v in _VALUES.values() for k in v} == set(_FIELDS)
+    assert DesignFile._fields == tuple(_FIELDS)
+    for kind, values in _VALUES.items():
+        assert set(values) == {k for k, (_, _, types) in _FIELDS.items() if kind in types}
+        d = DesignFile(**values)
+        data = d.to_dict()
+        assert list(data) == ["format", "version", "type", "n", "m",
+                              *[k for k in list(_FIELDS)[2:] if k in values], "rows"]
+        assert DesignFile.from_dict(data) == d
 
 
 # an invalid value of every design-file key, the same after a JSON round trip
@@ -94,15 +103,43 @@ def test_bad_field_refused_when_built(key, tmp_path):
     it, so no writer can emit a file that does not load (such as an `lh`
     file with `scale` 0)."""
     assert set(_BAD) == set(_FIELDS)
+    values = next(v for v in _VALUES.values() if key in v)  # a type that may carry `key`
     message = f"design field {key!r} must be {_FIELDS[key][1]}, got {_BAD[key]!r}"
     with pytest.raises(SpecError) as built:
-        DesignFile(**{**_VALUES, key: _BAD[key]})
+        DesignFile(**{**values, key: _BAD[key]})
     assert str(built.value) == message
     path = tmp_path / "d.json"
-    path.write_text(json.dumps({**DesignFile(**_VALUES).to_dict(), key: _BAD[key]}))
+    path.write_text(json.dumps({**DesignFile(**values).to_dict(), key: _BAD[key]}))
     with pytest.raises(SpecError) as loaded:
         load(path)
     assert str(loaded.value) == message
+
+
+_NEEDS_BOTH = "a sliced claim needs both 'slice_size' and 'collapse_layer'"
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"type": "lh", "grids": [{"grid": 2, "rows": 3}]},
+     "grid claim on the first 3 rows of a 2-row design"),
+    ({"type": "lh", "grids": [{"grid": 2, "slice_size": 3}]},
+     "slice size 3 does not divide the 2 rows of the design"),
+    ({"type": "oa", "slice_size": 3, "collapse_layer": 1},
+     "slice size 3 does not divide the 2 rows of the design"),
+    ({"type": "design", "slice_size": 3}, "slice size 3 does not divide the 2 rows of the design"),
+    ({"type": "lh", "scale": 3}, "scale 3 of a Latin hypercube is not its row count 2"),
+    ({"type": "oa", "layer_prefixes": [2, 2]}, "layer prefixes [2, 2] are not strictly increasing"),
+    ({"type": "dm", "layer_prefixes": [1]}, "last layer prefix 1 is not the row count 2"),
+    ({"type": "design", "t_claimed": 3}, "strength 3 exceeds column count 2"),
+    ({"type": "oa", "slice_size": 1}, _NEEDS_BOTH),
+    ({"type": "oa", "collapse_layer": 1}, _NEEDS_BOTH),
+], ids=["grid-rows", "grid-slice", "oa-slice", "design-slice", "lh-scale", "prefix-order",
+        "last-prefix", "strength", "slice-size-alone", "collapse-layer-alone"])
+def test_annotation_that_does_not_fit_the_rows_refused_when_built(fields, message):
+    """Every annotation rule that needs no chain holds for each `DesignFile`,
+    so no writer or library caller can build one that `verify` refuses."""
+    with pytest.raises(SpecError) as built:
+        DesignFile(rows=[[0, 1], [1, 0]], **fields)
+    assert str(built.value) == message
 
 
 def test_unknown_field_is_a_type_error():
@@ -111,13 +148,13 @@ def test_unknown_field_is_a_type_error():
 
 
 def test_json_one_row_per_line(tmp_path):
-    d = DesignFile(type="lh", rows=[[0, 12, 3], [12, 3, 0], [3, 0, 12]], scale=13,
+    d = DesignFile(type="lh", rows=[[0, 2, 1], [2, 1, 0], [1, 0, 2]], scale=3,
                    grids=[{"grid": 1, "rows": 3}], meta={"method": "fixture"})
     text = save_json(d, tmp_path / "d.json").read_text()
     assert json.loads(text) == d.to_dict()
     header = json.dumps({k: v for k, v in d.to_dict().items() if k != "rows"}, indent=2)
     assert text == (header[:-len("\n}")] + ',\n  "rows": [\n'
-                    "    [0,12,3],\n    [12,3,0],\n    [3,0,12]\n  ]\n}\n")
+                    "    [0,2,1],\n    [2,1,0],\n    [1,0,2]\n  ]\n}\n")
 
 
 def test_indented_json_loads(tmp_path):

@@ -203,6 +203,21 @@ class TestNsfd:
                                                 r"for layers \[2, 4, 8\]$"):
                 build(rh_family, perms)
 
+    @pytest.mark.parametrize("build, kind, values", [
+        (build_nsfd, "nested", [0, 2, 1, 3]),
+        (build_ssfd_multi, "sliced", [0, 1, 3, 2]),
+    ], ids=["nested", "sliced"])
+    def test_non_integer_values_refused(self, build, kind, values):
+        """A permutation holds integers: the same values as floats, or with
+        bools for 0 and 1, are refused as no permutation, while the integer
+        values lift."""
+        family = construct_noa_rh(chain_field_tower(2, [1, 2]), 2)
+        build(family, [values] * 3, stage="relabel-only")
+        for bad in ([float(v) for v in values], [{0: False, 1: True}.get(v, v) for v in values]):
+            with pytest.raises(SpecError, match=rf"^{re.escape(str(bad))} is not a {kind} "
+                                                r"permutation for layers \[2, 4\]$"):
+                build(family, [bad] * 3, stage="relabel-only")
+
     def test_single_layer_relabel_is_bijective_recoding(self):
         family = construct_noa_rh(chain_field_tower(2, [2]), 2)
         perm = gen_nested_permutation((4,), seed=1)

@@ -525,7 +525,8 @@ def _ref_sliced(rows, slice_size, projection, s_low, t, name="sliced-oa"):
         rep = _ref_oa_strength(block, s_low, t, f"{name}[slice {l + 1}]")
         if not rep:
             return rep
-    return VerificationReport(name, True, f"{n // slice_size} slices of {slice_size} rows")
+    return VerificationReport(name, True, f"{n // slice_size} slices of {slice_size} rows, "
+                                          f"strength {t}")
 
 
 def _ref_claim(rows, c, projections, levels, element_sets, subtract):
