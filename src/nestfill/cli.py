@@ -3,11 +3,11 @@
 `construct` and `lift` write JSON design files; `export` is the one command
 that converts them to CSV or scatter data.  A non-default field modulus comes
 from the `modulus` key of a `--chain` descriptor.  `METHODS` is the one place
-a construct method is described.  `_file_claims` is the one reader of a
-design file's claims for `verify` and `lift`: it loads the file's chain,
-applies the annotation rules that need it, and returns the claims with their
-oracle inputs.  Every other annotation rule is `io.DesignFile`'s, so every
-command that reads a design file refuses such a file with exit 2.
+a construct method is described.  How a file records its claims is `io`'s
+(`io.annotations` writes them, `io.DesignFile.claims` reads them back);
+`_file_claims`, the one reader of a file's claims for `verify` and `lift`,
+adds the file's chain, the three rules that need it and the oracle inputs.
+A file that breaks any claim rule exits 2.
 
 Every job starts a fresh interpreter, so every package module but `errors`
 and `io` is a lazily loaded module object (`_lazy`): a job compiles and runs
@@ -35,9 +35,9 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
-from .errors import Claim, NestedFamily, NestfillError, SpecError, VerificationFailure, is_int
-from .io import (DesignFile, _write_text, export_scatter, load, read_json, save_csv, save_json,
-                 symbols_for)
+from .errors import NestedFamily, NestfillError, SpecError, VerificationFailure, is_int
+from .io import (DesignFile, _write_text, annotations, export_scatter, load, read_json, save_csv,
+                 save_json, symbols_for)
 
 
 def _lazy(name: str):
@@ -106,65 +106,20 @@ def _report_text(reports, **head) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _design_file(matrix: kronecker.GroupMatrix, chain: groups.GroupChain, method: str,
-                 params: dict, claim: Claim) -> DesignFile:
-    """A constructed matrix over `chain` with its provenance and the
-    annotations of the one claim it records, which `_file_claims` reads back."""
-    kind = "dm" if claim.kind == "nested-dm" else "oa"
-    annotations = {} if kind == "dm" else {"t_claimed": claim.strength}
-    if claim.kind == "sliced":
-        annotations.update(slice_size=claim.size, collapse_layer=claim.layers[0])
-    else:
-        annotations["layer_prefixes"] = list(claim.rows)
-    rows = matrix.codes()
-    return DesignFile(
-        type=kind, rows=rows, s=chain.top_size, chain=chain.descriptor(),
-        meta={"tool": "nestfill", "version": __version__, "method": method,
-              "params": params},
-        symbols=symbols_for(chain, rows), **annotations,
-    )
-
-
 def _file_claims(design: DesignFile) -> tuple[list, dict, Optional[groups.GroupChain]]:
-    """The claims `design` records (README "Claims"), the `check_claims`
-    keyword inputs they are checked with, and the chain whose codes its rows
-    hold, None where they are checked as integer levels.  This is the one
-    place that loads a file's chain; `DesignFile` has applied every rule that
-    needs none, and an annotation the chain cannot check is a SpecError."""
+    """The claims `design` records (`DesignFile.claims`), their `check_claims`
+    keyword inputs, and the chain whose codes its rows hold (None for integer
+    levels).  The one place that loads a file's chain, it applies the three
+    rules that need it: the prefix count, collapse layer and `s` fit the chain."""
     chain = groups.chain_from_descriptor(design.chain) if design.chain else None
-    if design.type == "lh":
-        claims = [Claim("lh")]
-        for grid in design.grids or []:
-            g = grid["grid"]
-            if "rows" in grid:
-                claims.append(Claim("strat", f"stratification[first {grid['rows']} rows, g={g}]",
-                                    (0, grid["rows"]), strength=g))
-            else:
-                size = grid["slice_size"]
-                claims.append(Claim("strat", f"stratification[slices of {size} rows, g={g}]",
-                                    strength=g, size=size))
-        return claims, {"levels": [design.n]}, None
-    if chain is None and design.type != "design" and (
-            design.type == "dm" or design.layer_prefixes or design.slice_size):
-        raise SpecError(f"the claims of this {design.type!r} file need a 'chain' to be checked")
-    t = design.t_claimed or 2
-    if design.type == "design" or chain is None:
-        return ([Claim("oa", strength=t) if design.s else Claim("lh")],
-                {"levels": [design.s]}, None)
-    layers = tuple(range(1, chain.layers + 1))
-    stops = tuple(design.layer_prefixes or ())
+    claims = design.claims()
+    if chain is None or design.type in ("lh", "design"):
+        return claims, {"levels": [design.s or design.n]}, None
+    stops = design.layer_prefixes or ()
     if stops and len(stops) != chain.layers:
         raise SpecError(f"{len(stops)} layer prefixes for a {chain.layers}-layer chain")
-    if design.type == "dm":
-        claims = [Claim("nested-dm", rows=stops, layers=layers) if stops else Claim("dm")]
-    else:
-        claims = [Claim("nested", rows=stops, layers=layers, strength=t)
-                  if stops else Claim("oa", strength=t)]
-        if design.collapse_layer:  # `DesignFile` gives it a slice size
-            if design.collapse_layer > chain.layers:
-                raise SpecError(f"claim 'sliced' names a layer outside 1..{chain.layers}")
-            claims.append(Claim("sliced", layers=(design.collapse_layer,), strength=t,
-                                size=design.slice_size))
+    if (design.collapse_layer or 0) > chain.layers:
+        raise SpecError(f"claim 'sliced' names a layer outside 1..{chain.layers}")
     if design.s not in (None, chain.top_size):
         raise SpecError(f"s={design.s} is not the chain's top size {chain.top_size}")
     return claims, chain.oracle_inputs(), chain
@@ -230,7 +185,11 @@ def cmd_construct(args) -> int:
     written = []  # removed again if a later write fails
     try:
         for tail, family in zip(method.writes, families):
-            design = _design_file(family.top, chain, name + tail, params, method.claim(family))
+            rows = family.top.codes()
+            meta = dict(tool="nestfill", version=__version__, method=name + tail, params=params)
+            design = DesignFile(**annotations([method.claim(family)]), rows=rows, meta=meta,
+                                s=chain.top_size, chain=chain.descriptor(),
+                                symbols=symbols_for(chain, rows))
             written.append(save_json(design, base.parent / (base.stem + tail + base.suffix)
                                      if tail else args.out))
         out_path = written[-1]
@@ -306,7 +265,7 @@ def cmd_lift(args) -> int:
                       t_claimed=design.t_claimed, layer_prefixes=design.layer_prefixes,
                       slice_size=design.slice_size)
     else:
-        fields = dict(type="lh", rows=lifted.lifted, scale=lifted.n, grids=lifted.grids,
+        fields = dict(**annotations(lifted.grids), rows=lifted.lifted, scale=lifted.n,
                       seeds={"lift": seed})
     out = DesignFile(**fields, chain=design.chain, permutations=lifted.permutations or None,
                      meta=meta)

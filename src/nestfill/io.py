@@ -21,10 +21,12 @@ cells holding it.
 `DesignFile` is the one gate of every annotation rule that needs no chain (a
 key its file type may not carry, a grid or slice past the rows, prefixes
 that do not rise to n): every reader, `export` and construct's `--input`
-included, refuses such a file, and no writer can emit one.  This module
-imports only `errors`, so an `export` job loads no group code: a file's
-`chain` stays its JSON descriptor here, and `cli._file_claims` builds the
-chain and applies the rules that need it.
+included, refuses such a file, and no writer can emit one.  It is also the
+one claim codec: `DesignFile.claims` reads the claims a file records, and
+every writer records its claims through `annotations`.  This module imports
+only `errors`, so an `export` job loads no group code: a file's `chain`
+stays its JSON descriptor here, and `cli._file_claims` builds the chain and
+applies the rules that need it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import __version__
-from .errors import Record, SpecError, is_int
+from .errors import Claim, Record, SpecError, is_int
 
 FORMAT_NAME = "nestfill-design"
 
@@ -136,6 +138,36 @@ class DesignFile(Record):
             if n % size:
                 raise SpecError(f"slice size {size} does not divide the {n} rows of the design")
 
+    def claims(self) -> list[Claim]:
+        """The claims the annotations record, in `verify`'s order (README
+        "Claims"); one that needs a chain or an `s` the file lacks is a SpecError."""
+        if self.type == "lh":
+            claims = [Claim("lh")]
+            for g in self.grids or []:
+                rows, size = g.get("rows"), g.get("slice_size", 0)
+                where = f"first {rows}" if rows else f"slices of {size}"
+                claims.append(Claim("strat", f"stratification[{where} rows, g={g['grid']}]",
+                                    (0, rows) if rows else (), strength=g["grid"], size=size))
+            return claims
+        t, stops = self.t_claimed or 2, tuple(self.layer_prefixes or ())
+        if not self.chain and (self.type == "dm"
+                               or self.type == "oa" and (stops or self.slice_size)):
+            raise SpecError(f"the claims of this {self.type!r} file need a 'chain' to be checked")
+        if self.type == "design" or not self.chain:  # checked as integer levels
+            if self.s is None and (self.type == "oa" or self.t_claimed):
+                raise SpecError(f"the strength claim of this {self.type!r} file needs 's', "
+                                f"the level count it is checked at")
+            return [Claim("oa", strength=t) if self.s else Claim("lh")]
+        layers = tuple(range(1, len(stops) + 1))
+        if self.type == "dm":
+            return [Claim("nested-dm", rows=stops, layers=layers) if stops else Claim("dm")]
+        claims = [Claim("nested", rows=stops, layers=layers, strength=t) if stops
+                  else Claim("oa", strength=t)]
+        if self.collapse_layer:  # `__init__` gave it a slice size
+            claims.append(Claim("sliced", layers=(self.collapse_layer,), strength=t,
+                                size=self.slice_size))
+        return claims
+
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -168,6 +200,27 @@ class DesignFile(Record):
                 raise SpecError(f"design header {key}={data[key]!r} does not match the "
                                 f"{design.n}x{design.m} rows")
         return design
+
+
+def annotations(claims) -> dict:
+    """The file `type` and annotation keys that record `claims`, as
+    `DesignFile.claims` reads them back (README "Claims"); claims that give
+    one key two values are a SpecError."""
+    out = {}
+    for c in claims:
+        kind = "lh" if c.kind in ("lh", "strat") else "dm" if c.kind.endswith("dm") else "oa"
+        keys = {"type": kind, **({"t_claimed": c.strength} if kind == "oa" else {})}
+        if c.kind.startswith("nested"):
+            keys["layer_prefixes"] = list(c.rows)
+        elif c.kind == "sliced":
+            keys.update(slice_size=c.size, collapse_layer=c.layers[0])
+        elif c.kind == "strat":
+            extent = {"slice_size": c.size} if c.size else {"rows": c.rows[1]}
+            out.setdefault("grids", []).append({**extent, "grid": c.strength})
+        for key, value in keys.items():
+            if out.setdefault(key, value) != value:
+                raise SpecError(f"claims record both {out[key]!r} and {value!r} as {key!r}")
+    return out
 
 
 def symbols_for(chain, rows) -> dict:

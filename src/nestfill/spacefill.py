@@ -10,10 +10,10 @@ its tuple of integer values: the generators return one, and `build_nsfd` and
 does not fit their family's chain.  Relabeling an array's levels through
 such permutations and then expanding each level into a block of distinct
 values produces designs whose prefixes (nested case) or row slices (sliced
-case) stratify progressively coarser grids.  The nested lift reads prefix i
-as a design over layer i, so `build_nsfd` refuses a family whose layer-i
-prefix holds a code outside layer i; the sliced and grouped lifts read only
-collapses.
+case) stratify progressively coarser grids, returned as "strat" `Claim`s.
+The nested lift reads prefix i as a design over layer i, so `build_nsfd`
+refuses a family whose layer-i prefix holds a code outside layer i; the
+sliced and grouped lifts read only collapses.
 
 All randomness is drawn from per-purpose streams seeded with strings such as
 "<seed>:lh:<column>", so results are reproducible across runs and adding
@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import NestedFamily, SpecError, is_int
+from .errors import Claim, NestedFamily, SpecError, is_int
 
 
 def _validate_layer_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -114,7 +114,7 @@ def gen_sliced_permutation(layer_sizes: Sequence[int], seed, tag="sp") -> tuple[
     return tuple(out)
 
 
-def oa_based_lh(rows: Sequence[Sequence[int]], s: int, seed, tag="lh") -> list[list[int]]:
+def oa_based_lh(rows: Sequence[Sequence[int]], s: int, seed) -> list[list[int]]:
     """Expand each level r of each column into the value block
     [r*q, (r+1)*q) via a per-column uniform shuffle, q = n/s.
 
@@ -143,7 +143,7 @@ def oa_based_lh(rows: Sequence[Sequence[int]], s: int, seed, tag="lh") -> list[l
                 f"column {col} is unbalanced: level {bad} occurs "
                 f"{len(positions[bad])} times, expected {q}"
             )
-        rng = _stream(seed, tag, col)
+        rng = _stream(seed, "lh", col)
         for r, where in positions.items():  # levels 0..s-1 in order
             block = values[r * q : (r + 1) * q]
             rng.shuffle(block)
@@ -163,12 +163,12 @@ def _position_labels(ordering: Sequence[int], relabels: Sequence[Sequence[int]])
 
 class LiftedDesign(NamedTuple):
     """A relabeled integer design and (unless relabel-only) its lifted
-    Latin hypercube, with the slicing/nesting shape claims it must satisfy."""
+    Latin hypercube, with the "strat" claims of the grids it stratifies."""
 
     design: list[list[int]]            # relabeled levels, 0..scale-1
     scale: int                         # level count of `design`
     lifted: Optional[list[list[int]]]  # Latin hypercube on 0..n-1, or None
-    grids: Sequence[dict] = ()
+    grids: Sequence[Claim] = ()
     permutations: Sequence[list[int]] = ()
 
     @property
@@ -186,7 +186,7 @@ def _check_perms(perms, m, sizes, kind, holds):
             raise SpecError(f"{list(p)} is not a {kind} permutation for layers {list(sizes)}")
 
 
-def _lift(family: NestedFamily, labels: Sequence[Sequence[int]], grids: list[dict], seed,
+def _lift(family: NestedFamily, labels: Sequence[Sequence[int]], grids: list[Claim], seed,
           stage: str, permutations=()) -> LiftedDesign:
     """Relabel the family's top array code by code through the per-column
     `labels` tables, then (unless `stage` is "relabel-only") lift it."""
@@ -218,7 +218,8 @@ def build_nsfd(
                                 f"({chain.group.text_code(code)}), which is not in layer {layer}")
     _check_perms(permutations, family.top.n_cols, chain.sizes, "nested", is_nested_permutation)
     labels = _position_labels(chain.ordered_codes("outer-first"), permutations)
-    grids = [{"rows": stop, "grid": s} for stop, s in zip(family.nested.rows, chain.sizes)]
+    grids = [Claim("strat", rows=(0, stop), strength=s)
+             for stop, s in zip(family.nested.rows, chain.sizes)]
     return _lift(family, labels, grids, seed, stage, permutations)
 
 
@@ -233,11 +234,9 @@ def build_ssfd_multi(
     chain = family.chain
     _check_perms(permutations, family.top.n_cols, chain.sizes, "sliced", is_sliced_permutation)
     labels = _position_labels(chain.ordered_codes("inner-first"), permutations)
-    grids = [
-        {"slice_size": stop, "grid": s}
-        for stop, s in zip(family.nested.rows[:-1], chain.sizes)
-    ]
-    grids.append({"rows": family.top.n_rows, "grid": chain.top_size})
+    grids = [Claim("strat", strength=s, size=stop)
+             for stop, s in zip(family.nested.rows[:-1], chain.sizes)]
+    grids.append(Claim("strat", rows=(0, family.top.n_rows), strength=chain.top_size))
     return _lift(family, labels, grids, seed, stage, permutations)
 
 
@@ -268,10 +267,8 @@ def build_ssfd_grouped(
         members = [c for c, v in enumerate(proj) if v == alpha]
         for offset, c in enumerate(members):
             label[c] = g * q + offset
-    grids = [
-        {"slice_size": family.nested.rows[i - 1], "grid": chain.sizes[j - 1]},
-        {"rows": family.top.n_rows, "grid": chain.top_size},
-    ]
+    grids = [Claim("strat", strength=chain.sizes[j - 1], size=family.nested.rows[i - 1]),
+             Claim("strat", rows=(0, family.top.n_rows), strength=chain.top_size)]
     return _lift(family, [label] * family.top.n_cols, grids, seed, stage)
 
 

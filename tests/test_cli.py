@@ -876,9 +876,12 @@ _VERIFY = ["verify", "--design", "d.json"]
 _LIFT = ["lift", "--design", "d.json", "--mode", "nested", "--out", "x.json"]
 _LIFT_SLICED = ["lift", "--design", "d.json", "--mode", "sliced", "--out", "x.json"]
 _EXPORT = ["export", "--design", "d.json", "--format", "json", "--out", "x.json"]
-# the refusals that need the file's chain, given by `cli._file_claims`; a
-# design file's other refusals are `DesignFile`'s, and every reader gives them
-_CHAIN_REFUSALS = ("need a 'chain'", "-layer chain", "names a layer outside", "chain's top size")
+# the refusals of a file's claims, given only where they are read: by
+# `DesignFile.claims` (a chain or `s` they need) and by `cli._file_claims` (the
+# rules that need the chain); a design file's other refusals are `DesignFile`'s,
+# and every reader gives them
+_CLAIM_REFUSALS = ("need a 'chain'", "needs 's'", "-layer chain", "names a layer outside",
+                   "chain's top size")
 
 
 def _every_reader(text):
@@ -898,6 +901,9 @@ def _every_reader(text):
      "the claims of this 'dm' file need a 'chain' to be checked"),
     (_chainless("oa", [[0, 0], [0, 1], [1, 0], [1, 1]], s=2, layer_prefixes=[2, 4]), _VERIFY,
      "the claims of this 'oa' file need a 'chain' to be checked"),
+    *((_chainless(kind, [[0, 0], [1, 1], [2, 2]], **keys), _VERIFY,
+       f"the strength claim of this {kind!r} file needs 's', the level count it is checked at")
+      for kind, keys in (("design", {"t_claimed": 2}), ("oa", {}))),
     *((_with_keys(_rh_u12([4, 16]), t_claimed=99), argv,
        "strength 99 exceeds column count 3") for argv in (_VERIFY, _LIFT)),
     *((_rh_u12_sliced(**keys), argv,
@@ -944,6 +950,7 @@ def _every_reader(text):
 ], ids=["verify-grid-rows-past-design", "verify-grid-slice-not-dividing",
         "verify-oa-slice-not-dividing", "lift-oa-slice-not-dividing",
         "verify-chainless-dm", "verify-chainless-oa-prefixes",
+        "verify-chainless-design-strength-without-s", "verify-chainless-oa-without-s",
         "verify-strength-above-columns", "lift-strength-above-columns",
         "verify-slice-size-alone", "lift-slice-size-alone",
         "verify-collapse-layer-alone", "lift-collapse-layer-alone",
@@ -969,7 +976,7 @@ def test_reader_refusal_messages(text, argv, message, tmp_path, monkeypatch, cap
     monkeypatch.chdir(tmp_path)
     Path("d.json").write_text(text)
     readers = [argv]
-    if argv == _VERIFY and not any(r in message for r in _CHAIN_REFUSALS):
+    if argv == _VERIFY and not any(r in message for r in _CLAIM_REFUSALS):
         readers += _every_reader(text)
     for argv in readers:
         capsys.readouterr()
@@ -1250,33 +1257,24 @@ def test_write_failing_through_a_link_keeps_the_link(tmp_path, rh_design, monkey
     assert Path("out.json").is_symlink() and Path("target.json").is_file()
 
 
-@pytest.mark.parametrize("case", ["nested-2-layers", "nested-3-layers", "nested-dm", "sliced"])
-def test_design_file_claims_round_trip(case, tmp_path):
-    """`_file_claims` reads back the one claim `_design_file` records, with
-    the file's chain and its oracle inputs; a sliced claim comes back after
-    the top `oa` claim."""
-    from nestfill.arrays import construct_from_ndm, construct_noa_rh, rao_hamming_oa
-    from nestfill.cli import _design_file, _file_claims
-    from nestfill.groups import chain_field_tower
-    from nestfill.io import save_json
-    from nestfill.verify import Claim
-
-    if case == "nested-dm":
-        chain = chain_field_tower(2, [1, 2])
-        dm, _ = construct_from_ndm(chain, rao_hamming_oa(chain.field, chain.layer_codes(2), 2))
-        matrix, claim = dm.top, dm.nested
-    else:
-        chain = chain_field_tower(2, [1, 2] if case == "nested-2-layers" else [1, 2, 3])
-        family = construct_noa_rh(chain, 2)
-        matrix, claim = family.top, family.sliced[-1] if case == "sliced" else family.nested
-    design = load(save_json(_design_file(matrix, chain, case, {}, claim), tmp_path / "d.json"))
-    want = [claim._replace(name="")]
-    if case == "sliced":
-        want.insert(0, Claim("oa", strength=claim.strength))
-    claims, inputs, read_chain = _file_claims(design)
-    assert claims == want
-    assert read_chain.descriptor() == chain.descriptor()
-    assert inputs["levels"] == chain.sizes
+def test_input_without_s_is_read_at_the_method_level_count(tmp_path, monkeypatch):
+    """A chainless `oa` file without `s` claims a strength no level count is
+    given for, so `verify` refuses it; yet it loads, and construct reads it as
+    an `--input` at the level count the method uses, writing what an input
+    declaring that `s` writes."""
+    monkeypatch.chdir(tmp_path)
+    files, argv = _zn5_kron_noa(5)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    assert run(*argv) == 0
+    with_s = Path("x.json").read_bytes()
+    without_s = json.loads(files["a2.json"])
+    del without_s["s"]
+    Path("a2.json").write_text(json.dumps(without_s))
+    assert load("a2.json").s is None
+    assert run("verify", "--design", "a2.json") == 2
+    assert run(*argv) == 0
+    assert Path("x.json").read_bytes() == with_s
 
 
 def test_chainless_oa_without_strength_is_checked_at_strength_2(tmp_path):
@@ -1416,6 +1414,62 @@ def test_every_construction_returns_nested_families(method, tmp_path, example3_i
         for claim in [family.nested, *family.sliced]:
             assert (claim.name or _DEFAULT_NAMES[claim.kind]) in checked
         assert load(path).rows == family.top.codes()
+
+
+_LIFT_BUILDERS = {"nested": "build_nsfd", "sliced": "build_ssfd_multi",
+                  "grouped": "build_ssfd_grouped"}
+_CLAIM_KEYS = ("type", "t_claimed", "layer_prefixes", "slice_size", "collapse_layer", "grids")
+
+
+@pytest.mark.parametrize("case", sorted(_CONSTRUCTORS) + [f"lift-{m}" for m in _LIFT_BUILDERS])
+def test_claim_codec_round_trip(case, tmp_path, example3_inputs, rh_design, monkeypatch):
+    """`io.annotations` and `DesignFile.claims` invert each other.  For each
+    construct method's golden case (the claim `Method.claim` records) and each
+    lift mode (the builder's "strat" claims), a file recording the claims
+    reads them back with names cleared, after the claim its type implies: an
+    `lh` file's Latin hypercube, a sliced `oa` file's top `oa` claim.  Every
+    file the job writes gets its claim keys back from the claims it reads
+    as, and each lift's grid claims hold on its rows in-process."""
+    import nestfill.arrays as arrays
+    import nestfill.spacefill as spacefill
+    from nestfill.errors import Claim
+    from nestfill.io import annotations
+    from nestfill.verify import check_claims
+
+    lift, mode = case.startswith("lift-"), case.removeprefix("lift-")
+    module, name = (spacefill, _LIFT_BUILDERS[mode]) if lift else (arrays, _CONSTRUCTORS[case])
+    build, returned = getattr(module, name), []
+
+    def recording(*args, **kwargs):
+        returned.append(build(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(module, name, recording)
+    if not lift:
+        outs = _construct_golden(case, tmp_path, example3_inputs)
+        [built] = returned
+        for family in built if isinstance(built, tuple) else [built]:
+            claims = [METHODS[case].claim(family)]
+            design = DesignFile(**annotations(claims), rows=family.top.codes(),
+                                s=family.chain.top_size, chain=family.chain.descriptor())
+            implied = [Claim("oa", strength=claims[0].strength)] * (claims[0].kind == "sliced")
+            assert [c._replace(name="") for c in design.claims()] == implied + [
+                c._replace(name="") for c in claims]
+    else:
+        outs = [tmp_path / "lift.json"]
+        grouped = ["--i", "2", "--j", "1"] * (mode == "grouped")
+        assert run("lift", "--design", str(rh_design), "--mode", mode, *grouped, "--seed", "1",
+                   "--out", str(outs[0])) == 0
+        [lifted] = returned
+        claims = list(lifted.grids)
+        assert claims and {c.kind for c in claims} == {"strat"}
+        design = DesignFile(**annotations(claims), rows=lifted.lifted, scale=lifted.n)
+        assert [c._replace(name="") for c in design.claims()] == [Claim("lh")] + [
+            c._replace(name="") for c in claims]
+        assert all(check_claims(lifted.lifted, claims, levels=[lifted.n]))
+    for out in outs:
+        data = json.loads(out.read_text())
+        assert annotations(load(out).claims()) == {k: data[k] for k in _CLAIM_KEYS if k in data}
 
 
 @pytest.mark.parametrize("method", sorted(CHECK_LISTS))

@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from nestfill.errors import SpecError
+from nestfill.errors import Claim, SpecError
 from nestfill.galois import Field
 from nestfill.groups import chain_field_tower, chain_omega_ring, chain_subfield_tower
 from nestfill.io import (
     _FIELDS,
     DesignFile,
+    annotations,
     export_scatter,
     load,
     save_csv,
@@ -140,6 +141,21 @@ def test_annotation_that_does_not_fit_the_rows_refused_when_built(fields, messag
     with pytest.raises(SpecError) as built:
         DesignFile(rows=[[0, 1], [1, 0]], **fields)
     assert str(built.value) == message
+
+
+@pytest.mark.parametrize("claims, message", [
+    ([Claim("oa", strength=2), Claim("dm")], "claims record both 'oa' and 'dm' as 'type'"),
+    ([Claim("oa", strength=2), Claim("oa", strength=3)],
+     "claims record both 2 and 3 as 't_claimed'"),
+    ([Claim("strat", rows=(0, 4)), Claim("nested", rows=(2, 4), layers=(1, 2))],
+     "claims record both 'lh' and 'oa' as 'type'"),
+])
+def test_claims_one_file_cannot_record_refused(claims, message):
+    """A claim list that would give one annotation key two values records no
+    file: `annotations` refuses it naming the key and both values."""
+    with pytest.raises(SpecError) as err:
+        annotations(claims)
+    assert str(err.value) == message
 
 
 def test_unknown_field_is_a_type_error():
