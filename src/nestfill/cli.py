@@ -12,7 +12,8 @@ A file that breaks any claim rule exits 2.
 Every job starts a fresh interpreter, so every package module but `errors`
 and `io` is a lazily loaded module object (`_lazy`): a job compiles and runs
 each one only when its command first reads from it.  `export` runs none of
-them; `verify` runs `galois`, `groups`, `kronecker` and `verify`; `lift` runs
+them; `verify` runs `verify`, and `galois`, `groups` and `kronecker` only for
+a file with a `chain` (never one that `lift` wrote); `lift` runs
 `galois`, `groups`, `kronecker` and `spacefill`, as the two records it reads
 (`Claim`, `NestedFamily`) live in `errors`; `construct` runs all but
 `spacefill`.
@@ -28,6 +29,7 @@ lists, which the lift checks against the design's chain.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import sys
@@ -109,8 +111,12 @@ def _report_text(reports, **head) -> str:
 def _file_claims(design: DesignFile) -> tuple[list, dict, Optional[groups.GroupChain]]:
     """The claims `design` records (`DesignFile.claims`), their `check_claims`
     keyword inputs, and the chain whose codes its rows hold (None for integer
-    levels).  The one place that loads a file's chain, it applies the three
-    rules that need it: the prefix count, collapse layer and `s` fit the chain."""
+    levels).  A top-level `chain` means the rows are codes of that chain; this
+    is the one place that loads it, and it applies the three rules that need
+    it: the prefix count, collapse layer and `s` fit the chain.  `lh` and
+    `design` files hold integer levels, and those `lift` writes carry no
+    `chain` (the base's stays in `meta.source_chain`), so they load no group
+    code; an older one that has a `chain` still has it built and checked."""
     chain = groups.chain_from_descriptor(design.chain) if design.chain else None
     claims = design.claims()
     if chain is None or design.type in ("lh", "design"):
@@ -228,6 +234,10 @@ def _load_permutations(path, kind: str) -> list[list[int]]:
 
 
 def cmd_lift(args) -> int:
+    """Lift an `oa` file into an `lh` file (or, with `--stage relabel-only`, a
+    `design` file).  Its rows are integer levels, not codes of the base's
+    chain, so it carries no `chain`: `meta.source_chain` keeps the base's
+    descriptor as provenance, beside the base's `meta` in `meta.source`."""
     _refuse_unread(args, ("perms",) if args.mode == "grouped" else ("i", "j", "group_order"),
                    f"in {args.mode} mode")
     if args.perms is not None and args.stage == "relabel-only":
@@ -259,7 +269,7 @@ def cmd_lift(args) -> int:
             stage=args.stage,
         )
     meta = {"tool": "nestfill", "version": __version__, "method": f"lift-{args.mode}",
-            "source": design.meta, "stage": args.stage}
+            "source": design.meta, "source_chain": design.chain, "stage": args.stage}
     if args.stage == "relabel-only":
         fields = dict(type="design", rows=lifted.design, s=lifted.scale,
                       t_claimed=design.t_claimed, layer_prefixes=design.layer_prefixes,
@@ -267,8 +277,7 @@ def cmd_lift(args) -> int:
     else:
         fields = dict(**annotations(lifted.grids), rows=lifted.lifted, scale=lifted.n,
                       seeds={"lift": seed})
-    out = DesignFile(**fields, chain=design.chain, permutations=lifted.permutations or None,
-                     meta=meta)
+    out = DesignFile(**fields, permutations=lifted.permutations or None, meta=meta)
     out_path = save_json(out, args.out)
     print(f"wrote {out_path} ({out.type}, {out.n}x{out.m})")
     return 0
@@ -355,8 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command.  Its rows are lists and tuples, which hold no reference
+    cycles, so it runs without the cyclic garbage collector; the caller's
+    setting is restored on every exit, argparse's `SystemExit` included."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
@@ -364,6 +378,9 @@ def main(argv=None) -> int:
     except NestfillError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

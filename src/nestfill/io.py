@@ -23,7 +23,8 @@ key its file type may not carry, a grid or slice past the rows, prefixes
 that do not rise to n): every reader, `export` and construct's `--input`
 included, refuses such a file, and no writer can emit one.  It is also the
 one claim codec: `DesignFile.claims` reads the claims a file records, and
-every writer records its claims through `annotations`.  This module imports
+every writer records its claims through `annotations`, which refuses a claim
+that would read back as another.  This module imports
 only `errors`, so an `export` job loads no group code: a file's `chain`
 stays its JSON descriptor here, and `cli._file_claims` builds the chain and
 applies the rules that need it.
@@ -141,32 +142,7 @@ class DesignFile(Record):
     def claims(self) -> list[Claim]:
         """The claims the annotations record, in `verify`'s order (README
         "Claims"); one that needs a chain or an `s` the file lacks is a SpecError."""
-        if self.type == "lh":
-            claims = [Claim("lh")]
-            for g in self.grids or []:
-                rows, size = g.get("rows"), g.get("slice_size", 0)
-                where = f"first {rows}" if rows else f"slices of {size}"
-                claims.append(Claim("strat", f"stratification[{where} rows, g={g['grid']}]",
-                                    (0, rows) if rows else (), strength=g["grid"], size=size))
-            return claims
-        t, stops = self.t_claimed or 2, tuple(self.layer_prefixes or ())
-        if not self.chain and (self.type == "dm"
-                               or self.type == "oa" and (stops or self.slice_size)):
-            raise SpecError(f"the claims of this {self.type!r} file need a 'chain' to be checked")
-        if self.type == "design" or not self.chain:  # checked as integer levels
-            if self.s is None and (self.type == "oa" or self.t_claimed):
-                raise SpecError(f"the strength claim of this {self.type!r} file needs 's', "
-                                f"the level count it is checked at")
-            return [Claim("oa", strength=t) if self.s else Claim("lh")]
-        layers = tuple(range(1, len(stops) + 1))
-        if self.type == "dm":
-            return [Claim("nested-dm", rows=stops, layers=layers) if stops else Claim("dm")]
-        claims = [Claim("nested", rows=stops, layers=layers, strength=t) if stops
-                  else Claim("oa", strength=t)]
-        if self.collapse_layer:  # `__init__` gave it a slice size
-            claims.append(Claim("sliced", layers=(self.collapse_layer,), strength=t,
-                                size=self.slice_size))
-        return claims
+        return _read_claims(dict(zip(self._fields, self._values())))
 
     @property
     def n(self) -> int:
@@ -202,24 +178,62 @@ class DesignFile(Record):
         return design
 
 
+def _read_claims(f: dict) -> list[Claim]:
+    """The claims of a file whose fields are the keys of `f` (an absent key
+    reads as None): `DesignFile.claims`, and what `annotations` checks its
+    claims read back as."""
+    kind, chain, s, t_claimed = f["type"], f.get("chain"), f.get("s"), f.get("t_claimed")
+    if kind == "lh":
+        claims = [Claim("lh")]
+        for g in f.get("grids") or []:
+            rows, size = g.get("rows"), g.get("slice_size", 0)
+            where = f"first {rows}" if rows else f"slices of {size}"
+            claims.append(Claim("strat", f"stratification[{where} rows, g={g['grid']}]",
+                                (0, rows) if rows else (), strength=g["grid"], size=size))
+        return claims
+    t, stops, size = t_claimed or 2, tuple(f.get("layer_prefixes") or ()), f.get("slice_size")
+    if not chain and (kind == "dm" or kind == "oa" and (stops or size)):
+        raise SpecError(f"the claims of this {kind!r} file need a 'chain' to be checked")
+    if kind == "design" or not chain:  # checked as integer levels
+        if s is None and (kind == "oa" or t_claimed):
+            raise SpecError(f"the strength claim of this {kind!r} file needs 's', "
+                            f"the level count it is checked at")
+        return [Claim("oa", strength=t) if s else Claim("lh")]
+    layers = tuple(range(1, len(stops) + 1))
+    if kind == "dm":
+        return [Claim("nested-dm", rows=stops, layers=layers) if stops else Claim("dm")]
+    claims = [Claim("nested", rows=stops, layers=layers, strength=t) if stops
+              else Claim("oa", strength=t)]
+    if f.get("collapse_layer"):  # `DesignFile` gives it a slice size
+        claims.append(Claim("sliced", layers=(f["collapse_layer"],), strength=t, size=size))
+    return claims
+
+
 def annotations(claims) -> dict:
     """The file `type` and annotation keys that record `claims`, as
-    `DesignFile.claims` reads them back (README "Claims"); claims that give
-    one key two values are a SpecError."""
-    out = {}
+    `DesignFile.claims` reads them back (README "Claims").  Claims that give
+    one key two values are a SpecError, and so is a claim the keys cannot
+    record: each must read back, names cleared, as itself from a file with a
+    chain and these keys (key values such as a slice size of 0 are then
+    refused by `DesignFile`, when the file is built)."""
+    out, claims = {}, list(claims)
     for c in claims:
         kind = "lh" if c.kind in ("lh", "strat") else "dm" if c.kind.endswith("dm") else "oa"
         keys = {"type": kind, **({"t_claimed": c.strength} if kind == "oa" else {})}
         if c.kind.startswith("nested"):
             keys["layer_prefixes"] = list(c.rows)
         elif c.kind == "sliced":
-            keys.update(slice_size=c.size, collapse_layer=c.layers[0])
+            keys.update(slice_size=c.size, collapse_layer=c.layers[0] if c.layers else None)
         elif c.kind == "strat":
-            extent = {"slice_size": c.size} if c.size else {"rows": c.rows[1]}
+            extent = {"rows": c.rows[-1]} if c.rows else {"slice_size": c.size}
             out.setdefault("grids", []).append({**extent, "grid": c.strength})
         for key, value in keys.items():
             if out.setdefault(key, value) != value:
                 raise SpecError(f"claims record both {out[key]!r} and {value!r} as {key!r}")
+    back = [b._replace(name="") for b in _read_claims({**out, "chain": True})] if out else []
+    for c in claims:
+        if c._replace(name="") not in back:
+            raise SpecError(f"no annotation keys record the claim {c}")
     return out
 
 

@@ -25,6 +25,7 @@ objects drawn from one list(range(n)).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import Claim, NestedFamily, SpecError, is_int
@@ -75,18 +76,25 @@ def gen_nested_permutation(layer_sizes: Sequence[int], seed, tag="np") -> tuple[
     (at the coarsest layer still covering position t) is untouched.
 
     Blocks of finer layers refine coarser ones, so a fresh coarse block
-    implies fresh finer blocks and the greedy choice never dead-ends.
+    implies fresh finer blocks and the greedy choice never dead-ends.  The
+    sorted candidates are built once per layer, and each draw deletes its
+    block from them, so a permutation costs O(top) list work per layer
+    rather than O(top) per position.
     """
     sizes = _validate_layer_sizes(layer_sizes)
     top = sizes[-1]
     rng = _stream(seed, tag)
     values: list[int] = []
-    for t in range(1, top + 1):
-        i0 = next(s for s in sizes if s >= t)
-        q = top // i0
+    for s in sizes:  # the layer of size s covers positions len(values)+1..s
+        q = top // s
         used = {v // q for v in values}
-        candidates = [v for v in range(top) if v // q not in used]
-        values.append(rng.choice(candidates))
+        candidates = [v for v in range(top) if v // q not in used]  # sorted
+        for _ in range(len(values), s):
+            v = rng.choice(candidates)
+            values.append(v)
+            # the block of v was untouched, so it is a contiguous run of candidates
+            at = bisect_left(candidates, v - v % q)
+            del candidates[at : at + q]
     return tuple(values)
 
 

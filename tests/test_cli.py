@@ -232,7 +232,7 @@ class TestLift:
         design = load(out)
         assert design.rows == [list(r) for r in RELABELED_NESTED_M3]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "e6a01b642e641f2ca2efc12eb3fd2bb455cea90e4ac7a5aea7a2d68078fb2e6a")
+            "b3e6aae2ea9b7a613c045f2b614c6050d46419a2c0220673c6543a6470a8215d")
         assert run("verify", "--design", str(out)) == 0
 
     def test_relabel_only_sliced_matches_reference(self, tmp_path, rh_design):
@@ -244,7 +244,7 @@ class TestLift:
                    "--out", str(out)) == 0
         assert load(out).rows == [list(r) for r in RELABELED_SLICED_M]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "972bb2f4872749d358a90230211eb3a99b9548078170b5565080e4919835fc5b")
+            "865b081c0a0bac6270d096616b272d809ce61fc6d121401df86dc8643efdad27")
 
     def test_relabel_only_perms_refuses_seed(self, tmp_path, rh_design, capsys):
         """A relabel-only lift with explicit permutations draws nothing, so a
@@ -322,6 +322,44 @@ class TestLift:
         bad.write_text(json.dumps(data))
         assert run("lift", "--design", str(bad), "--mode", "nested",
                    "--out", str(tmp_path / "x.json")) == 2
+
+    @pytest.mark.parametrize("stage", ["full", "relabel-only"])
+    def test_lift_keeps_the_chain_as_provenance(self, tmp_path, rh_design, stage):
+        """A lift's rows are integer levels, so its file has no top-level
+        `chain`; `meta.source_chain` is the base's."""
+        out = tmp_path / "l.json"
+        assert run("lift", "--design", str(rh_design), "--mode", "nested", "--stage", stage,
+                   "--seed", "1", "--out", str(out)) == 0
+        data = json.loads(out.read_text())
+        assert "chain" not in data
+        assert data["meta"]["source_chain"] == json.loads(rh_design.read_text())["chain"]
+
+    @staticmethod
+    def _lift_with_chain(tmp_path, rh_design, stage, chain=None):
+        """A sliced lift of `rh_design` with a top-level `chain` put back, as
+        older lifts carried one: `chain`, or else the base's."""
+        out, old = tmp_path / "l.json", tmp_path / "old.json"
+        assert run("lift", "--design", str(rh_design), "--mode", "sliced", "--stage", stage,
+                   "--seed", "1", "--out", str(out)) == 0
+        data = json.loads(out.read_text())
+        data["chain"] = chain or data["meta"]["source_chain"]
+        old.write_text(json.dumps(data))
+        return old
+
+    @pytest.mark.parametrize("stage", ["full", "relabel-only"])
+    def test_lift_with_the_base_chain_put_back_verifies(self, tmp_path, rh_design, stage):
+        old = self._lift_with_chain(tmp_path, rh_design, stage)
+        assert run("verify", "--design", str(old)) == 0
+
+    @pytest.mark.parametrize("stage", ["full", "relabel-only"])
+    def test_lift_with_a_malformed_chain_put_back_exits_2(self, tmp_path, rh_design, capsys,
+                                                          stage):
+        """A `chain` on an `lh` or `design` file is still built and checked."""
+        old = self._lift_with_chain(tmp_path, rh_design, stage,
+                                    {"kind": "field-tower", "p": 4, "u_chain": [1, 2]})
+        capsys.readouterr()
+        assert run("verify", "--design", str(old)) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: p=4 is not prime"]
 
     def test_grouped_mode(self, tmp_path, rh_design):
         out = tmp_path / "g.json"
@@ -1158,24 +1196,25 @@ def test_failed_write_leaves_no_output(blocker, files, argv, tmp_path, rh_design
 
 
 # sha256 of the seed-3 lifts of `rh_design` and of their exports (a scatter
-# export's files read in name order), as written before the writers streamed
+# export's files read in name order); the lift, json and csv pins are those of
+# files without a top-level `chain`, and the scatter pins predate streamed writers
 _LIFT_DIGESTS = {
     "nested": {
-        "lift": "8a207fc37ea809ce084aa4b3ffe4e8b69e6b58ad6f2e232885f623abf6cec432",
-        "json": "8a207fc37ea809ce084aa4b3ffe4e8b69e6b58ad6f2e232885f623abf6cec432",
-        "csv": "3e91be9d206e684f7bbf1305bba3fd1375c407d976ed53a372a57a36f68d5117",
+        "lift": "87f336cfef6323d164ec0274f238c843e420ea5b6104b314859d2c7ca2ac33cd",
+        "json": "87f336cfef6323d164ec0274f238c843e420ea5b6104b314859d2c7ca2ac33cd",
+        "csv": "a94e9e952a3bd9fb5f3c3f03df528ba9f4979315e50b6264fe615a36440af171",
         "scatter": "8e68027f7c187bd707d8943585dd31722406754914b206c022956cd299ce81ac",
     },
     "sliced": {
-        "lift": "0c5fb33f1dad61407e172279c5e1b5e4a8a0df65d076dcc5addd3ff86fbfe042",
-        "json": "0c5fb33f1dad61407e172279c5e1b5e4a8a0df65d076dcc5addd3ff86fbfe042",
-        "csv": "c7717ecfefb82037a17ccd3698a1f4a41cc9b0b351dec619653c30699c1f9b14",
+        "lift": "de425d2e6fa279e712de0821d739591583adb465eb60e48ac63a1a040ae03a2a",
+        "json": "de425d2e6fa279e712de0821d739591583adb465eb60e48ac63a1a040ae03a2a",
+        "csv": "85f39866a23d6c99fabc1346ad5c43771d8f16f0fb11f3e39904145d88abae0e",
         "scatter": "316a100a4e22164c30b2700e0cd615977d2a638e364fb3d985c7a12a05a46f2a",
     },
     "grouped": {
-        "lift": "e4d384b041ffe922fa767a9a40b1fb373097b113b6e716770f8102fb94387741",
-        "json": "e4d384b041ffe922fa767a9a40b1fb373097b113b6e716770f8102fb94387741",
-        "csv": "4310b83f9e2d6e8ee598eb4ee7471264525f7df551e2747e01a543bbd94fe13d",
+        "lift": "33b7089d32aa6546b5c212166388516017c3561361ed0f56e9b00f4181d5eb79",
+        "json": "33b7089d32aa6546b5c212166388516017c3561361ed0f56e9b00f4181d5eb79",
+        "csv": "617db8aff19a3af645d35c0548009111c0a1e273382d71ec5a8f160b398a198c",
         "scatter": "6e1b6c596d9e13f5b71960b103d79a718a0c817599c02a177daf4553b496e6a5",
     },
 }
@@ -1775,22 +1814,24 @@ def test_each_command_runs_only_the_modules_it_reads(tmp_path):
     """`import nestfill.cli` registers every package module, so a wrapper
     installed right after it reaches them all; one `main` call then runs
     only the modules its command reads: `verify` skips the construction
-    code, `lift` the constructions and the oracles, `export` every group
-    module too, `construct` the lifts."""
-    want = {"construct": ["nestfill.spacefill"],
-            "verify": ["nestfill.arrays", "nestfill.spacefill"],
-            "export": ["nestfill.arrays", "nestfill.galois", "nestfill.groups",
-                       "nestfill.kronecker", "nestfill.spacefill", "nestfill.verify"],
-            "lift": ["nestfill.arrays", "nestfill.verify"]}
-    argvs = [["construct", "--method", "rh-noa", "--p", "2", "--u", "1,2", "--k", "2",
-              "--out", "a.json"],
-             ["verify", "--design", "a.json", "--out", "r.json"],
-             ["export", "--design", "a.json", "--format", "csv", "--out", "a.csv"],
-             ["lift", "--design", "a.json", "--mode", "nested", "--seed", "1",
-              "--out", "l.json"]]
-    for argv in argvs:
+    code, and of a lift's integer levels the group code too, `lift` the
+    constructions and the oracles, `export` every group module too,
+    `construct` the lifts."""
+    jobs = [(["construct", "--method", "rh-noa", "--p", "2", "--u", "1,2", "--k", "2",
+              "--out", "a.json"], ["nestfill.spacefill"]),
+            (["verify", "--design", "a.json", "--out", "r.json"],
+             ["nestfill.arrays", "nestfill.spacefill"]),
+            (["export", "--design", "a.json", "--format", "csv", "--out", "a.csv"],
+             ["nestfill.arrays", "nestfill.galois", "nestfill.groups", "nestfill.kronecker",
+              "nestfill.spacefill", "nestfill.verify"]),
+            (["lift", "--design", "a.json", "--mode", "nested", "--seed", "1",
+              "--out", "l.json"], ["nestfill.arrays", "nestfill.verify"]),
+            (["verify", "--design", "l.json", "--out", "lr.json"],
+             ["nestfill.arrays", "nestfill.galois", "nestfill.groups", "nestfill.kronecker",
+              "nestfill.spacefill"])]
+    for argv, want in jobs:
         out = _fresh_python(_LOAD_PROBE, tmp_path, *argv).splitlines()[-1]
-        assert json.loads(out) == [_PACKAGE_MODULES, 0, want[argv[0]]], argv[0]
+        assert json.loads(out) == [_PACKAGE_MODULES, 0, want], argv
 
 
 _ROOT_PROBE = """
@@ -1893,3 +1934,30 @@ def test_tampered_slice_fails_its_grid_claim_once(tmp_path, rh_design, capsys):
     ce = failed[0]["counterexample"]
     assert sorted(ce) == ["block", "cell", "dims", "expected", "observed"]
     assert ce["block"] == 3 and ce["expected"] == 1
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collector_setting(collecting, tmp_path, rh_design, capsys):
+    """`main` runs each command without the cyclic garbage collector and
+    leaves `gc.isenabled()` as it found it, whether the command exits 0, 2
+    or 3 or argparse exits on a usage error."""
+    import gc
+
+    data = json.loads(rh_design.read_text())
+    data["rows"][0][0] = 5  # a first cell that breaks the strength claim
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    jobs = [(["verify", "--design", str(rh_design)], 0),
+            (["verify", "--design", str(tmp_path / "missing.json")], 2),
+            (["verify", "--design", str(bad)], 3)]
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        for argv, code in jobs:
+            assert main(argv) == code
+            assert gc.isenabled() is collecting, argv
+        with pytest.raises(SystemExit):
+            main(["verify", "--no-such-option"])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -158,6 +158,19 @@ def test_claims_one_file_cannot_record_refused(claims, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("claim", [
+    Claim("strat", rows=(4, 8), strength=2),  # a grid on rows 4..8, not 0..8
+    Claim("oa", rows=(0, 4)),                  # a row range, not the whole matrix
+    Claim("oa", layers=(1,)),                  # a collapse layer, not the top level count
+])
+def test_claim_the_keys_cannot_record_refused(claim):
+    """A claim that would read back as another claim records no file:
+    `annotations` refuses it naming the claim."""
+    with pytest.raises(SpecError) as err:
+        annotations([claim])
+    assert str(err.value) == f"no annotation keys record the claim {claim}"
+
+
 def test_unknown_field_is_a_type_error():
     with pytest.raises(TypeError, match="strength"):
         DesignFile(type="oa", rows=[[0]], strength=2)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from golden import RELABELED_NESTED_M3, RELABELED_SLICED_M, QUAL_OA_16_RUNS, code_of
 from nestfill.arrays import construct_from_ndm, construct_noa_rh, rao_hamming_oa
 from nestfill.errors import SpecError
-from nestfill.groups import chain_field_tower
+from nestfill.galois import Field
+from nestfill.groups import Zn, chain_field_tower, chain_omega_ring, chain_subfield_tower
 from nestfill.spacefill import (
     _stream,
     build_nsfd,
@@ -104,7 +105,38 @@ class TestPermutationValidators:
             assert is_sliced_permutation(p, (2, 4)) == sliced_def(p, (2, 4))
 
 
+def _nested_permutation_reference(layer_sizes, seed, tag="np"):
+    """The greedy draw as first written: at every position it rebuilds the
+    candidate list over all top values (O(top^2) a permutation)."""
+    sizes = tuple(layer_sizes)
+    top = sizes[-1]
+    rng = _stream(seed, tag)
+    values = []
+    for t in range(1, top + 1):
+        i0 = next(s for s in sizes if s >= t)
+        q = top // i0
+        used = {v // q for v in values}
+        candidates = [v for v in range(top) if v // q not in used]
+        values.append(rng.choice(candidates))
+    return tuple(values)
+
+
+# the layer sizes of every golden case's chain, and a deeper 5^3 tower
+_GOLDEN_SIZES = sorted({chain.sizes for chain in (
+    chain_field_tower(2, [1, 2, 3]), chain_field_tower(2, [1, 2]), chain_subfield_tower(2, [1, 2]),
+    chain_omega_ring([Field(2, 2), Zn(3), Zn(2)]), chain_omega_ring([Zn(6), Zn(2)]),
+    chain_omega_ring([Zn(2), Zn(2)]), chain_omega_ring([Zn(5)] * 3))})
+
+
 class TestGenerators:
+    @pytest.mark.parametrize("sizes", _GOLDEN_SIZES, ids=str)
+    def test_nested_generator_keeps_its_draws(self, sizes):
+        """Rebuilding the candidates once a layer leaves every draw as it was."""
+        for seed in range(6):
+            for tag in ("np", "np:3"):
+                assert (gen_nested_permutation(sizes, seed, tag)
+                        == _nested_permutation_reference(sizes, seed, tag))
+
     @pytest.mark.parametrize("seed", range(25))
     def test_nested_generator_validity(self, seed):
         p = gen_nested_permutation(LAYERS, seed)
