@@ -3,11 +3,12 @@
 `construct` and `lift` write JSON design files; `export` is the one command
 that converts them to CSV or scatter data.  A non-default field modulus comes
 from the `modulus` key of a `--chain` descriptor.  `METHODS` is the one place
-a construct method is described.  How a file records its claims is `io`'s
-(`io.annotations` writes them, `io.DesignFile.claims` reads them back);
-`_file_claims`, the one reader of a file's claims for `verify` and `lift`,
-adds the file's chain, the three rules that need it and the oracle inputs.
-A file that breaks any claim rule exits 2.
+a construct method is described.  This module parses, loads and dispatches;
+each rule about the data is kept by the module that owns it.  Every claim
+rule is `io`'s (`io.annotations` writes claims, `io.DesignFile.claims` reads
+them back, given the file's chain); `_file_claims`, the one reader of a
+file's claims for `verify` and `lift`, builds that chain and picks the
+oracle inputs.  A file that breaks any claim rule exits 2.
 
 Every job starts a fresh interpreter, so every package module but `errors`
 and `io` is a lazily loaded module object (`_lazy`): a job compiles and runs
@@ -23,7 +24,8 @@ unwritable output path, 3 when a brute-force oracle rejects a claim.  Every
 randomized stage records its seed and permutations in the output file, and
 repeated runs of the same job produce byte-identical files; `--seed`, 0 when
 not given, is the one seed a job reads.  A `--perms` file is read as integer
-lists, which the lift checks against the design's chain.
+lists, which the lift checks against the design's chain; without one, the
+lift draws its permutations from the seed.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ import gc
 import importlib.util
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .errors import NestedFamily, NestfillError, SpecError, VerificationFailure, is_int
-from .io import (DesignFile, _write_text, annotations, export_scatter, load, read_json, save_csv,
-                 save_json, symbols_for)
+from .io import (DesignFile, annotations, export_scatter, load, read_json, save_csv, save_json,
+                 symbols_for, write_all, write_text)
 
 
 def _lazy(name: str):
@@ -112,23 +115,14 @@ def _file_claims(design: DesignFile) -> tuple[list, dict, Optional[groups.GroupC
     """The claims `design` records (`DesignFile.claims`), their `check_claims`
     keyword inputs, and the chain whose codes its rows hold (None for integer
     levels).  A top-level `chain` means the rows are codes of that chain; this
-    is the one place that loads it, and it applies the three rules that need
-    it: the prefix count, collapse layer and `s` fit the chain.  `lh` and
-    `design` files hold integer levels, and those `lift` writes carry no
-    `chain` (the base's stays in `meta.source_chain`), so they load no group
-    code; an older one that has a `chain` still has it built and checked."""
+    is the one place that builds it.  `lh` and `design` files hold integer
+    levels, and those `lift` writes carry no `chain` (the base's stays in
+    `meta.source_chain`), so they load no group code; an older one that has a
+    `chain` still has it built, so a malformed one is refused."""
     chain = groups.chain_from_descriptor(design.chain) if design.chain else None
-    claims = design.claims()
     if chain is None or design.type in ("lh", "design"):
-        return claims, {"levels": [design.s or design.n]}, None
-    stops = design.layer_prefixes or ()
-    if stops and len(stops) != chain.layers:
-        raise SpecError(f"{len(stops)} layer prefixes for a {chain.layers}-layer chain")
-    if (design.collapse_layer or 0) > chain.layers:
-        raise SpecError(f"claim 'sliced' names a layer outside 1..{chain.layers}")
-    if design.s not in (None, chain.top_size):
-        raise SpecError(f"s={design.s} is not the chain's top size {chain.top_size}")
-    return claims, chain.oracle_inputs(), chain
+        return design.claims(), {"levels": [design.s or design.n]}, None
+    return design.claims(chain), chain.oracle_inputs(), chain
 
 
 class Method(NamedTuple):
@@ -187,25 +181,19 @@ def cmd_construct(args) -> int:
                       for i, p in enumerate(args.input, start=1)]
     built = method.build(chain, *(given[o] for o in method.reads))
     families = built if isinstance(built, tuple) else (built,)
-    reports, base = families[-1].verification, Path(args.out)
-    written = []  # removed again if a later write fails
-    try:
-        for tail, family in zip(method.writes, families):
-            rows = family.top.codes()
-            meta = dict(tool="nestfill", version=__version__, method=name + tail, params=params)
-            design = DesignFile(**annotations([method.claim(family)]), rows=rows, meta=meta,
-                                s=chain.top_size, chain=chain.descriptor(),
-                                symbols=symbols_for(chain, rows))
-            written.append(save_json(design, base.parent / (base.stem + tail + base.suffix)
-                                     if tail else args.out))
-        out_path = written[-1]
-        written.append(_write_text(out_path.with_suffix(out_path.suffix + ".verify.json"),
-                                   [_report_text(reports)], "verification report"))
-    except SpecError:
-        for path in written:
-            path.unlink()
-        raise
-    print(f"wrote {out_path} ({design.type}, {design.n}x{design.m}); "
+    reports, out = families[-1].verification, Path(args.out)
+    writers = []  # one per design file, the last to --out, then the report
+    for tail, family in zip(method.writes, families):
+        rows = family.top.codes()
+        meta = dict(tool="nestfill", version=__version__, method=name + tail, params=params)
+        design = DesignFile(**annotations([method.claim(family)]), rows=rows, meta=meta,
+                            s=chain.top_size, chain=chain.descriptor(),
+                            symbols=symbols_for(chain, rows))
+        writers.append(partial(save_json, design,
+                               out.parent / (out.stem + tail + out.suffix) if tail else out))
+    write_all(writers + [partial(write_text, out.with_suffix(out.suffix + ".verify.json"),
+                                 [_report_text(reports)], "verification report")])
+    print(f"wrote {out} ({design.type}, {design.n}x{design.m}); "
           f"{len(reports)} check{'s' * (len(reports) != 1)} passed")
     return 0
 
@@ -226,9 +214,8 @@ def _load_permutations(path, kind: str) -> list[list[int]]:
     if not isinstance(data, dict) or data.get("kind") != kind:
         raise SpecError(f"permutation file {path} is not of kind {kind!r}")
     values = data.get("values")
-    if not isinstance(values, list) or not all(
-        isinstance(v, list) and all(map(is_int, v)) for v in values
-    ):
+    if not isinstance(values, list) or not all(isinstance(v, list) and all(map(is_int, v))
+                                               for v in values):
         raise SpecError(f"permutation file {path} needs 'values': a list of integer lists")
     return values
 
@@ -244,30 +231,17 @@ def cmd_lift(args) -> int:
         _refuse_unread(args, ("seed",), "by a relabel-only lift with --perms")
     design = load(args.design)
     family = _load_family(design)
-    if args.stage == "full" and family.nested.strength < 2:
-        raise SpecError(f"a full lift claims 2-D grids, which an array of strength "
-                        f"{family.nested.strength} does not stratify")
-    chain = family.chain
     seed = 0 if args.seed is None else args.seed
-    m = family.top.n_cols
     if args.mode in ("nested", "sliced"):
-        gen, tag, build = {
-            "nested": (spacefill.gen_nested_permutation, "np", spacefill.build_nsfd),
-            "sliced": (spacefill.gen_sliced_permutation, "sp", spacefill.build_ssfd_multi),
-        }[args.mode]
-        if args.perms is not None:
-            perms = _load_permutations(args.perms, args.mode)
-        else:
-            perms = [gen(chain.sizes, seed, tag=f"{tag}:{c}") for c in range(m)]
+        build = spacefill.build_nsfd if args.mode == "nested" else spacefill.build_ssfd_multi
+        perms = None if args.perms is None else _load_permutations(args.perms, args.mode)
         lifted = build(family, perms, seed=seed, stage=args.stage)
     else:  # grouped
         if args.i is None or args.j is None:
             raise SpecError("grouped mode needs --i and --j")
         order = None if args.group_order is None else _parse_int_list(args.group_order)
-        lifted = spacefill.build_ssfd_grouped(
-            family, i=args.i, j=args.j, group_order=order, seed=seed,
-            stage=args.stage,
-        )
+        lifted = spacefill.build_ssfd_grouped(family, i=args.i, j=args.j, group_order=order,
+                                              seed=seed, stage=args.stage)
     meta = {"tool": "nestfill", "version": __version__, "method": f"lift-{args.mode}",
             "source": design.meta, "source_chain": design.chain, "stage": args.stage}
     if args.stage == "relabel-only":
@@ -289,9 +263,8 @@ def verify_design(design: DesignFile) -> list:
     rows = (design.rows if chain is None
             else kronecker.GroupMatrix(design.rows, chain.group).code_rows)
     reports = verify.check_claims(rows, claims, **inputs)
-    if chain is None:
-        return list(reports)
-    return [r.with_levels(chain.group.text_code) for r in reports]
+    return list(reports) if chain is None else [r.with_levels(chain.group.text_code)
+                                                for r in reports]
 
 
 def cmd_verify(args) -> int:
@@ -299,7 +272,7 @@ def cmd_verify(args) -> int:
     reports = verify_design(design)
     text = _report_text(reports, design=str(args.design))
     if args.out:
-        _write_text(args.out, [text], "verification report")
+        write_text(args.out, [text], "verification report")
     else:
         sys.stdout.write(text)
     for r in reports:

@@ -24,10 +24,11 @@ that do not rise to n): every reader, `export` and construct's `--input`
 included, refuses such a file, and no writer can emit one.  It is also the
 one claim codec: `DesignFile.claims` reads the claims a file records, and
 every writer records its claims through `annotations`, which refuses a claim
-that would read back as another.  This module imports
-only `errors`, so an `export` job loads no group code: a file's `chain`
-stays its JSON descriptor here, and `cli._file_claims` builds the chain and
-applies the rules that need it.
+that would read back as another.  Given the chain whose codes the rows
+hold, `DesignFile.claims` also applies the three rules that need it.  This
+module imports only `errors`, so an `export` job loads no group code: a
+file's `chain` stays its JSON descriptor here, and the caller builds the
+chain.  `write_all` is the one all-or-nothing writer of a command's files.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ class DesignFile(Record):
     where absent (`meta` an empty dict).  Building one applies every
     annotation rule that needs no chain: each given field passes its
     `_FIELDS` test and suits the file type, the rows are checked, and the
-    annotations fit them.  So every file a writer emits loads, and
-    `cli._file_claims` adds only the rules that need the chain.  `to_dict`
+    annotations fit them.  So every file a writer emits loads, and only
+    the rules that need the chain wait for `claims`.  `to_dict`
     writes the fields after `type` and `rows` in `_fields` order."""
 
     __slots__ = _fields = tuple(_FIELDS)
@@ -139,10 +140,22 @@ class DesignFile(Record):
             if n % size:
                 raise SpecError(f"slice size {size} does not divide the {n} rows of the design")
 
-    def claims(self) -> list[Claim]:
+    def claims(self, chain=None) -> list[Claim]:
         """The claims the annotations record, in `verify`'s order (README
-        "Claims"); one that needs a chain or an `s` the file lacks is a SpecError."""
-        return _read_claims(dict(zip(self._fields, self._values())))
+        "Claims"); one that needs a chain or an `s` the file lacks is a SpecError.
+        A given `chain`, the `groups.GroupChain` whose codes the rows hold,
+        must fit the annotations: one prefix per layer, a collapse layer
+        within its layers and `s` its top size."""
+        claims = _read_claims(dict(zip(self._fields, self._values())))
+        if chain is not None:
+            stops = self.layer_prefixes or ()
+            if stops and len(stops) != chain.layers:
+                raise SpecError(f"{len(stops)} layer prefixes for a {chain.layers}-layer chain")
+            if (self.collapse_layer or 0) > chain.layers:
+                raise SpecError(f"claim 'sliced' names a layer outside 1..{chain.layers}")
+            if self.s not in (None, chain.top_size):
+                raise SpecError(f"s={self.s} is not the chain's top size {chain.top_size}")
+        return claims
 
     @property
     def n(self) -> int:
@@ -258,7 +271,7 @@ def save_json(design: DesignFile, path) -> Path:
             sep = "],\n    ["
         yield "]\n  ]\n}\n"
 
-    return _write_text(path, pieces(), "design file")
+    return write_text(path, pieces(), "design file")
 
 
 def _read_text(path, what: str) -> str:
@@ -268,7 +281,7 @@ def _read_text(path, what: str) -> str:
         raise SpecError(f"cannot read {what} {path}: {exc}") from None
 
 
-def _write_text(path, pieces: Iterable[str], what: str) -> Path:
+def write_text(path, pieces: Iterable[str], what: str) -> Path:
     """Stream the string `pieces` to `path`.  An unwritable path is a
     SpecError naming `what` was to be written there; a write that fails
     after the file was opened removes the partial file first."""
@@ -284,6 +297,21 @@ def _write_text(path, pieces: Iterable[str], what: str) -> Path:
             path.unlink()
         raise SpecError(f"cannot write {what} {path}: {exc.strerror or exc}") from None
     return path
+
+
+def write_all(writers: Iterable) -> list[Path]:
+    """The paths the `writers` return, called in order, each writing one file;
+    if one fails, the files the earlier ones wrote are removed before its
+    SpecError is raised, so a command leaves all of its files or none."""
+    paths = []
+    try:
+        for write in writers:
+            paths.append(write())
+    except SpecError:
+        for path in paths:
+            path.unlink()
+        raise
+    return paths
 
 
 def _parse_json(text: str, what: str):
@@ -316,7 +344,7 @@ def save_csv(design: DesignFile, path) -> Path:
     rows = payload.pop("rows")
     head = (f"# {FORMAT_NAME} v{__version__}\n# meta={json.dumps(payload)}\n"
             + ",".join(f"x{j + 1}" for j in range(design.m)) + "\n")
-    return _write_text(path, itertools.chain(
+    return write_text(path, itertools.chain(
         [head], (",".join(map(str, r)) + "\n" for r in rows)), "design file")
 
 
@@ -369,16 +397,10 @@ def export_scatter(design: DesignFile, out_prefix) -> list[Path]:
     # one str per distinct value, shared by every cell that holds it
     text = {v: str(v) for v in set(itertools.chain.from_iterable(design.rows))}
     columns = [list(map(text.__getitem__, col)) for col in zip(*design.rows)]
-    paths = []  # removed again if a later write fails
-    try:
-        for i in range(m):
-            for j in range(i + 1, m):
-                path = prefix.parent / f"{prefix.name}_x{i + 1}_x{j + 1}.csv"
-                points = "\n".join(map(",".join, zip(columns[i], columns[j])))
-                paths.append(_write_text(path, [f"x{i + 1},x{j + 1}\n", points, "\n"],
-                                         "scatter file"))
-    except SpecError:
-        for path in paths:
-            path.unlink()
-        raise
-    return paths
+
+    def pair(i, j):
+        points = "\n".join(map(",".join, zip(columns[i], columns[j])))
+        return write_text(prefix.parent / f"{prefix.name}_x{i + 1}_x{j + 1}.csv",
+                          [f"x{i + 1},x{j + 1}\n", points, "\n"], "scatter file")
+
+    return write_all(lambda i=i, j=j: pair(i, j) for i in range(m) for j in range(i + 1, m))

@@ -6,20 +6,22 @@ in each of the s_i equal value blocks, for every layer size s_i.  A sliced
 permutation sends each block of q = s_I/s_j consecutive positions onto one
 value block of the same width, for every j below the top.  A permutation is
 its tuple of integer values: the generators return one, and `build_nsfd` and
-`build_ssfd_multi`, the one place a permutation is checked, refuse any that
-does not fit their family's chain.  Relabeling an array's levels through
-such permutations and then expanding each level into a block of distinct
-values produces designs whose prefixes (nested case) or row slices (sliced
-case) stratify progressively coarser grids, returned as "strat" `Claim`s.
-The nested lift reads prefix i as a design over layer i, so `build_nsfd`
-refuses a family whose layer-i prefix holds a code outside layer i; the
-sliced and grouped lifts read only collapses.
+`build_ssfd_multi`, the one place a permutation is checked, draw one per
+column when given none and refuse any that does not fit their family's
+chain.  Relabeling an array's levels through such permutations and then
+expanding each level into a block of distinct values produces designs whose
+prefixes (nested case) or row slices (sliced case) stratify progressively
+coarser grids, returned as "strat" `Claim`s.  A full lift claims 2-D grids,
+so every builder refuses one of a strength-1 array.  The nested lift reads
+prefix i as a design over layer i, so `build_nsfd` refuses a family whose
+layer-i prefix holds a code outside layer i; the sliced and grouped lifts
+read only collapses.
 
 All randomness is drawn from per-purpose streams seeded with strings such as
-"<seed>:lh:<column>", so results are reproducible across runs and adding
-columns never perturbs earlier columns' draws.  An n-run lift holds n int
-objects, whatever its column count: every column's values are shared
-objects drawn from one list(range(n)).
+"<seed>:lh:<column>" and "<seed>:np:<column>", so results are reproducible
+across runs and adding columns never perturbs earlier columns' draws.  An
+n-run lift holds n int objects, whatever its column count: every column's
+values are shared objects drawn from one list(range(n)).
 """
 
 from __future__ import annotations
@@ -184,6 +186,15 @@ class LiftedDesign(NamedTuple):
         return len(self.design)
 
 
+def _check_stage(family: NestedFamily, stage: str) -> None:
+    """Refuse an unknown `stage`, and a full lift of strength 1: its 2-D grids cannot hold."""
+    if stage not in ("full", "relabel-only"):
+        raise SpecError(f"unknown stage {stage!r}")
+    if stage == "full" and family.nested.strength < 2:
+        raise SpecError(f"a full lift claims 2-D grids, which an array of strength "
+                        f"{family.nested.strength} does not stratify")
+
+
 def _check_perms(perms, m, sizes, kind, holds):
     """Refuse unless there is one permutation per column (`m`) and `holds`
     accepts each one for the layer `sizes`."""
@@ -198,25 +209,20 @@ def _lift(family: NestedFamily, labels: Sequence[Sequence[int]], grids: list[Cla
           stage: str, permutations=()) -> LiftedDesign:
     """Relabel the family's top array code by code through the per-column
     `labels` tables, then (unless `stage` is "relabel-only") lift it."""
-    if stage not in ("full", "relabel-only"):
-        raise SpecError(f"unknown stage {stage!r}")
     design = [list(map(list.__getitem__, labels, row)) for row in family.top.code_rows]
     top_size = family.chain.top_size
     lifted = oa_based_lh(design, top_size, seed) if stage == "full" else None
     return LiftedDesign(design, top_size, lifted, grids, [list(p) for p in permutations])
 
 
-def build_nsfd(
-    family: NestedFamily,
-    permutations: Sequence[Sequence[int]],
-    seed=0,
-    stage: str = "full",
-) -> LiftedDesign:
+def build_nsfd(family: NestedFamily, permutations: Optional[Sequence[Sequence[int]]] = None,
+               seed=0, stage: str = "full") -> LiftedDesign:
     """Relabel the top array through nested permutations keyed by the
-    outer-first enumeration, then lift to a Latin hypercube whose row
-    prefixes stratify progressively finer grids.  A family whose layer-i
-    prefix holds a code outside layer i is refused."""
-    chain = family.chain
+    outer-first enumeration (by default one drawn per column), then lift to
+    a Latin hypercube whose row prefixes stratify progressively finer grids.
+    A family whose layer-i prefix holds a code outside layer i is refused."""
+    _check_stage(family, stage)
+    chain, m = family.chain, family.top.n_cols
     for layer, stop in enumerate(family.nested.rows[:-1], start=1):
         codes = set(chain.layer_codes(layer))
         for r, row in enumerate(family.top.code_rows[:stop]):
@@ -224,23 +230,25 @@ def build_nsfd(
                 code = next(c for c in row if c not in codes)
                 raise SpecError(f"row {r} of the layer-{layer} prefix holds code {code} "
                                 f"({chain.group.text_code(code)}), which is not in layer {layer}")
-    _check_perms(permutations, family.top.n_cols, chain.sizes, "nested", is_nested_permutation)
+    if permutations is None:  # column c draws from the stream "<seed>:np:<c>"
+        permutations = [gen_nested_permutation(chain.sizes, seed, tag=f"np:{c}") for c in range(m)]
+    _check_perms(permutations, m, chain.sizes, "nested", is_nested_permutation)
     labels = _position_labels(chain.ordered_codes("outer-first"), permutations)
     grids = [Claim("strat", rows=(0, stop), strength=s)
              for stop, s in zip(family.nested.rows, chain.sizes)]
     return _lift(family, labels, grids, seed, stage, permutations)
 
 
-def build_ssfd_multi(
-    family: NestedFamily,
-    permutations: Sequence[Sequence[int]],
-    seed=0,
-    stage: str = "full",
-) -> LiftedDesign:
+def build_ssfd_multi(family: NestedFamily, permutations: Optional[Sequence[Sequence[int]]] = None,
+                     seed=0, stage: str = "full") -> LiftedDesign:
     """Relabel through sliced permutations keyed by the inner-first
-    enumeration; the result slices evenly at every layer below the top."""
-    chain = family.chain
-    _check_perms(permutations, family.top.n_cols, chain.sizes, "sliced", is_sliced_permutation)
+    enumeration (by default one drawn per column); the result slices evenly
+    at every layer below the top."""
+    _check_stage(family, stage)
+    chain, m = family.chain, family.top.n_cols
+    if permutations is None:  # column c draws from the stream "<seed>:sp:<c>"
+        permutations = [gen_sliced_permutation(chain.sizes, seed, tag=f"sp:{c}") for c in range(m)]
+    _check_perms(permutations, m, chain.sizes, "sliced", is_sliced_permutation)
     labels = _position_labels(chain.ordered_codes("inner-first"), permutations)
     grids = [Claim("strat", strength=s, size=stop)
              for stop, s in zip(family.nested.rows[:-1], chain.sizes)]
@@ -248,18 +256,14 @@ def build_ssfd_multi(
     return _lift(family, labels, grids, seed, stage, permutations)
 
 
-def build_ssfd_grouped(
-    family: NestedFamily,
-    i: int,
-    j: int,
-    group_order: Optional[Sequence[int]] = None,
-    seed=0,
-    stage: str = "full",
-) -> LiftedDesign:
+def build_ssfd_grouped(family: NestedFamily, i: int, j: int,
+                       group_order: Optional[Sequence[int]] = None, seed=0,
+                       stage: str = "full") -> LiftedDesign:
     """Relabel by collapse groups: levels collapsing together under the layer-j
     projection get consecutive integer labels, group blocks ordered by the
     layer-j codes of `group_order` (default: ascending code), then lift;
     slices of the layer-i block size stratify the s_j grid."""
+    _check_stage(family, stage)
     chain = family.chain
     if not 1 <= j <= i <= chain.layers:
         raise SpecError(f"need 1 <= j <= i <= {chain.layers}, got i={i}, j={j}")

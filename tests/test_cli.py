@@ -915,9 +915,9 @@ _LIFT = ["lift", "--design", "d.json", "--mode", "nested", "--out", "x.json"]
 _LIFT_SLICED = ["lift", "--design", "d.json", "--mode", "sliced", "--out", "x.json"]
 _EXPORT = ["export", "--design", "d.json", "--format", "json", "--out", "x.json"]
 # the refusals of a file's claims, given only where they are read: by
-# `DesignFile.claims` (a chain or `s` they need) and by `cli._file_claims` (the
-# rules that need the chain); a design file's other refusals are `DesignFile`'s,
-# and every reader gives them
+# `DesignFile.claims` (a chain or `s` they need, and the rules that need the
+# chain `cli._file_claims` passes it); a design file's other refusals are
+# `DesignFile`'s, and every reader gives them
 _CLAIM_REFUSALS = ("need a 'chain'", "needs 's'", "-layer chain", "names a layer outside",
                    "chain's top size")
 
@@ -1607,6 +1607,24 @@ def test_verify_fail_line_names_levels_as_text(tmp_path, rh_design, capsys):
     fail = [line for line in capsys.readouterr().err.splitlines() if ": FAIL" in line]
     assert len(fail) == 1 and fail[0].startswith("nested-oa[layer 3 via rho_3]: FAIL")
     assert "'levels': ['x', 'x^2']" in fail[0]
+
+
+def test_verify_names_the_first_uneven_strength_3_tuple(tmp_path, capsys):
+    """A strength-3 `bush-noa` file with one cell of its layer-1 prefix
+    changed fails the layer-1 claim at the one tuple it lost, (0, 1, 7) of
+    columns 0..2, printed as element text."""
+    good, bad = tmp_path / "bush.json", tmp_path / "bad.json"
+    assert run("construct", "--method", "bush-noa", "--p", "2", "--u", "2,4", "--k", "3",
+               "--out", str(good)) == 0
+    data = json.loads(good.read_text())
+    assert data["t_claimed"] == 3 and data["rows"][1][:3] == [0, 1, 7]
+    data["rows"][1][0] = 1
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("verify", "--design", str(bad), "--out", str(tmp_path / "report.json")) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "nested-oa[layer 1 via rho_1]: FAIL (unbalanced level tuple) counterexample="
+        "{'columns': [0, 1, 2], 'levels': ['0', '1', 'x^2+x+1'], 'observed': 0, 'expected': 1}"]
 
 
 def test_outputs_identical_across_hash_seeds(tmp_path):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from golden import RELABELED_NESTED_M3, RELABELED_SLICED_M, QUAL_OA_16_RUNS, code_of
 from nestfill.arrays import construct_from_ndm, construct_noa_rh, rao_hamming_oa
-from nestfill.errors import SpecError
+from nestfill.errors import Claim, NestedFamily, SpecError
 from nestfill.galois import Field
 from nestfill.groups import Zn, chain_field_tower, chain_omega_ring, chain_subfield_tower
+from nestfill.kronecker import GroupMatrix
 from nestfill.spacefill import (
     _stream,
     build_nsfd,
@@ -23,7 +24,7 @@ from nestfill.spacefill import (
     is_sliced_permutation,
     oa_based_lh,
 )
-from nestfill.verify import check_latin_hypercube, check_stratification
+from nestfill.verify import check_claims, check_latin_hypercube, check_stratification
 
 NESTED_PERMS = [(4, 1, 2, 7, 6, 5, 3, 0), (5, 2, 0, 7, 3, 4, 1, 6), (2, 6, 1, 4, 3, 5, 7, 0)]
 SLICED_PERMS = [(0, 1, 2, 3, 7, 6, 5, 4), (7, 6, 5, 4, 1, 0, 2, 3), (0, 1, 3, 2, 4, 5, 7, 6)]
@@ -277,6 +278,25 @@ def test_nested_lift_refuses_prefix_outside_its_layer():
     sliced = [gen_sliced_permutation(chain.sizes, 0, tag=c) for c in range(m)]
     assert build_ssfd_multi(family, sliced).n == family.top.n_rows
     assert build_ssfd_grouped(family, i=2, j=1).n == family.top.n_rows
+
+
+@pytest.mark.parametrize("build", [
+    lambda fam: build_nsfd(fam, [(0, 2, 1, 3)]),
+    lambda fam: build_ssfd_multi(fam, [(0, 0)]),
+    lambda fam: build_ssfd_grouped(fam, i=3, j=1),
+], ids=["nested", "sliced", "grouped"])
+def test_full_lift_refuses_strength_1(build):
+    """A strength-1 nested OA stratifies no 2-D grid, so every builder
+    refuses its full lift with the CLI's line, before it reads the
+    permutations or the layers (each given here is itself refused)."""
+    chain = chain_field_tower(2, [1, 2])
+    rows = [[0, 0], [1, 1], [2, 2], [3, 3]]
+    claim = Claim("nested", rows=(2, 4), layers=(1, 2), strength=1)
+    assert all(check_claims(rows, [claim], **chain.oracle_inputs()))
+    family = NestedFamily(chain, GroupMatrix(rows, chain.group), claim)
+    with pytest.raises(SpecError, match=r"^a full lift claims 2-D grids, which an array of "
+                                        r"strength 1 does not stratify$"):
+        build(family)
 
 
 class TestSsfdMulti:

@@ -367,6 +367,10 @@ def lh_cases(draw):
 @example(([[0], [0], [0], [1]], 2, 1))  # every level seen, but unevenly
 @example(([[0, 0], [0, 1], [1, 0], [0, 0]], 2, 2))  # index 1, row 3 a copy of row 0
 @example(([[3, 3], [3, 5], [5, 3], [3, 3]], 2, 2))  # the same on ranked levels {3, 5}
+# OA(8, 4, 2, 3) with cell (4, 1) flipped: the first uneven tuple of columns
+# [0, 1, 2] is (1, 0, 0), whose place values a reversed digit order reads as (0, 1, 0)
+@example(([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0],
+           [1, 1, 0, 1], [1, 0, 1, 0], [1, 1, 0, 0], [1, 1, 1, 1]], 2, 3))
 def test_oa_strength_matches_ordered_scan(case):
     rows, s, t = case
     assert check_oa_strength(rows, s, t) == _ref_oa_strength(rows, s, t)
@@ -446,6 +450,27 @@ def test_stratification_family_matches_blocks(case):
             "block": first + 1, **reps[first].counterexample})
     claims = [Claim("strat", strength=g, size=size)]
     assert list(check_claims(rows, claims, levels=[scale])) == [family]
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_stratification([[0, 0], [1, 4], [4, 1], [5, 5], [2, 2], [3, 6], [6, 3], [7, 7]],
+                                 8, 2, size=4),
+    lambda: check_oa_strength([list(r) + [sum(r) % 2] for r in product(range(2), repeat=3)], 2, 3),
+], ids=["strat-blocks", "oa-strength"])
+def test_a_passing_family_is_decided_in_one_pass(check, monkeypatch):
+    """A family that passes is accepted by the one-pass test over all of its
+    blocks: the ordered block-by-block scan, the one caller of `_uneven`
+    here, never runs."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return uneven(*args)
+
+    uneven = nestfill.verify._uneven
+    monkeypatch.setattr(nestfill.verify, "_uneven", counted)
+    assert check().passed
+    assert calls == []
 
 
 @pytest.mark.parametrize("size", [0, 2])
