@@ -17,7 +17,10 @@ them; `verify` runs `verify`, and `galois`, `groups` and `kronecker` only for
 a file with a `chain` (never one that `lift` wrote); `lift` runs
 `galois`, `groups`, `kronecker` and `spacefill`, as the two records it reads
 (`Claim`, `NestedFamily`) live in `errors`; `construct` runs all but
-`spacefill`.
+`spacefill`.  The process entry points, the `nestfill` console script and
+`python -m nestfill.cli`, call `run`, which freezes the heap as the job ends
+so the interpreter's exit collections skip what the job leaves; `main`, which
+tests and library callers call, never freezes it.
 
 Exit codes: 0 on success, 2 on bad parameters, malformed inputs or an
 unwritable output path, 3 when a brute-force oracle rejects a claim.  Every
@@ -356,5 +359,16 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run(argv=None) -> int:
+    """`main(argv)`, then `gc.freeze()` on every exit, argparse's `SystemExit`
+    included: the objects the job leaves move to the permanent generation,
+    which the interpreter's exit collections skip, and the OS reclaims them
+    with the process; `atexit` and the stdio flushes still run."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -11,8 +11,10 @@ column when given none and refuse any that does not fit their family's
 chain.  Relabeling an array's levels through such permutations and then
 expanding each level into a block of distinct values produces designs whose
 prefixes (nested case) or row slices (sliced case) stratify progressively
-coarser grids, returned as "strat" `Claim`s.  A full lift claims 2-D grids,
-so every builder refuses one of a strength-1 array.  The nested lift reads
+coarser grids, returned as "strat" `Claim`s.  Lifting needs an
+orthogonal-array family, so all three `build_*` lifts refuse a
+difference-matrix ("nested-dm") one; a full lift claims 2-D grids, so they
+also refuse one of a strength-1 array.  The nested lift reads
 prefix i as a design over layer i, so `build_nsfd` refuses a family whose
 layer-i prefix holds a code outside layer i; the sliced and grouped lifts
 read only collapses.
@@ -187,9 +189,13 @@ class LiftedDesign(NamedTuple):
 
 
 def _check_stage(family: NestedFamily, stage: str) -> None:
-    """Refuse an unknown `stage`, and a full lift of strength 1: its 2-D grids cannot hold."""
+    """Refuse an unknown `stage`, a difference-matrix family, and a full lift
+    of strength 1: its 2-D grids cannot hold."""
     if stage not in ("full", "relabel-only"):
         raise SpecError(f"unknown stage {stage!r}")
+    if family.nested.kind == "nested-dm":
+        raise SpecError("cannot lift a difference-matrix family; lifting needs an "
+                        "orthogonal-array family")
     if stage == "full" and family.nested.strength < 2:
         raise SpecError(f"a full lift claims 2-D grids, which an array of strength "
                         f"{family.nested.strength} does not stratify")

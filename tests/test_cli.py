@@ -1979,3 +1979,84 @@ def test_main_restores_the_collector_setting(collecting, tmp_path, rh_design, ca
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def _tampered(rh_design, tmp_path):
+    """A copy of `rh_design` whose first cell breaks its strength claim."""
+    data = json.loads(rh_design.read_text())
+    data["rows"][0][0] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    return bad
+
+
+def test_main_never_freezes_the_heap(tmp_path, rh_design):
+    """In-process `main` leaves `gc.get_freeze_count()` as it found it, whether
+    the command exits 0, 2 or 3 or argparse exits on a usage error: only
+    `run`, the process entry point, freezes the heap."""
+    import gc
+
+    bad = _tampered(rh_design, tmp_path)
+    frozen = gc.get_freeze_count()
+    for argv, code in [(["verify", "--design", str(rh_design)], 0),
+                       (["verify", "--design", str(tmp_path / "missing.json")], 2),
+                       (["verify", "--design", str(bad)], 3)]:
+        assert main(argv) == code
+        assert gc.get_freeze_count() == frozen, argv
+    with pytest.raises(SystemExit):
+        main(["verify", "--no-such-option"])
+    assert gc.get_freeze_count() == frozen
+
+
+_RUN_PROBE = """
+import contextlib, gc, io, json, sys
+from nestfill.cli import main, run
+
+def code(call, argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return call(argv)
+        except SystemExit as exc:
+            return exc.code
+
+seen = []
+for argv in json.loads(sys.argv[1]):
+    by_main = code(main, argv)
+    unfrozen = gc.get_freeze_count()
+    by_run = code(run, argv)
+    seen.append([by_main, unfrozen, by_run, gc.get_freeze_count()])
+    gc.unfreeze()
+print(json.dumps(seen))
+"""
+
+
+def test_run_freezes_the_heap_on_every_exit(tmp_path, rh_design):
+    """In a fresh interpreter, `run` returns what `main` returns for a
+    passing, a malformed and a tampered file and for argparse's usage error,
+    and leaves the heap frozen after each, as `main` never does."""
+    bad = _tampered(rh_design, tmp_path)
+    jobs = [["verify", "--design", str(path)]
+            for path in (rh_design, tmp_path / "missing.json", bad)]
+    seen = json.loads(_fresh_python(_RUN_PROBE, tmp_path,
+                                    json.dumps(jobs + [["verify", "--no-such-option"]])))
+    assert [(by_main, by_run) for by_main, _, by_run, _ in seen] == [(0, 0), (2, 2), (3, 3),
+                                                                     (2, 2)]
+    assert all(unfrozen == 0 < frozen for _, unfrozen, _, frozen in seen), seen
+
+
+def test_module_entry_point_exits_3_on_a_tampered_file(tmp_path, rh_design):
+    """`python -m nestfill.cli verify`, which ends through `run`, exits 3 on a
+    tampered file, prints its one failing line and writes its report."""
+    bad, report = _tampered(rh_design, tmp_path), tmp_path / "report.json"
+    src = str(Path(nestfill.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "nestfill.cli", "verify", "--design", str(bad),
+                           "--out", str(report)], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("nested-oa[layer 1 via rho_1]: FAIL ")
+    checks = json.loads(report.read_text())["checks"]
+    assert [c["passed"] for c in checks] == [False]

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden import RELABELED_NESTED_M3, RELABELED_SLICED_M, QUAL_OA_16_RUNS, code_of
-from nestfill.arrays import construct_from_ndm, construct_noa_rh, rao_hamming_oa
+from nestfill.arrays import (DifferenceMatrix, construct_from_ndm, construct_ndm_kron,
+                             construct_noa_rh, rao_hamming_oa)
 from nestfill.errors import Claim, NestedFamily, SpecError
 from nestfill.galois import Field
 from nestfill.groups import Zn, chain_field_tower, chain_omega_ring, chain_subfield_tower
@@ -297,6 +298,42 @@ def test_full_lift_refuses_strength_1(build):
     with pytest.raises(SpecError, match=r"^a full lift claims 2-D grids, which an array of "
                                         r"strength 1 does not stratify$"):
         build(family)
+
+
+
+def _dm_families():
+    """The difference-matrix families of `construct_from_ndm` (with its A (+) D
+    family) and of `construct_ndm_kron` (golden example 3)."""
+    tower = chain_field_tower(2, [1, 2])
+    dm, product = construct_from_ndm(tower, rao_hamming_oa(tower.field, tower.layer_codes(2), 2))
+    ring = chain_omega_ring([Field(2, 2), Zn(3), Zn(2)])
+    mk = lambda rows: DifferenceMatrix(
+        GroupMatrix([[code_of(ring, t) for t in r] for r in rows], ring.group))
+    kron = construct_ndm_kron([
+        mk([("0", "0", "0"), ("0", "1", "x"), ("0", "x", "x+1"), ("0", "x+1", "1")]),
+        mk([("0", "0", "0"), ("0", "w", "2w"), ("0", "2w", "w")]),
+        mk([("0", "0", "0"), ("0", "0", "w2"), ("0", "w2", "0"), ("0", "w2", "w2")])], ring)
+    return dm, kron, product
+
+
+@pytest.mark.parametrize("stage", ["full", "relabel-only"])
+@pytest.mark.parametrize("build", [
+    lambda fam, stage: build_nsfd(fam, stage=stage),
+    lambda fam, stage: build_ssfd_multi(fam, stage=stage),
+    lambda fam, stage: build_ssfd_grouped(fam, i=1, j=1, stage=stage),
+], ids=["nested", "sliced", "grouped"])
+def test_lift_refuses_a_difference_matrix_family(build, stage):
+    """A nested-DM family is not an orthogonal array, so each `build_*` lift
+    refuses it at both stages with one line naming the cause; the A (+) D
+    family built beside one still lifts."""
+    dm, kron, product = _dm_families()
+    for family in (dm, kron):
+        assert family.nested.kind == "nested-dm"
+        with pytest.raises(SpecError, match=r"^cannot lift a difference-matrix family; "
+                                            r"lifting needs an orthogonal-array family$"):
+            build(family, stage)
+    assert build_ssfd_multi(product, stage=stage).n == product.top.n_rows
+    assert build_ssfd_grouped(product, i=1, j=1, stage=stage).n == product.top.n_rows
 
 
 class TestSsfdMulti:

@@ -376,6 +376,24 @@ def test_oa_strength_matches_ordered_scan(case):
     assert check_oa_strength(rows, s, t) == _ref_oa_strength(rows, s, t)
 
 
+@st.composite
+def high_strength_cases(draw):
+    """Strength 3 or 4 over 2 or 3 levels, on up to 5 columns: `oa_cases`
+    draws at most 3 columns, so it never reaches t = 4."""
+    s, t = draw(st.sampled_from([2, 3])), draw(st.sampled_from([3, 4]))
+    rows = draw(near_balanced(s, draw(st.integers(t, 5)), draw(st.sampled_from([s - 1, s]))))
+    return rows, s, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(high_strength_cases())
+def test_high_strength_counterexample_matches_ordered_scan(case):
+    """At t = 3 and 4 the first uneven column subset and level tuple, and
+    every other report field, are the ordered scan's."""
+    rows, s, t = case
+    assert check_oa_strength(rows, s, t) == _ref_oa_strength(rows, s, t)
+
+
 @settings(max_examples=300, deadline=None)
 @given(dm_cases())
 @example(([[0, 0], [1, 0]], [0, 1], operator.sub))  # difference -1 outside {0, 1}
